@@ -52,7 +52,10 @@ def _load_centres(raw: str) -> list[ProjPoint]:
     centres = []
     for entry in entries:
         if len(entry) == 2:
-            centres.append(ProjPoint.from_affine(entry[0], entry[1]))
+            try:
+                centres.append(ProjPoint.from_affine(entry[0], entry[1]))
+            except ZeroDivisionError:
+                raise ValueError(f"centre entry {entry!r} has a zero denominator") from None
         elif len(entry) == 3:
             centres.append(serialize.point_from_json(entry))
         else:

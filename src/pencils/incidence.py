@@ -10,12 +10,12 @@ lines, one per pair (b1, b2) in B x B, have equation
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoincidentCentres, ShiftHitsB
 from .graphs import BipartiteGraph, neighbourhood_square_sum, shifted_restricted_ratio_set
-from .projective import ProjLine
 
 __all__ = [
     "IncidenceInstance",
@@ -26,38 +26,32 @@ __all__ = [
     "verify_lemma_chain",
 ]
 
-# Above this |P|*|L| budget the all-pairs count is replaced by the per-line
-# scan; both are exact and their agreement is property-tested.
-_BRUTE_FORCE_LIMIT = 250_000
-
 
 class IncidenceInstance:
-    """Exact incidence-counting instance with per-line provenance tags."""
+    """Exact incidence-counting instance.
 
-    __slots__ = ("graph", "centre1", "centre2", "swapped",
-                 "ratio1", "ratio2", "points", "lines")
+    The points R1 x R2 and the lines l_{b1,b2}, (b1, b2) in B x B, are
+    implicit: the count and the witness check need only the two ratio
+    sets, the ground set B and the centres.
+    """
 
-    def __init__(self, graph, centre1, centre2, swapped, ratio1, ratio2, lines):
+    __slots__ = ("graph", "centre1", "centre2", "swapped", "ratio1", "ratio2")
+
+    def __init__(self, graph, centre1, centre2, swapped, ratio1, ratio2):
         self.graph = graph
         self.centre1 = centre1
         self.centre2 = centre2
         self.swapped = swapped
         self.ratio1 = ratio1
         self.ratio2 = ratio2
-        self.points = frozenset((r1, r2) for r1 in ratio1 for r2 in ratio2)
-        self.lines = lines
 
     @property
     def point_count(self) -> int:
-        return len(self.points)
+        return len(self.ratio1) * len(self.ratio2)
 
     @property
     def line_count(self) -> int:
-        return len(self.lines)
-
-    def line_list(self) -> list[tuple[tuple[Fraction, Fraction], ProjLine]]:
-        """(tag, line) pairs in deterministic tag order."""
-        return sorted(self.lines.items())
+        return len(self.graph.right) ** 2
 
     def __repr__(self):
         return (f"IncidenceInstance(|P|={self.point_count}, "
@@ -92,56 +86,25 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> IncidenceIn
 
     ratio1 = shifted_restricted_ratio_set(graph, -x1, -y1)
     ratio2 = shifted_restricted_ratio_set(graph, -x2, -y2)
-    lines = {}
-    for b1 in graph.right:
-        for b2 in graph.right:
-            lines[(b1, b2)] = ProjLine.from_affine_equation(
-                b1 - y1, -(b2 - y2), x1 - x2)
     # x1 != x2 makes (b1, b2) -> line injective
-    assert len(set(lines.values())) == len(lines)
-    return IncidenceInstance(graph, c1, c2, swapped, ratio1, ratio2, lines)
+    assert x1 != x2
+    return IncidenceInstance(graph, c1, c2, swapped, ratio1, ratio2)
 
 
-def _count_all_pairs(inst: IncidenceInstance) -> int:
-    total = 0
-    lines = [line.coeffs for line in inst.lines.values()]
-    for px, py in inst.points:
-        for a, b, c in lines:
-            if a * px + b * py + c == 0:
-                total += 1
-    return total
+def count_incidences(inst: IncidenceInstance) -> int:
+    """Exact |{(p, l) : p on l}| for the instance, as one hash join.
 
-
-def _count_by_line_scan(inst: IncidenceInstance) -> int:
-    """Per line, solve for the second coordinate over the first ratio set.
-
-    The point grid is a product R1 x R2, so (x, y) on l_{b1,b2} means
-    y = ((b1 - y1) x + (x1 - x2)) / (b2 - y2); membership of y in R2 is a
-    hash probe, giving O(|L| * |R1|) exact work.
+    (r1, r2) lies on l_{b1,b2} iff (b1 - y1) r1 + (x1 - x2) = (b2 - y2) r2,
+    so I = sum over t of N1(t) N2(t), where N1(t) counts the (b1, r1) in
+    B x R1 whose left side is t and N2(t) the (b2, r2) in B x R2 whose
+    right side is t.  That is O(|B| (|R1| + |R2|)) exact work.
     """
     (x1, y1), (x2, y2) = inst.centre1, inst.centre2
     shift = x1 - x2
-    r1_list = list(inst.ratio1)
-    r2_set = inst.ratio2
-    total = 0
-    for b1, b2 in inst.lines:
-        u, v = b1 - y1, b2 - y2
-        for r1 in r1_list:
-            if (u * r1 + shift) / v in r2_set:
-                total += 1
-    return total
-
-
-def count_incidences(inst: IncidenceInstance, method: str = "auto") -> int:
-    """Exact |{(p, l) : p on l}| for the instance."""
-    if method == "auto":
-        method = ("brute" if inst.point_count * inst.line_count <= _BRUTE_FORCE_LIMIT
-                  else "scan")
-    if method == "brute":
-        return _count_all_pairs(inst)
-    if method == "scan":
-        return _count_by_line_scan(inst)
-    raise ValueError(f"unknown counting method {method!r}")
+    right = inst.graph.right.elements
+    n1 = Counter((b - y1) * r + shift for b in right for r in inst.ratio1)
+    n2 = Counter((b - y2) * r for b in right for r in inst.ratio2)
+    return sum(c * n2[t] for t, c in n1.items())
 
 
 def szemeredi_trotter_ok(incidences: int, n_points: int, n_lines: int) -> bool:
@@ -186,18 +149,20 @@ class LemmaChainReport:
 
 def _witness_identity_holds(inst: IncidenceInstance) -> bool:
     (x1, y1), (x2, y2) = inst.centre1, inst.centre2
+    shift = x1 - x2
     left_vals = inst.graph.left.elements
     right_vals = inst.graph.right.elements
     for i, columns in inst.graph.neighbourhoods().items():
         a = left_vals[i]
-        firsts = [(right_vals[j], (a - x1) / (right_vals[j] - y1)) for j in columns]
-        seconds = [(right_vals[j], (a - x2) / (right_vals[j] - y2)) for j in columns]
-        for b1, r1 in firsts:
-            for b2, r2 in seconds:
-                ca, cb, cc = inst.lines[(b1, b2)].coeffs
-                if ca * r1 + cb * r2 + cc != 0:
-                    return False
-                if (r1, r2) not in inst.points:
+        firsts = [(right_vals[j] - y1, (a - x1) / (right_vals[j] - y1)) for j in columns]
+        seconds = [(right_vals[j] - y2, (a - x2) / (right_vals[j] - y2)) for j in columns]
+        if any(r1 not in inst.ratio1 for _, r1 in firsts):
+            return False
+        if any(r2 not in inst.ratio2 for _, r2 in seconds):
+            return False
+        for u, r1 in firsts:
+            for v, r2 in seconds:
+                if u * r1 - v * r2 + shift != 0:
                     return False
     return True
 

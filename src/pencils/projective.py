@@ -100,13 +100,6 @@ class ProjLine:
         self.coeffs = _canonical(a, b, c)
         self._hash = hash(("line", self.coeffs))
 
-    @classmethod
-    def from_affine_equation(cls, a, b, c) -> "ProjLine":
-        """Line a*x + b*y + c = 0 with rational coefficients, cleared to integers."""
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        m = a.denominator * b.denominator * c.denominator
-        return cls(int(a * m), int(b * m), int(c * m))
-
     @property
     def is_infinite(self) -> bool:
         """True for the line at infinity [0 : 0 : 1]."""

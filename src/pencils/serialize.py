@@ -99,7 +99,11 @@ def graph_construction_from_json(obj) -> GraphConstruction:
     # element order must be preserved exactly: edges index into it
     left = GroundSet(Fraction(a) for a in obj["A"])
     right = GroundSet(Fraction(b) for b in obj["B"])
-    graph = BipartiteGraph(left, right, obj["edges"])
+    edges = obj["edges"]
+    # the uint32 edge array cannot hold a negative index, so check here
+    if any(i < 0 or j < 0 for i, j in edges):
+        raise ValueError("edge index out of range")
+    graph = BipartiteGraph(left, right, edges)
     return GraphConstruction(graph, int(obj["n"]), Fraction(obj["d"]),
                              obj.get("label", ""))
 

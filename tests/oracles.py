@@ -125,8 +125,8 @@ def rich_points_bruteforce(pencil_lines):
 def incidence_count_bruteforce(points, lines):
     """I(P, L) by substituting every affine rational point into every line.
 
-    ``points`` are (x, y) Fraction pairs, ``lines`` homogeneous integer
-    triples [a, b, c] meaning a*x + b*y + c = 0.
+    ``points`` are (x, y) Fraction pairs, ``lines`` coefficient triples
+    [a, b, c] (integers or Fractions) meaning a*x + b*y + c = 0.
     """
     count = 0
     for (x, y) in points:

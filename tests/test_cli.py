@@ -101,6 +101,23 @@ def test_verify_lemma_rejects_bad_centres(capsys):
                  "--centres", '[["0","-1"]]']) == 2
     assert main(["verify-lemma", "--construction", "symmetric", "--n", "4",
                  "--centres", '[["0","-1","0"],["1","-1","1"]]']) == 2
+    assert main(["verify-lemma", "--construction", "symmetric", "--n", "16",
+                 "--centres", '[["1/0","1"],["0","-1"]]']) == 2
+
+
+def test_verify_lemma_rejects_negative_edge_index(capsys, tmp_path):
+    g = tmp_path / "g.json"
+    main(["construct", "--construction", "farey-shift", "--n", "16",
+          "--out", str(g)])
+    obj = json.loads(g.read_text())
+    obj["edges"][0][1] = -1
+    g.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify-lemma", "--graph", str(g),
+                 "--centres", '[["0","-1"],["-1","-1"]]']) == 2
+    err = capsys.readouterr().err
+    assert "edge index out of range" in err
+    assert "Traceback" not in err
 
 
 def test_verify_lemma_reports_false_verdict(capsys, monkeypatch, tmp_path):

@@ -28,6 +28,17 @@ def _graph(a_vals, b_vals, pairs):
     return BipartiteGraph(A, B, idx)
 
 
+def _lines(inst):
+    """The |B|^2 lines l_{b1,b2}: (b1 - y1) x - (b2 - y2) y + (x1 - x2) = 0,
+    as coefficient triples divided by x1 - x2, so that every constant term
+    is 1 and two triples are equal iff their lines are."""
+    (x1, y1), (x2, y2) = inst.centre1, inst.centre2
+    s = x1 - x2
+    right = inst.graph.right
+    return [((b1 - y1) / s, -(b2 - y2) / s, Fraction(1))
+            for b1 in right for b2 in right]
+
+
 def _random_instance(rng, max_side=8):
     while True:
         na, nb = rng.randint(1, max_side), rng.randint(1, max_side)
@@ -56,15 +67,16 @@ def test_tiny_instance_exact_counts():
     assert inst.ratio2 == {Fraction(0), Fraction(1, 4)}
     assert inst.point_count == 4
     assert inst.line_count == 4
-    assert count_incidences(inst, "brute") == count_incidences(inst, "scan")
+    # (1/2, 0) lies on l_{1,1} and l_{1,2}; (2/3, 1/4) on l_{2,2}
+    assert count_incidences(inst) == 3
 
 
 def test_line_tags_are_b_pairs():
     g = _graph([1, 2, 3], [1, 2], [(1, 1), (2, 1), (3, 2)])
     inst = build_lemma_instance(g, (Fraction(0), Fraction(-1)), (Fraction(2), Fraction(-3)))
     assert inst.line_count == len(g.right) ** 2
-    tags = {tag for tag, _ in inst.line_list()}
-    assert tags == {(b1, b2) for b1 in g.right for b2 in g.right}
+    # one line per (b1, b2) in B x B, pairwise distinct because x1 != x2
+    assert len(set(_lines(inst))) == inst.line_count
 
 
 def test_line_count_on_random_instances():
@@ -107,24 +119,22 @@ def test_swapped_instance_rejects_shift_into_left():
         build_lemma_instance(g, (Fraction(2), Fraction(-1)), (Fraction(2), Fraction(-2)))
 
 
-def test_counting_methods_agree():
+def test_join_matches_bruteforce_oracle():
     rng = random.Random(7)
-    for _ in range(25):
+    swapped = 0
+    for _ in range(40):
         g, c1, c2 = _random_instance(rng, max_side=5)
+        if rng.random() < 0.25 and c1[0] not in g.left:
+            # equal x-shifts force the coordinate swap
+            c2 = (c1[0], c1[1] - 1)
         inst = build_lemma_instance(g, c1, c2)
-        assert count_incidences(inst, "brute") == count_incidences(inst, "scan")
-    with pytest.raises(ValueError):
-        count_incidences(inst, "guess")
-
-
-def test_count_matches_bruteforce_oracle():
-    rng = random.Random(11)
-    for _ in range(10):
-        g, c1, c2 = _random_instance(rng, max_side=4)
-        inst = build_lemma_instance(g, c1, c2)
-        pts = [(px, py) for px, py in inst.points]
-        lines = [l.coeffs for l in inst.lines.values()]
-        assert count_incidences(inst) == incidence_count_bruteforce(pts, lines)
+        swapped += inst.swapped
+        pts = [(r1, r2) for r1 in inst.ratio1 for r2 in inst.ratio2]
+        assert count_incidences(inst) == incidence_count_bruteforce(pts, _lines(inst))
+    assert swapped
+    empty = BipartiteGraph(GroundSet.from_values([1]), GroundSet.from_values([2]), [])
+    inst = build_lemma_instance(empty, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(-1)))
+    assert count_incidences(inst) == incidence_count_bruteforce([], _lines(inst)) == 0
 
 
 def test_ratio_sets_are_the_shifted_ones():
@@ -178,6 +188,17 @@ def test_verify_chain_symmetric_construction():
     assert rep.all_ok
     assert rep.edge_count == built.graph.edge_count
     assert rep.line_count == len(built.B) ** 2
+
+
+def test_verify_chain_symmetric_n256():
+    built = build_symmetric_farey_construction(256)
+    rep = verify_lemma_chain(built.graph, (Fraction(0), Fraction(-1)),
+                             (Fraction(1), Fraction(-1)))
+    assert rep.all_ok
+    assert rep.ratio_sizes == (298, 421)
+    assert (rep.point_count, rep.line_count) == (125_458, 25_281)
+    assert rep.neighbourhood_square_sum == 22_035
+    assert rep.incidence_count == 392_538
 
 
 def test_szemeredi_trotter_exact_boundary():
