@@ -119,8 +119,28 @@ def test_swapped_instance_rejects_shift_into_left():
         build_lemma_instance(g, (Fraction(2), Fraction(-1)), (Fraction(2), Fraction(-2)))
 
 
-def test_join_matches_bruteforce_oracle():
+def _line_scan_count(inst):
+    """I by scanning each line l_{b1,b2}: for every r1 in R1, the one y with
+    (b1 - y1) r1 + (x1 - x2) = (b2 - y2) y is looked up in R2."""
+    (x1, y1), (x2, y2) = inst.centre1, inst.centre2
+    right = inst.graph.right
+    return sum(((b1 - y1) * r1 + (x1 - x2)) / (b2 - y2) in inst.ratio2
+               for b1 in right for b2 in right for r1 in inst.ratio1)
+
+
+def test_counting_methods_agree():
     rng = random.Random(7)
+    for _ in range(25):
+        g, c1, c2 = _random_instance(rng, max_side=5)
+        inst = build_lemma_instance(g, c1, c2)
+        assert count_incidences(inst) == _line_scan_count(inst)
+    # the count has one exact algorithm; there is no method selector left
+    with pytest.raises(TypeError):
+        count_incidences(inst, "guess")
+
+
+def test_count_matches_bruteforce_oracle():
+    rng = random.Random(11)
     swapped = 0
     for _ in range(40):
         g, c1, c2 = _random_instance(rng, max_side=5)
