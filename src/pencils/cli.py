@@ -49,8 +49,12 @@ def _load_centres(raw: str) -> list[ProjPoint]:
     ["X","Y","Z"] homogeneous triples, rationals as "p/q" strings."""
     text = Path(raw[1:]).read_text() if raw.startswith("@") else raw
     entries = json.loads(text)
+    if not isinstance(entries, list):
+        raise ValueError(f"centres {entries!r} are not a list")
     centres = []
     for entry in entries:
+        if not isinstance(entry, list):
+            raise ValueError(f"centre entry {entry!r} is not a list")
         if len(entry) == 2:
             try:
                 centres.append(ProjPoint.from_affine(entry[0], entry[1]))

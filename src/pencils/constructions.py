@@ -16,7 +16,15 @@ import numpy as np
 
 from .errors import CentreOnPointSet, CoincidentCentres, DomainTooSmall
 from .graphs import BipartiteGraph, GroundSet
-from .projective import ProjLine, ProjPoint, line_through
+from .projective import (
+    ProjLine,
+    ProjPoint,
+    canonical_rows,
+    cross_rows,
+    exact_dtype,
+    int_rows,
+    row_triples,
+)
 
 __all__ = [
     "Pencil",
@@ -307,22 +315,45 @@ def standard_shift_centres() -> list[ProjPoint]:
 # pencil realizations
 
 
+def _fraction_arrays(ground: GroundSet, dtype):
+    """Numerator and denominator arrays of a ground set, in its order."""
+    return (np.array([v.numerator for v in ground], dtype=dtype),
+            np.array([v.denominator for v in ground], dtype=dtype))
+
+
+def _height(ground: GroundSet) -> int:
+    return max((max(abs(v.numerator), v.denominator) for v in ground), default=0)
+
+
 def pencils_from_graph(construction: GraphConstruction, centres,
                        label: str | None = None) -> PencilConfig:
     """One pencil per centre: the lines joining the centre to every edge
     point (a, b) of the construction, deduplicated.
 
     Every pencil covers the whole edge-point set by definition, so each
-    edge point is rich for the resulting configuration.
+    edge point is rich for the resulting configuration.  The edge points
+    (an*bd : bn*ad : ad*bd) and their joins with a centre are integer
+    arrays; with C the largest |centre coordinate| and H_A, H_B the largest
+    |numerator| or denominator of each ground set, a point entry is at most
+    H_A*H_B and a join entry at most 2*C*H_A*H_B, so the arrays are int64
+    when 4*C*H_A*H_B < 2^62 and Python ints otherwise.
     """
-    points = [ProjPoint.from_affine(a, b)
-              for a, b in construction.graph.iter_value_pairs()]
-    point_set = frozenset(points)
+    graph = construction.graph
+    centres = list(centres)
+    c = max((abs(v) for centre in centres for v in centre.coords), default=0)
+    dtype = exact_dtype(4 * c * _height(graph.left) * _height(graph.right))
+    an, ad = _fraction_arrays(graph.left, dtype)
+    bn, bd = _fraction_arrays(graph.right, dtype)
+    i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
+    points = np.stack((an[i] * bd[j], bn[j] * ad[i], ad[i] * bd[j]), axis=1)
     pencils = []
     for centre in centres:
-        if centre in point_set:
+        joins = cross_rows(int_rows([centre.coords], dtype), points)
+        # the join vanishes exactly when the edge point is the centre
+        if (joins == 0).all(axis=1).any():
             raise CentreOnPointSet(centre)
-        pencils.append(Pencil(centre, {line_through(centre, pt) for pt in points}))
+        lines = set(row_triples(canonical_rows(joins)))
+        pencils.append(Pencil(centre, (ProjLine(*t) for t in lines)))
     if label is None:
         label = f"pencils[{construction.label}]"
     return PencilConfig(pencils, label=label)

@@ -5,6 +5,10 @@ the absolute values is 1 and the first nonzero entry is positive.  Each
 projective class therefore has exactly one representative, so equality,
 hashing and set membership are bit-exact.  Elements at infinity (third
 coordinate zero) are ordinary values.  No floating point anywhere.
+
+The row kernels (cross_rows, canonical_rows) apply the same cross product
+and canonical form to whole (k, 3) integer arrays, in the dtype that
+exact_dtype picks from a caller's magnitude bound.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import index as _as_int
+
+import numpy as np
 
 from .errors import IdenticalLines, IdenticalPoints, SingularMatrix
 
@@ -24,6 +30,11 @@ __all__ = [
     "collinear",
     "incident",
     "apply_transform",
+    "exact_dtype",
+    "int_rows",
+    "cross_rows",
+    "canonical_rows",
+    "row_triples",
 ]
 
 
@@ -44,6 +55,48 @@ def _cross(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
+
+
+# Every entry and every product formed from it stays below this, so int64
+# arithmetic (limit 2^63) can neither overflow nor wrap.
+_INT64_BOUND = 1 << 62
+
+
+def exact_dtype(bound: int):
+    """Array dtype for integer kernels whose entries and products are all at
+    most ``bound`` in absolute value: np.int64 when the bound (computed by
+    the caller in Python ints) is below 2^62, otherwise object arrays of
+    Python ints.  Both run the same code and give the same exact result."""
+    return np.int64 if bound < _INT64_BOUND else object
+
+
+def int_rows(triples, dtype) -> np.ndarray:
+    """A (k, 3) array of integer triples in the given dtype."""
+    return np.array(list(triples), dtype=dtype).reshape(-1, 3)
+
+
+def row_triples(rows: np.ndarray):
+    """The rows of a (k, 3) array as tuples of Python ints."""
+    return zip(*rows.T.tolist()) if len(rows) else iter(())
+
+
+def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise _cross of two (..., 3) arrays; shapes broadcast."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0),
+                    axis=-1)
+
+
+def canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """_canonical applied to every row of a (k, 3) array with no zero row:
+    divide by the row gcd, then make the first nonzero entry positive."""
+    g = np.gcd(np.gcd(rows[:, 0], rows[:, 1]), rows[:, 2])
+    rows = rows // g[:, None]
+    x, y, z = rows[:, 0], rows[:, 1], rows[:, 2]
+    neg = (x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))
+    rows[neg] = -rows[neg]
+    return rows
 
 
 class ProjPoint:

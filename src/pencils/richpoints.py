@@ -2,18 +2,41 @@
 
 Candidates come from pairwise meets of the two smallest pencils, so the
 cost is O(s1*s2*(m-2)) hash tests rather than quadratic in the total line
-count.  Everything is integer arithmetic on canonical homogeneous triples.
+count.  One array kernel does the work: the meets of a block of
+first-pencil lines with all second-pencil lines are row-wise cross
+products; each other pencil is probed by joining its centre to every
+surviving meet, canonicalising the joins and looking them up in the
+pencil's set of line triples.  ProjPoint objects are built only for the
+points that survive.
+
+Everything is exact integer arithmetic.  The arrays are int64 when a bound
+computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
+and object arrays of Python ints otherwise; the code path is the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constructions import Pencil, PencilConfig
 from .errors import PointIsCentre, TooFewPencils
-from .projective import ProjPoint, line_through, meet
+from .projective import (
+    ProjPoint,
+    canonical_rows,
+    cross_rows,
+    exact_dtype,
+    int_rows,
+    line_through,
+    row_triples,
+)
 
 __all__ = ["RichPointReport", "point_on_pencil", "rich_points"]
+
+# First-pencil lines per block of seed meets: temporaries hold
+# _MEET_BLOCK * s2 rows at a time.
+_MEET_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -56,6 +79,16 @@ def point_on_pencil(p: ProjPoint, pencil: Pencil) -> bool:
     return line_through(pencil.centre, p) in pencil.lines
 
 
+def _kernel_dtype(pencils):
+    """int64 when 4*C*M^2 < 2^62, with M the largest |line coefficient| and
+    C the largest |centre coordinate|: a meet entry is at most 2M^2 and a
+    probe entry, cross(centre, meet), at most 4CM^2."""
+    coeffs = [v for pc in pencils for l in pc.lines for v in l.coeffs] or [0]
+    m = max(max(coeffs), -min(coeffs))
+    c = max(abs(v) for pc in pencils for v in pc.centre.coords)
+    return exact_dtype(4 * c * m * m)
+
+
 def rich_points(config: PencilConfig) -> RichPointReport:
     """All points incident to at least one line from every pencil.
 
@@ -67,15 +100,9 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         raise TooFewPencils("richness needs at least 2 pencils")
     by_size = sorted(config.pencils, key=lambda pc: pc.size)
     first, second, rest = by_size[0], by_size[1], by_size[2:]
-
-    candidates = set()
-    second_lines = list(second.lines)
-    for l0 in first.lines:
-        for l1 in second_lines:
-            if l0 != l1:
-                candidates.add(meet(l0, l1))
     # A line shared by the two seed pencils witnesses both at once; points
     # on it only show up as meets with a pencil NOT containing that line.
+    hosts = []
     for shared in first.lines & second.lines:
         host = next((pc for pc in rest if shared not in pc.lines), None)
         if host is None:
@@ -83,22 +110,47 @@ def rich_points(config: PencilConfig) -> RichPointReport:
                 f"line {shared} belongs to every pencil; every point on it "
                 f"is rich, so the rich set is infinite"
             )
-        candidates.update(meet(shared, l2) for l2 in host.lines)
+        hosts.append((shared, host))
 
-    centre_set = {pc.centre for pc in config.pencils}
-    points = set()
+    dtype = _kernel_dtype(config.pencils)
+    probes = [(int_rows([pc.centre.coords], dtype), {l.coeffs for l in pc.lines})
+              for pc in rest]
+    found = set()
+
+    def sift(meets):
+        """Add the canonical meets that lie on a line of every rest pencil.
+        A meet equal to a rest centre passes that centre's own probe (the
+        join is zero); centres are split off after all meets are sifted."""
+        for centre, lines in probes:
+            joins = cross_rows(centre, meets)
+            keep = (joins == 0).all(axis=1)
+            live = ~keep
+            keep[live] = np.fromiter(
+                map(lines.__contains__, row_triples(canonical_rows(joins[live]))),
+                dtype=bool, count=np.count_nonzero(live))
+            meets = meets[keep]
+        found.update(row_triples(canonical_rows(meets)))
+
+    first_rows = int_rows((l.coeffs for l in first.lines), dtype)
+    second_rows = int_rows((l.coeffs for l in second.lines), dtype)
+    for lo in range(0, len(first_rows), _MEET_BLOCK):
+        block = first_rows[lo:lo + _MEET_BLOCK, None, :]
+        meets = cross_rows(block, second_rows[None, :, :]).reshape(-1, 3)
+        # a zero row is the meet of a line shared by both seed pencils
+        sift(meets[(meets != 0).any(axis=1)])
+    for shared, host in hosts:
+        sift(cross_rows(int_rows([shared.coeffs], dtype),
+                        int_rows((l.coeffs for l in host.lines), dtype)))
+
+    centres = {pc.centre.coords for pc in config.pencils}
     excluded = []
-    for cand in candidates:
-        if cand in centre_set:
-            others = [pc for pc in config.pencils if pc.centre != cand]
-            if all(point_on_pencil(cand, pc) for pc in others):
-                excluded.append(cand)
-            continue
-        if all(point_on_pencil(cand, pc) for pc in rest):
-            points.add(cand)
+    for coords in found & centres:
+        cand = ProjPoint(*coords)
+        if all(point_on_pencil(cand, pc) for pc in config.pencils if pc.centre != cand):
+            excluded.append(cand)
 
     return RichPointReport(
-        points=frozenset(points),
+        points=frozenset(ProjPoint(*t) for t in found - centres),
         pencil_sizes=tuple(pc.size for pc in config.pencils),
         config_label=config.label,
         excluded_centres=tuple(sorted(excluded)),

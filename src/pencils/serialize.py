@@ -75,11 +75,18 @@ def pencil_config_to_json(config: PencilConfig) -> dict:
     }
 
 
+def _required(obj, key):
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"pencil config entry has no {key!r}") from None
+
+
 def pencil_config_from_json(obj) -> PencilConfig:
     pencils = [
-        Pencil(point_from_json(entry["centre"]),
-               (line_from_json(l) for l in entry["lines"]))
-        for entry in obj["pencils"]
+        Pencil(point_from_json(_required(entry, "centre")),
+               (line_from_json(l) for l in _required(entry, "lines")))
+        for entry in _required(obj, "pencils")
     ]
     return PencilConfig(pencils, label=obj.get("label", ""))
 
@@ -100,9 +107,11 @@ def graph_construction_from_json(obj) -> GraphConstruction:
     left = GroundSet(Fraction(a) for a in obj["A"])
     right = GroundSet(Fraction(b) for b in obj["B"])
     edges = obj["edges"]
-    # the uint32 edge array cannot hold a negative index, so check here
-    if any(i < 0 or j < 0 for i, j in edges):
-        raise ValueError("edge index out of range")
+    # the uint32 cast in BipartiteGraph would truncate a fractional index
+    # and wrap or overflow on one outside [0, 2^32), so check here
+    if not all(isinstance(i, int) and isinstance(j, int)
+               and 0 <= i < len(left) and 0 <= j < len(right) for i, j in edges):
+        raise ValueError("edge index out of range or not an integer")
     graph = BipartiteGraph(left, right, edges)
     return GraphConstruction(graph, int(obj["n"]), Fraction(obj["d"]),
                              obj.get("label", ""))

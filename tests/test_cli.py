@@ -73,6 +73,22 @@ def test_rich_points_bad_json(capsys, tmp_path):
     assert main(["rich-points", "--config", str(bad)]) == 2
 
 
+def test_rich_points_rejects_config_without_key(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    main(["construct", "--construction", "grid-footnote", "--n", "2",
+          "--out", str(cfg)])
+    good = json.loads(cfg.read_text())
+    for key in ("lines", "centre", "pencils"):
+        obj = json.loads(json.dumps(good))
+        del (obj if key == "pencils" else obj["pencils"][0])[key]
+        cfg.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["rich-points", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err
+        assert "Traceback" not in err
+
+
 def test_verify_lemma_ok(capsys, tmp_path):
     out = tmp_path / "rep.json"
     code = main(["verify-lemma", "--construction", "symmetric", "--n", "16",
@@ -103,21 +119,28 @@ def test_verify_lemma_rejects_bad_centres(capsys):
                  "--centres", '[["0","-1","0"],["1","-1","1"]]']) == 2
     assert main(["verify-lemma", "--construction", "symmetric", "--n", "16",
                  "--centres", '[["1/0","1"],["0","-1"]]']) == 2
+    for centres in ('[1,2]', '{"a":1}'):
+        capsys.readouterr()
+        assert main(["verify-lemma", "--construction", "symmetric", "--n", "16",
+                     "--centres", centres]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_lemma_rejects_negative_edge_index(capsys, tmp_path):
     g = tmp_path / "g.json"
     main(["construct", "--construction", "farey-shift", "--n", "16",
           "--out", str(g)])
-    obj = json.loads(g.read_text())
-    obj["edges"][0][1] = -1
-    g.write_text(json.dumps(obj))
-    capsys.readouterr()
-    assert main(["verify-lemma", "--graph", str(g),
-                 "--centres", '[["0","-1"],["-1","-1"]]']) == 2
-    err = capsys.readouterr().err
-    assert "edge index out of range" in err
-    assert "Traceback" not in err
+    good = json.loads(g.read_text())
+    for bad in (-1, 2**32, len(good["B"]), 0.5):
+        obj = json.loads(json.dumps(good))
+        obj["edges"][0][1] = bad
+        g.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify-lemma", "--graph", str(g),
+                     "--centres", '[["0","-1"],["-1","-1"]]']) == 2
+        err = capsys.readouterr().err
+        assert "edge index out of range" in err
+        assert "Traceback" not in err
 
 
 def test_verify_lemma_reports_false_verdict(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -6,6 +7,7 @@ import mpmath
 import pytest
 
 from pencils.constructions import (
+    GraphConstruction,
     Pencil,
     PencilConfig,
     build_farey_shift_construction,
@@ -22,8 +24,8 @@ from pencils.errors import (
     CoincidentCentres,
     DomainTooSmall,
 )
-from pencils.graphs import shifted_restricted_ratio_set
-from pencils.projective import ProjLine, ProjPoint, incident
+from pencils.graphs import BipartiteGraph, GroundSet, shifted_restricted_ratio_set
+from pencils.projective import ProjLine, ProjPoint, incident, line_through
 
 from oracles import collinear_bruteforce, farey_shift_enumeration, symmetric_enumeration
 
@@ -157,6 +159,34 @@ def test_pencil_size_equals_shifted_ratio_size():
         cfg = pencils_from_graph(built, [ProjPoint.from_affine(x, y)])
         ratio = shifted_restricted_ratio_set(built.graph, -x, -y)
         assert cfg.sizes() == (len(ratio),)
+
+
+def test_pencils_from_graph_matches_per_edge_joins():
+    # values near 10^12 put 4*C*H_A*H_B past 2^62 (object arrays) when both
+    # sides are large, and keep it below (int64) when one side is small
+    rng = random.Random(5)
+    for trial in range(12):
+        def values(big):
+            top = 10**12 if big else 10
+            return GroundSet.from_values(
+                Fraction(rng.randint(-top, top), rng.randint(1, 50))
+                for _ in range(rng.randint(1, 8)))
+        left, right = values(True), values(trial % 2 == 0)
+        edges = {(rng.randrange(len(left)), rng.randrange(len(right)))
+                 for _ in range(rng.randint(1, 20))}
+        built = GraphConstruction(BipartiteGraph(left, right, sorted(edges)),
+                                  16, 0, "near-1e12")
+        points = {ProjPoint.from_affine(a, b)
+                  for a, b in built.graph.iter_value_pairs()}
+        centres = standard_shift_centres() + [ProjPoint(1, 7, 0)]
+        centres = [c for c in centres if c not in points]
+        cfg = pencils_from_graph(built, centres)
+        for centre, pencil in zip(centres, cfg.pencils):
+            assert pencil.centre == centre
+            assert pencil.lines == {line_through(centre, p) for p in points}
+        on_set = next(iter(points))
+        with pytest.raises(CentreOnPointSet):
+            pencils_from_graph(built, [ProjPoint(1, 3, 0), on_set])
 
 
 def test_pencils_from_graph_infinite_centres():

@@ -2,6 +2,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pencils.errors import IdenticalLines, IdenticalPoints, SingularMatrix
@@ -10,11 +11,18 @@ from pencils.projective import (
     ProjPoint,
     ProjTransform,
     apply_transform,
+    canonical_rows,
     collinear,
+    cross_rows,
+    exact_dtype,
     incident,
+    int_rows,
     line_through,
     meet,
+    row_triples,
 )
+
+from oracles import _canon, _cross
 
 
 def test_canonical_form_scaling():
@@ -172,3 +180,23 @@ def test_ordering_is_total_on_canonical_triples():
     pts = [ProjPoint(1, 0, 0), ProjPoint(0, 1, 0), ProjPoint(0, 0, 1),
            ProjPoint(1, 1, 1), ProjPoint(1, -1, 2)]
     assert sorted(pts) == sorted(pts, key=lambda p: p.coords)
+
+
+def test_array_kernel_matches_oracle_in_both_dtypes():
+    rng = random.Random(19)
+    # a cross entry is at most 2 * top^2
+    for top, expected in ((9, np.int64), (2**30, np.int64), (2**70, object)):
+        dtype = exact_dtype(2 * top * top)
+        assert dtype is expected
+        us = [tuple(rng.randint(-top, top) for _ in range(3)) for _ in range(200)]
+        vs = [tuple(rng.randint(-top, top) for _ in range(3)) for _ in range(200)]
+        pairs = [(u, v) for u, v in zip(us, vs) if any(_cross(u, v))]
+        rows = cross_rows(int_rows((u for u, _ in pairs), dtype),
+                          int_rows((v for _, v in pairs), dtype))
+        assert list(row_triples(canonical_rows(rows))) == [
+            _canon(_cross(u, v)) for u, v in pairs]
+
+
+def test_exact_dtype_bound():
+    assert exact_dtype(2**62 - 1) is np.int64
+    assert exact_dtype(2**62) is object

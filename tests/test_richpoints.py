@@ -12,9 +12,9 @@ from pencils.constructions import (
     pencils_from_graph,
     standard_shift_centres,
 )
-from pencils.errors import PointIsCentre, TooFewPencils
-from pencils.projective import ProjLine, ProjPoint, line_through
-from pencils.richpoints import point_on_pencil, rich_points
+from pencils.errors import PointIsCentre, SingularMatrix, TooFewPencils
+from pencils.projective import ProjLine, ProjPoint, ProjTransform, line_through
+from pencils.richpoints import _kernel_dtype, point_on_pencil, rich_points
 
 from oracles import rich_points_bruteforce
 
@@ -25,8 +25,12 @@ def _pencil(cx, cy, through):
                            for x, y in through])
 
 
-def _random_config(rng, max_pencils=4, max_lines=5):
-    """Small random configs; regenerated if any line sits in every pencil."""
+def _random_config(rng, max_pencils=4, max_lines=5, scale=1, offset=0):
+    """Small random configs; regenerated if any line sits in every pencil.
+    Affine coordinates v are placed at scale * v + offset."""
+    def at(x, y):
+        return ProjPoint.from_affine(scale * x + offset, scale * y + offset)
+
     while True:
         m = rng.randint(2, max_pencils)
         centres = []
@@ -34,14 +38,14 @@ def _random_config(rng, max_pencils=4, max_lines=5):
             if rng.random() < 0.15:
                 c = ProjPoint(1, rng.randint(-2, 2), 0)
             else:
-                c = ProjPoint.from_affine(rng.randint(-5, 5), rng.randint(-5, 5))
+                c = at(rng.randint(-5, 5), rng.randint(-5, 5))
             if c not in centres:
                 centres.append(c)
         pencils = []
         for c in centres:
             lines = set()
             while len(lines) < rng.randint(1, max_lines):
-                q = ProjPoint.from_affine(rng.randint(-6, 6), rng.randint(-6, 6))
+                q = at(rng.randint(-6, 6), rng.randint(-6, 6))
                 if q == c:
                     continue
                 lines.add(line_through(c, q))
@@ -136,6 +140,80 @@ def test_rich_points_matches_bruteforce():
         got |= {c.coords for c in rep.excluded_centres}
         lines = [[l.coeffs for l in pc.lines] for pc in cfg.pencils]
         assert got == rich_points_bruteforce(lines)
+
+
+def _oracle_check(cfg):
+    rep = rich_points(cfg)
+    got = {p.coords for p in rep.points} | {c.coords for c in rep.excluded_centres}
+    assert got == rich_points_bruteforce([[l.coeffs for l in pc.lines]
+                                          for pc in cfg.pencils])
+    return rep
+
+
+def test_rich_points_big_coefficients_match_bruteforce():
+    # coefficients above 2^31 push 4*C*M^2 past 2^62, so the kernel runs on
+    # Python-int object arrays
+    scale, offset = 2**33 + 1, 2**35 + 3
+
+    def at(x, y):
+        return scale * x + offset, scale * y + offset
+
+    def pencil(c, through):
+        return _pencil(*at(*c), [at(*q) for q in through])
+
+    # the two seed pencils share the image of y = 0; (5, 0) is rich only
+    # through it
+    shared = PencilConfig([pencil((0, 0), [(1, 0), (1, 1)]),
+                           pencil((1, 0), [(5, 0), (2, 2)]),
+                           pencil((0, 5), [(5, 0), (7, 7), (-3, 1)])])
+    # the image of (2, 2) is a centre lying on a line of both other pencils
+    centre = PencilConfig([pencil((0, 0), [(1, 1), (1, 2)]),
+                           pencil((4, 0), [(2, 2), (4, 1)]),
+                           pencil((2, 2), [(3, 3), (2, 0)])])
+    rng = random.Random(31)
+    configs = [shared, centre] + [
+        _random_config(rng, scale=scale, offset=offset) for _ in range(15)]
+    assert max(abs(v) for l in shared.pencils[0].lines for v in l.coeffs) > 2**31
+    reports = []
+    for cfg in configs:
+        assert _kernel_dtype(cfg.pencils) is object
+        reports.append(_oracle_check(cfg))
+    assert ProjPoint.from_affine(*at(5, 0)) in reports[0].points
+    assert reports[1].excluded_centres == (ProjPoint.from_affine(*at(2, 2)),)
+
+
+def _transformed(t, cfg):
+    return PencilConfig([Pencil(t.apply_point(pc.centre),
+                                [t.apply_line(l) for l in pc.lines])
+                         for pc in cfg.pencils])
+
+
+def test_rich_points_projective_invariance():
+    rng = random.Random(23)
+    centre = PencilConfig([_pencil(0, 0, [(1, 1), (1, 2)]),
+                           _pencil(4, 0, [(2, 2), (4, 1)]),
+                           _pencil(2, 2, [(3, 3), (2, 0)])])
+    configs = [centre] + [_random_config(rng) for _ in range(20)]
+    done = 0
+    while done < len(configs):
+        # the first matrix has entries near 2^40, so T(config) crosses the
+        # int64 bound
+        k = 3 if done else 2**40
+        try:
+            t = ProjTransform([[rng.randint(-k, k) for _ in range(3)]
+                               for _ in range(3)])
+        except SingularMatrix:
+            continue
+        cfg = configs[done]
+        image = _transformed(t, cfg)
+        if done == 0:
+            assert _kernel_dtype(image.pencils) is object
+        rep, rep_t = rich_points(cfg), rich_points(image)
+        assert rep_t.points == {t.apply_point(p) for p in rep.points}
+        assert set(rep_t.excluded_centres) == {
+            t.apply_point(c) for c in rep.excluded_centres}
+        done += 1
+    assert rich_points(centre).excluded_centres
 
 
 def test_centre_exclusion():
