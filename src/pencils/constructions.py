@@ -322,6 +322,7 @@ def _fraction_arrays(ground: GroundSet, dtype):
 
 
 def _height(ground: GroundSet) -> int:
+    """The largest |numerator| or denominator in a ground set."""
     return max((max(abs(v.numerator), v.denominator) for v in ground), default=0)
 
 
