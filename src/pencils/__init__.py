@@ -6,7 +6,6 @@ from .errors import (
     CentreOnPointSet,
     CoincidentCentres,
     DomainTooSmall,
-    IdenticalLines,
     IdenticalPoints,
     NonpositiveValue,
     PencilError,
@@ -26,7 +25,6 @@ from .projective import (
     collinear,
     incident,
     line_through,
-    meet,
 )
 from .graphs import (
     FORD_DELTA,

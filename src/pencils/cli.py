@@ -56,10 +56,8 @@ def _load_centres(raw: str) -> list[ProjPoint]:
         if not isinstance(entry, list):
             raise ValueError(f"centre entry {entry!r} is not a list")
         if len(entry) == 2:
-            try:
-                centres.append(ProjPoint.from_affine(entry[0], entry[1]))
-            except ZeroDivisionError:
-                raise ValueError(f"centre entry {entry!r} has a zero denominator") from None
+            x, y = (serialize.exact_from_json(v, Fraction) for v in entry)
+            centres.append(ProjPoint.from_affine(x, y))
         elif len(entry) == 3:
             centres.append(serialize.point_from_json(entry))
         else:

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 
 from .errors import CentreOnPointSet, CoincidentCentres, DomainTooSmall
-from .graphs import BipartiteGraph, GroundSet
+from .graphs import BipartiteGraph, GroundSet, _fraction_arrays, _height
 from .projective import (
     ProjLine,
     ProjPoint,
@@ -313,17 +313,6 @@ def standard_shift_centres() -> list[ProjPoint]:
 
 # ---------------------------------------------------------------------------
 # pencil realizations
-
-
-def _fraction_arrays(ground: GroundSet, dtype):
-    """Numerator and denominator arrays of a ground set, in its order."""
-    return (np.array([v.numerator for v in ground], dtype=dtype),
-            np.array([v.denominator for v in ground], dtype=dtype))
-
-
-def _height(ground: GroundSet) -> int:
-    """The largest |numerator| or denominator in a ground set."""
-    return max((max(abs(v.numerator), v.denominator) for v in ground), default=0)
 
 
 def pencils_from_graph(construction: GraphConstruction, centres,

@@ -18,10 +18,6 @@ class IdenticalPoints(PreconditionError):
     """Two supposedly distinct projective points coincide."""
 
 
-class IdenticalLines(PreconditionError):
-    """Two supposedly distinct projective lines coincide."""
-
-
 class SingularMatrix(PreconditionError):
     """A projective transformation matrix has determinant zero."""
 

@@ -19,14 +19,13 @@ from operator import index as _as_int
 
 import numpy as np
 
-from .errors import IdenticalLines, IdenticalPoints, SingularMatrix
+from .errors import IdenticalPoints, SingularMatrix
 
 __all__ = [
     "ProjPoint",
     "ProjLine",
     "ProjTransform",
     "line_through",
-    "meet",
     "collinear",
     "incident",
     "apply_transform",
@@ -189,13 +188,6 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     if p == q:
         raise IdenticalPoints(f"no unique line through {p} twice")
     return ProjLine(*_cross(p.coords, q.coords))
-
-
-def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """The unique common point of two distinct lines (possibly at infinity)."""
-    if l1 == l2:
-        raise IdenticalLines(f"no unique meet of {l1} with itself")
-    return ProjPoint(*_cross(l1.coeffs, l2.coeffs))
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:

@@ -13,8 +13,6 @@ import io
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .constructions import GraphConstruction, Pencil, PencilConfig
 from .graphs import BipartiteGraph, GroundSet
 from .incidence import LemmaChainReport
@@ -24,6 +22,7 @@ from .sweeps import ExponentFit, SweepRow
 
 __all__ = [
     "SWEEP_CSV_HEADER",
+    "exact_from_json",
     "point_to_json", "point_from_json",
     "line_to_json", "line_from_json",
     "pencil_config_to_json", "pencil_config_from_json",
@@ -32,7 +31,6 @@ __all__ = [
     "lemma_report_to_json",
     "sweep_rows_to_json", "sweep_rows_to_csv", "sweep_rows_from_csv",
     "fit_to_json",
-    "edges_to_bytes", "edges_from_bytes",
     "dumps",
 ]
 
@@ -44,12 +42,26 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def exact_from_json(value, kind=int):
+    """An exact int (kind=int) or Fraction (kind=Fraction) read from a JSON
+    int or string.  A float, bool, null or any other value raises
+    ValueError rather than being rounded or coerced, as does a string
+    that does not parse or a zero denominator."""
+    # an exact type test: bool is a subclass of int
+    if type(value) not in (int, str):
+        raise ValueError(f"{value!r} is not an integer or a string")
+    try:
+        return kind(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
+
+
 def point_to_json(p: ProjPoint) -> list[str]:
     return [str(c) for c in p.coords]
 
 
 def point_from_json(triple) -> ProjPoint:
-    x, y, z = (int(c) for c in triple)
+    x, y, z = map(exact_from_json, triple)
     return ProjPoint(x, y, z)
 
 
@@ -58,7 +70,7 @@ def line_to_json(l: ProjLine) -> list[str]:
 
 
 def line_from_json(triple) -> ProjLine:
-    a, b, c = (int(v) for v in triple)
+    a, b, c = map(exact_from_json, triple)
     return ProjLine(a, b, c)
 
 
@@ -104,16 +116,17 @@ def graph_construction_to_json(c: GraphConstruction) -> dict:
 
 def graph_construction_from_json(obj) -> GraphConstruction:
     # element order must be preserved exactly: edges index into it
-    left = GroundSet(Fraction(a) for a in obj["A"])
-    right = GroundSet(Fraction(b) for b in obj["B"])
+    left = GroundSet(exact_from_json(a, Fraction) for a in obj["A"])
+    right = GroundSet(exact_from_json(b, Fraction) for b in obj["B"])
     edges = obj["edges"]
-    # the uint32 cast in BipartiteGraph would truncate a fractional index
-    # and wrap or overflow on one outside [0, 2^32), so check here
-    if not all(isinstance(i, int) and isinstance(j, int)
+    # the uint32 cast in BipartiteGraph would truncate a fractional index,
+    # read true as 1, and wrap or overflow on one outside [0, 2^32)
+    if not all(type(i) is int and type(j) is int
                and 0 <= i < len(left) and 0 <= j < len(right) for i, j in edges):
         raise ValueError("edge index out of range or not an integer")
     graph = BipartiteGraph(left, right, edges)
-    return GraphConstruction(graph, int(obj["n"]), Fraction(obj["d"]),
+    return GraphConstruction(graph, exact_from_json(obj["n"]),
+                             exact_from_json(obj["d"], Fraction),
                              obj.get("label", ""))
 
 
@@ -229,15 +242,3 @@ def fit_to_json(fit: ExponentFit, field: str) -> dict:
         "n_range": list(fit.n_range),
     }
 
-
-def edges_to_bytes(graph: BipartiteGraph) -> bytes:
-    """Little-endian u32 (i, j) pairs, the compact interchange for large
-    edge sets."""
-    return graph.edge_array.astype("<u4").tobytes()
-
-
-def edges_from_bytes(data: bytes) -> np.ndarray:
-    arr = np.frombuffer(data, dtype="<u4")
-    if arr.size % 2:
-        raise ValueError("truncated edge stream")
-    return arr.reshape(-1, 2).astype(np.uint32)

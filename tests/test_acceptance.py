@@ -147,7 +147,8 @@ def test_criterion_03_farey_small_case():
     got = (len(built.A), len(built.B), built.graph.edge_count)
     ok = got == (7, 16, 39)
     ok &= set(built.A) == a_set and set(built.B) == b_set
-    ok &= set(built.graph.iter_value_pairs()) == set(edges)
+    pairs = {(built.A[i], built.B[j]) for i, j in built.graph.edge_array.tolist()}
+    ok &= pairs == set(edges)
     assert _verdict(3, ok, f"(|A|,|B|,|E|)={got} matches enumeration (7,16,39)")
 
 
@@ -215,8 +216,8 @@ def test_criterion_08_m_pencil_general_position():
         for n in (64, 256):
             cfg = build_m_pencil_config(m, n)
             built = build_symmetric_farey_construction(n)
-            points = [ProjPoint.from_affine(a, b)
-                      for a, b in built.graph.iter_value_pairs()]
+            points = [ProjPoint.from_affine(built.A[i], built.B[j])
+                      for i, j in built.graph.edge_array.tolist()]
             covered = all(point_on_pencil(p, pencil)
                           for pencil in cfg.pencils for p in points)
             rep = rich_points(cfg)

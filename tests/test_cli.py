@@ -87,6 +87,16 @@ def test_rich_points_rejects_config_without_key(capsys, tmp_path):
         err = capsys.readouterr().err
         assert repr(key) in err
         assert "Traceback" not in err
+    # a coefficient that is not an exact integer is rejected, not coerced
+    for bad in (None, 1.5, True):
+        obj = json.loads(json.dumps(good))
+        obj["pencils"][0]["lines"][0][1] = bad
+        cfg.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["rich-points", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(bad) in err
+        assert "Traceback" not in err
 
 
 def test_verify_lemma_ok(capsys, tmp_path):
@@ -119,7 +129,8 @@ def test_verify_lemma_rejects_bad_centres(capsys):
                  "--centres", '[["0","-1","0"],["1","-1","1"]]']) == 2
     assert main(["verify-lemma", "--construction", "symmetric", "--n", "16",
                  "--centres", '[["1/0","1"],["0","-1"]]']) == 2
-    for centres in ('[1,2]', '{"a":1}'):
+    for centres in ('[1,2]', '{"a":1}', '[[null,"1"],["0","-1"]]',
+                    '[["0","-1","1"],[1.5,"-1","1"]]'):
         capsys.readouterr()
         assert main(["verify-lemma", "--construction", "symmetric", "--n", "16",
                      "--centres", centres]) == 2
@@ -131,7 +142,7 @@ def test_verify_lemma_rejects_negative_edge_index(capsys, tmp_path):
     main(["construct", "--construction", "farey-shift", "--n", "16",
           "--out", str(g)])
     good = json.loads(g.read_text())
-    for bad in (-1, 2**32, len(good["B"]), 0.5):
+    for bad in (-1, 2**32, len(good["B"]), 0.5, True):
         obj = json.loads(json.dumps(good))
         obj["edges"][0][1] = bad
         g.write_text(json.dumps(obj))

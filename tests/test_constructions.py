@@ -30,6 +30,10 @@ from pencils.projective import ProjLine, ProjPoint, incident, line_through
 from oracles import collinear_bruteforce, farey_shift_enumeration, symmetric_enumeration
 
 
+def _value_pairs(graph):
+    return [(graph.left[i], graph.right[j]) for i, j in graph.edge_array.tolist()]
+
+
 def test_floored_log_quotient_d_zero():
     for n in (4, 16, 100, 12345):
         assert floored_log_quotient(n, 0) == n
@@ -56,7 +60,7 @@ def test_farey_shift_small_case_matches_enumeration():
     assert set(built.B) == b_set
     assert len(built.A) == 7 and len(built.B) == 16
     assert built.graph.edge_count == 39
-    assert set(built.graph.iter_value_pairs()) == set(edges)
+    assert set(_value_pairs(built.graph)) == set(edges)
     assert built.label == "farey-shift(n=16,d=0)"
     assert built.n == 16 and built.d == 0
 
@@ -64,7 +68,7 @@ def test_farey_shift_small_case_matches_enumeration():
 def test_farey_shift_edge_rule():
     # an edge joins i/j to 1/l exactly when j divides l
     built = build_farey_shift_construction(64)
-    for a, b in built.graph.iter_value_pairs():
+    for a, b in _value_pairs(built.graph):
         j = a.denominator
         l = b.denominator
         assert b.numerator == 1 and l % j == 0
@@ -99,7 +103,7 @@ def test_symmetric_matches_enumeration():
         a_set, edges = symmetric_enumeration(n)
         assert set(built.A) == a_set
         assert built.A is built.B  # same ground set on both sides
-        assert set(built.graph.iter_value_pairs()) == set(edges)
+        assert set(_value_pairs(built.graph)) == set(edges)
 
 
 def test_symmetric_edge_count_is_sum_of_squares():
@@ -177,7 +181,7 @@ def test_pencils_from_graph_matches_per_edge_joins():
         built = GraphConstruction(BipartiteGraph(left, right, sorted(edges)),
                                   16, 0, "near-1e12")
         points = {ProjPoint.from_affine(a, b)
-                  for a, b in built.graph.iter_value_pairs()}
+                  for a, b in _value_pairs(built.graph)}
         centres = standard_shift_centres() + [ProjPoint(1, 7, 0)]
         centres = [c for c in centres if c not in points]
         cfg = pencils_from_graph(built, centres)
@@ -194,8 +198,8 @@ def test_pencils_from_graph_infinite_centres():
     cfg = pencils_from_graph(built, [ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)])
     horizontals, verticals = cfg.pencils
     # one horizontal per distinct b, one vertical per distinct a
-    assert len(horizontals.lines) == len({b for _, b in built.graph.iter_value_pairs()})
-    assert len(verticals.lines) == len({a for a, _ in built.graph.iter_value_pairs()})
+    assert len(horizontals.lines) == len({b for _, b in _value_pairs(built.graph)})
+    assert len(verticals.lines) == len({a for a, _ in _value_pairs(built.graph)})
     for line in horizontals.lines:
         assert incident(ProjPoint(1, 0, 0), line)
 
@@ -231,7 +235,7 @@ def test_m_pencil_config_shape():
     cfg = build_m_pencil_config(4, 64)
     assert cfg.m == 4
     built = build_symmetric_farey_construction(64)
-    points = {ProjPoint.from_affine(a, b) for a, b in built.graph.iter_value_pairs()}
+    points = {ProjPoint.from_affine(a, b) for a, b in _value_pairs(built.graph)}
     for pencil in cfg.pencils:
         x, y = pencil.centre.to_affine()
         assert x <= 0 and y <= 0  # negated lattice centres dodge the point set

@@ -50,9 +50,7 @@ def test_graph_edges_deduped_and_sorted():
     B = GroundSet.from_values([Fraction(0), Fraction(1)])
     g = BipartiteGraph(A, B, [(1, 0), (0, 0), (1, 0), (0, 1)])
     assert g.edge_count == 3
-    assert list(g.iter_index_pairs()) == [(0, 0), (0, 1), (1, 0)]
-    assert g.has_edge(1, 0)
-    assert not g.has_edge(1, 1)
+    assert g.edge_array.tolist() == [[0, 0], [0, 1], [1, 0]]
 
 
 def test_graph_rejects_out_of_range_edges():
@@ -70,7 +68,7 @@ def test_graph_dedup_matches_sort_dedup_oracle():
         B = GroundSet.from_values([Fraction(v) for v in range(nb)])
         raw = [(rng.randrange(na), rng.randrange(nb)) for _ in range(rng.randint(0, 30))]
         g = BipartiteGraph(A, B, raw)
-        assert list(g.iter_index_pairs()) == sorted(set(raw))
+        assert [tuple(e) for e in g.edge_array.tolist()] == sorted(set(raw))
 
 
 def test_degrees_and_transpose():
@@ -78,11 +76,9 @@ def test_degrees_and_transpose():
     B = GroundSet.from_values([Fraction(5), Fraction(7)])
     g = BipartiteGraph(A, B, [(0, 0), (0, 1), (2, 1)])
     assert list(g.left_degrees()) == [2, 0, 1]
-    assert g.participating_left() == [0, 2]
-    assert g.participating_right() == [0, 1]
     t = g.transpose()
     assert t.left is g.right and t.right is g.left
-    assert sorted(t.iter_index_pairs()) == [(0, 0), (1, 0), (1, 2)]
+    assert t.edge_array.tolist() == [[0, 0], [1, 0], [1, 2]]
     assert g.neighbourhoods() == {0: [0, 1], 2: [1]}
 
 
@@ -105,11 +101,19 @@ def test_restricted_ops_complete_graph_example():
     assert neighbourhood_square_sum(g) == 8
 
 
+def _value_pairs(g):
+    return [(g.left[i], g.right[j]) for i, j in g.edge_array.tolist()]
+
+
+def _height(values):
+    return max(max(abs(v.numerator), v.denominator) for v in values)
+
+
 def test_restricted_ops_match_bruteforce():
     rng = random.Random(42)
     for _ in range(60):
         g = _random_graph(rng)
-        pairs = list(g.iter_value_pairs())
+        pairs = _value_pairs(g)
         assert restricted_sum_set(g) == {a + b for a, b in pairs}
         assert restricted_difference_set(g) == {a - b for a, b in pairs}
         x = Fraction(rng.randint(0, 3))
@@ -118,6 +122,38 @@ def test_restricted_ops_match_bruteforce():
         assert got == {(a + x) / (b + y) for a, b in pairs}
         assert neighbourhood_square_sum(g) == sum(
             d * d for d in g.left_degrees())
+    # negative and non-integer shifts; a shift that zeroes b + y on an
+    # edge must raise and name that b
+    hits = 0
+    for _ in range(60):
+        g = _random_graph(rng)
+        pairs = _value_pairs(g)
+        x = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        y = rng.choice([-rng.choice(g.right.elements),
+                        Fraction(rng.randint(-30, 30), rng.randint(1, 6))])
+        zeros = {b for _, b in pairs if b + y == 0}
+        if zeros:
+            hits += 1
+            with pytest.raises(ZeroDenominator) as err:
+                shifted_restricted_ratio_set(g, x, y)
+            assert {err.value.value} == zeros
+        else:
+            got = shifted_restricted_ratio_set(g, x, y)
+            assert got == {(a + x) / (b + y) for a, b in pairs}
+    assert hits
+    # entries past 2^62: the kernel runs on Python ints
+    for _ in range(10):
+        g = _random_graph(rng)
+        big = BipartiteGraph(
+            GroundSet(a * 2**40 + Fraction(1, 3) for a in g.left),
+            GroundSet(b / (2**30 + 1) for b in g.right),
+            g.edge_array,
+        )
+        x, y = Fraction(-5, 7), Fraction(2**31 + 1, 3)
+        assert (_height([a + x for a in big.left])
+                * _height([b + y for b in big.right]) > 2**62)
+        got = shifted_restricted_ratio_set(big, x, y)
+        assert got == {(a + x) / (b + y) for a, b in _value_pairs(big)}
 
 
 def test_ratio_set_zero_denominator():
@@ -162,7 +198,8 @@ def test_multiplication_table_small_values():
 
 def test_multiplication_table_matches_bruteforce():
     rng = random.Random(42)
-    for n in [2, 5, 8, 13] + [rng.randint(20, 120) for _ in range(8)]:
+    # 1500^2 spans two sieve windows
+    for n in [2, 5, 8, 13, 1500] + [rng.randint(20, 120) for _ in range(8)]:
         assert multiplication_table_size(n) == multiplication_table_bruteforce(n)
 
 

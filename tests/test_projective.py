@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pencils.errors import IdenticalLines, IdenticalPoints, SingularMatrix
+from pencils.errors import IdenticalPoints, SingularMatrix
 from pencils.projective import (
     ProjLine,
     ProjPoint,
@@ -18,7 +18,6 @@ from pencils.projective import (
     incident,
     int_rows,
     line_through,
-    meet,
     row_triples,
 )
 
@@ -73,15 +72,6 @@ def test_line_through_examples():
         line_through(ProjPoint(1, 2, 1), ProjPoint(2, 4, 2))
 
 
-def test_meet_examples():
-    assert meet(ProjLine(0, 1, -1), ProjLine(1, 0, -2)) == ProjPoint(2, 1, 1)
-    # parallel horizontals meet at infinity
-    assert meet(ProjLine(0, 1, 0), ProjLine(0, 1, -1)) == ProjPoint(1, 0, 0)
-    assert meet(ProjLine(1, -1, 0), ProjLine(1, 1, -2)) == ProjPoint(1, 1, 1)
-    with pytest.raises(IdenticalLines):
-        meet(ProjLine(1, -1, 0), ProjLine(-2, 2, 0))
-
-
 def test_collinear_examples():
     assert collinear(ProjPoint(0, 0, 1), ProjPoint(1, 0, 1), ProjPoint(2, 0, 1))
     assert not collinear(ProjPoint(0, 0, 1), ProjPoint(1, 1, 1), ProjPoint(2, 4, 1))
@@ -106,7 +96,8 @@ def test_duality_property():
         r = ProjPoint(rng.randint(-8, 8), rng.randint(-8, 8), 1)
         if p == q or p == r or collinear(p, q, r):
             continue
-        assert meet(line_through(p, q), line_through(p, r)) == p
+        assert ProjPoint(*_cross(line_through(p, q).coeffs,
+                                 line_through(p, r).coeffs)) == p
 
 
 def test_collinear_matches_incidence():

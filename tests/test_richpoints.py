@@ -267,8 +267,8 @@ def test_four_pencil_rich_count_dominates_edges():
     rep = rich_points(cfg)
     assert rep.count >= built.graph.edge_count
     # every edge point of the construction is rich by design
-    for a, b in built.graph.iter_value_pairs():
-        assert ProjPoint.from_affine(a, b) in rep.points
+    for i, j in built.graph.edge_array.tolist():
+        assert ProjPoint.from_affine(built.A[i], built.B[j]) in rep.points
 
 
 def test_m_pencil_rich_count_dominates_edges():

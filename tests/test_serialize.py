@@ -14,8 +14,6 @@ from pencils.richpoints import rich_points
 from pencils.serialize import (
     SWEEP_CSV_HEADER,
     dumps,
-    edges_from_bytes,
-    edges_to_bytes,
     fit_to_json,
     graph_construction_from_json,
     graph_construction_to_json,
@@ -61,7 +59,7 @@ def test_graph_construction_json_roundtrip():
     assert back.n == built.n and back.d == built.d
     assert list(back.A) == list(built.A)
     assert list(back.B) == list(built.B)
-    assert list(back.graph.iter_index_pairs()) == list(built.graph.iter_index_pairs())
+    assert back.graph.edge_array.tolist() == built.graph.edge_array.tolist()
 
 
 def test_rich_report_json_and_csv():
@@ -114,11 +112,3 @@ def test_fit_json_shape():
     assert obj["field"] == "edge_count"
     assert obj["n_range"] == [4, 256]
     assert 1.3 < obj["slope"] < 1.7
-
-
-def test_edges_binary_roundtrip():
-    built = build_symmetric_farey_construction(64)
-    data = edges_to_bytes(built.graph)
-    arr = edges_from_bytes(data)
-    assert arr.shape == (built.graph.edge_count, 2)
-    assert (arr == built.graph.edge_array).all()
