@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pencils.cli as cli
@@ -209,3 +210,44 @@ def test_fit_reads_stdin(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO(rows.read_text()))
     assert main(["fit", "--rows", "-"]) == 0
     assert "slope" in capsys.readouterr().out
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def test_golden_outputs(capsys, monkeypatch, tmp_path):
+    """SHA-256 pins of fixed CLI outputs: exact fields stay byte-identical."""
+    monkeypatch.chdir(tmp_path)
+
+    def stdout_of(argv):
+        capsys.readouterr()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    stdout_of(["construct", "--construction", "farey-shift", "--n", "256",
+               "--d", "43/1000", "--centres",
+               '[["0","0"],["-1","0"],["-2","0"],["0","1","0"]]',
+               "--out", "cfg.json"])
+    assert _sha((tmp_path / "cfg.json").read_bytes()) == (
+        "f3282b37b8f3071d953a4cb5ef2867a262eca4367212e64a838c7ff24689041f")
+    summary = stdout_of(["rich-points", "--config", "cfg.json", "--out", "rep.json"])
+    assert _sha((tmp_path / "rep.json").read_bytes()) == (
+        "2f30b43e8f83f4af6603a5e7b1913eba42c2c9df732a66c6efcc2b167ed67861")
+    assert summary == "pencils[farey-shift(n=256,d=43/1000)],4,209;278;380;72,2125,0,0\n"
+
+    assert _sha(stdout_of(["construct", "--construction", "symmetric",
+                           "--n", "64"])) == (
+        "17e89ef461c14e4bfe3852b7496ee783f7d1a0519d7764614f5099e76d127b53")
+    assert _sha(stdout_of(["verify-lemma", "--construction", "symmetric",
+                           "--n", "64", "--centres", '[["0","-1"],["1","-1"]]'])) == (
+        "e85c5cdc2330d4859dd14f640152372f28d9d110298858a7e0edc185e2384b19")
+    csv = stdout_of(["sweep", "--construction", "symmetric", "--n", "16,64,256",
+                     "--format", "csv"])
+    # wall_time_ms, the last column, is the one field that varies by run
+    exact = "".join(",".join(line.split(",")[:7]) + "\n" for line in csv.splitlines())
+    assert _sha(exact) == (
+        "7b60290f74ac76f01c95cfd0939a68cfa1175c1bcc703ba2d9e32eee3a5e53d1")
+    assert _sha(stdout_of(["construct", "--construction", "m-pencil", "--m", "4",
+                           "--n", "64"])) == (
+        "85fe5321850fceddfdeff803cee0d64e604fd5327ba3ec18c3dbfbf88cf26b5c")
