@@ -1,40 +1,14 @@
 """Exact-arithmetic toolkit for pencils of lines, graph-restricted
-operation sets, rich-point counting, incidence verification, and scaling
+ratio sets, rich-point counting, incidence verification, and scaling
 sweeps."""
 
-from .errors import (
-    CentreOnPointSet,
-    CoincidentCentres,
-    DomainTooSmall,
-    IdenticalPoints,
-    NonpositiveValue,
-    PencilError,
-    PointIsCentre,
-    PreconditionError,
-    ShiftHitsB,
-    SingularMatrix,
-    TooFewPencils,
-    TooFewPoints,
-    ZeroDenominator,
-)
-from .projective import (
-    ProjLine,
-    ProjPoint,
-    ProjTransform,
-    apply_transform,
-    collinear,
-    incident,
-    line_through,
-)
+from .errors import CentreOnPointSet, PreconditionError, ZeroDenominator
+from .projective import ProjLine, ProjPoint, collinear, line_through
 from .graphs import (
-    FORD_DELTA,
     BipartiteGraph,
     GroundSet,
-    ford_estimate,
     multiplication_table_size,
     neighbourhood_square_sum,
-    restricted_difference_set,
-    restricted_sum_set,
     shifted_restricted_ratio_set,
 )
 from .constructions import (

@@ -31,6 +31,9 @@ from .sweeps import CONSTRUCTION_TAGS, fit_exponent, sweep
 
 __all__ = ["main"]
 
+# the integer SweepRow columns, the ones a log-log fit is defined on
+_FIT_FIELDS = ("n", "edge_count", "rich_count", "wall_time_ms")
+
 
 def _read_text(path: str) -> str:
     return sys.stdin.read() if path == "-" else Path(path).read_text()
@@ -208,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="log-log exponent fit over sweep rows")
     fit.add_argument("--rows", required=True,
                      help='sweep CSV path or "-" for stdin')
-    fit.add_argument("--field", default="edge_count")
+    fit.add_argument("--field", default="edge_count", choices=_FIT_FIELDS)
     fit.add_argument("--out")
     fit.set_defaults(func=_cmd_fit)
     return parser
@@ -221,7 +224,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    # a "p/0" rational in an option raises ZeroDivisionError; a missing
+    # input file raises an OSError
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
-from .errors import CentreOnPointSet, CoincidentCentres, DomainTooSmall
+from .errors import CentreOnPointSet, PreconditionError
 from .graphs import BipartiteGraph, GroundSet, _fraction_arrays, _height
 from .projective import (
     ProjLine,
@@ -42,7 +41,7 @@ __all__ = [
 
 
 class Pencil:
-    """A centre plus a set of distinct lines all incident to it."""
+    """A centre plus a set of distinct lines all passing through it."""
 
     __slots__ = ("centre", "lines")
 
@@ -78,7 +77,7 @@ class PencilConfig:
     def __init__(self, pencils, label: str = ""):
         pencils = tuple(pencils)
         if len({pc.centre for pc in pencils}) != len(pencils):
-            raise CoincidentCentres("pencil centres must be pairwise distinct")
+            raise PreconditionError("pencil centres must be pairwise distinct")
         self.pencils = pencils
         self.label = label
 
@@ -138,7 +137,9 @@ def floored_log_quotient(n: int, d, sqrt_numerator: bool = False) -> int:
     if d == 0:
         return math.isqrt(n) if sqrt_numerator else n
     if n < 3:
-        raise DomainTooSmall("need ln n > 1 when d > 0")
+        raise PreconditionError("need ln n > 1 when d > 0")
+    import mpmath
+
     iv = mpmath.iv
     saved = iv.prec
     try:
@@ -172,12 +173,12 @@ def build_farey_shift_construction(n: int, d=0) -> GraphConstruction:
     """
     d = Fraction(d)
     if (n < 4 and d == 0) or (n < 16 and d > 0):
-        raise DomainTooSmall(f"n = {n} too small for d = {d}")
+        raise PreconditionError(f"n = {n} too small for d = {d}")
     upper = floored_log_quotient(n, d, sqrt_numerator=True)
     lower = max(1, upper // 2)
     l_max = floored_log_quotient(n, d)
     if upper < 2 or l_max < upper:
-        raise DomainTooSmall(f"degenerate ranges at n = {n}, d = {d}")
+        raise PreconditionError(f"degenerate ranges at n = {n}, d = {d}")
 
     left = GroundSet.from_values(
         Fraction(i, j)
@@ -216,7 +217,7 @@ def build_symmetric_farey_construction(n: int) -> GraphConstruction:
     edge for every pair sharing the denominator j; both ground sets are A.
     """
     if n < 1:
-        raise DomainTooSmall("need n >= 1")
+        raise PreconditionError("need n >= 1")
     s = math.isqrt(n)
     ground = GroundSet.from_values(
         Fraction(i, j)
@@ -291,7 +292,7 @@ def general_position_centers(m: int) -> list[ProjPoint]:
     as a guard (advancing p on failure) rather than trusted blindly.
     """
     if m < 1:
-        raise DomainTooSmall("need m >= 1")
+        raise PreconditionError("need m >= 1")
     p = _least_prime_at_least(m)
     while True:
         coords = [(t, (t * t) % p) for t in range(m)]
@@ -356,7 +357,12 @@ def build_m_pencil_config(m: int, n: int) -> PencilConfig:
     Slopes from centre (-x, -y) to edge points are (k + yj)/(i + xj) with
     i, j, k <= isqrt(n), so each pencil has at most (1+x)(1+y)n lines.
     """
-    construction = build_symmetric_farey_construction(n)
+    return _m_pencil_config(m, build_symmetric_farey_construction(n))
+
+
+def _m_pencil_config(m: int, construction: GraphConstruction) -> PencilConfig:
+    """build_m_pencil_config over an already built symmetric construction."""
+    n = construction.n
     base = general_position_centers(m)
     centres = []
     shifts = []
@@ -377,7 +383,7 @@ def build_grid_footnote_config(n: int) -> PencilConfig:
     slope -1, all centres on the line at infinity.
     """
     if n < 1:
-        raise DomainTooSmall("need n >= 1")
+        raise PreconditionError("need n >= 1")
     horizontals = Pencil(
         ProjPoint(1, 0, 0),
         (ProjLine(0, 1, -a) for a in range(1, n + 1)),

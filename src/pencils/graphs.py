@@ -1,4 +1,5 @@
-"""Ground sets, bipartite edge sets, and graph-restricted operation sets.
+"""Ground sets, bipartite edge sets, graph-restricted ratio sets and
+multiplication-table sizes.
 
 Edges are stored as index pairs into the two ground sets (a sorted,
 deduplicated uint32 array), which keeps ten-million-edge sweeps compact
@@ -6,8 +7,7 @@ while every derived quantity stays exact.  The shifted ratio set runs on
 integer arrays: the numerators and denominators of the shifted ground
 sets are gathered along the edges, multiplied, gcd-reduced and
 deduplicated, in the dtype that projective.exact_dtype picks from a
-bound computed in Python ints.  The sum and difference sets use Fraction
-arithmetic.  No float feeds any of them.
+bound computed in Python ints.  No float feeds it.
 """
 
 from __future__ import annotations
@@ -17,19 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainTooSmall, ZeroDenominator
+from .errors import PreconditionError, ZeroDenominator
 from .projective import exact_dtype
 
 __all__ = [
     "GroundSet",
     "BipartiteGraph",
-    "restricted_sum_set",
-    "restricted_difference_set",
     "shifted_restricted_ratio_set",
     "neighbourhood_square_sum",
     "multiplication_table_size",
-    "ford_estimate",
-    "FORD_DELTA",
 ]
 
 
@@ -160,18 +156,6 @@ class BipartiteGraph:
                 f"|right|={len(self.right)}, |E|={self.edge_count})")
 
 
-def restricted_sum_set(graph: BipartiteGraph) -> frozenset[Fraction]:
-    """{ a + b : (a, b) an edge }, deduplicated."""
-    lv, rv = graph.left.elements, graph.right.elements
-    return frozenset(lv[i] + rv[j] for i, j in graph.edge_array.tolist())
-
-
-def restricted_difference_set(graph: BipartiteGraph) -> frozenset[Fraction]:
-    """{ a - b : (a, b) an edge }, deduplicated."""
-    lv, rv = graph.left.elements, graph.right.elements
-    return frozenset(lv[i] - rv[j] for i, j in graph.edge_array.tolist())
-
-
 def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[Fraction]:
     """{ (a + x) / (b + y) : (a, b) an edge }, deduplicated.
 
@@ -242,7 +226,7 @@ def multiplication_table_size(n: int) -> int:
     a^2 < hi and a*n >= lo, and counts its marked cells.
     """
     if n < 1:
-        raise DomainTooSmall("multiplication table needs n >= 1")
+        raise PreconditionError("multiplication table needs n >= 1")
     if n > _TABLE_SIEVE_LIMIT:
         raise ValueError(
             f"n = {n} exceeds the sieve guard ({_TABLE_SIEVE_LIMIT}); "
@@ -260,19 +244,3 @@ def multiplication_table_size(n: int) -> int:
             window[first - lo : min(a * n, hi - 1) - lo + 1 : a] = True
         size += int(np.count_nonzero(window))
     return size
-
-
-FORD_DELTA = 1.0 - (1.0 + math.log(math.log(2.0))) / math.log(2.0)  # 0.0860713...
-
-
-def ford_estimate(n: int) -> float:
-    """Asymptotic model n / ((ln n)^delta (ln ln n)^(3/2)) for the table size.
-
-    Advisory only: the asymptotic hides unknown constants, so this value
-    is reported but never asserted against exact counts.  The only float
-    in the system.
-    """
-    if n < 16:
-        raise DomainTooSmall("ford_estimate needs n >= 16 so ln ln n > 0")
-    ln = math.log(n)
-    return n / (ln ** FORD_DELTA * math.log(ln) ** 1.5)

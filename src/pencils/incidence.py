@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CoincidentCentres, ShiftHitsB
+from .errors import PreconditionError
 from .graphs import BipartiteGraph, neighbourhood_square_sum, shifted_restricted_ratio_set
 
 __all__ = [
@@ -73,7 +73,7 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> IncidenceIn
     """
     c1, c2 = _affine_pair(centre1), _affine_pair(centre2)
     if c1 == c2:
-        raise CoincidentCentres(f"centres coincide at {c1}")
+        raise PreconditionError(f"centres coincide at {c1}")
     swapped = c1[0] == c2[0]
     if swapped:
         graph = graph.transpose()
@@ -82,7 +82,7 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> IncidenceIn
     (x1, y1), (x2, y2) = c1, c2
     for y in (y1, y2):
         if y in graph.right:
-            raise ShiftHitsB(f"shift {y} lies in the denominator ground set")
+            raise PreconditionError(f"shift {y} lies in the denominator ground set")
 
     ratio1 = shifted_restricted_ratio_set(graph, -x1, -y1)
     ratio2 = shifted_restricted_ratio_set(graph, -x2, -y2)

@@ -19,16 +19,13 @@ from operator import index as _as_int
 
 import numpy as np
 
-from .errors import IdenticalPoints, SingularMatrix
+from .errors import PreconditionError
 
 __all__ = [
     "ProjPoint",
     "ProjLine",
-    "ProjTransform",
     "line_through",
     "collinear",
-    "incident",
-    "apply_transform",
     "exact_dtype",
     "int_rows",
     "cross_rows",
@@ -178,15 +175,10 @@ class ProjLine:
         return "ProjLine[%d : %d : %d]" % self.coeffs
 
 
-def incident(p: ProjPoint, l: ProjLine) -> bool:
-    """Exact incidence test a*X + b*Y + c*Z = 0."""
-    return l.contains(p)
-
-
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line joining two distinct points."""
     if p == q:
-        raise IdenticalPoints(f"no unique line through {p} twice")
+        raise PreconditionError(f"no unique line through {p} twice")
     return ProjLine(*_cross(p.coords, q.coords))
 
 
@@ -200,67 +192,3 @@ def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
     )
     return det == 0
 
-
-class ProjTransform:
-    """Invertible projective transformation given by a 3x3 integer matrix.
-
-    Points map by M; lines map by the cofactor matrix of M, which is the
-    inverse-transpose action up to the (projectively irrelevant) factor
-    det(M), so incidence is preserved exactly.
-    """
-
-    __slots__ = ("matrix", "det")
-
-    def __init__(self, rows):
-        m = tuple(tuple(_as_int(e) for e in row) for row in rows)
-        if len(m) != 3 or any(len(r) != 3 for r in m):
-            raise ValueError("matrix must be 3x3")
-        self.matrix = m
-        self.det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        if self.det == 0:
-            raise SingularMatrix(f"determinant is zero for {m}")
-
-    @classmethod
-    def identity(cls) -> "ProjTransform":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    def _cofactor(self):
-        m = self.matrix
-        return tuple(
-            tuple(
-                (m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-                 - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3])
-                for j in range(3)
-            )
-            for i in range(3)
-        )
-
-    def apply_point(self, p: ProjPoint) -> ProjPoint:
-        v = p.coords
-        return ProjPoint(*(sum(row[k] * v[k] for k in range(3)) for row in self.matrix))
-
-    def apply_line(self, l: ProjLine) -> ProjLine:
-        v = l.coeffs
-        cof = self._cofactor()
-        return ProjLine(*(sum(row[k] * v[k] for k in range(3)) for row in cof))
-
-    def inverse(self) -> "ProjTransform":
-        # adjugate = cofactor transpose; det scales out projectively
-        cof = self._cofactor()
-        return ProjTransform(tuple(tuple(cof[j][i] for j in range(3)) for i in range(3)))
-
-    def __repr__(self):
-        return f"ProjTransform({self.matrix})"
-
-
-def apply_transform(t: ProjTransform, obj):
-    """Apply a transformation to a ProjPoint or (contragrediently) a ProjLine."""
-    if isinstance(obj, ProjPoint):
-        return t.apply_point(obj)
-    if isinstance(obj, ProjLine):
-        return t.apply_line(obj)
-    raise TypeError(f"expected ProjPoint or ProjLine, got {type(obj).__name__}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constructions import Pencil, PencilConfig
-from .errors import PointIsCentre, TooFewPencils
+from .errors import PreconditionError
 from .projective import (
     ProjPoint,
     canonical_rows,
@@ -75,7 +75,7 @@ def point_on_pencil(p: ProjPoint, pencil: Pencil) -> bool:
     """True iff some line of the pencil passes through p, via one join and
     one hash lookup on its canonical form."""
     if p == pencil.centre:
-        raise PointIsCentre(f"{p} is the pencil centre")
+        raise PreconditionError(f"{p} is the pencil centre")
     return line_through(pencil.centre, p) in pencil.lines
 
 
@@ -90,14 +90,14 @@ def _kernel_dtype(pencils):
 
 
 def rich_points(config: PencilConfig) -> RichPointReport:
-    """All points incident to at least one line from every pencil.
+    """All points lying on at least one line from every pencil.
 
     Pencil centres are never reported as rich points; centres that would
     otherwise qualify are listed in excluded_centres.  Points at infinity
     are ordinary members of the result.
     """
     if config.m < 2:
-        raise TooFewPencils("richness needs at least 2 pencils")
+        raise PreconditionError("richness needs at least 2 pencils")
     by_size = sorted(config.pencils, key=lambda pc: pc.size)
     first, second, rest = by_size[0], by_size[1], by_size[2:]
     # A line shared by the two seed pencils witnesses both at once; points

@@ -8,7 +8,6 @@ rates rather than counts.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,12 +15,12 @@ from fractions import Fraction
 from .constructions import (
     build_farey_shift_construction,
     build_grid_footnote_config,
-    build_m_pencil_config,
     build_symmetric_farey_construction,
     pencils_from_graph,
     standard_shift_centres,
+    _m_pencil_config,
 )
-from .errors import NonpositiveValue, TooFewPoints
+from .errors import PreconditionError
 from .graphs import shifted_restricted_ratio_set
 from .richpoints import rich_points
 
@@ -91,7 +90,7 @@ def _compute_row(args) -> SweepRow:
         if m is None:
             raise ValueError("m-pencil sweep needs m")
         built = build_symmetric_farey_construction(n)
-        config = build_m_pencil_config(m, n)
+        config = _m_pencil_config(m, built)
         report = rich_points(config)
         edge_count = built.edge_count
         ratio_sizes = _centre_ratio_sizes(
@@ -126,6 +125,8 @@ def sweep(construction: str, n_values, d=0, centres=None, m=None,
         raise ValueError("n_values must be sorted ascending")
     jobs = [(construction, n, Fraction(d), centres, m) for n in n_values]
     if threads > 1 and len(jobs) > 1:
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(threads, len(jobs))) as pool:
             return pool.map(_compute_row, jobs)
@@ -149,10 +150,10 @@ def fit_exponent(rows, field: str = "edge_count") -> ExponentFit:
     for row in rows:
         value = getattr(row, field)
         if value <= 0:
-            raise NonpositiveValue(f"{field} = {value} at n = {row.n}")
+            raise PreconditionError(f"{field} = {value} at n = {row.n}")
         points.append((math.log(row.n), math.log(value)))
     if len({x for x, _ in points}) < 3:
-        raise TooFewPoints("need at least 3 distinct n values")
+        raise PreconditionError("need at least 3 distinct n values")
     mean_x = sum(x for x, _ in points) / len(points)
     mean_y = sum(y for _, y in points) / len(points)
     sxx = sum((x - mean_x) ** 2 for x, _ in points)

@@ -1,5 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import pencils.cli as cli
 from pencils.cli import main
@@ -43,6 +49,10 @@ def test_construct_m_pencil_requires_m(capsys):
 
 def test_construct_domain_guard_exit_code(capsys):
     assert main(["construct", "--construction", "farey-shift", "--n", "3"]) == 2
+    capsys.readouterr()
+    assert main(["construct", "--construction", "farey-shift", "--n", "64",
+                 "--d", "1/0"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_rich_points_pipeline(capsys, tmp_path):
@@ -72,6 +82,9 @@ def test_rich_points_bad_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["rich-points", "--config", str(bad)]) == 2
+    capsys.readouterr()
+    assert main(["rich-points", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "No such file" in capsys.readouterr().err
 
 
 def test_rich_points_rejects_config_without_key(capsys, tmp_path):
@@ -120,7 +133,7 @@ def test_verify_lemma_from_graph_file(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["all_ok"] is True
 
 
-def test_verify_lemma_rejects_bad_centres(capsys):
+def test_verify_lemma_rejects_bad_centres(capsys, tmp_path):
     # y = -1 sits in B for the symmetric construction? no; y = 1 does
     assert main(["verify-lemma", "--construction", "symmetric", "--n", "4",
                  "--centres", '[["0","1"],["1","-1"]]']) == 2
@@ -136,6 +149,12 @@ def test_verify_lemma_rejects_bad_centres(capsys):
         assert main(["verify-lemma", "--construction", "symmetric", "--n", "16",
                      "--centres", centres]) == 2
         assert "Traceback" not in capsys.readouterr().err
+    missing = tmp_path / "missing.json"
+    for argv in (["--centres", f"@{missing}"],
+                 ["--graph", str(missing), "--centres", '[["0","-1"],["1","-1"]]']):
+        capsys.readouterr()
+        assert main(["verify-lemma", *argv]) == 2
+        assert "No such file" in capsys.readouterr().err
 
 
 def test_verify_lemma_rejects_negative_edge_index(capsys, tmp_path):
@@ -199,6 +218,12 @@ def test_fit_rejects_too_few_rows(capsys, tmp_path):
           "--format", "csv", "--out", str(rows)])
     capsys.readouterr()
     assert main(["fit", "--rows", str(rows)]) == 2
+    assert main(["fit", "--rows", str(tmp_path / "missing.csv")]) == 2
+    # only the integer columns can be fitted; argparse rejects the rest
+    for field in ("nonexistent", "construction", "ratio_set_sizes"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fit", "--rows", str(rows), "--field", field])
+        assert exit_.value.code == 2
 
 
 def test_fit_reads_stdin(capsys, monkeypatch, tmp_path):
@@ -251,3 +276,15 @@ def test_golden_outputs(capsys, monkeypatch, tmp_path):
     assert _sha(stdout_of(["construct", "--construction", "m-pencil", "--m", "4",
                            "--n", "64"])) == (
         "85fe5321850fceddfdeff803cee0d64e604fd5327ba3ec18c3dbfbf88cf26b5c")
+
+
+def test_import_defers_mpmath_and_multiprocessing():
+    """Both load only on the paths that use them (d > 0, threads > 1)."""
+    code = ("import sys, pencils; "
+            "print(sorted({'mpmath', 'multiprocessing'} & set(sys.modules)))")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -3,16 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from pencils.errors import DomainTooSmall, ZeroDenominator
+from pencils.errors import PreconditionError, ZeroDenominator
 from pencils.graphs import (
-    FORD_DELTA,
     BipartiteGraph,
     GroundSet,
-    ford_estimate,
     multiplication_table_size,
     neighbourhood_square_sum,
-    restricted_difference_set,
-    restricted_sum_set,
     shifted_restricted_ratio_set,
 )
 
@@ -86,8 +82,6 @@ def test_restricted_ops_empty_graph():
     A = GroundSet.from_values([Fraction(1), Fraction(2)])
     B = GroundSet.from_values([Fraction(3)])
     g = BipartiteGraph(A, B, [])
-    assert restricted_sum_set(g) == frozenset()
-    assert restricted_difference_set(g) == frozenset()
     assert shifted_restricted_ratio_set(g, Fraction(0), Fraction(0)) == frozenset()
     assert neighbourhood_square_sum(g) == 0
 
@@ -96,8 +90,7 @@ def test_restricted_ops_complete_graph_example():
     A = GroundSet.from_values([Fraction(0), Fraction(1)])
     B = GroundSet.from_values([Fraction(0), Fraction(1)])
     g = BipartiteGraph(A, B, [(i, j) for i in range(2) for j in range(2)])
-    assert restricted_sum_set(g) == {Fraction(0), Fraction(1), Fraction(2)}
-    assert restricted_difference_set(g) == {Fraction(-1), Fraction(0), Fraction(1)}
+    assert shifted_restricted_ratio_set(g, 0, 1) == {Fraction(0), Fraction(1, 2), Fraction(1)}
     assert neighbourhood_square_sum(g) == 8
 
 
@@ -114,8 +107,6 @@ def test_restricted_ops_match_bruteforce():
     for _ in range(60):
         g = _random_graph(rng)
         pairs = _value_pairs(g)
-        assert restricted_sum_set(g) == {a + b for a, b in pairs}
-        assert restricted_difference_set(g) == {a - b for a, b in pairs}
         x = Fraction(rng.randint(0, 3))
         y = Fraction(rng.randint(22, 25))  # keeps every denominator nonzero
         got = shifted_restricted_ratio_set(g, x, y)
@@ -180,8 +171,6 @@ def test_op_set_sizes_bounded_by_edges():
     for _ in range(40):
         g = _random_graph(rng)
         e = g.edge_count
-        assert len(restricted_sum_set(g)) <= e
-        assert len(restricted_difference_set(g)) <= e
         got = shifted_restricted_ratio_set(g, Fraction(1), Fraction(30))
         assert len(got) <= e
         if e:
@@ -189,7 +178,7 @@ def test_op_set_sizes_bounded_by_edges():
 
 
 def test_multiplication_table_small_values():
-    with pytest.raises(DomainTooSmall):
+    with pytest.raises(PreconditionError, match="needs n >= 1"):
         multiplication_table_size(0)
     assert multiplication_table_size(1) == 1
     assert multiplication_table_size(3) == 6
@@ -215,17 +204,3 @@ def test_multiplication_table_guard():
     with pytest.raises(ValueError):
         multiplication_table_size(20_001)
 
-
-def test_ford_constant_value():
-    assert abs(FORD_DELTA - 0.086071) < 5e-7
-
-
-def test_ford_estimate_shape():
-    with pytest.raises(DomainTooSmall):
-        ford_estimate(15)
-    assert abs(ford_estimate(16) - 14.2311) < 1e-3
-    # the modelled density decays in n, matching the exact-count trend
-    assert ford_estimate(10**6) / 10**6 < ford_estimate(10**3) / 10**3
-    for n in (100, 10_000):
-        est = ford_estimate(n)
-        assert 0 < est < n

@@ -5,23 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pencils.errors import IdenticalPoints, SingularMatrix
+from pencils.errors import PreconditionError
 from pencils.projective import (
     ProjLine,
     ProjPoint,
-    ProjTransform,
-    apply_transform,
     canonical_rows,
     collinear,
     cross_rows,
     exact_dtype,
-    incident,
     int_rows,
     line_through,
     row_triples,
 )
 
 from oracles import _canon, _cross
+from transforms import ProjTransform, SingularMatrix
 
 
 def test_canonical_form_scaling():
@@ -68,7 +66,7 @@ def test_line_through_examples():
     assert line_through(ProjPoint(1, 0, 0), ProjPoint(0, 0, 1)) == ProjLine(0, 1, 0)
     # y = x - 1 through (2,1) and (0,-1)
     assert line_through(ProjPoint(2, 1, 1), ProjPoint(0, -1, 1)) == ProjLine(1, -1, -1)
-    with pytest.raises(IdenticalPoints):
+    with pytest.raises(PreconditionError, match="no unique line"):
         line_through(ProjPoint(1, 2, 1), ProjPoint(2, 4, 2))
 
 
@@ -81,9 +79,8 @@ def test_collinear_examples():
 
 def test_incidence_and_contains():
     l = ProjLine(1, -1, -1)  # y = x - 1
-    assert incident(ProjPoint(2, 1, 1), l)
     assert l.contains(ProjPoint(2, 1, 1))
-    assert not incident(ProjPoint(0, 0, 1), l)
+    assert not l.contains(ProjPoint(0, 0, 1))
     assert ProjLine(0, 0, 1).is_infinite
     assert not l.is_infinite
 
@@ -108,20 +105,12 @@ def test_collinear_matches_incidence():
         r = ProjPoint(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(0, 2) or 1)
         if p == q:
             continue
-        assert collinear(p, q, r) == incident(r, line_through(p, q))
-
-
-def test_transform_identity_and_swap():
-    t = ProjTransform.identity()
-    p = ProjPoint(3, 5, 1)
-    assert t.apply_point(p) == p
-    swap = ProjTransform([(0, 0, 1), (0, 1, 0), (1, 0, 0)])
-    assert swap.apply_point(ProjPoint(1, 0, 0)) == ProjPoint(0, 0, 1)
-    with pytest.raises(SingularMatrix):
-        ProjTransform([(1, 2, 3), (2, 4, 6), (0, 0, 1)])
+        assert collinear(p, q, r) == line_through(p, q).contains(r)
 
 
 def test_transform_preserves_incidence():
+    with pytest.raises(SingularMatrix):
+        ProjTransform([(1, 2, 3), (2, 4, 6), (0, 0, 1)])
     rng = random.Random(13)
     done = 0
     while done < 100:
@@ -136,25 +125,8 @@ def test_transform_preserves_incidence():
         if p == q:
             continue
         l = line_through(p, q)
-        assert incident(apply_transform(t, p), apply_transform(t, l))
-        assert incident(apply_transform(t, q), apply_transform(t, l))
-        done += 1
-
-
-def test_transform_inverse_roundtrip():
-    rng = random.Random(17)
-    done = 0
-    while done < 50:
-        rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        try:
-            t = ProjTransform(rows)
-        except SingularMatrix:
-            continue
-        inv = t.inverse()
-        p = ProjPoint(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(0, 1) or 1)
-        l = ProjLine(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
-        assert inv.apply_point(t.apply_point(p)) == p
-        assert inv.apply_line(t.apply_line(l)) == l
+        assert t.apply_line(l).contains(t.apply_point(p))
+        assert t.apply_line(l).contains(t.apply_point(q))
         done += 1
 
 

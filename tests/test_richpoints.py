@@ -12,11 +12,12 @@ from pencils.constructions import (
     pencils_from_graph,
     standard_shift_centres,
 )
-from pencils.errors import PointIsCentre, SingularMatrix, TooFewPencils
-from pencils.projective import ProjLine, ProjPoint, ProjTransform, line_through
+from pencils.errors import PreconditionError
+from pencils.projective import ProjLine, ProjPoint, line_through
 from pencils.richpoints import _kernel_dtype, point_on_pencil, rich_points
 
 from oracles import rich_points_bruteforce
+from transforms import ProjTransform, SingularMatrix
 
 
 def _pencil(cx, cy, through):
@@ -65,7 +66,7 @@ def test_point_on_pencil():
     assert not point_on_pencil(ProjPoint.from_affine(1, 3), pencil)
     # the slope-1 line hits the infinite point (1 : 1 : 0)
     assert point_on_pencil(ProjPoint(1, 1, 0), pencil)
-    with pytest.raises(PointIsCentre):
+    with pytest.raises(PreconditionError, match="is the pencil centre"):
         point_on_pencil(ProjPoint.from_affine(0, 0), pencil)
 
 
@@ -81,7 +82,7 @@ def test_point_on_pencil_matches_scan():
 
 
 def test_too_few_pencils():
-    with pytest.raises(TooFewPencils):
+    with pytest.raises(PreconditionError, match="at least 2 pencils"):
         rich_points(PencilConfig([_pencil(0, 0, [(1, 1)])]))
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pencils.errors import NonpositiveValue, TooFewPoints
+from pencils.errors import PreconditionError
 from pencils.sweeps import (
     CONSTRUCTION_TAGS,
     SweepRow,
@@ -34,9 +34,9 @@ def test_fit_exact_power_laws():
 
 
 def test_fit_guards():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(PreconditionError, match="at least 3 distinct n"):
         fit_exponent(_rows([4, 16]))
-    with pytest.raises(NonpositiveValue):
+    with pytest.raises(PreconditionError, match="edge_count = 0 at n = 16"):
         fit_exponent(_rows([1, 0, 9]))
     with pytest.raises(AttributeError):
         fit_exponent(_rows([1, 2, 4]), field="no_such_field")
