@@ -109,6 +109,8 @@ def test_collinear_matches_incidence():
 
 
 def test_transform_preserves_incidence():
+    swap = ProjTransform([(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    assert swap.apply_point(ProjPoint(1, 0, 0)) == ProjPoint(0, 0, 1)
     with pytest.raises(SingularMatrix):
         ProjTransform([(1, 2, 3), (2, 4, 6), (0, 0, 1)])
     rng = random.Random(13)
