@@ -264,6 +264,12 @@ def test_golden_outputs(capsys, monkeypatch, tmp_path):
     assert _sha(stdout_of(["construct", "--construction", "symmetric",
                            "--n", "64"])) == (
         "17e89ef461c14e4bfe3852b7496ee783f7d1a0519d7764614f5099e76d127b53")
+    assert _sha(stdout_of(["construct", "--construction", "farey-shift",
+                           "--n", "1024", "--d", "43/1000"])) == (
+        "1195de4960e0c91b8c529fc46d152f752922728fd17aa25e9c09bb159f7a850c")
+    assert _sha(stdout_of(["construct", "--construction", "farey-shift",
+                           "--n", "1024", "--d", "0"])) == (
+        "73628a3e7fe9b3ac73f8d552b2bde8237d73cdd5f10ebefc31abc19c3407b80d")
     assert _sha(stdout_of(["verify-lemma", "--construction", "symmetric",
                            "--n", "64", "--centres", '[["0","-1"],["1","-1"]]'])) == (
         "e85c5cdc2330d4859dd14f640152372f28d9d110298858a7e0edc185e2384b19")
