@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CentreOnPointSet, PreconditionError
-from .graphs import BipartiteGraph, GroundSet, _fraction_arrays, _height
+from .graphs import BipartiteGraph, GroundSet
 from .projective import (
     ProjLine,
     ProjPoint,
@@ -164,6 +164,17 @@ def floored_log_quotient(n: int, d, sqrt_numerator: bool = False) -> int:
 # graph constructions
 
 
+def _block_graph(left: GroundSet, right: GroundSet, blocks) -> BipartiteGraph:
+    """The graph that joins, within each (left values, right values) block,
+    every left value to every right value."""
+    chunks = []
+    for left_vals, right_vals in blocks:
+        li = np.array([left.index_of(v) for v in left_vals], dtype=np.uint32)
+        ri = np.array([right.index_of(v) for v in right_vals], dtype=np.uint32)
+        chunks.append(np.stack(np.meshgrid(li, ri, indexing="ij"), axis=-1).reshape(-1, 2))
+    return BipartiteGraph(left, right, np.concatenate(chunks))
+
+
 def build_farey_shift_construction(n: int, d=0) -> GraphConstruction:
     """Divisibility graph between reduced fractions and unit fractions.
 
@@ -180,33 +191,12 @@ def build_farey_shift_construction(n: int, d=0) -> GraphConstruction:
     if upper < 2 or l_max < upper:
         raise PreconditionError(f"degenerate ranges at n = {n}, d = {d}")
 
-    left = GroundSet.from_values(
-        Fraction(i, j)
-        for j in range(lower, upper + 1)
-        for i in range(1, upper + 1)
-        if math.gcd(i, j) == 1
-    )
+    blocks = [([Fraction(i, j) for i in range(1, upper + 1) if math.gcd(i, j) == 1],
+               [Fraction(1, l) for l in range(j, l_max + 1, j)])
+              for j in range(lower, upper + 1)]
+    left = GroundSet.from_values(v for block, _ in blocks for v in block)
     right = GroundSet.from_values(Fraction(1, l) for l in range(1, l_max + 1))
-
-    chunks = []
-    for j in range(lower, upper + 1):
-        left_idx = np.array(
-            [left.index_of(Fraction(i, j))
-             for i in range(1, upper + 1) if math.gcd(i, j) == 1],
-            dtype=np.uint32,
-        )
-        right_idx = np.array(
-            [right.index_of(Fraction(1, l)) for l in range(j, l_max + 1, j)],
-            dtype=np.uint32,
-        )
-        if left_idx.size == 0 or right_idx.size == 0:
-            continue
-        pairs = np.empty((left_idx.size * right_idx.size, 2), dtype=np.uint32)
-        pairs[:, 0] = np.repeat(left_idx, right_idx.size)
-        pairs[:, 1] = np.tile(right_idx, left_idx.size)
-        chunks.append(pairs)
-    edges = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.uint32)
-    graph = BipartiteGraph(left, right, edges)
+    graph = _block_graph(left, right, blocks)
     return GraphConstruction(graph, n, d, f"farey-shift(n={n},d={d})")
 
 
@@ -219,27 +209,10 @@ def build_symmetric_farey_construction(n: int) -> GraphConstruction:
     if n < 1:
         raise PreconditionError("need n >= 1")
     s = math.isqrt(n)
-    ground = GroundSet.from_values(
-        Fraction(i, j)
-        for j in range(1, s + 1)
-        for i in range(1, s + 1)
-        if math.gcd(i, j) == 1
-    )
-    chunks = []
-    for j in range(1, s + 1):
-        idx = np.array(
-            [ground.index_of(Fraction(i, j))
-             for i in range(1, s + 1) if math.gcd(i, j) == 1],
-            dtype=np.uint32,
-        )
-        if idx.size == 0:
-            continue
-        pairs = np.empty((idx.size * idx.size, 2), dtype=np.uint32)
-        pairs[:, 0] = np.repeat(idx, idx.size)
-        pairs[:, 1] = np.tile(idx, idx.size)
-        chunks.append(pairs)
-    edges = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.uint32)
-    graph = BipartiteGraph(ground, ground, edges)
+    blocks = [[Fraction(i, j) for i in range(1, s + 1) if math.gcd(i, j) == 1]
+              for j in range(1, s + 1)]
+    ground = GroundSet.from_values(v for block in blocks for v in block)
+    graph = _block_graph(ground, ground, ((block, block) for block in blocks))
     return GraphConstruction(graph, n, Fraction(0), f"symmetric(n={n})")
 
 
@@ -332,9 +305,9 @@ def pencils_from_graph(construction: GraphConstruction, centres,
     graph = construction.graph
     centres = list(centres)
     c = max((abs(v) for centre in centres for v in centre.coords), default=0)
-    dtype = exact_dtype(4 * c * _height(graph.left) * _height(graph.right))
-    an, ad = _fraction_arrays(graph.left, dtype)
-    bn, bd = _fraction_arrays(graph.right, dtype)
+    dtype = exact_dtype(4 * c * graph.left.height * graph.right.height)
+    an, ad, bn, bd = (v.astype(dtype, copy=False) for g in (graph.left, graph.right)
+                      for v in (g.numerators, g.denominators))
     i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
     points = np.stack((an[i] * bd[j], bn[j] * ad[i], ad[i] * bd[j]), axis=1)
     pencils = []

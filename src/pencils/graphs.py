@@ -29,18 +29,6 @@ __all__ = [
 ]
 
 
-def _fraction_arrays(values, dtype):
-    """Numerator and denominator arrays of a sequence of Fractions, in its
-    order."""
-    return (np.array([v.numerator for v in values], dtype=dtype),
-            np.array([v.denominator for v in values], dtype=dtype))
-
-
-def _height(values) -> int:
-    """The largest |numerator| or denominator in a sequence of Fractions."""
-    return max((max(abs(v.numerator), v.denominator) for v in values), default=0)
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-d array, sorted: np.sort and an
     adjacent-difference mask, which on numpy 2.4 is many times faster
@@ -53,28 +41,46 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 class GroundSet:
-    """Ordered collection of distinct rationals with positional indexing."""
+    """Ordered collection of distinct rationals with positional indexing.
 
-    __slots__ = ("elements", "_index")
+    Its exact integer form is built once: the numerator and denominator
+    arrays in ground-set order, int64 when the height (the largest
+    |numerator| or denominator, 0 when empty) is below 2^62, else Python ints.
+    """
+
+    __slots__ = ("elements", "_index", "numerators", "denominators", "height")
 
     def __init__(self, elements):
         elems = tuple(Fraction(e) for e in elements)
-        index = {e: i for i, e in enumerate(elems)}
+        nums = [e.numerator for e in elems]
+        dens = [e.denominator for e in elems]
+        # keyed by (numerator, denominator): a tuple of ints hashes and
+        # compares far faster than a Fraction
+        index = dict(zip(zip(nums, dens), range(len(elems))))
         if len(index) != len(elems):
             raise ValueError("ground set elements must be pairwise distinct")
         self.elements = elems
         self._index = index
+        self.height = max(max(map(abs, nums), default=0), max(dens, default=0))
+        dtype = exact_dtype(self.height)
+        self.numerators = np.array(nums, dtype=dtype)
+        self.denominators = np.array(dens, dtype=dtype)
 
     @classmethod
     def from_values(cls, values) -> "GroundSet":
-        """Deduplicate and sort, the deterministic order used everywhere."""
-        return cls(sorted({Fraction(v) for v in values}))
+        """Deduplicate and sort, the deterministic order used everywhere, by
+        the integer key floor(v * D^2), D the largest denominator: distinct
+        values differ by at least 1/D^2, so their keys differ."""
+        values = [Fraction(v) for v in values]
+        scale = max((v.denominator for v in values), default=1) ** 2
+        by_key = {v.numerator * scale // v.denominator: v for v in values}
+        return cls(by_key[k] for k in sorted(by_key))
 
     def index_of(self, value) -> int:
-        return self._index[Fraction(value)]
+        return self._index[Fraction(value).as_integer_ratio()]
 
     def __contains__(self, value):
-        return Fraction(value) in self._index
+        return Fraction(value).as_integer_ratio() in self._index
 
     def __getitem__(self, i) -> Fraction:
         return self.elements[i]
@@ -133,13 +139,6 @@ class BipartiteGraph:
         counts = np.bincount(self.edge_array[:, 0], minlength=len(self.left))
         return [int(c) for c in counts]
 
-    def neighbourhoods(self) -> dict[int, list[int]]:
-        """Left index -> sorted list of right indices."""
-        out: dict[int, list[int]] = {}
-        for i, j in self.edge_array.tolist():
-            out.setdefault(i, []).append(j)
-        return out
-
     def transpose(self) -> "BipartiteGraph":
         return BipartiteGraph(self.right, self.left, self.edge_array[:, ::-1])
 
@@ -154,6 +153,21 @@ class BipartiteGraph:
     def __repr__(self):
         return (f"BipartiteGraph(|left|={len(self.left)}, "
                 f"|right|={len(self.right)}, |E|={self.edge_count})")
+
+
+def _shifted(ground: GroundSet, x: Fraction):
+    """The reduced numerator and denominator arrays of ground + x, and their
+    height.  Before reduction every entry, and x's own numerator and
+    denominator, is at most max(H, 1) * (|x.num| + x.den), with H the
+    height of the ground set."""
+    dtype = exact_dtype(max(ground.height, 1) * (abs(x.numerator) + x.denominator))
+    den = ground.denominators.astype(dtype)
+    num = ground.numerators.astype(dtype) * x.denominator + den * x.numerator
+    den *= x.denominator
+    g = np.gcd(num, den)
+    num //= g
+    den //= g
+    return num, den, int(max(np.abs(num).max(initial=0), den.max(initial=0)))
 
 
 def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[Fraction]:
@@ -171,12 +185,10 @@ def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[F
     integer key per pair; Fractions are built only for the distinct
     values.
     """
-    x, y = Fraction(x), Fraction(y)
-    p = [a + x for a in graph.left]
-    q = [b + y for b in graph.right]
-    dtype = exact_dtype(_height(p) * _height(q))
-    pn, pd = _fraction_arrays(p, dtype)
-    qn, qd = _fraction_arrays(q, dtype)
+    pn, pd, hp = _shifted(graph.left, Fraction(x))
+    qn, qd, hq = _shifted(graph.right, Fraction(y))
+    dtype = exact_dtype(hp * hq)
+    pn, pd, qn, qd = (v.astype(dtype, copy=False) for v in (pn, pd, qn, qd))
     i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
     den = pd[i]
     den *= np.abs(qn)[j]

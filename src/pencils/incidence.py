@@ -148,22 +148,24 @@ class LemmaChainReport:
 
 
 def _witness_identity_holds(inst: IncidenceInstance) -> bool:
+    """Per edge (a, b), with u = b - y1, r1 = (a - x1)/u, v = b - y2 and
+    r2 = (a - x2)/v: r1 in R1, r2 in R2, and the identity u r1 - v r2 +
+    (x1 - x2) = 0 over all pairs in N(a), which holds exactly when u r1 is
+    one value c_a on N(a) and v r2 = c_a + (x1 - x2) there."""
     (x1, y1), (x2, y2) = inst.centre1, inst.centre2
     shift = x1 - x2
     left_vals = inst.graph.left.elements
     right_vals = inst.graph.right.elements
-    for i, columns in inst.graph.neighbourhoods().items():
-        a = left_vals[i]
-        firsts = [(right_vals[j] - y1, (a - x1) / (right_vals[j] - y1)) for j in columns]
-        seconds = [(right_vals[j] - y2, (a - x2) / (right_vals[j] - y2)) for j in columns]
-        if any(r1 not in inst.ratio1 for _, r1 in firsts):
+    values = {}
+    for i, j in inst.graph.edge_array.tolist():
+        a, b = left_vals[i], right_vals[j]
+        u, v = b - y1, b - y2
+        r1, r2 = (a - x1) / u, (a - x2) / v
+        if r1 not in inst.ratio1 or r2 not in inst.ratio2:
             return False
-        if any(r2 not in inst.ratio2 for _, r2 in seconds):
+        c = u * r1
+        if values.setdefault(i, c) != c or v * r2 != c + shift:
             return False
-        for u, r1 in firsts:
-            for v, r2 in seconds:
-                if u * r1 - v * r2 + shift != 0:
-                    return False
     return True
 
 

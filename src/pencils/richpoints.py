@@ -142,16 +142,12 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         sift(cross_rows(int_rows([shared.coeffs], dtype),
                         int_rows((l.coeffs for l in host.lines), dtype)))
 
+    # a found centre met a first- and a second-pencil line and passed every
+    # other probe, so it is on a line of every other pencil
     centres = {pc.centre.coords for pc in config.pencils}
-    excluded = []
-    for coords in found & centres:
-        cand = ProjPoint(*coords)
-        if all(point_on_pencil(cand, pc) for pc in config.pencils if pc.centre != cand):
-            excluded.append(cand)
-
     return RichPointReport(
         points=frozenset(ProjPoint(*t) for t in found - centres),
         pencil_sizes=tuple(pc.size for pc in config.pencils),
         config_label=config.label,
-        excluded_centres=tuple(sorted(excluded)),
+        excluded_centres=tuple(sorted(ProjPoint(*t) for t in found & centres)),
     )

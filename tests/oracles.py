@@ -134,3 +134,29 @@ def incidence_count_bruteforce(points, lines):
             if a * x + b * y + c == 0:
                 count += 1
     return count
+
+
+def witness_identity_pairwise(left, right, edges, centre1, centre2, ratio1, ratio2):
+    """The lemma's witness identity over every pair of neighbours.
+
+    ``left`` and ``right`` are Fraction sequences, ``edges`` (i, j) index
+    pairs, the centres (x, y) Fraction pairs.  True iff for every left
+    index a and all b1, b2 in N(a), r1 = (a - x1)/(b1 - y1) is in ratio1,
+    r2 = (a - x2)/(b2 - y2) is in ratio2 and
+    (b1 - y1) r1 - (b2 - y2) r2 + (x1 - x2) = 0.
+    """
+    (x1, y1), (x2, y2) = centre1, centre2
+    neighbours = {}
+    for i, j in edges:
+        neighbours.setdefault(i, []).append(j)
+    for i, columns in neighbours.items():
+        a = left[i]
+        for j1 in columns:
+            for j2 in columns:
+                u, v = right[j1] - y1, right[j2] - y2
+                r1, r2 = (a - x1) / u, (a - x2) / v
+                if r1 not in ratio1 or r2 not in ratio2:
+                    return False
+                if u * r1 - v * r2 + (x1 - x2) != 0:
+                    return False
+    return True

@@ -28,7 +28,12 @@ from pencils.graphs import (
     multiplication_table_size,
     shifted_restricted_ratio_set,
 )
-from pencils.incidence import verify_lemma_chain
+from pencils.incidence import (
+    IncidenceInstance,
+    _witness_identity_holds,
+    build_lemma_instance,
+    verify_lemma_chain,
+)
 from pencils.projective import ProjPoint, collinear
 from pencils.richpoints import point_on_pencil, rich_points
 from pencils.sweeps import (
@@ -38,7 +43,11 @@ from pencils.sweeps import (
     tracking_ratios,
 )
 
-from oracles import farey_shift_enumeration, rich_points_bruteforce
+from oracles import (
+    farey_shift_enumeration,
+    rich_points_bruteforce,
+    witness_identity_pairwise,
+)
 
 D_DAMP = Fraction(43, 1000)
 
@@ -83,17 +92,19 @@ def _random_lemma_case(rng):
 
 
 @pytest.fixture(scope="module")
-def lemma_reports():
+def lemma_cases():
+    """The criterion-5 instances: 50 random graphs, then symmetric n=4,16,64."""
     rng = random.Random(42)
-    reports = []
-    for _ in range(50):
-        g, c1, c2 = _random_lemma_case(rng)
-        reports.append(verify_lemma_chain(g, c1, c2))
+    cases = [_random_lemma_case(rng) for _ in range(50)]
     for n in (4, 16, 64):
-        built = build_symmetric_farey_construction(n)
-        reports.append(verify_lemma_chain(
-            built.graph, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(-1))))
-    return reports
+        cases.append((build_symmetric_farey_construction(n).graph,
+                      (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(-1))))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def lemma_reports(lemma_cases):
+    return [verify_lemma_chain(*case) for case in lemma_cases]
 
 
 # -- criteria ----------------------------------------------------------------
@@ -177,6 +188,29 @@ def test_criterion_05_lemma_chain_verdicts(lemma_reports):
     assert _verdict(5, ok, f"{len(lemma_reports)} instances "
                            f"(50 random + symmetric n=4,16,64), "
                            f"{len(failures)} chain failures")
+
+
+def test_witness_check_matches_pairwise_oracle(lemma_cases):
+    """The one-pass witness check gives the pairwise oracle's verdict on the
+    criterion-5 instances, and both reject a ratio set missing one element
+    and a perturbed centre."""
+    def verdicts(inst):
+        g = inst.graph
+        pairwise = witness_identity_pairwise(
+            g.left.elements, g.right.elements, g.edge_array.tolist(),
+            inst.centre1, inst.centre2, inst.ratio1, inst.ratio2)
+        return _witness_identity_holds(inst), pairwise
+
+    for case in lemma_cases:
+        inst = build_lemma_instance(*case)
+        assert verdicts(inst) == (True, True)
+        (x1, y1), c2 = inst.centre1, inst.centre2
+        missing = IncidenceInstance(inst.graph, inst.centre1, c2, inst.swapped,
+                                    inst.ratio1 - {min(inst.ratio1)}, inst.ratio2)
+        assert verdicts(missing) == (False, False)
+        moved = IncidenceInstance(inst.graph, (x1 + Fraction(1, 997), y1), c2,
+                                  inst.swapped, inst.ratio1, inst.ratio2)
+        assert verdicts(moved) == (False, False)
 
 
 def test_criterion_06_st_sanity_everywhere(lemma_reports):

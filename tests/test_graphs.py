@@ -39,6 +39,23 @@ def test_ground_set_from_values_sorts_and_dedups():
     assert g[0] == Fraction(1)
     assert Fraction(3) in g and Fraction(5) not in g
     assert len(g) == 3
+    # negative values, shared denominators and heights past 2^62; the
+    # stored integer form matches the Fractions
+    rng = random.Random(5)
+    for _ in range(60):
+        scale = rng.choice([1, 1, 2**70])
+        values = [Fraction(rng.randint(-40, 40) * scale,
+                           rng.choice([1, 2, 3, 4, 6, 7, 2**63 + 1]))
+                  for _ in range(rng.randint(1, 40))]
+        g = GroundSet.from_values(values)
+        assert list(g) == sorted(set(values))
+        assert g.numerators.tolist() == [v.numerator for v in g]
+        assert g.denominators.tolist() == [v.denominator for v in g]
+        assert g.height == _height(g)
+        assert (g.numerators.dtype == object) == (g.height >= 2**62)
+    empty = GroundSet.from_values([])
+    assert len(empty) == empty.height == 0
+    assert empty.numerators.size == empty.denominators.size == 0
 
 
 def test_graph_edges_deduped_and_sorted():
@@ -75,7 +92,6 @@ def test_degrees_and_transpose():
     t = g.transpose()
     assert t.left is g.right and t.right is g.left
     assert t.edge_array.tolist() == [[0, 0], [1, 0], [1, 2]]
-    assert g.neighbourhoods() == {0: [0, 1], 2: [1]}
 
 
 def test_restricted_ops_empty_graph():
@@ -84,6 +100,9 @@ def test_restricted_ops_empty_graph():
     g = BipartiteGraph(A, B, [])
     assert shifted_restricted_ratio_set(g, Fraction(0), Fraction(0)) == frozenset()
     assert neighbourhood_square_sum(g) == 0
+    empty = GroundSet([])
+    g = BipartiteGraph(empty, empty, [])
+    assert shifted_restricted_ratio_set(g, 2**70, Fraction(1, 2**70)) == frozenset()
 
 
 def test_restricted_ops_complete_graph_example():

@@ -132,23 +132,32 @@ def test_rich_points_monotone_under_added_pencil():
         assert rich_points(bigger).points <= rich_points(cfg).points
 
 
+def _oracle_check(cfg):
+    """The oracle's rich set is the points plus the excluded centres, and
+    the excluded centres are exactly its centres."""
+    rep = rich_points(cfg)
+    want = rich_points_bruteforce([[l.coeffs for l in pc.lines]
+                                   for pc in cfg.pencils])
+    excluded = {c.coords for c in rep.excluded_centres}
+    assert {p.coords for p in rep.points} | excluded == want
+    assert excluded == want & {pc.centre.coords for pc in cfg.pencils}
+    return rep
+
+
 def test_rich_points_matches_bruteforce():
     rng = random.Random(42)
     for _ in range(25):
-        cfg = _random_config(rng)
-        rep = rich_points(cfg)
-        got = {p.coords for p in rep.points}
-        got |= {c.coords for c in rep.excluded_centres}
-        lines = [[l.coeffs for l in pc.lines] for pc in cfg.pencils]
-        assert got == rich_points_bruteforce(lines)
-
-
-def _oracle_check(cfg):
-    rep = rich_points(cfg)
-    got = {p.coords for p in rep.points} | {c.coords for c in rep.excluded_centres}
-    assert got == rich_points_bruteforce([[l.coeffs for l in pc.lines]
-                                          for pc in cfg.pencils])
-    return rep
+        _oracle_check(_random_config(rng))
+    # (2, 2) is an excluded centre: of a rest pencil, then of the smallest,
+    # seed, pencil
+    rest = PencilConfig([_pencil(0, 0, [(1, 1), (1, 2)]),
+                         _pencil(4, 0, [(2, 2), (4, 1)]),
+                         _pencil(2, 2, [(3, 3), (2, 0)])])
+    seed = PencilConfig([_pencil(0, 0, [(1, 1), (1, 2)]),
+                         _pencil(4, 0, [(2, 2), (4, 1)]),
+                         _pencil(2, 2, [(2, 0)])])
+    for cfg in (rest, seed):
+        assert _oracle_check(cfg).excluded_centres == (ProjPoint.from_affine(2, 2),)
 
 
 def test_rich_points_big_coefficients_match_bruteforce():
