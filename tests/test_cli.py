@@ -273,12 +273,26 @@ def test_golden_outputs(capsys, monkeypatch, tmp_path):
     assert _sha(stdout_of(["verify-lemma", "--construction", "symmetric",
                            "--n", "64", "--centres", '[["0","-1"],["1","-1"]]'])) == (
         "e85c5cdc2330d4859dd14f640152372f28d9d110298858a7e0edc185e2384b19")
-    csv = stdout_of(["sweep", "--construction", "symmetric", "--n", "16,64,256",
-                     "--format", "csv"])
-    # wall_time_ms, the last column, is the one field that varies by run
-    exact = "".join(",".join(line.split(",")[:7]) + "\n" for line in csv.splitlines())
-    assert _sha(exact) == (
+
+    def sweep_sha(*argv):
+        csv = stdout_of(["sweep", *argv, "--format", "csv"])
+        # wall_time_ms, the last column, is the one field that varies by run
+        return _sha("".join(",".join(line.split(",")[:7]) + "\n"
+                            for line in csv.splitlines()))
+
+    assert sweep_sha("--construction", "symmetric", "--n", "16,64,256") == (
         "7b60290f74ac76f01c95cfd0939a68cfa1175c1bcc703ba2d9e32eee3a5e53d1")
+    # farey-shift without --centres uses the four standard centres
+    assert sweep_sha("--construction", "farey-shift", "--n", "256,1024",
+                     "--d", "43/1000") == (
+        "13164012475d9438d06552ec5c946e83965c5e83a5cb0a8d16f52b279ab12f96")
+    assert sweep_sha("--construction", "grid-footnote", "--n", "2,3,5,10") == (
+        "0a0ef822131c36b5ab504550ecf78cd9bf1ae336ea1b6fe5f7606b0885ab6aae")
+    assert sweep_sha("--construction", "m-pencil", "--m", "4", "--n", "16,64") == (
+        "e6750efb3d8476a5b52fd0e77115f9a3655fb39190c0ad63150ea68d53eaf403")
+    assert sweep_sha("--construction", "symmetric", "--n", "16,64", "--centres",
+                     '[["0","0"],["-1","0"],["-2","0"],["0","1","0"]]') == (
+        "48a8c396ccd389861499e65b04aba347f1130f04b4064ecb0a9eabfc6ea26845")
     assert _sha(stdout_of(["construct", "--construction", "m-pencil", "--m", "4",
                            "--n", "64"])) == (
         "85fe5321850fceddfdeff803cee0d64e604fd5327ba3ec18c3dbfbf88cf26b5c")

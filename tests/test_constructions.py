@@ -208,8 +208,25 @@ def test_standard_shift_centres():
     assert len(set(centres)) == 4
 
 
+def _three_collinear_by_slopes(coords) -> bool:
+    """O(m^2): some three points are collinear iff, from some point, two
+    later points (in sorted order) lie in the same reduced direction."""
+    pts = sorted(coords)
+    for k, (x0, y0) in enumerate(pts):
+        seen = set()
+        for x1, y1 in pts[k + 1:]:
+            dx, dy = x1 - x0, y1 - y0
+            g = math.gcd(dx, dy)
+            if (dx // g, dy // g) in seen:
+                return True
+            seen.add((dx // g, dy // g))
+    return False
+
+
 def test_general_position_centers_postconditions():
-    for m in range(1, 13):
+    # 1001 lies above the size up to which the package once re-checked
+    # the property itself
+    for m in (*range(1, 13), 1001):
         pts = general_position_centers(m)
         assert len(set(pts)) == m
         coords = []
@@ -217,9 +234,10 @@ def test_general_position_centers_postconditions():
             x, y = p.to_affine()
             assert x.denominator == 1 and y.denominator == 1
             assert 0 <= x <= 2 * m and 0 <= y <= 2 * m
-            coords.append((int(x), int(y), 1))
-        if m >= 3:
-            assert not collinear_bruteforce(coords)
+            coords.append((int(x), int(y)))
+        assert not _three_collinear_by_slopes(coords)
+        if 3 <= m <= 12:
+            assert not collinear_bruteforce([(x, y, 1) for x, y in coords])
 
 
 def test_general_position_centers_large():

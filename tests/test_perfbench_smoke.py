@@ -1,0 +1,25 @@
+"""The four perfbench workloads at size tiny, untraced, in this process.
+
+A change under src/ that breaks the benchmark's calls or its exact
+outputs fails here, not only when the benchmark itself is run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import worker  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_tiny_workload_outputs_are_exact(name, tmp_path):
+    wl = WORKLOADS[name]
+    inp = wl.setup("tiny", 42, tmp_path)
+    ops = wl.run(inp, None)
+    if hasattr(wl, "finish"):
+        wl.finish(inp, ops)
+    assert worker.check(ops, wl.expected(inp, False)) == []
