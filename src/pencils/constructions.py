@@ -236,42 +236,19 @@ def _least_prime_at_least(m: int) -> int:
     return p
 
 
-def _no_three_collinear(coords: list[tuple[int, int]]) -> bool:
-    """Slope-hash sweep: equivalent to testing all triples, but O(m^2)."""
-    pts = sorted(coords)
-    for k, (x0, y0) in enumerate(pts):
-        seen = set()
-        for x1, y1 in pts[k + 1:]:
-            dx, dy = x1 - x0, y1 - y0
-            g = math.gcd(dx, dy)
-            key = (dx // g, dy // g)
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
-
-
-# Exhaustive verification is skipped above this size; for larger m the
-# parabola argument below guarantees the property outright.
-_GENERAL_POSITION_CHECK_LIMIT = 1000
-
-
 def general_position_centers(m: int) -> list[ProjPoint]:
     """m lattice points with no three collinear, coordinates in [0, 2m].
 
-    Uses the parabola {(t, t^2 mod p) : 0 <= t < m} for the least prime
-    p >= m: any three points have determinant congruent to a product of
-    nonzero differences mod p, hence nonzero.  The explicit check is kept
-    as a guard (advancing p on failure) rather than trusted blindly.
+    The parabola {(t, t^2 mod p) : 0 <= t < m} for the least prime p >= m
+    (at most 2m by Bertrand's postulate).  Three of its points have
+    determinant congruent mod p to the Vandermonde product of their
+    pairwise differences in t; each difference is nonzero and below p in
+    absolute value, so the product, and hence the determinant, is nonzero.
     """
     if m < 1:
         raise PreconditionError("need m >= 1")
     p = _least_prime_at_least(m)
-    while True:
-        coords = [(t, (t * t) % p) for t in range(m)]
-        if m > _GENERAL_POSITION_CHECK_LIMIT or _no_three_collinear(coords):
-            return [ProjPoint.from_affine(x, y) for x, y in coords]
-        p = _least_prime_at_least(p + 1)
+    return [ProjPoint.from_affine(t, t * t % p) for t in range(m)]
 
 
 def standard_shift_centres() -> list[ProjPoint]:

@@ -104,7 +104,10 @@ class BipartiteGraph:
     """Explicit edge set E(G) over two indexed ground sets.
 
     The edge array is sorted lexicographically and deduplicated, so two
-    graphs with the same edges compare and serialize identically.
+    graphs with the same edges compare and serialize identically.  Edge
+    indices are exact ints (an integer dtype for arrays) inside the ground
+    sets, checked before the uint32 cast, which would truncate 0.5, read
+    True as 1 and wrap or overflow on an index outside [0, 2^32).
     """
 
     __slots__ = ("left", "right", "edge_array")
@@ -112,15 +115,17 @@ class BipartiteGraph:
     def __init__(self, left: GroundSet, right: GroundSet, edges):
         self.left = left
         self.right = right
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.uint32)
+        arr = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=object)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be (i, j) index pairs")
-        if arr.size:
-            if int(arr[:, 0].max()) >= len(left) or int(arr[:, 1].max()) >= len(right):
-                raise ValueError("edge index out of range")
+        exact = (all(type(v) is int for v in arr.flat) if arr.dtype == object
+                 else arr.dtype.kind in "iu")
+        if arr.size and not (exact and arr.min() >= 0 and arr[:, 0].max() < len(left)
+                             and arr[:, 1].max() < len(right)):
+            raise ValueError("edge index out of range or not an integer")
+        arr = arr.astype(np.uint32, copy=False)
         packed = arr[:, 0].astype(np.uint64) << np.uint64(32) | arr[:, 1].astype(np.uint64)
         packed = _distinct(packed)
         out = np.empty((packed.size, 2), dtype=np.uint32)

@@ -118,13 +118,7 @@ def graph_construction_from_json(obj) -> GraphConstruction:
     # element order must be preserved exactly: edges index into it
     left = GroundSet(exact_from_json(a, Fraction) for a in obj["A"])
     right = GroundSet(exact_from_json(b, Fraction) for b in obj["B"])
-    edges = obj["edges"]
-    # the uint32 cast in BipartiteGraph would truncate a fractional index,
-    # read true as 1, and wrap or overflow on one outside [0, 2^32)
-    if not all(type(i) is int and type(j) is int
-               and 0 <= i < len(left) and 0 <= j < len(right) for i, j in edges):
-        raise ValueError("edge index out of range or not an integer")
-    graph = BipartiteGraph(left, right, edges)
+    graph = BipartiteGraph(left, right, obj["edges"])
     return GraphConstruction(graph, exact_from_json(obj["n"]),
                              exact_from_json(obj["d"], Fraction),
                              obj.get("label", ""))

@@ -49,64 +49,45 @@ class SweepRow:
     wall_time_ms: int
 
 
-def _centre_ratio_sizes(graph, centres) -> tuple:
-    """|(A - x)/_G(B - y)| per affine centre (x, y); infinite centres have
-    no ratio set and are skipped."""
-    sizes = []
-    for centre in centres:
-        if centre.is_infinite:
-            continue
-        x, y = centre.to_affine()
-        sizes.append(len(shifted_restricted_ratio_set(graph, -x, -y)))
-    return tuple(sizes)
-
-
-def _compute_row(args) -> SweepRow:
-    construction, n, d, centres, m = args
+def _compute_row(construction, n, d, centres, m) -> SweepRow:
+    """Build the family's graph and/or pencil config, count its rich points
+    when there is a config, and size one ratio set per affine centre, or
+    the one at (0, 0) for the symmetric family."""
     start = time.perf_counter()
-    if construction == "farey-shift":
+    built = config = None
+    if construction == "grid-footnote":
+        config = build_grid_footnote_config(n)
+    elif construction == "farey-shift":
         built = build_farey_shift_construction(n, d)
-        used_centres = centres if centres is not None else standard_shift_centres()
-        report = rich_points(pencils_from_graph(built, used_centres))
-        edge_count = built.edge_count
-        ratio_sizes = _centre_ratio_sizes(built.graph, used_centres)
-        rich_count, pencil_sizes = report.count, report.pencil_sizes
-    elif construction == "symmetric":
+        if centres is None:
+            centres = standard_shift_centres()
+    else:
         built = build_symmetric_farey_construction(n)
-        edge_count = built.edge_count
-        ratio_sizes = (len(shifted_restricted_ratio_set(built.graph, 0, 0)),)
-        if centres is not None:
-            report = rich_points(pencils_from_graph(built, centres))
-            rich_count, pencil_sizes = report.count, report.pencil_sizes
-        else:
-            rich_count, pencil_sizes = 0, ()
-    elif construction == "grid-footnote":
-        report = rich_points(build_grid_footnote_config(n))
-        # the covered grid plays the edge-point role for this family
-        edge_count = n * n
-        ratio_sizes = ()
-        rich_count, pencil_sizes = report.count, report.pencil_sizes
-    elif construction == "m-pencil":
+    if construction == "m-pencil":
         if m is None:
             raise ValueError("m-pencil sweep needs m")
-        built = build_symmetric_farey_construction(n)
         config = _m_pencil_config(m, built)
-        report = rich_points(config)
-        edge_count = built.edge_count
-        ratio_sizes = _centre_ratio_sizes(
-            built.graph, [pc.centre for pc in config.pencils])
-        rich_count, pencil_sizes = report.count, report.pencil_sizes
+    elif built is not None and centres is not None:
+        config = pencils_from_graph(built, centres)
+    report = rich_points(config) if config is not None else None
+    if construction == "symmetric":
+        shifts = [(0, 0)]
     else:
-        raise ValueError(f"unknown construction tag {construction!r}")
+        # the grid's centres all lie at infinity, so it sizes no ratio set
+        shifts = [pc.centre.to_affine() for pc in config.pencils
+                  if not pc.centre.is_infinite]
+    ratio_sizes = tuple(len(shifted_restricted_ratio_set(built.graph, -x, -y))
+                        for x, y in shifts)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepRow(
         n=n,
         d=Fraction(d),
         construction=construction,
-        edge_count=edge_count,
+        # the covered grid plays the edge-point role for grid-footnote
+        edge_count=n * n if built is None else built.edge_count,
         ratio_set_sizes=ratio_sizes,
-        rich_count=rich_count,
-        pencil_sizes=pencil_sizes,
+        rich_count=0 if report is None else report.count,
+        pencil_sizes=() if report is None else report.pencil_sizes,
         wall_time_ms=elapsed_ms,
     )
 
@@ -129,8 +110,8 @@ def sweep(construction: str, n_values, d=0, centres=None, m=None,
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(threads, len(jobs))) as pool:
-            return pool.map(_compute_row, jobs)
-    return [_compute_row(job) for job in jobs]
+            return pool.starmap(_compute_row, jobs)
+    return [_compute_row(*job) for job in jobs]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pencils.errors import PreconditionError, ZeroDenominator
@@ -67,10 +68,18 @@ def test_graph_edges_deduped_and_sorted():
 
 
 def test_graph_rejects_out_of_range_edges():
-    A = GroundSet.from_values([Fraction(0)])
-    B = GroundSet.from_values([Fraction(0)])
-    with pytest.raises(ValueError):
-        BipartiteGraph(A, B, [(0, 1)])
+    """Also indices that are not exact ints: the uint32 cast would read
+    (0.5, 1.9) as (0, 1) and True as 1, and overflow on -1 and 2^32."""
+    A = GroundSet.from_values([Fraction(0), Fraction(1)])
+    B = GroundSet.from_values([Fraction(0), Fraction(1)])
+    bad = ([(0, 2)], [(0.5, 1.9)], [(0, True)], [(0, -1)], [(2**32, 0)],
+           np.array([[0.5, 1.9]]), np.array([[False, True]]),
+           np.array([[0, -1]]), np.array([[2**32, 0]]))
+    for edges in bad:
+        with pytest.raises(ValueError, match="edge index out of range or not an integer"):
+            BipartiteGraph(A, B, edges)
+    for edges in ([(1, 1), (0, 1)], np.array([[1, 1], [0, 1]], dtype=np.int64)):
+        assert BipartiteGraph(A, B, edges).edge_array.tolist() == [[0, 1], [1, 1]]
 
 
 def test_graph_dedup_matches_sort_dedup_oracle():
