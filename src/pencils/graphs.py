@@ -104,10 +104,9 @@ class BipartiteGraph:
     """Explicit edge set E(G) over two indexed ground sets.
 
     The edge array is sorted lexicographically and deduplicated, so two
-    graphs with the same edges compare and serialize identically.  Edge
-    indices are exact ints (an integer dtype for arrays) inside the ground
-    sets, checked before the uint32 cast, which would truncate 0.5, read
-    True as 1 and wrap or overflow on an index outside [0, 2^32).
+    graphs with the same edges compare and serialize identically.  Indices
+    must be exact ints (or an integer dtype) inside the ground sets, checked
+    before the uint32 cast, which would truncate 0.5 and read True as 1.
     """
 
     __slots__ = ("left", "right", "edge_array")
@@ -115,13 +114,16 @@ class BipartiteGraph:
     def __init__(self, left: GroundSet, right: GroundSet, edges):
         self.left = left
         self.right = right
-        arr = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=object)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        arr = np.asarray(edges)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be (i, j) index pairs")
-        exact = (all(type(v) is int for v in arr.flat) if arr.dtype == object
-                 else arr.dtype.kind in "iu")
+        # numpy reads a bool among ints as an int, so a list is checked per entry
+        exact = arr.dtype.kind in "iu" and (isinstance(edges, np.ndarray) or all(
+            type(v) is int for pair in edges for v in pair))
         if arr.size and not (exact and arr.min() >= 0 and arr[:, 0].max() < len(left)
                              and arr[:, 1].max() < len(right)):
             raise ValueError("edge index out of range or not an integer")

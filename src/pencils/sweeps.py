@@ -64,8 +64,6 @@ def _compute_row(construction, n, d, centres, m) -> SweepRow:
     else:
         built = build_symmetric_farey_construction(n)
     if construction == "m-pencil":
-        if m is None:
-            raise ValueError("m-pencil sweep needs m")
         config = _m_pencil_config(m, built)
     elif built is not None and centres is not None:
         config = pencils_from_graph(built, centres)
@@ -101,6 +99,8 @@ def sweep(construction: str, n_values, d=0, centres=None, m=None,
     """
     if construction not in CONSTRUCTION_TAGS:
         raise ValueError(f"unknown construction tag {construction!r}")
+    if construction == "m-pencil" and m is None:
+        raise ValueError("m-pencil sweep needs m")
     n_values = [int(n) for n in n_values]
     if n_values != sorted(n_values):
         raise ValueError("n_values must be sorted ascending")
