@@ -16,18 +16,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
-from .constructions import (
-    build_farey_shift_construction,
-    build_grid_footnote_config,
-    build_m_pencil_config,
-    build_symmetric_farey_construction,
-    pencils_from_graph,
-)
+from .constructions import CONSTRUCTION_TAGS, build
 from .errors import PreconditionError
 from .incidence import verify_lemma_chain
 from .projective import ProjPoint
 from .richpoints import rich_points
-from .sweeps import CONSTRUCTION_TAGS, fit_exponent, sweep
+from .sweeps import fit_exponent, sweep
 
 __all__ = ["main"]
 
@@ -68,32 +62,15 @@ def _load_centres(raw: str) -> list[ProjPoint]:
     return centres
 
 
-def _build_graph_construction(args):
-    d = Fraction(args.d)
-    if args.construction == "farey-shift":
-        return build_farey_shift_construction(int(args.n), d)
-    if args.construction == "symmetric":
-        return build_symmetric_farey_construction(int(args.n))
-    raise ValueError(f"{args.construction} is not a graph construction")
-
-
 def _cmd_construct(args) -> int:
-    n = int(args.n)
     centres = _load_centres(args.centres) if args.centres else None
-    if args.construction == "grid-footnote":
-        payload = serialize.pencil_config_to_json(build_grid_footnote_config(n))
-    elif args.construction == "m-pencil":
-        if args.m is None:
-            raise PreconditionError("m-pencil needs --m")
-        payload = serialize.pencil_config_to_json(build_m_pencil_config(int(args.m), n))
-    else:
-        built = _build_graph_construction(args)
+    built, config = build(args.construction, int(args.n), Fraction(args.d),
+                          args.m, centres)
+    if built is not None:
         print(f"{built!r}", file=sys.stderr)
-        if centres is not None:
-            payload = serialize.pencil_config_to_json(
-                pencils_from_graph(built, centres))
-        else:
-            payload = serialize.graph_construction_to_json(built)
+    payload = (serialize.graph_construction_to_json(built) if config is None
+               else serialize.pencil_config_to_json(config))
+    del built, config  # freed before the JSON text, the step that peaks in memory
     _write_output(serialize.dumps(payload), args.out)
     return 0
 
@@ -104,14 +81,10 @@ def _cmd_rich_points(args) -> int:
     report = rich_points(config)
     elapsed = time.perf_counter() - start
     print(f"rich points: {report.count} in {elapsed:.2f}s", file=sys.stderr)
-    summary = serialize.rich_report_summary_csv(report)
-    if args.out is None:
-        # keep stdout parseable JSON; the one-line summary goes to stderr
-        _write_output(serialize.dumps(serialize.rich_report_to_json(report)), None)
-        print(summary, file=sys.stderr)
-    else:
-        _write_output(serialize.dumps(serialize.rich_report_to_json(report)), args.out)
-        print(summary)
+    _write_output(serialize.dumps(serialize.rich_report_to_json(report)), args.out)
+    # the one-line summary stays off stdout when stdout carries the JSON
+    print(serialize.rich_report_summary_csv(report),
+          file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
 
@@ -120,7 +93,7 @@ def _cmd_verify_lemma(args) -> int:
         construction = serialize.graph_construction_from_json(
             json.loads(_read_text(args.graph)))
     else:
-        construction = _build_graph_construction(args)
+        construction = build(args.construction, int(args.n), Fraction(args.d))[0]
     centres = _load_centres(args.centres)
     if len(centres) != 2:
         raise PreconditionError("verify-lemma needs exactly 2 centres")
@@ -141,7 +114,7 @@ def _cmd_sweep(args) -> int:
     centres = _load_centres(args.centres) if args.centres else None
     start = time.perf_counter()
     rows = sweep(args.construction, n_values, d=Fraction(args.d),
-                 centres=centres, m=args.m, threads=args.threads)
+                 centres=centres, m=args.m)
     print(f"swept {len(rows)} rows in {time.perf_counter() - start:.2f}s",
           file=sys.stderr)
     if args.format == "csv":
@@ -174,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--m", type=int, help="pencil count for m-pencil")
     con.add_argument("--centres",
                      help="inline JSON or @file; turns a graph construction "
-                          "into a pencil config")
+                          "(farey-shift, symmetric) into a pencil config")
     con.add_argument("--out")
     con.set_defaults(func=_cmd_construct)
 
@@ -203,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--d", default="0")
     sw.add_argument("--m", type=int)
     sw.add_argument("--centres")
-    sw.add_argument("--threads", type=int, default=1)
     sw.add_argument("--format", choices=("json", "csv"), default="json")
     sw.add_argument("--out")
     sw.set_defaults(func=_cmd_sweep)

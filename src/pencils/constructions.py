@@ -26,6 +26,8 @@ from .projective import (
 )
 
 __all__ = [
+    "CONSTRUCTION_TAGS",
+    "build",
     "Pencil",
     "PencilConfig",
     "GraphConstruction",
@@ -307,24 +309,7 @@ def build_m_pencil_config(m: int, n: int) -> PencilConfig:
     Slopes from centre (-x, -y) to edge points are (k + yj)/(i + xj) with
     i, j, k <= isqrt(n), so each pencil has at most (1+x)(1+y)n lines.
     """
-    return _m_pencil_config(m, build_symmetric_farey_construction(n))
-
-
-def _m_pencil_config(m: int, construction: GraphConstruction) -> PencilConfig:
-    """build_m_pencil_config over an already built symmetric construction."""
-    n = construction.n
-    base = general_position_centers(m)
-    centres = []
-    shifts = []
-    for pt in base:
-        x, y = pt.to_affine()
-        shifts.append((x, y))
-        centres.append(ProjPoint.from_affine(-x, -y))
-    config = pencils_from_graph(construction, centres,
-                                label=f"m-pencil(m={m},n={n})")
-    for pencil, (x, y) in zip(config.pencils, shifts):
-        assert pencil.size <= (1 + x) * (1 + y) * n
-    return config
+    return build("m-pencil", n, m=m)[1]
 
 
 def build_grid_footnote_config(n: int) -> PencilConfig:
@@ -353,3 +338,35 @@ def build_grid_footnote_config(n: int) -> PencilConfig:
     )
     return PencilConfig([horizontals, verticals, diag_up, diag_down],
                         label=f"grid-footnote(n={n})")
+
+
+# ---------------------------------------------------------------------------
+# family dispatch
+
+CONSTRUCTION_TAGS = ("farey-shift", "symmetric", "grid-footnote", "m-pencil")
+
+
+def build(construction: str, n: int, d=0, m=None, centres=None):
+    """(GraphConstruction or None, PencilConfig or None) for a family tag.
+
+    farey-shift (exponent d) and symmetric give their graph, realized as
+    pencils when centres are given; grid-footnote gives only its config;
+    m-pencil gives the symmetric graph and build_m_pencil_config's pencils.
+    m is for m-pencil alone, and the last two families take no centres.
+    """
+    if construction not in CONSTRUCTION_TAGS:
+        raise ValueError(f"unknown construction tag {construction!r}")
+    if (m is None) == (construction == "m-pencil"):
+        raise ValueError("m-pencil needs m" if m is None
+                         else f"m applies only to m-pencil, not {construction}")
+    if centres is not None and construction in ("grid-footnote", "m-pencil"):
+        raise ValueError(f"{construction} places its own centres")
+    if construction == "grid-footnote":
+        return None, build_grid_footnote_config(n)
+    built = (build_farey_shift_construction(n, d) if construction == "farey-shift"
+             else build_symmetric_farey_construction(n))
+    if construction == "m-pencil":
+        centres = [ProjPoint.from_affine(-x, -y)
+                   for x, y in map(ProjPoint.to_affine, general_position_centers(m))]
+        return built, pencils_from_graph(built, centres, f"m-pencil(m={m},n={n})")
+    return built, None if centres is None else pencils_from_graph(built, centres)

@@ -87,11 +87,21 @@ def pencil_config_to_json(config: PencilConfig) -> dict:
     }
 
 
-def _required(obj, key):
+def _required(obj, key) -> list:
     try:
-        return obj[key]
+        value = obj[key]
     except (KeyError, TypeError):
-        raise ValueError(f"pencil config entry has no {key!r}") from None
+        raise ValueError(f"JSON object has no {key!r}") from None
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _label(obj) -> str:
+    label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"label {label!r} is not a string")
+    return label
 
 
 def pencil_config_from_json(obj) -> PencilConfig:
@@ -100,7 +110,7 @@ def pencil_config_from_json(obj) -> PencilConfig:
                (line_from_json(l) for l in _required(entry, "lines")))
         for entry in _required(obj, "pencils")
     ]
-    return PencilConfig(pencils, label=obj.get("label", ""))
+    return PencilConfig(pencils, label=_label(obj))
 
 
 def graph_construction_to_json(c: GraphConstruction) -> dict:
@@ -116,12 +126,12 @@ def graph_construction_to_json(c: GraphConstruction) -> dict:
 
 def graph_construction_from_json(obj) -> GraphConstruction:
     # element order must be preserved exactly: edges index into it
-    left = GroundSet(exact_from_json(a, Fraction) for a in obj["A"])
-    right = GroundSet(exact_from_json(b, Fraction) for b in obj["B"])
-    graph = BipartiteGraph(left, right, obj["edges"])
-    return GraphConstruction(graph, exact_from_json(obj["n"]),
-                             exact_from_json(obj["d"], Fraction),
-                             obj.get("label", ""))
+    left = GroundSet(exact_from_json(a, Fraction) for a in _required(obj, "A"))
+    right = GroundSet(exact_from_json(b, Fraction) for b in _required(obj, "B"))
+    graph = BipartiteGraph(left, right, _required(obj, "edges"))
+    # a missing n or d reads as None, which exact_from_json rejects
+    return GraphConstruction(graph, exact_from_json(obj.get("n")),
+                             exact_from_json(obj.get("d"), Fraction), _label(obj))
 
 
 def rich_report_to_json(report: RichPointReport) -> dict:

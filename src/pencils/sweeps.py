@@ -12,14 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import (
-    build_farey_shift_construction,
-    build_grid_footnote_config,
-    build_symmetric_farey_construction,
-    pencils_from_graph,
-    standard_shift_centres,
-    _m_pencil_config,
-)
+from .constructions import build, standard_shift_centres
 from .errors import PreconditionError
 from .graphs import shifted_restricted_ratio_set
 from .richpoints import rich_points
@@ -27,15 +20,11 @@ from .richpoints import rich_points
 __all__ = [
     "SweepRow",
     "ExponentFit",
-    "CONSTRUCTION_TAGS",
     "sweep",
     "fit_exponent",
     "fitted_ceiling_violations",
     "tracking_ratios",
 ]
-
-CONSTRUCTION_TAGS = ("farey-shift", "symmetric", "grid-footnote", "m-pencil")
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -50,30 +39,17 @@ class SweepRow:
 
 
 def _compute_row(construction, n, d, centres, m) -> SweepRow:
-    """Build the family's graph and/or pencil config, count its rich points
-    when there is a config, and size one ratio set per affine centre, or
-    the one at (0, 0) for the symmetric family."""
+    """Build the family at n, count its rich points when it has a pencil
+    config, and size one ratio set per affine centre of the config, or the
+    one at (0, 0) when the row has no config."""
     start = time.perf_counter()
-    built = config = None
-    if construction == "grid-footnote":
-        config = build_grid_footnote_config(n)
-    elif construction == "farey-shift":
-        built = build_farey_shift_construction(n, d)
-        if centres is None:
-            centres = standard_shift_centres()
-    else:
-        built = build_symmetric_farey_construction(n)
-    if construction == "m-pencil":
-        config = _m_pencil_config(m, built)
-    elif built is not None and centres is not None:
-        config = pencils_from_graph(built, centres)
-    report = rich_points(config) if config is not None else None
-    if construction == "symmetric":
-        shifts = [(0, 0)]
-    else:
-        # the grid's centres all lie at infinity, so it sizes no ratio set
-        shifts = [pc.centre.to_affine() for pc in config.pencils
-                  if not pc.centre.is_infinite]
+    if construction == "farey-shift" and centres is None:
+        centres = standard_shift_centres()
+    built, config = build(construction, n, d, m, centres)
+    report = None if config is None else rich_points(config)
+    # the grid's centres all lie at infinity, so it sizes no ratio set
+    shifts = [(0, 0)] if config is None else [
+        pc.centre.to_affine() for pc in config.pencils if not pc.centre.is_infinite]
     ratio_sizes = tuple(len(shifted_restricted_ratio_set(built.graph, -x, -y))
                         for x, y in shifts)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -90,28 +66,13 @@ def _compute_row(construction, n, d, centres, m) -> SweepRow:
     )
 
 
-def sweep(construction: str, n_values, d=0, centres=None, m=None,
-          threads: int = 1) -> list[SweepRow]:
-    """One exactly-computed row per n, in ascending n order.
-
-    Rows are independent, so threads > 1 farms them out to worker
-    processes; every column except wall_time_ms is deterministic.
-    """
-    if construction not in CONSTRUCTION_TAGS:
-        raise ValueError(f"unknown construction tag {construction!r}")
-    if construction == "m-pencil" and m is None:
-        raise ValueError("m-pencil sweep needs m")
+def sweep(construction: str, n_values, d=0, centres=None, m=None) -> list[SweepRow]:
+    """One exactly-computed row per n, in ascending n order; every column
+    except wall_time_ms is deterministic."""
     n_values = [int(n) for n in n_values]
     if n_values != sorted(n_values):
         raise ValueError("n_values must be sorted ascending")
-    jobs = [(construction, n, Fraction(d), centres, m) for n in n_values]
-    if threads > 1 and len(jobs) > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(threads, len(jobs))) as pool:
-            return pool.starmap(_compute_row, jobs)
-    return [_compute_row(*job) for job in jobs]
+    return [_compute_row(construction, n, Fraction(d), centres, m) for n in n_values]
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,16 @@ def test_construct_m_pencil_requires_m(capsys):
     assert len(obj["pencils"]) == 4
 
 
+def test_centres_rejected_for_families_that_place_their_own(capsys):
+    centres = '[["0","-1"],["1","-1"]]'
+    for command in ("construct", "sweep"):
+        for family in (["grid-footnote"], ["m-pencil", "--m", "4"]):
+            capsys.readouterr()
+            assert main([command, "--construction", *family, "--n", "16",
+                         "--centres", centres]) == 2
+            assert "places its own centres" in capsys.readouterr().err
+
+
 def test_construct_domain_guard_exit_code(capsys):
     assert main(["construct", "--construction", "farey-shift", "--n", "3"]) == 2
     capsys.readouterr()
@@ -111,6 +121,33 @@ def test_rich_points_rejects_config_without_key(capsys, tmp_path):
         err = capsys.readouterr().err
         assert repr(bad) in err
         assert "Traceback" not in err
+
+
+_GRAPH = {"label": "g", "n": 4, "d": "0", "A": ["1"], "B": ["1"], "edges": [[0, 0]]}
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("rich-points", {"pencils": 5}),
+    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": 7}]}),
+    ("rich-points", {"pencils": [{"centre": 3, "lines": []}]}),
+    ("rich-points", {"label": ["x"], "pencils": []}),
+    ("verify-lemma", {}),
+    ("verify-lemma", []),
+    ("verify-lemma", {**_GRAPH, "A": 5}),
+    ("verify-lemma", {**_GRAPH, "edges": 5}),
+    ("verify-lemma", {**_GRAPH, "label": ["x"]}),
+    ("verify-lemma", {k: v for k, v in _GRAPH.items() if k != "n"}),
+])
+def test_malformed_json_shapes_exit_2(capsys, tmp_path, command, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    argv = (["rich-points", "--config", str(path)] if command == "rich-points"
+            else ["verify-lemma", "--graph", str(path),
+                  "--centres", '[["0","-1"],["1","-1"]]'])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err
+    assert "Traceback" not in err
 
 
 def test_verify_lemma_ok(capsys, tmp_path):
@@ -292,14 +329,15 @@ def test_golden_outputs(capsys, monkeypatch, tmp_path):
         "e6750efb3d8476a5b52fd0e77115f9a3655fb39190c0ad63150ea68d53eaf403")
     assert sweep_sha("--construction", "symmetric", "--n", "16,64", "--centres",
                      '[["0","0"],["-1","0"],["-2","0"],["0","1","0"]]') == (
-        "48a8c396ccd389861499e65b04aba347f1130f04b4064ecb0a9eabfc6ea26845")
+        "5fe97477d61197768e663ae2a1853cf383b16ff73248a1595539ef0da3268bb8")
     assert _sha(stdout_of(["construct", "--construction", "m-pencil", "--m", "4",
                            "--n", "64"])) == (
         "85fe5321850fceddfdeff803cee0d64e604fd5327ba3ec18c3dbfbf88cf26b5c")
 
 
 def test_import_defers_mpmath_and_multiprocessing():
-    """Both load only on the paths that use them (d > 0, threads > 1)."""
+    """mpmath loads only on the path that uses it (d > 0); nothing in the
+    package imports multiprocessing."""
     code = ("import sys, pencils; "
             "print(sorted({'mpmath', 'multiprocessing'} & set(sys.modules)))")
     src = str(Path(cli.__file__).parents[1])
@@ -308,3 +346,16 @@ def test_import_defers_mpmath_and_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_public_names_resolve():
+    """Every name in each module's __all__ exists, so `from pencils.<module>
+    import *` works; importing each module also resolves every name the
+    package root imports."""
+    import importlib
+
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        name = "pencils" if path.stem == "__init__" else f"pencils.{path.stem}"
+        module = importlib.import_module(name)
+        for public in getattr(module, "__all__", ()):
+            assert hasattr(module, public), f"{name}.__all__ names missing {public}"

@@ -10,6 +10,7 @@ from pencils.constructions import (
     GraphConstruction,
     Pencil,
     PencilConfig,
+    build,
     build_farey_shift_construction,
     build_grid_footnote_config,
     build_m_pencil_config,
@@ -254,9 +255,44 @@ def test_m_pencil_config_shape():
         x, y = pencil.centre.to_affine()
         assert x <= 0 and y <= 0  # negated lattice centres dodge the point set
         assert pencil.centre not in points
+        # the slope bound of the docstring, for the centre (x, y) = (-x', -y')
+        assert pencil.size <= (1 - x) * (1 - y) * 64
         # every edge point is covered by some line of this pencil
         for p in points:
             assert any(l.contains(p) for l in pencil.lines)
+
+
+def test_build_dispatches_every_family():
+    centres = standard_shift_centres()
+    for tag in ("farey-shift", "symmetric"):
+        built, config = build(tag, 64)
+        assert isinstance(built, GraphConstruction) and config is None
+        built, config = build(tag, 64, centres=centres)
+        assert config.sizes() == pencils_from_graph(built, centres).sizes()
+    built, config = build("grid-footnote", 5)
+    assert built is None and config.sizes() == build_grid_footnote_config(5).sizes()
+    built, config = build("m-pencil", 64, m=4)
+    assert built.edge_count == build_symmetric_farey_construction(64).edge_count
+    negated = [ProjPoint.from_affine(-x, -y)
+               for x, y in (p.to_affine() for p in general_position_centers(4))]
+    assert [pc.centre for pc in config.pencils] == negated
+    assert config.sizes() == pencils_from_graph(built, negated).sizes()
+    assert config.label == "m-pencil(m=4,n=64)"
+
+
+def test_build_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="unknown construction tag"):
+        build("no-such-construction", 16)
+    with pytest.raises(ValueError, match="m-pencil needs m"):
+        build("m-pencil", 16)
+    for tag in ("farey-shift", "symmetric", "grid-footnote"):
+        with pytest.raises(ValueError, match="m applies only to m-pencil"):
+            build(tag, 16, m=4)
+    centres = [ProjPoint.from_affine(0, -1)]
+    with pytest.raises(ValueError, match="places its own centres"):
+        build("grid-footnote", 16, centres=centres)
+    with pytest.raises(ValueError, match="places its own centres"):
+        build("m-pencil", 16, m=4, centres=centres)
 
 
 def test_grid_footnote_shape():

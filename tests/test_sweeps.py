@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from pencils.constructions import CONSTRUCTION_TAGS, standard_shift_centres
 from pencils.errors import PreconditionError
 from pencils.sweeps import (
-    CONSTRUCTION_TAGS,
     SweepRow,
     fit_exponent,
     fitted_ceiling_violations,
@@ -89,6 +89,9 @@ def test_sweep_symmetric_rows():
         assert r.rich_count == 0 and r.pencil_sizes == ()
         assert r.ratio_set_sizes and all(s > 0 for s in r.ratio_set_sizes)
         assert r.wall_time_ms >= 0
+    # with centres, one ratio set per affine centre, as for farey-shift
+    for r in sweep("symmetric", [16, 64], centres=standard_shift_centres()):
+        assert r.ratio_set_sizes == r.pencil_sizes[:3]
 
 
 def test_sweep_grid_rows():
@@ -126,13 +129,6 @@ def test_sweep_deterministic_modulo_wall_time():
     b = sweep("symmetric", [4, 16, 64])
     strip = lambda r: (r.n, r.d, r.construction, r.edge_count,
                        r.ratio_set_sizes, r.rich_count, r.pencil_sizes)
-    assert [strip(r) for r in a] == [strip(r) for r in b]
-
-
-def test_sweep_threads_match_serial():
-    a = sweep("grid-footnote", [2, 3, 5, 10])
-    b = sweep("grid-footnote", [2, 3, 5, 10], threads=2)
-    strip = lambda r: (r.n, r.edge_count, r.rich_count, r.pencil_sizes)
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
