@@ -14,6 +14,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import get_type_hints
 
 from . import serialize
 from .constructions import CONSTRUCTION_TAGS, build
@@ -21,12 +22,12 @@ from .errors import PreconditionError
 from .incidence import verify_lemma_chain
 from .projective import ProjPoint
 from .richpoints import rich_points
-from .sweeps import fit_exponent, sweep
+from .sweeps import SweepRow, fit_exponent, sweep
 
 __all__ = ["main"]
 
 # the integer SweepRow columns, the ones a log-log fit is defined on
-_FIT_FIELDS = ("n", "edge_count", "rich_count", "wall_time_ms")
+_FIT_FIELDS = tuple(k for k, t in get_type_hints(SweepRow).items() if t is int)
 
 
 def _read_text(path: str) -> str:
@@ -117,10 +118,8 @@ def _cmd_sweep(args) -> int:
                  centres=centres, m=args.m)
     print(f"swept {len(rows)} rows in {time.perf_counter() - start:.2f}s",
           file=sys.stderr)
-    if args.format == "csv":
-        _write_output(serialize.sweep_rows_to_csv(rows), args.out)
-    else:
-        _write_output(serialize.dumps(serialize.sweep_rows_to_json(rows)), args.out)
+    _write_output(serialize.sweep_rows_to_csv(rows) if args.format == "csv"
+                  else serialize.dumps(serialize.sweep_rows_to_json(rows)), args.out)
     return 0
 
 

@@ -352,10 +352,12 @@ def build(construction: str, n: int, d=0, m=None, centres=None):
     farey-shift (exponent d) and symmetric give their graph, realized as
     pencils when centres are given; grid-footnote gives only its config;
     m-pencil gives the symmetric graph and build_m_pencil_config's pencils.
-    m is for m-pencil alone, and the last two families take no centres.
+    d is for farey-shift alone, m for m-pencil alone; the last two take no centres.
     """
     if construction not in CONSTRUCTION_TAGS:
         raise ValueError(f"unknown construction tag {construction!r}")
+    if Fraction(d) != 0 and construction != "farey-shift":
+        raise ValueError(f"d applies only to farey-shift, not {construction}")
     if (m is None) == (construction == "m-pencil"):
         raise ValueError("m-pencil needs m" if m is None
                          else f"m applies only to m-pencil, not {construction}")

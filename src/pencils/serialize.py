@@ -1,17 +1,18 @@
 """Fixed JSON/CSV schemas for constructions, configs, and reports.
 
-All rationals travel as decimal or "p/q" strings and homogeneous triples
-as string triples, so nothing is ever rounded; floats appear only in the
-exponent-fit payload, which is approximate by definition.  Layouts are
-deterministic (sorted points and lines) so identical inputs produce
-byte-identical reports, wall_time_ms aside.
+Rationals travel as decimal or "p/q" strings, so nothing is rounded;
+only the approximate exponent fit carries floats.  Sweep-row and fit
+columns are the SweepRow and ExponentFit fields, written by value type
+and read by the types SweepRow declares.  Layouts are deterministic, so
+identical inputs give byte-identical reports, wall_time_ms aside.
 """
 
 from __future__ import annotations
 
-import io
 import json
+from dataclasses import fields
 from fractions import Fraction
+from typing import get_type_hints
 
 from .constructions import GraphConstruction, Pencil, PencilConfig
 from .graphs import BipartiteGraph, GroundSet
@@ -34,8 +35,8 @@ __all__ = [
     "dumps",
 ]
 
-SWEEP_CSV_HEADER = ("n,d,construction,edge_count,ratio_set_sizes,"
-                    "rich_count,pencil_sizes,wall_time_ms")
+_ROW_TYPES = get_type_hints(SweepRow)
+SWEEP_CSV_HEADER = ",".join(_ROW_TYPES)
 
 
 def dumps(obj) -> str:
@@ -176,29 +177,32 @@ def lemma_report_to_json(report: LemmaChainReport) -> dict:
     }
 
 
-def _row_to_fields(row: SweepRow) -> list[str]:
-    return [
-        str(row.n),
-        str(row.d),
-        row.construction,
-        str(row.edge_count),
-        ";".join(str(s) for s in row.ratio_set_sizes),
-        str(row.rich_count),
-        ";".join(str(s) for s in row.pencil_sizes),
-        str(row.wall_time_ms),
-    ]
+def _json_value(value):
+    if isinstance(value, tuple):
+        return list(value)
+    return str(value) if isinstance(value, Fraction) else value
+
+
+def _fields_to_json(obj) -> dict:
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _csv_cell(value) -> str:
+    return ";".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def sweep_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write(SWEEP_CSV_HEADER + "\n")
-    for row in rows:
-        buf.write(",".join(_row_to_fields(row)) + "\n")
-    return buf.getvalue()
+    lines = [",".join(map(_csv_cell, _fields_to_json(row).values())) for row in rows]
+    return "\n".join([SWEEP_CSV_HEADER, *lines]) + "\n"
 
 
 def _int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(";")) if text else ()
+
+
+# one cell parser per SweepRow column, picked by its declared type
+_CELL_PARSERS = {int: int, Fraction: Fraction, str: str, tuple: _int_list}
+_ROW_PARSERS = [_CELL_PARSERS[kind] for kind in _ROW_TYPES.values()]
 
 
 def sweep_rows_from_csv(text: str) -> list[SweepRow]:
@@ -207,42 +211,17 @@ def sweep_rows_from_csv(text: str) -> list[SweepRow]:
         raise ValueError("missing or unexpected sweep CSV header")
     rows = []
     for ln in lines[1:]:
-        n, d, tag, edges, ratios, rich, sizes, wall = ln.split(",")
-        rows.append(SweepRow(
-            n=int(n),
-            d=Fraction(d),
-            construction=tag,
-            edge_count=int(edges),
-            ratio_set_sizes=_int_list(ratios),
-            rich_count=int(rich),
-            pencil_sizes=_int_list(sizes),
-            wall_time_ms=int(wall),
-        ))
+        cells = ln.split(",")
+        if len(cells) != len(_ROW_PARSERS):
+            raise ValueError(f"sweep CSV row {ln!r} has {len(cells)} cells, "
+                             f"expected {len(_ROW_PARSERS)}")
+        rows.append(SweepRow(*(parse(c) for parse, c in zip(_ROW_PARSERS, cells))))
     return rows
 
 
 def sweep_rows_to_json(rows) -> list[dict]:
-    return [
-        {
-            "n": row.n,
-            "d": str(row.d),
-            "construction": row.construction,
-            "edge_count": row.edge_count,
-            "ratio_set_sizes": list(row.ratio_set_sizes),
-            "rich_count": row.rich_count,
-            "pencil_sizes": list(row.pencil_sizes),
-            "wall_time_ms": row.wall_time_ms,
-        }
-        for row in rows
-    ]
+    return [_fields_to_json(row) for row in rows]
 
 
 def fit_to_json(fit: ExponentFit, field: str) -> dict:
-    return {
-        "field": field,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "n_range": list(fit.n_range),
-    }
-
+    return {"field": field, **_fields_to_json(fit)}

@@ -2,7 +2,8 @@
 
 Each row is computed exactly (only wall_time_ms varies between runs); the
 fits are the one place floats are expected, since they summarize growth
-rates rather than counts.
+rates rather than counts.  SweepRow's fields are the sweep schema: the CSV
+and JSON codecs and the fittable int columns all derive from them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ __all__ = [
     "fitted_ceiling_violations",
     "tracking_ratios",
 ]
+
+_CEILING_TOLERANCE = 0.05  # fitted_ceiling_violations' 5 %
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -82,9 +86,6 @@ class ExponentFit:
     r_squared: float
     n_range: tuple
 
-    def fitted(self, n: int) -> float:
-        return math.exp(self.intercept) * n ** self.slope
-
 
 def fit_exponent(rows, field: str = "edge_count") -> ExponentFit:
     """Least-squares slope of ln(value) against ln(n)."""
@@ -112,18 +113,17 @@ def fit_exponent(rows, field: str = "edge_count") -> ExponentFit:
     )
 
 
-def fitted_ceiling_violations(rows, field: str, exponent,
-                              tolerance: float = 0.05):
+def fitted_ceiling_violations(rows, field: str, exponent):
     """Consecutive-n crossings of the running constant ceiling.
 
     value/n^exponent estimates the constant in front of a claimed power
     law; the ceiling at each n is the largest ratio fitted so far, and a
-    violation is a step that crosses it by more than the tolerance.  An
-    empty list means the tracked constant stayed monotone-bounded."""
+    violation is a step that crosses it by more than 5 %.  An empty list
+    means the tracked constant stayed monotone-bounded."""
     violations = []
     ceiling = None
     for n, ratio in tracking_ratios(rows, field, exponent):
-        if ceiling is not None and ratio > (1.0 + tolerance) * ceiling:
+        if ceiling is not None and ratio > (1.0 + _CEILING_TOLERANCE) * ceiling:
             violations.append((n, ratio, ceiling))
         ceiling = ratio if ceiling is None else max(ceiling, ratio)
     return violations

@@ -57,6 +57,18 @@ def test_centres_rejected_for_families_that_place_their_own(capsys):
             assert "places its own centres" in capsys.readouterr().err
 
 
+def test_d_rejected_for_families_other_than_farey_shift(capsys):
+    for command in ("construct", "sweep"):
+        for family in (["symmetric"], ["grid-footnote"], ["m-pencil", "--m", "4"]):
+            capsys.readouterr()
+            assert main([command, "--construction", *family, "--n", "16",
+                         "--d", "1/2"]) == 2
+            assert "d applies only to farey-shift" in capsys.readouterr().err
+    assert main(["verify-lemma", "--construction", "symmetric", "--n", "16",
+                 "--d", "1/2", "--centres", '[["0","-1"],["1","-1"]]']) == 2
+    assert "d applies only to farey-shift" in capsys.readouterr().err
+
+
 def test_construct_domain_guard_exit_code(capsys):
     assert main(["construct", "--construction", "farey-shift", "--n", "3"]) == 2
     capsys.readouterr()
@@ -274,6 +286,17 @@ def test_fit_reads_stdin(capsys, monkeypatch, tmp_path):
     assert "slope" in capsys.readouterr().out
 
 
+def test_fit_rejects_rows_with_wrong_cell_count(capsys, monkeypatch):
+    import io
+    header = ("n,d,construction,edge_count,ratio_set_sizes,rich_count,"
+              "pencil_sizes,wall_time_ms")
+    for row in ("4,0,symmetric,5,5,0,", "4,0,symmetric,5,5,0,,0,9"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\n{row}\n"))
+        assert main(["fit", "--rows", "-"]) == 2
+        err = capsys.readouterr().err
+        assert "expected 8" in err and "Traceback" not in err
+
+
 def _sha(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
@@ -312,10 +335,12 @@ def test_golden_outputs(capsys, monkeypatch, tmp_path):
         "e85c5cdc2330d4859dd14f640152372f28d9d110298858a7e0edc185e2384b19")
 
     def sweep_sha(*argv):
-        csv = stdout_of(["sweep", *argv, "--format", "csv"])
-        # wall_time_ms, the last column, is the one field that varies by run
-        return _sha("".join(",".join(line.split(",")[:7]) + "\n"
-                            for line in csv.splitlines()))
+        lines = [line.split(",") for line in
+                 stdout_of(["sweep", *argv, "--format", "csv"]).splitlines()]
+        # wall_time_ms is the one column that varies by run
+        wall = lines[0].index("wall_time_ms")
+        return _sha("".join(",".join(cells[:wall] + cells[wall + 1:]) + "\n"
+                            for cells in lines))
 
     assert sweep_sha("--construction", "symmetric", "--n", "16,64,256") == (
         "7b60290f74ac76f01c95cfd0939a68cfa1175c1bcc703ba2d9e32eee3a5e53d1")

@@ -293,6 +293,11 @@ def test_build_rejects_bad_arguments():
         build("grid-footnote", 16, centres=centres)
     with pytest.raises(ValueError, match="places its own centres"):
         build("m-pencil", 16, m=4, centres=centres)
+    for tag, m in (("symmetric", None), ("grid-footnote", None), ("m-pencil", 4)):
+        with pytest.raises(ValueError, match="d applies only to farey-shift"):
+            build(tag, 16, Fraction(1, 2), m=m)
+        for zero in (0, "0"):
+            assert build(tag, 16, zero, m=m) != (None, None)
 
 
 def test_grid_footnote_shape():

@@ -7,6 +7,7 @@ from pencils.constructions import (
     build_farey_shift_construction,
     build_grid_footnote_config,
     build_symmetric_farey_construction,
+    standard_shift_centres,
 )
 from pencils.incidence import verify_lemma_chain
 from pencils.projective import ProjLine, ProjPoint
@@ -86,15 +87,25 @@ def test_lemma_report_json():
 
 
 def test_sweep_rows_csv_roundtrip():
-    rows = sweep("farey-shift", [16, 64])
-    text = sweep_rows_to_csv(rows)
-    assert text.splitlines()[0] == SWEEP_CSV_HEADER
-    back = sweep_rows_from_csv(text)
-    assert back == rows or [
-        (r.n, r.edge_count, r.rich_count) for r in back
-    ] == [(r.n, r.edge_count, r.rich_count) for r in rows]
+    families = [
+        sweep("farey-shift", [16, 64], d=Fraction(43, 1000)),
+        sweep("symmetric", [4, 16]),
+        sweep("symmetric", [16, 64], centres=standard_shift_centres()),
+        sweep("grid-footnote", [2, 3]),
+        sweep("m-pencil", [16, 64], m=4),
+    ]
+    for rows in families:
+        text = sweep_rows_to_csv(rows)
+        assert text.splitlines()[0] == SWEEP_CSV_HEADER
+        # exact, wall_time_ms included
+        assert sweep_rows_from_csv(text) == rows
+    # empty tuple cells: no pencils without centres, no affine centre on the grid
+    assert families[1][0].pencil_sizes == families[3][0].ratio_set_sizes == ()
     with pytest.raises(ValueError):
         sweep_rows_from_csv("bogus,header\n1,2\n")
+    for row in ("4,0,symmetric,5,5,0,", "4,0,symmetric,5,5,0,,0,9"):
+        with pytest.raises(ValueError, match="expected 8"):
+            sweep_rows_from_csv(f"{SWEEP_CSV_HEADER}\n{row}\n")
 
 
 def test_sweep_rows_json_shape():
@@ -103,12 +114,14 @@ def test_sweep_rows_json_shape():
     assert [o["n"] for o in objs] == [4, 16]
     assert all(o["construction"] == "symmetric" for o in objs)
     assert objs[0]["d"] == "0"
+    assert all(list(o) == SWEEP_CSV_HEADER.split(",") for o in objs)
 
 
 def test_fit_json_shape():
     rows = sweep("symmetric", [4, 16, 64, 256])
     fit = fit_exponent(rows, "edge_count")
     obj = fit_to_json(fit, "edge_count")
+    assert list(obj) == ["field", "slope", "intercept", "r_squared", "n_range"]
     assert obj["field"] == "edge_count"
     assert obj["n_range"] == [4, 256]
     assert 1.3 < obj["slope"] < 1.7

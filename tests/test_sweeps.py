@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,8 @@ def test_fit_exact_power_laws():
     rows = _rows([7 * round(n ** 1.5) for n in (4, 16, 64, 256, 1024)])
     fit = fit_exponent(rows)
     assert abs(fit.slope - 1.5) < 1e-3
-    assert abs(fit.fitted(64) - 7 * 64 ** 1.5) / (7 * 64 ** 1.5) < 1e-2
+    fitted = math.exp(fit.intercept) * 64 ** fit.slope
+    assert abs(fitted - 7 * 64 ** 1.5) / (7 * 64 ** 1.5) < 1e-2
 
 
 def test_fit_guards():
@@ -127,8 +130,7 @@ def test_sweep_m_pencil_rows():
 def test_sweep_deterministic_modulo_wall_time():
     a = sweep("symmetric", [4, 16, 64])
     b = sweep("symmetric", [4, 16, 64])
-    strip = lambda r: (r.n, r.d, r.construction, r.edge_count,
-                       r.ratio_set_sizes, r.rich_count, r.pencil_sizes)
+    strip = lambda r: dataclasses.replace(r, wall_time_ms=0)
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
