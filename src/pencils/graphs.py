@@ -3,11 +3,10 @@ multiplication-table sizes.
 
 Edges are stored as index pairs into the two ground sets (a sorted,
 deduplicated uint32 array), which keeps ten-million-edge sweeps compact
-while every derived quantity stays exact.  The shifted ratio set runs on
-integer arrays: the numerators and denominators of the shifted ground
-sets are gathered along the edges, multiplied, gcd-reduced and
-deduplicated, in the dtype that projective.exact_dtype picks from a
-bound computed in Python ints.  No float feeds it.
+while every derived quantity stays exact.  Ratio sets are integer arrays:
+the shifted ground sets' numerators and denominators are gathered along
+the edges, multiplied, gcd-reduced and deduplicated by rank keys, in the
+dtype projective.exact_dtype picks from a Python-int bound; no float.
 """
 
 from __future__ import annotations
@@ -177,21 +176,11 @@ def _shifted(ground: GroundSet, x: Fraction):
     return num, den, int(max(np.abs(num).max(initial=0), den.max(initial=0)))
 
 
-def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[Fraction]:
-    """{ (a + x) / (b + y) : (a, b) an edge }, deduplicated.
-
-    Raises ZeroDenominator if b + y = 0 for some b appearing on an edge;
-    silently skipping edges would corrupt every downstream count.
-
-    With p = a + x and q = b + y in lowest terms, the ratio is
-    (pn*qd*sign(qn)) / (pd*|qn|), formed over all edges as integer arrays
-    with a positive denominator.  Every entry is at most H_P*H_Q, the
-    product of the largest |numerator| or denominator on each side, so
-    the arrays are int64 when that bound is below 2^62 and Python ints
-    otherwise.  The pairs are gcd-reduced and deduplicated by sorting one
-    integer key per pair; Fractions are built only for the distinct
-    values.
-    """
+def _edge_ratios(graph: BipartiteGraph, x=0, y=0):
+    """Reduced (num, den) arrays of (a + x) / (b + y), one pair per edge, den
+    > 0: with p = a + x, q = b + y reduced, (pn*qd*sign(qn)) / (pd*|qn|), at
+    most H_P*H_Q, the two sides' heights.  Raises ZeroDenominator if b + y
+    = 0 on an edge: skipping it would corrupt every downstream count."""
     pn, pd, hp = _shifted(graph.left, Fraction(x))
     qn, qd, hq = _shifted(graph.right, Fraction(y))
     dtype = exact_dtype(hp * hq)
@@ -207,20 +196,48 @@ def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[F
     g = np.gcd(num, den)
     num //= g
     den //= g
-    del g
-    # one int64 key per pair from the ranks of its numerator and
-    # denominator among their distinct values; both ranks are below |E|,
-    # so the key is below |E|^2 < 2^63 for any edge array that fits in
-    # memory
+    return num, den
+
+
+def _rank_keys(num, den):
+    """One int64 key per (num, den) pair, rank(num) * |dens| + rank(den), in
+    (num, den) order, and the distinct nums and dens.  Both ranks are below
+    the pair count, so keys stay below 2^63 for arrays that fit in memory."""
     nums, dens = _distinct(num), _distinct(den)
     width = len(dens)
     assert len(nums) * width < 1 << 63
     key = np.searchsorted(nums, num)
     key *= width
     key += np.searchsorted(dens, den)
+    return key, nums, dens
+
+
+def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):
+    """The distinct (a + x) / (b + y) over the edges as reduced (num, den)
+    arrays, sorted by (num, den)."""
+    key, nums, dens = _rank_keys(*_edge_ratios(graph, x, y))
     key = _distinct(key)
-    return frozenset(map(Fraction, nums[key // width].tolist(),
-                         dens[key % width].tolist()))
+    return nums[key // len(dens)], dens[key % len(dens)]
+
+
+def _member(qnum, qden, num, den) -> np.ndarray:
+    """Whether each query pair is one of the sorted distinct pairs (num, den)
+    of _ratio_arrays: a column whose rank holds another value misses, a hit's
+    rank key is looked up among the pairs' keys; int64 or object arrays."""
+    key, nums, dens = _rank_keys(num, den)
+    if not len(key):
+        return np.zeros(len(qnum), dtype=bool)
+    i = np.minimum(np.searchsorted(nums, qnum), len(nums) - 1)
+    j = np.minimum(np.searchsorted(dens, qden), len(dens) - 1)
+    qkey = i * len(dens) + j
+    at = np.minimum(np.searchsorted(key, qkey), len(key) - 1)
+    return (nums[i] == qnum) & (dens[j] == qden) & (key[at] == qkey)
+
+
+def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[Fraction]:
+    """{ (a + x) / (b + y) : (a, b) an edge }, deduplicated as integer arrays
+    (_ratio_arrays); Fractions are built only for the distinct values."""
+    return frozenset(map(Fraction, *(v.tolist() for v in _ratio_arrays(graph, x, y))))
 
 
 def neighbourhood_square_sum(graph: BipartiteGraph) -> int:

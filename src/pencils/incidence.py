@@ -6,16 +6,22 @@ For centres (x1, y1), (x2, y2) the points are the cartesian product of the
 two shifted ratio sets (A - x1)/_G(B - y1) and (A - x2)/_G(B - y2); the
 lines, one per pair (b1, b2) in B x B, have equation
 (b1 - y1) x - (b2 - y2) y + (x1 - x2) = 0.
+
+The ratio sets, count and witness check run on reduced (num, den) arrays,
+int64 or Python ints as exact_dtype picks from a Python-int bound.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PreconditionError
-from .graphs import BipartiteGraph, neighbourhood_square_sum, shifted_restricted_ratio_set
+from .graphs import BipartiteGraph, neighbourhood_square_sum
+from .graphs import _edge_ratios, _member, _rank_keys, _ratio_arrays, _shifted
+from .projective import exact_dtype
 
 __all__ = [
     "IncidenceInstance",
@@ -32,7 +38,7 @@ class IncidenceInstance:
 
     The points R1 x R2 and the lines l_{b1,b2}, (b1, b2) in B x B, are
     implicit: the count and the witness check need only the two ratio
-    sets, the ground set B and the centres.
+    sets (sorted distinct (num, den) arrays), the ground set B and centres.
     """
 
     __slots__ = ("graph", "centre1", "centre2", "swapped", "ratio1", "ratio2")
@@ -47,7 +53,7 @@ class IncidenceInstance:
 
     @property
     def point_count(self) -> int:
-        return len(self.ratio1) * len(self.ratio2)
+        return len(self.ratio1[0]) * len(self.ratio2[0])
 
     @property
     def line_count(self) -> int:
@@ -84,27 +90,48 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> IncidenceIn
         if y in graph.right:
             raise PreconditionError(f"shift {y} lies in the denominator ground set")
 
-    ratio1 = shifted_restricted_ratio_set(graph, -x1, -y1)
-    ratio2 = shifted_restricted_ratio_set(graph, -x2, -y2)
+    ratio1 = _ratio_arrays(graph, -x1, -y1)
+    ratio2 = _ratio_arrays(graph, -x2, -y2)
     # x1 != x2 makes (b1, b2) -> line injective
     assert x1 != x2
     return IncidenceInstance(graph, c1, c2, swapped, ratio1, ratio2)
 
 
+def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
+    """Reduced (num, den) arrays of u*r + s over all pairs (u, r), den > 0."""
+    un, ud, rn, rd = (a.astype(dtype) for a in (un, ud, rn, rd))
+    den = np.multiply.outer(ud, rd).ravel()
+    num = np.multiply.outer(un, rn).ravel() * s.denominator + den * s.numerator
+    den *= s.denominator
+    g = np.gcd(num, den)
+    num //= g
+    den //= g
+    return num, den
+
+
 def count_incidences(inst: IncidenceInstance) -> int:
-    """Exact |{(p, l) : p on l}| for the instance, as one hash join.
+    """Exact |{(p, l) : p on l}| for the instance, as one integer-key join.
 
     (r1, r2) lies on l_{b1,b2} iff (b1 - y1) r1 + (x1 - x2) = (b2 - y2) r2,
-    so I = sum over t of N1(t) N2(t), where N1(t) counts the (b1, r1) in
-    B x R1 whose left side is t and N2(t) the (b2, r2) in B x R2 whose
-    right side is t.  That is O(|B| (|R1| + |R2|)) exact work.
+    so I = sum over t of N1(t) N2(t), N1(t) counting the (b1, r1) in B x R1
+    with left side t and N2(t) the (b2, r2) in B x R2 with right side t.
+    Both sides are reduced (num, den) outer products with entries at most
+    2 H_u H_r H_s (heights of the b - y, the ratios and x1 - x2), the bound
+    that picks the dtype; shared rank keys make each t one int64.
     """
     (x1, y1), (x2, y2) = inst.centre1, inst.centre2
     shift = x1 - x2
-    right = inst.graph.right.elements
-    n1 = Counter(u * r + shift for u in [b - y1 for b in right] for r in inst.ratio1)
-    n2 = Counter(v * r for v in [b - y2 for b in right] for r in inst.ratio2)
-    return sum(c * n2[t] for t, c in n1.items())
+    un, ud, hu = _shifted(inst.graph.right, -y1)
+    vn, vd, hv = _shifted(inst.graph.right, -y2)
+    hr = max(int(np.abs(a).max(initial=0)) for a in (*inst.ratio1, *inst.ratio2))
+    dtype = exact_dtype(2 * max(hu, hv) * hr * max(abs(shift.numerator), shift.denominator))
+    t1 = _affine_image(un, ud, *inst.ratio1, shift, dtype)
+    t2 = _affine_image(vn, vd, *inst.ratio2, Fraction(0), dtype)
+    key = _rank_keys(*(np.concatenate(pair) for pair in zip(t1, t2)))[0]
+    k1, c1 = np.unique(key[:len(t1[0])], return_counts=True)
+    k2, c2 = np.unique(key[len(t1[0]):], return_counts=True)
+    _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
+    return sum(a * b for a, b in zip(c1[i1].tolist(), c2[i2].tolist()))
 
 
 def szemeredi_trotter_ok(incidences: int, n_points: int, n_lines: int) -> bool:
@@ -151,16 +178,13 @@ class LemmaChainReport:
 
 def _witness_identity_holds(inst: IncidenceInstance) -> bool:
     """Per edge (a, b): r1 = (a - x1)/(b - y1) in R1 and r2 = (a - x2)/(b - y2)
-    in R2.  The identity (b1 - y1) r1 - (b2 - y2) r2 + (x1 - x2) = 0 for
-    b1, b2 in N(a) needs no check of its own: (b - y1) r1 = a - x1 and
-    (b - y2) r2 = a - x2 exactly, so it holds by algebra, and only the
-    memberships can fail."""
+    in R2, as reduced integer pairs.  The identity (b1 - y1) r1 - (b2 - y2) r2
+    + (x1 - x2) = 0 for b1, b2 in N(a) needs no check of its own:
+    (b - y1) r1 = a - x1 and (b - y2) r2 = a - x2 exactly, so it holds by
+    algebra, and only the memberships can fail."""
     (x1, y1), (x2, y2) = inst.centre1, inst.centre2
-    left_vals = inst.graph.left.elements
-    right_vals = inst.graph.right.elements
-    return all((left_vals[i] - x1) / (right_vals[j] - y1) in inst.ratio1
-               and (left_vals[i] - x2) / (right_vals[j] - y2) in inst.ratio2
-               for i, j in inst.graph.edge_array.tolist())
+    return bool(_member(*_edge_ratios(inst.graph, -x1, -y1), *inst.ratio1).all()
+                and _member(*_edge_ratios(inst.graph, -x2, -y2), *inst.ratio2).all())
 
 
 def verify_lemma_chain(graph: BipartiteGraph, centre1, centre2) -> LemmaChainReport:
@@ -179,7 +203,7 @@ def verify_lemma_chain(graph: BipartiteGraph, centre1, centre2) -> LemmaChainRep
     incidences = count_incidences(inst)
     if edges > 0:
         scale = max(len(g.left), len(g.right))
-        ratio = ((len(inst.ratio1) + len(inst.ratio2))
+        ratio = ((len(inst.ratio1[0]) + len(inst.ratio2[0]))
                  * scale ** 1.75 / edges ** 1.5)
     else:
         ratio = None
@@ -188,7 +212,7 @@ def verify_lemma_chain(graph: BipartiteGraph, centre1, centre2) -> LemmaChainRep
         edge_count=edges,
         left_size=len(g.left),
         right_size=len(g.right),
-        ratio_sizes=(len(inst.ratio1), len(inst.ratio2)),
+        ratio_sizes=(len(inst.ratio1[0]), len(inst.ratio2[0])),
         point_count=inst.point_count,
         line_count=inst.line_count,
         neighbourhood_square_sum=nss,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .constructions import build, standard_shift_centres
 from .errors import PreconditionError
-from .graphs import shifted_restricted_ratio_set
+from .graphs import _ratio_arrays
 from .richpoints import rich_points
 
 __all__ = [
@@ -54,8 +54,7 @@ def _compute_row(construction, n, d, centres, m) -> SweepRow:
     # the grid's centres all lie at infinity, so it sizes no ratio set
     shifts = [(0, 0)] if config is None else [
         pc.centre.to_affine() for pc in config.pencils if not pc.centre.is_infinite]
-    ratio_sizes = tuple(len(shifted_restricted_ratio_set(built.graph, -x, -y))
-                        for x, y in shifts)
+    ratio_sizes = tuple(len(_ratio_arrays(built.graph, -x, -y)[0]) for x, y in shifts)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepRow(
         n=n,

@@ -6,6 +6,7 @@ against code that shares none of its internals.  Keep these slow and
 obvious: triple loops, full enumeration, no shortcuts.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
@@ -134,6 +135,29 @@ def incidence_count_bruteforce(points, lines):
             if a * x + b * y + c == 0:
                 count += 1
     return count
+
+
+def _as_set(pair):
+    """A ratio set held as (numerator, denominator) integer arrays, as a
+    frozenset of Fractions."""
+    num, den = pair
+    return frozenset(map(Fraction, num.tolist(), den.tolist()))
+
+
+def incidence_count_hashjoin(right, centre1, centre2, ratio1, ratio2):
+    """I for the lemma instance with denominators ``right``, affine centres
+    (x1, y1), (x2, y2) and ratio sets ``ratio1``, ``ratio2`` (all Fractions),
+    as one hash join.
+
+    With x1 != x2, (r1, r2) lies on l_{b1,b2} iff
+    (b1 - y1) r1 + (x1 - x2) = (b2 - y2) r2, so I = sum over t of
+    N1(t) N2(t), N1 counting the (b1, r1) whose left side is t and N2 the
+    (b2, r2) whose right side is t.
+    """
+    (x1, y1), (x2, y2) = centre1, centre2
+    n1 = Counter((b - y1) * r + (x1 - x2) for b in right for r in ratio1)
+    n2 = Counter((b - y2) * r for b in right for r in ratio2)
+    return sum(c * n2[t] for t, c in n1.items())
 
 
 def witness_identity_pairwise(left, right, edges, centre1, centre2, ratio1, ratio2):

@@ -44,6 +44,7 @@ from pencils.sweeps import (
 )
 
 from oracles import (
+    _as_set,
     farey_shift_enumeration,
     rich_points_bruteforce,
     witness_identity_pairwise,
@@ -198,15 +199,16 @@ def test_witness_check_matches_pairwise_oracle(lemma_cases):
         g = inst.graph
         pairwise = witness_identity_pairwise(
             g.left.elements, g.right.elements, g.edge_array.tolist(),
-            inst.centre1, inst.centre2, inst.ratio1, inst.ratio2)
+            inst.centre1, inst.centre2, _as_set(inst.ratio1), _as_set(inst.ratio2))
         return _witness_identity_holds(inst), pairwise
 
     for case in lemma_cases:
         inst = build_lemma_instance(*case)
         assert verdicts(inst) == (True, True)
         (x1, y1), c2 = inst.centre1, inst.centre2
+        num, den = inst.ratio1
         missing = IncidenceInstance(inst.graph, inst.centre1, c2, inst.swapped,
-                                    inst.ratio1 - {min(inst.ratio1)}, inst.ratio2)
+                                    (num[1:], den[1:]), inst.ratio2)
         assert verdicts(missing) == (False, False)
         moved = IncidenceInstance(inst.graph, (x1 + Fraction(1, 997), y1), c2,
                                   inst.swapped, inst.ratio1, inst.ratio2)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ from pencils.errors import PreconditionError, ZeroDenominator
 from pencils.graphs import (
     BipartiteGraph,
     GroundSet,
+    _member,
+    _ratio_arrays,
     multiplication_table_size,
     neighbourhood_square_sum,
     shifted_restricted_ratio_set,
 )
 
-from oracles import multiplication_table_bruteforce
+from oracles import _as_set, multiplication_table_bruteforce
 
 
 def _random_graph(rng, max_side=8):
@@ -130,7 +133,7 @@ def _height(values):
     return max(max(abs(v.numerator), v.denominator) for v in values)
 
 
-def test_restricted_ops_match_bruteforce():
+def _check_ratio_set_matches_bruteforce():
     rng = random.Random(42)
     for _ in range(60):
         g = _random_graph(rng)
@@ -173,6 +176,55 @@ def test_restricted_ops_match_bruteforce():
                 * _height([b + y for b in big.right]) > 2**62)
         got = shifted_restricted_ratio_set(big, x, y)
         assert got == {(a + x) / (b + y) for a, b in _value_pairs(big)}
+
+
+def test_restricted_ops_match_bruteforce():
+    _check_ratio_set_matches_bruteforce()
+
+
+def test_restricted_ops_match_bruteforce_object_dtype(object_dtype):
+    _check_ratio_set_matches_bruteforce()
+
+
+def _check_ratio_arrays_and_member():
+    """_ratio_arrays gives each distinct ratio once, reduced, sorted by
+    (numerator, denominator); _member agrees with Fraction-set membership,
+    for query and set arrays of either dtype and for an empty set."""
+    rng = random.Random(3)
+    for _ in range(40):
+        g = _random_graph(rng)
+        x = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        y = Fraction(rng.randint(22, 25))
+        num, den = _ratio_arrays(g, x, y)
+        pairs = list(zip(num.tolist(), den.tolist()))
+        assert pairs == sorted(set(pairs))
+        assert all(math.gcd(p, q) == 1 and q > 0 for p, q in pairs)
+        assert _as_set((num, den)) == {(a + x) / (b + y) for a, b in _value_pairs(g)}
+        queries = [(a + x) / (b + y) for a, b in _value_pairs(g)]
+        queries += [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(30)]
+        # queries past 2^62 come only as object arrays
+        huge = [Fraction(p, q) + Fraction(1, 2**70) for p, q in pairs[:3]]
+        for qs, qdtype in ((queries, np.int64), (queries + huge, object)):
+            qn = np.array([q.numerator for q in qs], dtype=qdtype)
+            qd = np.array([q.denominator for q in qs], dtype=qdtype)
+            got = _member(qn, qd, num, den)
+            assert got.dtype == bool
+            assert got.tolist() == [q in _as_set((num, den)) for q in qs]
+        # a row dropped from the set is a miss, the rest still hit
+        if len(num):
+            got = _member(num, den, num[1:], den[1:])
+            assert got.tolist() == [False] + [True] * (len(num) - 1)
+    empty = np.array([], dtype=np.int64)
+    assert _member(np.array([1, 2]), np.array([1, 3]), empty, empty).tolist() == [False, False]
+    assert _member(empty, empty, empty, empty).tolist() == []
+
+
+def test_ratio_arrays_and_member():
+    _check_ratio_arrays_and_member()
+
+
+def test_ratio_arrays_and_member_object_dtype(object_dtype):
+    _check_ratio_arrays_and_member()
 
 
 def test_ratio_set_zero_denominator():

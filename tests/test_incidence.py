@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from pencils import incidence
 from pencils.constructions import build_symmetric_farey_construction
 from pencils.errors import PreconditionError
 from pencils.graphs import (
@@ -12,13 +14,21 @@ from pencils.graphs import (
     shifted_restricted_ratio_set,
 )
 from pencils.incidence import (
+    IncidenceInstance,
+    _witness_identity_holds,
     build_lemma_instance,
     count_incidences,
     szemeredi_trotter_ok,
     verify_lemma_chain,
 )
+from pencils.projective import exact_dtype
 
-from oracles import incidence_count_bruteforce
+from oracles import (
+    _as_set,
+    incidence_count_bruteforce,
+    incidence_count_hashjoin,
+    witness_identity_pairwise,
+)
 
 
 def _graph(a_vals, b_vals, pairs):
@@ -26,6 +36,11 @@ def _graph(a_vals, b_vals, pairs):
     B = GroundSet.from_values([Fraction(v) for v in b_vals])
     idx = [(A.index_of(Fraction(a)), B.index_of(Fraction(b))) for a, b in pairs]
     return BipartiteGraph(A, B, idx)
+
+
+def _hashjoin(inst):
+    return incidence_count_hashjoin(inst.graph.right.elements, inst.centre1, inst.centre2,
+                                    _as_set(inst.ratio1), _as_set(inst.ratio2))
 
 
 def _lines(inst):
@@ -63,8 +78,8 @@ def test_tiny_instance_exact_counts():
     inst = build_lemma_instance(g, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(-2)))
     assert not inst.swapped
     # R1 = A/(B+1) = {1/2, 2/3}, R2 = (A-1)/(B+2) = {0, 1/4}
-    assert inst.ratio1 == {Fraction(1, 2), Fraction(2, 3)}
-    assert inst.ratio2 == {Fraction(0), Fraction(1, 4)}
+    assert _as_set(inst.ratio1) == {Fraction(1, 2), Fraction(2, 3)}
+    assert _as_set(inst.ratio2) == {Fraction(0), Fraction(1, 4)}
     assert inst.point_count == 4
     assert inst.line_count == 4
     # (1/2, 0) lies on l_{1,1} and l_{1,2}; (2/3, 1/4) on l_{2,2}
@@ -88,7 +103,7 @@ def test_line_count_on_random_instances():
             assert inst.line_count == len(g.left) ** 2
         else:
             assert inst.line_count == len(g.right) ** 2
-        assert inst.point_count == len(inst.ratio1) * len(inst.ratio2)
+        assert inst.point_count == len(_as_set(inst.ratio1)) * len(_as_set(inst.ratio2))
 
 
 def test_coincident_centres_rejected():
@@ -124,22 +139,32 @@ def _line_scan_count(inst):
     (b1 - y1) r1 + (x1 - x2) = (b2 - y2) y is looked up in R2."""
     (x1, y1), (x2, y2) = inst.centre1, inst.centre2
     right = inst.graph.right
-    return sum(((b1 - y1) * r1 + (x1 - x2)) / (b2 - y2) in inst.ratio2
-               for b1 in right for b2 in right for r1 in inst.ratio1)
+    ratio1, ratio2 = _as_set(inst.ratio1), _as_set(inst.ratio2)
+    return sum(((b1 - y1) * r1 + (x1 - x2)) / (b2 - y2) in ratio2
+               for b1 in right for b2 in right for r1 in ratio1)
 
 
-def test_counting_methods_agree():
+def _check_counting_methods_agree():
     rng = random.Random(7)
     for _ in range(25):
         g, c1, c2 = _random_instance(rng, max_side=5)
         inst = build_lemma_instance(g, c1, c2)
-        assert count_incidences(inst) == _line_scan_count(inst)
+        assert count_incidences(inst) == _line_scan_count(inst) == _hashjoin(inst)
+    return inst
+
+
+def test_counting_methods_agree():
+    inst = _check_counting_methods_agree()
     # the count has one exact algorithm; there is no method selector left
     with pytest.raises(TypeError):
         count_incidences(inst, "guess")
 
 
-def test_count_matches_bruteforce_oracle():
+def test_counting_methods_agree_object_dtype(object_dtype):
+    _check_counting_methods_agree()
+
+
+def _check_count_matches_oracles():
     rng = random.Random(11)
     swapped = 0
     for _ in range(40):
@@ -149,20 +174,49 @@ def test_count_matches_bruteforce_oracle():
             c2 = (c1[0], c1[1] - 1)
         inst = build_lemma_instance(g, c1, c2)
         swapped += inst.swapped
-        pts = [(r1, r2) for r1 in inst.ratio1 for r2 in inst.ratio2]
-        assert count_incidences(inst) == incidence_count_bruteforce(pts, _lines(inst))
+        pts = [(r1, r2) for r1 in _as_set(inst.ratio1) for r2 in _as_set(inst.ratio2)]
+        assert (count_incidences(inst) == incidence_count_bruteforce(pts, _lines(inst))
+                == _hashjoin(inst))
     assert swapped
     empty = BipartiteGraph(GroundSet.from_values([1]), GroundSet.from_values([2]), [])
     inst = build_lemma_instance(empty, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(-1)))
     assert count_incidences(inst) == incidence_count_bruteforce([], _lines(inst)) == 0
+    assert _hashjoin(inst) == 0
+
+
+def test_count_matches_bruteforce_oracle():
+    _check_count_matches_oracles()
+
+
+def test_count_matches_bruteforce_oracle_object_dtype(object_dtype):
+    _check_count_matches_oracles()
+
+
+def test_count_past_the_int64_bound_matches_hashjoin(monkeypatch):
+    # a centre whose y has denominator near 2^40 puts the count's bound
+    # 2 H_u H_r H_s past 2^62 at the real int64 bound, so the count takes
+    # the object path (a spy records exact_dtype's pick) while the ratio
+    # sets stay int64; int64 products would wrap here and miss incidences
+    picked = []
+    monkeypatch.setattr(incidence, "exact_dtype",
+                        lambda bound: picked.append(exact_dtype(bound)) or picked[-1])
+    rng = random.Random(13)
+    for _ in range(10):
+        g, c1, c2 = _random_instance(rng, max_side=6)
+        c1 = (c1[0], c1[1] + Fraction(1, 2**40 + 15))
+        inst = build_lemma_instance(g, c1, c2)
+        assert inst.ratio1[0].dtype == np.int64
+        assert count_incidences(inst) == _hashjoin(inst)
+        assert picked[-1] is object
+        assert verify_lemma_chain(g, c1, c2).all_ok
 
 
 def test_ratio_sets_are_the_shifted_ones():
     g = _graph([1, 2, 4], [1, 3], [(1, 1), (2, 1), (4, 3)])
     c1, c2 = (Fraction(0), Fraction(-1)), (Fraction(-2), Fraction(-5))
     inst = build_lemma_instance(g, c1, c2)
-    assert inst.ratio1 == shifted_restricted_ratio_set(g, Fraction(0), Fraction(1))
-    assert inst.ratio2 == shifted_restricted_ratio_set(g, Fraction(2), Fraction(5))
+    assert _as_set(inst.ratio1) == shifted_restricted_ratio_set(g, Fraction(0), Fraction(1))
+    assert _as_set(inst.ratio2) == shifted_restricted_ratio_set(g, Fraction(2), Fraction(5))
 
 
 def test_verify_chain_small_instance():
@@ -177,7 +231,7 @@ def test_verify_chain_small_instance():
     assert rep.constant_ratio is not None and rep.constant_ratio > 0
 
 
-def test_verify_chain_random_instances():
+def _check_verify_chain_random_instances():
     rng = random.Random(42)
     for _ in range(30):
         g, c1, c2 = _random_instance(rng, max_side=6)
@@ -189,6 +243,36 @@ def test_verify_chain_random_instances():
         assert rep.all_ok
         e = rep.edge_count
         assert rep.left_size * rep.neighbourhood_square_sum >= e * e
+
+
+def test_verify_chain_random_instances():
+    _check_verify_chain_random_instances()
+
+
+def test_verify_chain_random_instances_object_dtype(object_dtype):
+    _check_verify_chain_random_instances()
+
+
+def test_witness_check_matches_pairwise_oracle_object_dtype(object_dtype):
+    """On object arrays too, the witness check agrees with the pairwise
+    oracle, and both reject a ratio set missing its last row and a moved
+    first centre (the int64 case runs on the criterion-5 instances)."""
+    rng = random.Random(23)
+    for _ in range(20):
+        g, c1, c2 = _random_instance(rng, max_side=6)
+        inst = build_lemma_instance(g, c1, c2)
+        (x1, y1), c2 = inst.centre1, inst.centre2
+        num, den = inst.ratio1
+        missing = IncidenceInstance(inst.graph, inst.centre1, c2, inst.swapped,
+                                    (num[:-1], den[:-1]), inst.ratio2)
+        moved = IncidenceInstance(inst.graph, (x1 + Fraction(1, 997), y1), c2,
+                                  inst.swapped, inst.ratio1, inst.ratio2)
+        h = inst.graph
+        for case, want in ((inst, True), (missing, False), (moved, False)):
+            pairwise = witness_identity_pairwise(
+                h.left.elements, h.right.elements, h.edge_array.tolist(),
+                case.centre1, case.centre2, _as_set(case.ratio1), _as_set(case.ratio2))
+            assert _witness_identity_holds(case) == pairwise == want
 
 
 def test_verify_chain_empty_graph():
@@ -219,6 +303,14 @@ def test_verify_chain_symmetric_n256():
     assert (rep.point_count, rep.line_count) == (125_458, 25_281)
     assert rep.neighbourhood_square_sum == 22_035
     assert rep.incidence_count == 392_538
+
+
+def test_verify_chain_symmetric_n1024():
+    built = build_symmetric_farey_construction(1024)
+    rep = verify_lemma_chain(built.graph, (Fraction(0), Fraction(-1)),
+                             (Fraction(1), Fraction(-1)))
+    assert rep.all_ok
+    assert rep.incidence_count == 10_446_079
 
 
 def test_szemeredi_trotter_exact_boundary():
