@@ -177,10 +177,10 @@ def _shifted(ground: GroundSet, x: Fraction):
 
 
 def _edge_ratios(graph: BipartiteGraph, x=0, y=0):
-    """Reduced (num, den) arrays of (a + x) / (b + y), one pair per edge, den
-    > 0: with p = a + x, q = b + y reduced, (pn*qd*sign(qn)) / (pd*|qn|), at
-    most H_P*H_Q, the two sides' heights.  Raises ZeroDenominator if b + y
-    = 0 on an edge: skipping it would corrupt every downstream count."""
+    """Reduced (num, den) arrays of (a + x) / (b + y) per edge, den > 0.
+    With p = a + x and q = b + y reduced it is (pn*qd*sign(qn)) / (pd*|qn|),
+    bounded by H_P*H_Q.  Raises ZeroDenominator if b + y = 0 on an edge:
+    skipping the edge would corrupt every downstream count."""
     pn, pd, hp = _shifted(graph.left, Fraction(x))
     qn, qd, hq = _shifted(graph.right, Fraction(y))
     dtype = exact_dtype(hp * hq)
@@ -235,8 +235,8 @@ def _member(qnum, qden, num, den) -> np.ndarray:
 
 
 def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[Fraction]:
-    """{ (a + x) / (b + y) : (a, b) an edge }, deduplicated as integer arrays
-    (_ratio_arrays); Fractions are built only for the distinct values."""
+    """{ (a + x) / (b + y) : (a, b) an edge }, deduplicated as integer arrays;
+    Fractions only for the distinct values.  ZeroDenominator if b + y = 0."""
     return frozenset(map(Fraction, *(v.tolist() for v in _ratio_arrays(graph, x, y))))
 
 

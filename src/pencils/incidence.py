@@ -7,8 +7,8 @@ two shifted ratio sets (A - x1)/_G(B - y1) and (A - x2)/_G(B - y2); the
 lines, one per pair (b1, b2) in B x B, have equation
 (b1 - y1) x - (b2 - y2) y + (x1 - x2) = 0.
 
-The ratio sets, count and witness check run on reduced (num, den) arrays,
-int64 or Python ints as exact_dtype picks from a Python-int bound.
+The count is an integer-key join and the witness check an array membership,
+on reduced (num, den) arrays: int64 below exact_dtype's bound, else Python ints.
 """
 
 from __future__ import annotations
@@ -104,9 +104,7 @@ def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
     num = np.multiply.outer(un, rn).ravel() * s.denominator + den * s.numerator
     den *= s.denominator
     g = np.gcd(num, den)
-    num //= g
-    den //= g
-    return num, den
+    return num // g, den // g
 
 
 def count_incidences(inst: IncidenceInstance) -> int:
@@ -115,9 +113,10 @@ def count_incidences(inst: IncidenceInstance) -> int:
     (r1, r2) lies on l_{b1,b2} iff (b1 - y1) r1 + (x1 - x2) = (b2 - y2) r2,
     so I = sum over t of N1(t) N2(t), N1(t) counting the (b1, r1) in B x R1
     with left side t and N2(t) the (b2, r2) in B x R2 with right side t.
-    Both sides are reduced (num, den) outer products with entries at most
-    2 H_u H_r H_s (heights of the b - y, the ratios and x1 - x2), the bound
-    that picks the dtype; shared rank keys make each t one int64.
+    Both sides are reduced (num, den) outer products, O(|B| (|R1| + |R2|));
+    every entry is at most 2 H_u H_r H_s (heights of b - y, the ratios and
+    x1 - x2), so they are int64 below 2^62 and Python ints otherwise.
+    Shared rank keys make each t one int64; N1 N2 is summed in Python ints.
     """
     (x1, y1), (x2, y2) = inst.centre1, inst.centre2
     shift = x1 - x2
