@@ -3,7 +3,7 @@ ratio sets, rich-point counting, incidence verification, and scaling
 sweeps."""
 
 from .errors import CentreOnPointSet, PreconditionError, ZeroDenominator
-from .projective import ProjLine, ProjPoint, collinear, line_through
+from .projective import ProjLine, ProjPoint
 from .graphs import (
     BipartiteGraph,
     GroundSet,
@@ -24,7 +24,7 @@ from .constructions import (
     pencils_from_graph,
     standard_shift_centres,
 )
-from .richpoints import RichPointReport, point_on_pencil, rich_points
+from .richpoints import RichPointReport, rich_points
 from .incidence import (
     IncidenceInstance,
     LemmaChainReport,

@@ -5,8 +5,9 @@ Edges are stored as index pairs into the two ground sets (a sorted,
 deduplicated uint32 array), which keeps ten-million-edge sweeps compact
 while every derived quantity stays exact.  Ratio sets are integer arrays:
 the shifted ground sets' numerators and denominators are gathered along
-the edges, multiplied, gcd-reduced and deduplicated by rank keys, in the
-dtype projective.exact_dtype picks from a Python-int bound; no float.
+the edges and multiplied, then reduced and deduplicated by projective's
+pair kernels, in the dtype exact_dtype picks from a Python-int bound; no
+float.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ZeroDenominator
-from .projective import exact_dtype
+from .projective import _affine_image, _distinct, _rank_keys, _reduce_pairs, exact_dtype
 
 __all__ = [
     "GroundSet",
@@ -26,17 +27,6 @@ __all__ = [
     "neighbourhood_square_sum",
     "multiplication_table_size",
 ]
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-d array, sorted: np.sort and an
-    adjacent-difference mask, which on numpy 2.4 is many times faster
-    than np.unique."""
-    values = np.sort(values)
-    keep = np.empty(len(values), dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 class GroundSet:
@@ -162,17 +152,12 @@ class BipartiteGraph:
 
 
 def _shifted(ground: GroundSet, x: Fraction):
-    """The reduced numerator and denominator arrays of ground + x, and their
-    height.  Before reduction every entry, and x's own numerator and
-    denominator, is at most max(H, 1) * (|x.num| + x.den), with H the
-    height of the ground set."""
+    """The reduced numerator and denominator arrays of ground + x (the affine
+    image u*r + x with u = 1), and their height.  Before reduction every
+    entry, and x's own numerator and denominator, is at most
+    max(H, 1) * (|x.num| + x.den), with H the height of the ground set."""
     dtype = exact_dtype(max(ground.height, 1) * (abs(x.numerator) + x.denominator))
-    den = ground.denominators.astype(dtype)
-    num = ground.numerators.astype(dtype) * x.denominator + den * x.numerator
-    den *= x.denominator
-    g = np.gcd(num, den)
-    num //= g
-    den //= g
+    num, den = _affine_image(1, 1, ground.numerators, ground.denominators, x, dtype)
     return num, den, int(max(np.abs(num).max(initial=0), den.max(initial=0)))
 
 
@@ -193,23 +178,7 @@ def _edge_ratios(graph: BipartiteGraph, x=0, y=0):
         raise ZeroDenominator(graph.right[int(j[zero.argmax()])])
     num = pn[i]
     num *= (qd * np.sign(qn))[j]
-    g = np.gcd(num, den)
-    num //= g
-    den //= g
-    return num, den
-
-
-def _rank_keys(num, den):
-    """One int64 key per (num, den) pair, rank(num) * |dens| + rank(den), in
-    (num, den) order, and the distinct nums and dens.  Both ranks are below
-    the pair count, so keys stay below 2^63 for arrays that fit in memory."""
-    nums, dens = _distinct(num), _distinct(den)
-    width = len(dens)
-    assert len(nums) * width < 1 << 63
-    key = np.searchsorted(nums, num)
-    key *= width
-    key += np.searchsorted(dens, den)
-    return key, nums, dens
+    return _reduce_pairs(num, den)
 
 
 def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):
@@ -218,20 +187,6 @@ def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):
     key, nums, dens = _rank_keys(*_edge_ratios(graph, x, y))
     key = _distinct(key)
     return nums[key // len(dens)], dens[key % len(dens)]
-
-
-def _member(qnum, qden, num, den) -> np.ndarray:
-    """Whether each query pair is one of the sorted distinct pairs (num, den)
-    of _ratio_arrays: a column whose rank holds another value misses, a hit's
-    rank key is looked up among the pairs' keys; int64 or object arrays."""
-    key, nums, dens = _rank_keys(num, den)
-    if not len(key):
-        return np.zeros(len(qnum), dtype=bool)
-    i = np.minimum(np.searchsorted(nums, qnum), len(nums) - 1)
-    j = np.minimum(np.searchsorted(dens, qden), len(dens) - 1)
-    qkey = i * len(dens) + j
-    at = np.minimum(np.searchsorted(key, qkey), len(key) - 1)
-    return (nums[i] == qnum) & (dens[j] == qden) & (key[at] == qkey)
 
 
 def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[Fraction]:

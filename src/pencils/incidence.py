@@ -8,7 +8,8 @@ lines, one per pair (b1, b2) in B x B, have equation
 (b1 - y1) x - (b2 - y2) y + (x1 - x2) = 0.
 
 The count is an integer-key join and the witness check an array membership,
-on reduced (num, den) arrays: int64 below exact_dtype's bound, else Python ints.
+both on reduced (num, den) arrays from projective's pair kernels: int64 below
+exact_dtype's bound, else Python ints.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, neighbourhood_square_sum
-from .graphs import _edge_ratios, _member, _rank_keys, _ratio_arrays, _shifted
-from .projective import exact_dtype
+from .graphs import _edge_ratios, _ratio_arrays, _shifted
+from .projective import _affine_image, _member, _rank_keys, exact_dtype
 
 __all__ = [
     "IncidenceInstance",
@@ -97,16 +98,6 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> IncidenceIn
     return IncidenceInstance(graph, c1, c2, swapped, ratio1, ratio2)
 
 
-def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
-    """Reduced (num, den) arrays of u*r + s over all pairs (u, r), den > 0."""
-    un, ud, rn, rd = (a.astype(dtype) for a in (un, ud, rn, rd))
-    den = np.multiply.outer(ud, rd).ravel()
-    num = np.multiply.outer(un, rn).ravel() * s.denominator + den * s.numerator
-    den *= s.denominator
-    g = np.gcd(num, den)
-    return num // g, den // g
-
-
 def count_incidences(inst: IncidenceInstance) -> int:
     """Exact |{(p, l) : p on l}| for the instance, as one integer-key join.
 
@@ -126,9 +117,14 @@ def count_incidences(inst: IncidenceInstance) -> int:
     dtype = exact_dtype(2 * max(hu, hv) * hr * max(abs(shift.numerator), shift.denominator))
     t1 = _affine_image(un, ud, *inst.ratio1, shift, dtype)
     t2 = _affine_image(vn, vd, *inst.ratio2, Fraction(0), dtype)
-    key = _rank_keys(*(np.concatenate(pair) for pair in zip(t1, t2)))[0]
-    k1, c1 = np.unique(key[:len(t1[0])], return_counts=True)
-    k2, c2 = np.unique(key[len(t1[0]):], return_counts=True)
+    split = len(t1[0])
+    # free the sides, then their concatenation, once consumed: a third off the peak
+    num, den = (np.concatenate(pair) for pair in zip(t1, t2))
+    del t1, t2
+    key = _rank_keys(num, den)[0]
+    del num, den
+    k1, c1 = np.unique(key[:split], return_counts=True)
+    k2, c2 = np.unique(key[split:], return_counts=True)
     _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
     return sum(a * b for a, b in zip(c1[i1].tolist(), c2[i2].tolist()))
 

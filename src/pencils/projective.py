@@ -8,7 +8,9 @@ coordinate zero) are ordinary values.  No floating point anywhere.
 
 The row kernels (cross_rows, canonical_rows) apply the same cross product
 and canonical form to whole (k, 3) integer arrays, in the dtype that
-exact_dtype picks from a caller's magnitude bound.
+exact_dtype picks from a caller's magnitude bound.  The pair kernels do the
+same for rationals held as reduced (num, den) arrays: reduce, affine images
+u*r + s, rank keys for dedup, and membership in a deduplicated set.
 """
 
 from __future__ import annotations
@@ -19,13 +21,9 @@ from operator import index as _as_int
 
 import numpy as np
 
-from .errors import PreconditionError
-
 __all__ = [
     "ProjPoint",
     "ProjLine",
-    "line_through",
-    "collinear",
     "exact_dtype",
     "int_rows",
     "cross_rows",
@@ -43,14 +41,6 @@ def _canonical(x, y, z):
     if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
         x, y, z = -x, -y, -z
     return x, y, z
-
-
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 # Every entry and every product formed from it stays below this, so int64
@@ -77,7 +67,7 @@ def row_triples(rows: np.ndarray):
 
 
 def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise _cross of two (..., 3) arrays; shapes broadcast."""
+    """Row-wise cross product of two (..., 3) arrays; shapes broadcast."""
     u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
     v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
     return np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0),
@@ -93,6 +83,64 @@ def canonical_rows(rows: np.ndarray) -> np.ndarray:
     neg = (x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))
     rows[neg] = -rows[neg]
     return rows
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, sorted: np.sort and an
+    adjacent-difference mask, which on numpy 2.4 is many times faster
+    than np.unique."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _reduce_pairs(num: np.ndarray, den: np.ndarray):
+    """(num, den) divided in place by their elementwise gcd; den != 0."""
+    g = np.gcd(num, den)
+    num //= g
+    den //= g
+    return num, den
+
+
+def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
+    """Reduced (num, den) arrays of u*r + s over all pairs (u, r), u-major,
+    den > 0, for u and r given as (num, den) arrays (or a scalar u) with
+    positive dens."""
+    un, ud, rn, rd = (np.asarray(a, dtype=dtype) for a in (un, ud, rn, rd))
+    den = np.multiply.outer(ud, rd).ravel()
+    num = np.multiply.outer(un, rn).ravel() * s.denominator + den * s.numerator
+    den *= s.denominator
+    return _reduce_pairs(num, den)
+
+
+def _rank_keys(num, den):
+    """One int64 key per (num, den) pair, rank(num) * |dens| + rank(den), in
+    (num, den) order, and the distinct nums and dens.  Both ranks are below
+    the pair count, so keys stay below 2^63 for arrays that fit in memory."""
+    nums, dens = _distinct(num), _distinct(den)
+    width = len(dens)
+    assert len(nums) * width < 1 << 63
+    key = np.searchsorted(nums, num)
+    key *= width
+    key += np.searchsorted(dens, den)
+    return key, nums, dens
+
+
+def _member(qnum, qden, num, den) -> np.ndarray:
+    """Whether each query pair is one of the pairs (num, den), which are
+    distinct and sorted by (num, den), so their rank keys are sorted: a
+    column whose rank holds another value misses, a hit's rank key is looked
+    up among the pairs' keys; int64 or object arrays."""
+    key, nums, dens = _rank_keys(num, den)
+    if not len(key):
+        return np.zeros(len(qnum), dtype=bool)
+    i = np.minimum(np.searchsorted(nums, qnum), len(nums) - 1)
+    j = np.minimum(np.searchsorted(dens, qden), len(dens) - 1)
+    qkey = i * len(dens) + j
+    at = np.minimum(np.searchsorted(key, qkey), len(key) - 1)
+    return (nums[i] == qnum) & (dens[j] == qden) & (key[at] == qkey)
 
 
 class ProjPoint:
@@ -173,22 +221,4 @@ class ProjLine:
 
     def __repr__(self):
         return "ProjLine[%d : %d : %d]" % self.coeffs
-
-
-def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    """The unique line joining two distinct points."""
-    if p == q:
-        raise PreconditionError(f"no unique line through {p} twice")
-    return ProjLine(*_cross(p.coords, q.coords))
-
-
-def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    """True iff the 3x3 determinant of the homogeneous triples vanishes."""
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = p.coords, q.coords, r.coords
-    det = (
-        x1 * (y2 * z3 - z2 * y3)
-        - y1 * (x2 * z3 - z2 * x3)
-        + z1 * (x2 * y3 - y2 * x3)
-    )
-    return det == 0
 

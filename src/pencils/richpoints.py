@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructions import Pencil, PencilConfig
+from .constructions import PencilConfig
 from .errors import PreconditionError
 from .projective import (
     ProjPoint,
@@ -28,11 +28,10 @@ from .projective import (
     cross_rows,
     exact_dtype,
     int_rows,
-    line_through,
     row_triples,
 )
 
-__all__ = ["RichPointReport", "point_on_pencil", "rich_points"]
+__all__ = ["RichPointReport", "rich_points"]
 
 # First-pencil lines per block of seed meets: temporaries hold
 # _MEET_BLOCK * s2 rows at a time.
@@ -55,12 +54,8 @@ class RichPointReport:
         return len(self.points)
 
     @property
-    def infinite_points(self) -> frozenset:
-        return frozenset(p for p in self.points if p.is_infinite)
-
-    @property
     def infinite_count(self) -> int:
-        return len(self.infinite_points)
+        return sum(p.is_infinite for p in self.points)
 
     def sorted_points(self) -> list[ProjPoint]:
         return sorted(self.points)
@@ -69,14 +64,6 @@ class RichPointReport:
         return (f"RichPointReport({self.config_label!r}, count={self.count}, "
                 f"infinite={self.infinite_count}, "
                 f"excluded={len(self.excluded_centres)})")
-
-
-def point_on_pencil(p: ProjPoint, pencil: Pencil) -> bool:
-    """True iff some line of the pencil passes through p, via one join and
-    one hash lookup on its canonical form."""
-    if p == pencil.centre:
-        raise PreconditionError(f"{p} is the pencil centre")
-    return line_through(pencil.centre, p) in pencil.lines
 
 
 def _kernel_dtype(pencils):

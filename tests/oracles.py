@@ -84,6 +84,11 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
+def join(p, q):
+    """The canonical line triple through two distinct homogeneous points."""
+    return _canon(_cross(p, q))
+
+
 def _on_line(point, line):
     return sum(p * l for p, l in zip(point, line)) == 0
 

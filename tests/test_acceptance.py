@@ -34,8 +34,8 @@ from pencils.incidence import (
     build_lemma_instance,
     verify_lemma_chain,
 )
-from pencils.projective import ProjPoint, collinear
-from pencils.richpoints import point_on_pencil, rich_points
+from pencils.projective import ProjLine, ProjPoint
+from pencils.richpoints import rich_points
 from pencils.sweeps import (
     fit_exponent,
     fitted_ceiling_violations,
@@ -45,7 +45,9 @@ from pencils.sweeps import (
 
 from oracles import (
     _as_set,
+    collinear_bruteforce,
     farey_shift_enumeration,
+    join,
     rich_points_bruteforce,
     witness_identity_pairwise,
 )
@@ -171,9 +173,8 @@ def test_criterion_04_four_pencil_rich_domination(farey_rows):
     for row in farey_rows:
         ok &= row.rich_count >= row.edge_count
         details.append(f"n={row.n}:{row.rich_count}>={row.edge_count}")
-    centres = standard_shift_centres()
-    not_all_collinear = not all(
-        collinear(centres[0], centres[1], c) for c in centres[2:])
+    c0, c1, *others = (c.coords for c in standard_shift_centres())
+    not_all_collinear = not all(collinear_bruteforce([c0, c1, c]) for c in others)
     ok &= not_all_collinear
     elapsed = time.perf_counter() - start + sum(r.wall_time_ms for r in farey_rows) / 1000
     ok &= elapsed < 120.0
@@ -242,20 +243,15 @@ def test_criterion_08_m_pencil_general_position():
     details = []
     for m in (4, 6, 10):
         centres = general_position_centers(m)
-        no_three = True
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(j + 1, m):
-                    if collinear(centres[i], centres[j], centres[k]):
-                        no_three = False
-        ok &= no_three
+        ok &= not collinear_bruteforce([c.coords for c in centres])
         for n in (64, 256):
             cfg = build_m_pencil_config(m, n)
             built = build_symmetric_farey_construction(n)
-            points = [ProjPoint.from_affine(built.A[i], built.B[j])
+            points = [ProjPoint.from_affine(built.A[i], built.B[j]).coords
                       for i, j in built.graph.edge_array.tolist()]
-            covered = all(point_on_pencil(p, pencil)
-                          for pencil in cfg.pencils for p in points)
+            pencils = [(pc.centre.coords, {l.coeffs for l in pc.lines})
+                       for pc in cfg.pencils]
+            covered = all(join(c, p) in lines for c, lines in pencils for p in points)
             rep = rich_points(cfg)
             ok &= covered and rep.count >= built.graph.edge_count
             details.append(f"m={m},n={n}:{rep.count}>={built.graph.edge_count}")
@@ -284,7 +280,6 @@ def test_criterion_09_constant_tracking_and_ceiling(farey_rows, symmetric_rows):
 
 def test_criterion_10_rich_points_vs_bruteforce():
     from pencils.constructions import Pencil, PencilConfig
-    from pencils.projective import line_through
 
     rng = random.Random(42)
     start = time.perf_counter()
@@ -310,7 +305,7 @@ def test_criterion_10_rich_points_vs_bruteforce():
             while len(lines) < want:
                 q = ProjPoint.from_affine(rng.randint(-8, 8), rng.randint(-8, 8))
                 if q != c:
-                    lines.add(line_through(c, q))
+                    lines.add(ProjLine(*join(c.coords, q.coords)))
             budget -= len(lines)
             pencils.append(Pencil(c, lines))
         shared = set(pencils[0].lines)

@@ -302,7 +302,16 @@ def _sha(data) -> str:
 
 
 def test_golden_outputs(capsys, monkeypatch, tmp_path):
-    """SHA-256 pins of fixed CLI outputs: exact fields stay byte-identical."""
+    _check_golden_outputs(capsys, monkeypatch, tmp_path)
+
+
+def test_golden_outputs_object_dtype(capsys, monkeypatch, tmp_path, object_dtype):
+    _check_golden_outputs(capsys, monkeypatch, tmp_path)
+
+
+def _check_golden_outputs(capsys, monkeypatch, tmp_path):
+    """SHA-256 pins of fixed CLI outputs: exact fields stay byte-identical,
+    in int64 and in Python-int object arrays alike."""
     monkeypatch.chdir(tmp_path)
 
     def stdout_of(argv):

@@ -22,9 +22,9 @@ from pencils.constructions import (
 )
 from pencils.errors import CentreOnPointSet, PreconditionError
 from pencils.graphs import BipartiteGraph, GroundSet, shifted_restricted_ratio_set
-from pencils.projective import ProjLine, ProjPoint, line_through
+from pencils.projective import ProjLine, ProjPoint
 
-from oracles import collinear_bruteforce, farey_shift_enumeration, symmetric_enumeration
+from oracles import collinear_bruteforce, farey_shift_enumeration, join, symmetric_enumeration
 
 
 def _value_pairs(graph):
@@ -184,7 +184,8 @@ def test_pencils_from_graph_matches_per_edge_joins():
         cfg = pencils_from_graph(built, centres)
         for centre, pencil in zip(centres, cfg.pencils):
             assert pencil.centre == centre
-            assert pencil.lines == {line_through(centre, p) for p in points}
+            assert ({l.coeffs for l in pencil.lines}
+                    == {join(centre.coords, p.coords) for p in points})
         on_set = next(iter(points))
         with pytest.raises(CentreOnPointSet):
             pencils_from_graph(built, [ProjPoint(1, 3, 0), on_set])

@@ -9,12 +9,12 @@ from pencils.errors import PreconditionError, ZeroDenominator
 from pencils.graphs import (
     BipartiteGraph,
     GroundSet,
-    _member,
     _ratio_arrays,
     multiplication_table_size,
     neighbourhood_square_sum,
     shifted_restricted_ratio_set,
 )
+from pencils.projective import _member
 
 from oracles import _as_set, multiplication_table_bruteforce
 

@@ -17,6 +17,16 @@ from workloads import WORKLOADS  # noqa: E402
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_tiny_workload_outputs_are_exact(name, tmp_path):
+    _check_tiny_workload(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_tiny_workload_outputs_are_exact_object_dtype(name, tmp_path, object_dtype):
+    _check_tiny_workload(name, tmp_path)
+
+
+def _check_tiny_workload(name, tmp_path):
+    """The workload's exact outputs match its pinned expected values."""
     wl = WORKLOADS[name]
     inp = wl.setup("tiny", 42, tmp_path)
     ops = wl.run(inp, None)

@@ -4,21 +4,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pencils.errors import PreconditionError
 from pencils.projective import (
     ProjLine,
     ProjPoint,
+    _affine_image,
+    _distinct,
+    _member,
+    _rank_keys,
+    _reduce_pairs,
     canonical_rows,
-    collinear,
     cross_rows,
     exact_dtype,
     int_rows,
-    line_through,
     row_triples,
 )
 
-from oracles import _canon, _cross
+from oracles import _canon, _cross, collinear_bruteforce, join
 from transforms import ProjTransform, SingularMatrix
 
 
@@ -61,22 +64,6 @@ def test_affine_bridge():
         ProjPoint(1, 1, 0).to_affine()
 
 
-def test_line_through_examples():
-    assert line_through(ProjPoint(0, 0, 1), ProjPoint(1, 0, 1)) == ProjLine(0, 1, 0)
-    assert line_through(ProjPoint(1, 0, 0), ProjPoint(0, 0, 1)) == ProjLine(0, 1, 0)
-    # y = x - 1 through (2,1) and (0,-1)
-    assert line_through(ProjPoint(2, 1, 1), ProjPoint(0, -1, 1)) == ProjLine(1, -1, -1)
-    with pytest.raises(PreconditionError, match="no unique line"):
-        line_through(ProjPoint(1, 2, 1), ProjPoint(2, 4, 2))
-
-
-def test_collinear_examples():
-    assert collinear(ProjPoint(0, 0, 1), ProjPoint(1, 0, 1), ProjPoint(2, 0, 1))
-    assert not collinear(ProjPoint(0, 0, 1), ProjPoint(1, 1, 1), ProjPoint(2, 4, 1))
-    assert collinear(ProjPoint.from_affine(0, 0), ProjPoint.from_affine(-1, 0),
-                     ProjPoint.from_affine(-2, 0))
-
-
 def test_incidence_and_contains():
     l = ProjLine(1, -1, -1)  # y = x - 1
     assert l.contains(ProjPoint(2, 1, 1))
@@ -91,10 +78,10 @@ def test_duality_property():
         p = ProjPoint(rng.randint(-8, 8), rng.randint(-8, 8), 1)
         q = ProjPoint(rng.randint(-8, 8), rng.randint(-8, 8), 1)
         r = ProjPoint(rng.randint(-8, 8), rng.randint(-8, 8), 1)
-        if p == q or p == r or collinear(p, q, r):
+        if p == q or p == r or collinear_bruteforce([p.coords, q.coords, r.coords]):
             continue
-        assert ProjPoint(*_cross(line_through(p, q).coeffs,
-                                 line_through(p, r).coeffs)) == p
+        assert ProjPoint(*_cross(join(p.coords, q.coords),
+                                 join(p.coords, r.coords))) == p
 
 
 def test_collinear_matches_incidence():
@@ -105,7 +92,8 @@ def test_collinear_matches_incidence():
         r = ProjPoint(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(0, 2) or 1)
         if p == q:
             continue
-        assert collinear(p, q, r) == line_through(p, q).contains(r)
+        assert (collinear_bruteforce([p.coords, q.coords, r.coords])
+                == ProjLine(*join(p.coords, q.coords)).contains(r))
 
 
 def test_transform_preserves_incidence():
@@ -126,7 +114,7 @@ def test_transform_preserves_incidence():
         q = ProjPoint(rng.randint(-9, 9), rng.randint(-9, 9), 1)
         if p == q:
             continue
-        l = line_through(p, q)
+        l = ProjLine(*join(p.coords, q.coords))
         assert t.apply_line(l).contains(t.apply_point(p))
         assert t.apply_line(l).contains(t.apply_point(q))
         done += 1
@@ -165,3 +153,77 @@ def test_array_kernel_matches_oracle_in_both_dtypes():
 def test_exact_dtype_bound():
     assert exact_dtype(2**62 - 1) is np.int64
     assert exact_dtype(2**62) is object
+
+
+# A drawn list holds only small entries (int64 arrays) or entries that
+# straddle 2^62 (object arrays), so both dtypes get drawn.
+_small = st.integers(-40, 40)
+_ints = st.one_of(_small, st.integers(2**62 - 40, 2**62 + 40),
+                  st.integers(-2**62 - 40, -2**62 + 40))
+
+
+def _lists(elements, max_size):
+    return st.one_of(*(st.lists(elements(ints), max_size=max_size) for ints in (_small, _ints)))
+
+
+def _rationals(ints=_ints):
+    return st.builds(Fraction, ints, ints.filter(bool))
+
+
+def _raw_pairs(ints):
+    return st.tuples(ints, ints.filter(lambda d: d > 0))
+
+
+_properties = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+def _columns(nums, dens):
+    """(num, den) arrays, int64 when every entry is below 2^62, else object."""
+    ints = [*nums, *dens]
+    return tuple(np.array(ints, dtype=exact_dtype(max(map(abs, ints), default=0)))
+                 .reshape(2, -1))
+
+
+def _pair_arrays(values):
+    return _columns([v.numerator for v in values], [v.denominator for v in values])
+
+
+def _pairs(num, den):
+    return list(zip(num.tolist(), den.tolist()))
+
+
+@_properties
+@given(_lists(_raw_pairs, 8), _lists(_rationals, 6), _lists(_rationals, 6),
+       st.one_of(_rationals(_small), _rationals()))
+def test_reduce_and_affine_image_match_fractions(raw, us, rs, s):
+    num, den = _columns([n for n, _ in raw], [d for _, d in raw])
+    assert _pairs(*_reduce_pairs(num, den)) == [
+        (f.numerator, f.denominator) for f in (Fraction(n, d) for n, d in raw)]
+    # every entry is at most 2 H_u H_r H_s before reduction
+    height = lambda vs: max((max(abs(v.numerator), v.denominator) for v in vs), default=1)
+    dtype = exact_dtype(2 * height(us) * height(rs) * height([s]))
+    got = _affine_image(*_pair_arrays(us), *_pair_arrays(rs), s, dtype)
+    assert _pairs(*got) == [((u * r + s).numerator, (u * r + s).denominator)
+                            for u in us for r in rs]
+
+
+@_properties
+@given(_lists(_rationals, 12))
+def test_rank_keys_dedup_matches_fraction_set(values):
+    num, den = _pair_arrays(values)
+    key, nums, dens = _rank_keys(num, den)
+    # the key decodes to its pair, and equal keys are equal pairs
+    assert _pairs(nums[key // len(dens)], dens[key % len(dens)]) == _pairs(num, den)
+    distinct = _distinct(key)
+    decoded = _pairs(nums[distinct // len(dens)], dens[distinct % len(dens)])
+    assert decoded == sorted((v.numerator, v.denominator) for v in set(values))
+
+
+@_properties
+@given(_lists(_rationals, 10), _lists(_rationals, 10))
+def test_member_matches_fraction_set(members, others):
+    ordered = sorted(set(members), key=lambda v: (v.numerator, v.denominator))
+    queries = members + others
+    got = _member(*_pair_arrays(queries), *_pair_arrays(ordered))
+    assert got.dtype == bool
+    assert got.tolist() == [q in set(members) for q in queries]

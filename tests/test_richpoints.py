@@ -13,16 +13,16 @@ from pencils.constructions import (
     standard_shift_centres,
 )
 from pencils.errors import PreconditionError
-from pencils.projective import ProjLine, ProjPoint, line_through
-from pencils.richpoints import _kernel_dtype, point_on_pencil, rich_points
+from pencils.projective import ProjLine, ProjPoint
+from pencils.richpoints import _kernel_dtype, rich_points
 
-from oracles import rich_points_bruteforce
+from oracles import join, rich_points_bruteforce
 from transforms import ProjTransform, SingularMatrix
 
 
 def _pencil(cx, cy, through):
     centre = ProjPoint.from_affine(cx, cy)
-    return Pencil(centre, [line_through(centre, ProjPoint.from_affine(x, y))
+    return Pencil(centre, [ProjLine(*join(centre.coords, ProjPoint.from_affine(x, y).coords))
                            for x, y in through])
 
 
@@ -49,7 +49,7 @@ def _random_config(rng, max_pencils=4, max_lines=5, scale=1, offset=0):
                 q = at(rng.randint(-6, 6), rng.randint(-6, 6))
                 if q == c:
                     continue
-                lines.add(line_through(c, q))
+                lines.add(ProjLine(*join(c.coords, q.coords)))
             pencils.append(Pencil(c, lines))
         shared = set(pencils[0].lines)
         for pc in pencils[1:]:
@@ -57,28 +57,6 @@ def _random_config(rng, max_pencils=4, max_lines=5, scale=1, offset=0):
         if shared:
             continue
         return PencilConfig(pencils)
-
-
-def test_point_on_pencil():
-    pencil = _pencil(0, 0, [(1, 1), (1, 2)])
-    assert point_on_pencil(ProjPoint.from_affine(3, 3), pencil)
-    assert point_on_pencil(ProjPoint.from_affine(2, 4), pencil)
-    assert not point_on_pencil(ProjPoint.from_affine(1, 3), pencil)
-    # the slope-1 line hits the infinite point (1 : 1 : 0)
-    assert point_on_pencil(ProjPoint(1, 1, 0), pencil)
-    with pytest.raises(PreconditionError, match="is the pencil centre"):
-        point_on_pencil(ProjPoint.from_affine(0, 0), pencil)
-
-
-def test_point_on_pencil_matches_scan():
-    rng = random.Random(42)
-    pencil = _pencil(0, 0, [(1, 1), (1, 2), (2, 1), (1, -3)])
-    for _ in range(100):
-        p = ProjPoint.from_affine(rng.randint(-8, 8), rng.randint(-8, 8))
-        if p == pencil.centre:
-            continue
-        direct = any(l.contains(p) for l in pencil.lines)
-        assert point_on_pencil(p, pencil) == direct
 
 
 def test_too_few_pencils():
@@ -235,7 +213,8 @@ def test_centre_exclusion():
     assert ProjPoint.from_affine(2, 2) in rep.excluded_centres
     assert ProjPoint.from_affine(2, 2) not in rep.points
     for p in rep.points:
-        assert all(point_on_pencil(p, pc) for pc in (p1, p2, p3))
+        assert all(join(pc.centre.coords, p.coords) in {l.coeffs for l in pc.lines}
+                   for pc in (p1, p2, p3))
 
 
 def test_shared_line_candidates_are_found():
@@ -245,7 +224,7 @@ def test_shared_line_candidates_are_found():
     p1 = Pencil(ProjPoint.from_affine(0, 0), [y0, ProjLine(1, -1, 0)])
     p2 = Pencil(ProjPoint.from_affine(1, 0), [y0, ProjLine(2, -1, -2)])
     p3 = Pencil(ProjPoint.from_affine(0, 5),
-                [line_through(ProjPoint.from_affine(0, 5), ProjPoint.from_affine(5, 0))])
+                [ProjLine(*join((0, 5, 1), (5, 0, 1)))])
     rep = rich_points(PencilConfig([p1, p2, p3]))
     assert ProjPoint.from_affine(5, 0) in rep.points
     lines = [[l.coeffs for l in pc.lines] for pc in (p1, p2, p3)]
@@ -267,7 +246,7 @@ def test_infinite_rich_points_flagged():
     rep = rich_points(PencilConfig([p1, p2]))
     assert ProjPoint(1, 1, 0) in rep.points  # parallel slope-1 lines
     assert rep.infinite_count == 1
-    assert rep.infinite_points == {ProjPoint(1, 1, 0)}
+    assert {p for p in rep.points if p.is_infinite} == {ProjPoint(1, 1, 0)}
     assert rep.count == len(rep.points)
 
 
