@@ -3,7 +3,7 @@ ratio sets, rich-point counting, incidence verification, and scaling
 sweeps."""
 
 from .errors import CentreOnPointSet, PreconditionError, ZeroDenominator
-from .projective import ProjLine, ProjPoint
+from .projective import ProjPoint
 from .graphs import (
     BipartiteGraph,
     GroundSet,

@@ -1,6 +1,10 @@
 """Generators for the divisibility-graph and coprime-fraction constructions
 and their realizations as pencil configurations.
 
+A pencil's lines are one sorted (k, 3) array of distinct canonical integer
+rows; pencils_from_graph hands each centre's join array straight to the
+Pencil constructor, which builds no object per line.
+
 Real-valued range bounds of the form n^e / (ln n)^d are evaluated as exact
 integer floors (interval arithmetic decides the floor when d > 0); every
 coordinate downstream is an integer or Fraction, never a float.
@@ -16,13 +20,12 @@ import numpy as np
 from .errors import CentreOnPointSet, PreconditionError
 from .graphs import BipartiteGraph, GroundSet
 from .projective import (
-    ProjLine,
     ProjPoint,
+    _distinct_rows,
     canonical_rows,
     cross_rows,
     exact_dtype,
     int_rows,
-    row_triples,
 )
 
 __all__ = [
@@ -43,32 +46,42 @@ __all__ = [
 
 
 class Pencil:
-    """A centre plus a set of distinct lines all passing through it."""
+    """A centre plus the distinct lines through it, held as ``rows``: one
+    sorted (k, 3) integer array of canonical line triples."""
 
-    __slots__ = ("centre", "lines")
+    __slots__ = ("centre", "rows")
 
     def __init__(self, centre: ProjPoint, lines):
-        lines = frozenset(lines)
-        for line in lines:
-            if not line.contains(centre):
-                raise ValueError(f"{line} does not pass through the centre {centre}")
+        """``lines`` are integer triples, as a (k, 3) array or an iterable;
+        a float raises TypeError.  Scaled and repeated triples give one row;
+        a zero triple or a line missing the centre raises ValueError.  The
+        incidence test's entries are at most 3*C*H (C, H the largest
+        |centre coordinate| and |entry|)."""
+        rows = lines if isinstance(lines, np.ndarray) else int_rows(lines, object)
+        if rows.dtype.kind not in "iu" and not {int}.issuperset(map(type, rows.flat)):
+            raise TypeError("line coefficients must be integers")
+        c = max(abs(v) for v in centre.coords)
+        h = int(np.abs(rows).max()) if len(rows) else 0
+        rows = rows.astype(exact_dtype(3 * c * h), copy=False)
+        if not (rows != 0).any(axis=1).all():
+            raise ValueError("(0, 0, 0) does not represent a line")
+        missed = rows[rows @ np.array(centre.coords, dtype=rows.dtype) != 0]
+        if len(missed):
+            raise ValueError(f"line {tuple(missed[0].tolist())} does not pass "
+                             f"through the centre {centre}")
         self.centre = centre
-        self.lines = lines
+        self.rows = _distinct_rows(canonical_rows(rows))
 
     @property
     def size(self) -> int:
-        return len(self.lines)
-
-    def sorted_lines(self) -> list[ProjLine]:
-        """Deterministic line order for serialization and reports."""
-        return sorted(self.lines)
+        return len(self.rows)
 
     def __eq__(self, other):
-        return (isinstance(other, Pencil)
-                and self.centre == other.centre and self.lines == other.lines)
+        return (isinstance(other, Pencil) and self.centre == other.centre
+                and np.array_equal(self.rows, other.rows))
 
     def __repr__(self):
-        return f"Pencil(centre={self.centre}, {len(self.lines)} lines)"
+        return f"Pencil(centre={self.centre}, {self.size} lines)"
 
 
 class PencilConfig:
@@ -295,8 +308,7 @@ def pencils_from_graph(construction: GraphConstruction, centres,
         # the join vanishes exactly when the edge point is the centre
         if (joins == 0).all(axis=1).any():
             raise CentreOnPointSet(centre)
-        lines = set(row_triples(canonical_rows(joins)))
-        pencils.append(Pencil(centre, (ProjLine(*t) for t in lines)))
+        pencils.append(Pencil(centre, joins))
     if label is None:
         label = f"pencils[{construction.label}]"
     return PencilConfig(pencils, label=label)
@@ -319,23 +331,11 @@ def build_grid_footnote_config(n: int) -> PencilConfig:
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
-    horizontals = Pencil(
-        ProjPoint(1, 0, 0),
-        (ProjLine(0, 1, -a) for a in range(1, n + 1)),
-    )
-    verticals = Pencil(
-        ProjPoint(0, 1, 0),
-        (ProjLine(1, 0, -a) for a in range(1, n + 1)),
-    )
+    horizontals = Pencil(ProjPoint(1, 0, 0), [(0, 1, -a) for a in range(1, n + 1)])
+    verticals = Pencil(ProjPoint(0, 1, 0), [(1, 0, -a) for a in range(1, n + 1)])
     # y = x + c meets the grid for c in [-(n-1), n-1]; y = -x + c for c in [2, 2n]
-    diag_up = Pencil(
-        ProjPoint(1, 1, 0),
-        (ProjLine(1, -1, c) for c in range(-(n - 1), n)),
-    )
-    diag_down = Pencil(
-        ProjPoint(1, -1, 0),
-        (ProjLine(1, 1, -c) for c in range(2, 2 * n + 1)),
-    )
+    diag_up = Pencil(ProjPoint(1, 1, 0), [(1, -1, c) for c in range(-(n - 1), n)])
+    diag_down = Pencil(ProjPoint(1, -1, 0), [(1, 1, -c) for c in range(2, 2 * n + 1)])
     return PencilConfig([horizontals, verticals, diag_up, diag_down],
                         label=f"grid-footnote(n={n})")
 

@@ -6,8 +6,11 @@ projective class therefore has exactly one representative, so equality,
 hashing and set membership are bit-exact.  Elements at infinity (third
 coordinate zero) are ordinary values.  No floating point anywhere.
 
-The row kernels (cross_rows, canonical_rows) apply the same cross product
-and canonical form to whole (k, 3) integer arrays, in the dtype that
+Sets of lines and of rich points live as sorted, distinct (k, 3) arrays
+of canonical rows; ProjPoint is the object form of one point, for centres
+and for callers at the API edge.  The row kernels (cross_rows,
+canonical_rows, _distinct_rows) apply the cross product, the canonical
+form and the dedup to whole (k, 3) integer arrays, in the dtype that
 exact_dtype picks from a caller's magnitude bound.  The pair kernels do the
 same for rationals held as reduced (num, den) arrays: reduce, affine images
 u*r + s, rank keys for dedup, and membership in a deduplicated set.
@@ -23,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "ProjPoint",
-    "ProjLine",
     "exact_dtype",
     "int_rows",
     "cross_rows",
@@ -57,8 +59,10 @@ def exact_dtype(bound: int):
 
 
 def int_rows(triples, dtype) -> np.ndarray:
-    """A (k, 3) array of integer triples in the given dtype."""
-    return np.array(list(triples), dtype=dtype).reshape(-1, 3)
+    """A (k, 3) array of integer triples in the given dtype; a row of
+    another length raises ValueError, a non-integer entry TypeError."""
+    return np.array([(_as_int(x), _as_int(y), _as_int(z)) for x, y, z in triples],
+                    dtype=dtype).reshape(-1, 3)
 
 
 def row_triples(rows: np.ndarray):
@@ -94,6 +98,16 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a (k, 3) array in lexicographic order:
+    np.lexsort and an adjacent-row mask; int64 or object arrays."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.empty(len(rows), dtype=bool)
+    keep[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+    return rows[keep]
 
 
 def _reduce_pairs(num: np.ndarray, den: np.ndarray):
@@ -186,39 +200,3 @@ class ProjPoint:
 
     def __repr__(self):
         return "ProjPoint(%d : %d : %d)" % self.coords
-
-
-class ProjLine:
-    """Line [a : b : c], the solution set of a*X + b*Y + c*Z = 0."""
-
-    __slots__ = ("coeffs", "_hash")
-
-    def __init__(self, a, b, c):
-        self.coeffs = _canonical(a, b, c)
-        self._hash = hash(("line", self.coeffs))
-
-    @property
-    def is_infinite(self) -> bool:
-        """True for the line at infinity [0 : 0 : 1]."""
-        return self.coeffs[0] == 0 and self.coeffs[1] == 0
-
-    def contains(self, p: ProjPoint) -> bool:
-        a, b, c = self.coeffs
-        x, y, z = p.coords
-        return a * x + b * y + c * z == 0
-
-    def __eq__(self, other):
-        return isinstance(other, ProjLine) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self.coeffs < other.coeffs
-
-    def __reduce__(self):
-        return (ProjLine, self.coeffs)
-
-    def __repr__(self):
-        return "ProjLine[%d : %d : %d]" % self.coeffs
-

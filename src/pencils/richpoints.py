@@ -4,10 +4,11 @@ Candidates come from pairwise meets of the two smallest pencils, so the
 cost is O(s1*s2*(m-2)) hash tests rather than quadratic in the total line
 count.  One array kernel does the work: the meets of a block of
 first-pencil lines with all second-pencil lines are row-wise cross
-products; each other pencil is probed by joining its centre to every
-surviving meet, canonicalising the joins and looking them up in the
-pencil's set of line triples.  ProjPoint objects are built only for the
-points that survive.
+products of the pencils' line rows; each other pencil is probed by joining
+its centre to every surviving meet, canonicalising the joins and looking
+them up in the pencil's set of line triples.  The surviving meets stay
+canonical rows, deduplicated and sorted in one pass; ProjPoint objects
+are built only for excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -24,6 +25,7 @@ from .constructions import PencilConfig
 from .errors import PreconditionError
 from .projective import (
     ProjPoint,
+    _distinct_rows,
     canonical_rows,
     cross_rows,
     exact_dtype,
@@ -38,11 +40,13 @@ __all__ = ["RichPointReport", "rich_points"]
 _MEET_BLOCK = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RichPointReport:
-    """The exact rich-point set of a configuration, with bookkeeping."""
+    """The exact rich-point set of a configuration, with bookkeeping: the
+    points are ``rows``, a sorted (k, 3) array of distinct canonical
+    triples."""
 
-    points: frozenset
+    rows: np.ndarray
     pencil_sizes: tuple
     config_label: str
     # centres that met the richness test for every other pencil; excluded
@@ -50,15 +54,17 @@ class RichPointReport:
     excluded_centres: tuple = field(default_factory=tuple)
 
     @property
+    def points(self) -> frozenset:
+        """The rich points as ProjPoints, built on each access."""
+        return frozenset(ProjPoint(*t) for t in row_triples(self.rows))
+
+    @property
     def count(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
     @property
     def infinite_count(self) -> int:
-        return sum(p.is_infinite for p in self.points)
-
-    def sorted_points(self) -> list[ProjPoint]:
-        return sorted(self.points)
+        return int(np.count_nonzero(self.rows[:, 2] == 0))
 
     def __repr__(self):
         return (f"RichPointReport({self.config_label!r}, count={self.count}, "
@@ -70,8 +76,7 @@ def _kernel_dtype(pencils):
     """int64 when 4*C*M^2 < 2^62, with M the largest |line coefficient| and
     C the largest |centre coordinate|: a meet entry is at most 2M^2 and a
     probe entry, cross(centre, meet), at most 4CM^2."""
-    coeffs = [v for pc in pencils for l in pc.lines for v in l.coeffs] or [0]
-    m = max(max(coeffs), -min(coeffs))
+    m = max((int(np.abs(pc.rows).max()) for pc in pencils if pc.size), default=0)
     c = max(abs(v) for pc in pencils for v in pc.centre.coords)
     return exact_dtype(4 * c * m * m)
 
@@ -89,9 +94,11 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     first, second, rest = by_size[0], by_size[1], by_size[2:]
     # A line shared by the two seed pencils witnesses both at once; points
     # on it only show up as meets with a pencil NOT containing that line.
+    line_sets = [set(row_triples(pc.rows)) for pc in by_size]
     hosts = []
-    for shared in first.lines & second.lines:
-        host = next((pc for pc in rest if shared not in pc.lines), None)
+    for shared in line_sets[0] & line_sets[1]:
+        host = next((pc for pc, lines in zip(rest, line_sets[2:])
+                     if shared not in lines), None)
         if host is None:
             raise ValueError(
                 f"line {shared} belongs to every pencil; every point on it "
@@ -100,9 +107,9 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         hosts.append((shared, host))
 
     dtype = _kernel_dtype(config.pencils)
-    probes = [(int_rows([pc.centre.coords], dtype), {l.coeffs for l in pc.lines})
-              for pc in rest]
-    found = set()
+    probes = [(int_rows([pc.centre.coords], dtype), lines)
+              for pc, lines in zip(rest, line_sets[2:])]
+    found = [np.empty((0, 3), dtype=dtype)]
 
     def sift(meets):
         """Add the canonical meets that lie on a line of every rest pencil.
@@ -116,25 +123,25 @@ def rich_points(config: PencilConfig) -> RichPointReport:
                 map(lines.__contains__, row_triples(canonical_rows(joins[live]))),
                 dtype=bool, count=np.count_nonzero(live))
             meets = meets[keep]
-        found.update(row_triples(canonical_rows(meets)))
+        found.append(canonical_rows(meets))
 
-    first_rows = int_rows((l.coeffs for l in first.lines), dtype)
-    second_rows = int_rows((l.coeffs for l in second.lines), dtype)
+    first_rows, second_rows = first.rows.astype(dtype), second.rows.astype(dtype)
     for lo in range(0, len(first_rows), _MEET_BLOCK):
         block = first_rows[lo:lo + _MEET_BLOCK, None, :]
         meets = cross_rows(block, second_rows[None, :, :]).reshape(-1, 3)
         # a zero row is the meet of a line shared by both seed pencils
         sift(meets[(meets != 0).any(axis=1)])
     for shared, host in hosts:
-        sift(cross_rows(int_rows([shared.coeffs], dtype),
-                        int_rows((l.coeffs for l in host.lines), dtype)))
+        sift(cross_rows(int_rows([shared], dtype), host.rows.astype(dtype)))
 
     # a found centre met a first- and a second-pencil line and passed every
     # other probe, so it is on a line of every other pencil
-    centres = {pc.centre.coords for pc in config.pencils}
+    rows = _distinct_rows(np.concatenate(found))
+    centres = int_rows((pc.centre.coords for pc in config.pencils), dtype)
+    is_centre = (rows[:, None] == centres).all(axis=2).any(axis=1)
     return RichPointReport(
-        points=frozenset(ProjPoint(*t) for t in found - centres),
+        rows=rows[~is_centre],
         pencil_sizes=tuple(pc.size for pc in config.pencils),
         config_label=config.label,
-        excluded_centres=tuple(sorted(ProjPoint(*t) for t in found & centres)),
+        excluded_centres=tuple(ProjPoint(*t) for t in row_triples(rows[is_centre])),
     )

@@ -17,7 +17,7 @@ from typing import get_type_hints
 from .constructions import GraphConstruction, Pencil, PencilConfig
 from .graphs import BipartiteGraph, GroundSet
 from .incidence import LemmaChainReport
-from .projective import ProjLine, ProjPoint
+from .projective import ProjPoint
 from .richpoints import RichPointReport
 from .sweeps import ExponentFit, SweepRow
 
@@ -25,7 +25,6 @@ __all__ = [
     "SWEEP_CSV_HEADER",
     "exact_from_json",
     "point_to_json", "point_from_json",
-    "line_to_json", "line_from_json",
     "pencil_config_to_json", "pencil_config_from_json",
     "graph_construction_to_json", "graph_construction_from_json",
     "rich_report_to_json", "rich_report_summary_csv",
@@ -61,18 +60,18 @@ def point_to_json(p: ProjPoint) -> list[str]:
     return [str(c) for c in p.coords]
 
 
+def _triple_from_json(triple) -> tuple:
+    if not isinstance(triple, list) or len(triple) != 3:
+        raise ValueError(f"{triple!r} is not a list of three coordinates")
+    return tuple(map(exact_from_json, triple))
+
+
 def point_from_json(triple) -> ProjPoint:
-    x, y, z = map(exact_from_json, triple)
-    return ProjPoint(x, y, z)
+    return ProjPoint(*_triple_from_json(triple))
 
 
-def line_to_json(l: ProjLine) -> list[str]:
-    return [str(c) for c in l.coeffs]
-
-
-def line_from_json(triple) -> ProjLine:
-    a, b, c = map(exact_from_json, triple)
-    return ProjLine(a, b, c)
+def _rows_to_json(rows) -> list[list[str]]:
+    return [[str(c) for c in row] for row in rows.tolist()]
 
 
 def pencil_config_to_json(config: PencilConfig) -> dict:
@@ -81,7 +80,7 @@ def pencil_config_to_json(config: PencilConfig) -> dict:
         "pencils": [
             {
                 "centre": point_to_json(pc.centre),
-                "lines": [line_to_json(l) for l in pc.sorted_lines()],
+                "lines": _rows_to_json(pc.rows),
             }
             for pc in config.pencils
         ],
@@ -108,7 +107,7 @@ def _label(obj) -> str:
 def pencil_config_from_json(obj) -> PencilConfig:
     pencils = [
         Pencil(point_from_json(_required(entry, "centre")),
-               (line_from_json(l) for l in _required(entry, "lines")))
+               [_triple_from_json(l) for l in _required(entry, "lines")])
         for entry in _required(obj, "pencils")
     ]
     return PencilConfig(pencils, label=_label(obj))
@@ -143,7 +142,7 @@ def rich_report_to_json(report: RichPointReport) -> dict:
         "count": report.count,
         "infinite_count": report.infinite_count,
         "excluded_centres": [point_to_json(p) for p in report.excluded_centres],
-        "points": [point_to_json(p) for p in report.sorted_points()],
+        "points": _rows_to_json(report.rows),
     }
 
 

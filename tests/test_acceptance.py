@@ -34,7 +34,7 @@ from pencils.incidence import (
     build_lemma_instance,
     verify_lemma_chain,
 )
-from pencils.projective import ProjLine, ProjPoint
+from pencils.projective import ProjPoint, row_triples
 from pencils.richpoints import rich_points
 from pencils.sweeps import (
     fit_exponent,
@@ -249,7 +249,7 @@ def test_criterion_08_m_pencil_general_position():
             built = build_symmetric_farey_construction(n)
             points = [ProjPoint.from_affine(built.A[i], built.B[j]).coords
                       for i, j in built.graph.edge_array.tolist()]
-            pencils = [(pc.centre.coords, {l.coeffs for l in pc.lines})
+            pencils = [(pc.centre.coords, set(row_triples(pc.rows)))
                        for pc in cfg.pencils]
             covered = all(join(c, p) in lines for c, lines in pencils for p in points)
             rep = rich_points(cfg)
@@ -296,7 +296,7 @@ def test_criterion_10_rich_points_vs_bruteforce():
             if c not in centres:
                 centres.append(c)
         budget = 40
-        pencils = []
+        line_sets = []
         for idx, c in enumerate(centres):
             remaining = m - idx - 1
             top = max(1, min(6, budget - remaining))
@@ -305,20 +305,16 @@ def test_criterion_10_rich_points_vs_bruteforce():
             while len(lines) < want:
                 q = ProjPoint.from_affine(rng.randint(-8, 8), rng.randint(-8, 8))
                 if q != c:
-                    lines.add(ProjLine(*join(c.coords, q.coords)))
+                    lines.add(join(c.coords, q.coords))
             budget -= len(lines)
-            pencils.append(Pencil(c, lines))
-        shared = set(pencils[0].lines)
-        for pc in pencils[1:]:
-            shared &= pc.lines
-        if shared:
+            line_sets.append(lines)
+        if set.intersection(*line_sets):
             continue
-        cfg = PencilConfig(pencils)
+        cfg = PencilConfig(Pencil(c, lines) for c, lines in zip(centres, line_sets))
         rep = rich_points(cfg)
-        got = {p.coords for p in rep.points}
+        got = set(row_triples(rep.rows))
         got |= {c.coords for c in rep.excluded_centres}
-        want = rich_points_bruteforce([[l.coeffs for l in pc.lines]
-                                       for pc in cfg.pencils])
+        want = rich_points_bruteforce([sorted(lines) for lines in line_sets])
         if got != want:
             mismatches += 1
         checked += 1

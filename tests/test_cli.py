@@ -143,6 +143,10 @@ _GRAPH = {"label": "g", "n": 4, "d": "0", "A": ["1"], "B": ["1"], "edges": [[0, 
     ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": 7}]}),
     ("rich-points", {"pencils": [{"centre": 3, "lines": []}]}),
     ("rich-points", {"label": ["x"], "pencils": []}),
+    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["0", "0", "0"]]}]}),
+    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["0", "1", "0"]]}]}),
+    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [5]}]}),
+    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["1", "0"]]}]}),
     ("verify-lemma", {}),
     ("verify-lemma", []),
     ("verify-lemma", {**_GRAPH, "A": 5}),

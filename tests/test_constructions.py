@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import isqrt
 
 import mpmath
+import numpy as np
 import pytest
 
 from pencils.constructions import (
@@ -22,9 +23,15 @@ from pencils.constructions import (
 )
 from pencils.errors import CentreOnPointSet, PreconditionError
 from pencils.graphs import BipartiteGraph, GroundSet, shifted_restricted_ratio_set
-from pencils.projective import ProjLine, ProjPoint
+from pencils.projective import ProjPoint, row_triples
 
-from oracles import collinear_bruteforce, farey_shift_enumeration, join, symmetric_enumeration
+from oracles import (
+    _on_line,
+    collinear_bruteforce,
+    farey_shift_enumeration,
+    join,
+    symmetric_enumeration,
+)
 
 
 def _value_pairs(graph):
@@ -116,19 +123,41 @@ def test_symmetric_edge_count_is_sum_of_squares():
 
 def test_pencil_requires_incident_lines():
     centre = ProjPoint.from_affine(0, 0)
-    good = ProjLine(1, -1, 0)
-    bad = ProjLine(1, -1, -1)
+    good = (1, -1, 0)
+    bad = (1, -1, -1)
     Pencil(centre, [good])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not pass through"):
         Pencil(centre, [good, bad])
+    with pytest.raises(ValueError, match=r"\(0, 0, 0\)"):
+        Pencil(centre, [good, (0, 0, 0)])
+    # a float is never truncated, and pairs are never regrouped into triples
+    for floats in ([(1.5, -1.5, 0)], np.array([(1.5, -1.5, 0)]),
+                   np.array([(1.5, -1.5, 0)], dtype=object)):
+        with pytest.raises(TypeError):
+            Pencil(centre, floats)
+    with pytest.raises(ValueError):
+        Pencil(centre, [(1, -1), (2, -2), (3, -3)])
+
+
+def test_pencil_rows_are_sorted_distinct_canonical():
+    # scaled and repeated triples of one line collapse to its canonical row,
+    # from an iterable, an int64 array or an object array of Python ints
+    triples = [(0, 3, 0), (2, -2, 0), (-1, 1, 0), (1, -1, 0), (0, -1, 0)]
+    centre = ProjPoint.from_affine(0, 0)
+    for lines in (triples, np.array(triples), np.array(triples, dtype=object)):
+        pencil = Pencil(centre, lines)
+        assert pencil.rows.tolist() == [[0, 1, 0], [1, -1, 0]]
+        assert pencil.size == 2
+        assert pencil == Pencil(centre, [(1, -1, 0), (0, 1, 0)])
+    assert Pencil(centre, []).size == 0
 
 
 def test_pencil_config_rejects_coincident_centres():
-    p = Pencil(ProjPoint.from_affine(0, 0), [ProjLine(1, -1, 0)])
-    q = Pencil(ProjPoint(0, 0, 2), [ProjLine(1, 0, 0)])
+    p = Pencil(ProjPoint.from_affine(0, 0), [(1, -1, 0)])
+    q = Pencil(ProjPoint(0, 0, 2), [(1, 0, 0)])
     with pytest.raises(PreconditionError, match="pairwise distinct"):
         PencilConfig([p, q])
-    cfg = PencilConfig([p, Pencil(ProjPoint.from_affine(1, 0), [ProjLine(0, 1, 0)])])
+    cfg = PencilConfig([p, Pencil(ProjPoint.from_affine(1, 0), [(0, 1, 0)])])
     assert cfg.m == 2
     assert cfg.sizes() == (1, 1)
 
@@ -140,8 +169,7 @@ def test_pencils_from_graph_symmetric_slopes():
     pencil = cfg.pencils[0]
     # edge points (a, b) give lines through the origin of slope b/a
     slopes = set()
-    for line in pencil.lines:
-        a, b, c = line.coeffs
+    for a, b, c in pencil.rows.tolist():
         assert c == 0
         slopes.add(Fraction(-a, b))
     assert slopes == {Fraction(1), Fraction(1, 2), Fraction(2)}
@@ -184,8 +212,8 @@ def test_pencils_from_graph_matches_per_edge_joins():
         cfg = pencils_from_graph(built, centres)
         for centre, pencil in zip(centres, cfg.pencils):
             assert pencil.centre == centre
-            assert ({l.coeffs for l in pencil.lines}
-                    == {join(centre.coords, p.coords) for p in points})
+            assert (list(row_triples(pencil.rows))
+                    == sorted({join(centre.coords, p.coords) for p in points}))
         on_set = next(iter(points))
         with pytest.raises(CentreOnPointSet):
             pencils_from_graph(built, [ProjPoint(1, 3, 0), on_set])
@@ -196,10 +224,10 @@ def test_pencils_from_graph_infinite_centres():
     cfg = pencils_from_graph(built, [ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)])
     horizontals, verticals = cfg.pencils
     # one horizontal per distinct b, one vertical per distinct a
-    assert len(horizontals.lines) == len({b for _, b in _value_pairs(built.graph)})
-    assert len(verticals.lines) == len({a for a, _ in _value_pairs(built.graph)})
-    for line in horizontals.lines:
-        assert line.contains(ProjPoint(1, 0, 0))
+    assert horizontals.size == len({b for _, b in _value_pairs(built.graph)})
+    assert verticals.size == len({a for a, _ in _value_pairs(built.graph)})
+    for line in horizontals.rows.tolist():
+        assert _on_line((1, 0, 0), line)
 
 
 def test_standard_shift_centres():
@@ -259,8 +287,9 @@ def test_m_pencil_config_shape():
         # the slope bound of the docstring, for the centre (x, y) = (-x', -y')
         assert pencil.size <= (1 - x) * (1 - y) * 64
         # every edge point is covered by some line of this pencil
+        lines = set(row_triples(pencil.rows))
         for p in points:
-            assert any(l.contains(p) for l in pencil.lines)
+            assert join(pencil.centre.coords, p.coords) in lines
 
 
 def test_build_dispatches_every_family():
@@ -319,7 +348,7 @@ def test_grid_footnote_covers_grid():
         for gy in range(1, n + 1):
             p = ProjPoint.from_affine(gx, gy)
             for pencil in cfg.pencils:
-                assert any(l.contains(p) for l in pencil.lines)
+                assert any(_on_line(p.coords, l) for l in pencil.rows.tolist())
 
 
 def test_construction_roundtrip_values_are_reduced():

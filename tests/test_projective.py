@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pencils.projective import (
-    ProjLine,
     ProjPoint,
     _affine_image,
     _distinct,
+    _distinct_rows,
     _member,
     _rank_keys,
     _reduce_pairs,
@@ -21,7 +21,7 @@ from pencils.projective import (
     row_triples,
 )
 
-from oracles import _canon, _cross, collinear_bruteforce, join
+from oracles import _canon, _cross, _on_line, collinear_bruteforce, join
 from transforms import ProjTransform, SingularMatrix
 
 
@@ -29,7 +29,6 @@ def test_canonical_form_scaling():
     assert ProjPoint(2, 4, 6) == ProjPoint(1, 2, 3)
     assert ProjPoint(-1, 2, -3) == ProjPoint(1, -2, 3)
     assert ProjPoint(0, -5, 0).coords == (0, 1, 0)
-    assert ProjLine(10, 0, -20) == ProjLine(1, 0, -2)
 
 
 def test_canonical_form_random_scalars():
@@ -49,8 +48,6 @@ def test_canonical_form_random_scalars():
 def test_zero_triple_rejected():
     with pytest.raises(ValueError):
         ProjPoint(0, 0, 0)
-    with pytest.raises(ValueError):
-        ProjLine(0, 0, 0)
 
 
 def test_affine_bridge():
@@ -62,14 +59,6 @@ def test_affine_bridge():
     assert ProjPoint(1, 1, 0).is_infinite
     with pytest.raises(ValueError):
         ProjPoint(1, 1, 0).to_affine()
-
-
-def test_incidence_and_contains():
-    l = ProjLine(1, -1, -1)  # y = x - 1
-    assert l.contains(ProjPoint(2, 1, 1))
-    assert not l.contains(ProjPoint(0, 0, 1))
-    assert ProjLine(0, 0, 1).is_infinite
-    assert not l.is_infinite
 
 
 def test_duality_property():
@@ -93,7 +82,7 @@ def test_collinear_matches_incidence():
         if p == q:
             continue
         assert (collinear_bruteforce([p.coords, q.coords, r.coords])
-                == ProjLine(*join(p.coords, q.coords)).contains(r))
+                == _on_line(r.coords, join(p.coords, q.coords)))
 
 
 def test_transform_preserves_incidence():
@@ -114,18 +103,15 @@ def test_transform_preserves_incidence():
         q = ProjPoint(rng.randint(-9, 9), rng.randint(-9, 9), 1)
         if p == q:
             continue
-        l = ProjLine(*join(p.coords, q.coords))
-        assert t.apply_line(l).contains(t.apply_point(p))
-        assert t.apply_line(l).contains(t.apply_point(q))
+        l = t.apply_line(join(p.coords, q.coords))
+        assert _on_line(t.apply_point(p).coords, l)
+        assert _on_line(t.apply_point(q).coords, l)
         done += 1
 
 
-def test_points_and_lines_hash_and_pickle():
+def test_points_hash_and_pickle():
     p = ProjPoint(2, -4, 6)
-    l = ProjLine(2, -4, 6)
-    assert hash(p) != hash(l)  # salted: a point never collides with its dual line
     assert pickle.loads(pickle.dumps(p)) == p
-    assert pickle.loads(pickle.dumps(l)) == l
     assert len({ProjPoint(1, 2, 3), ProjPoint(2, 4, 6)}) == 1
 
 
@@ -190,6 +176,25 @@ def _pair_arrays(values):
 
 def _pairs(num, den):
     return list(zip(num.tolist(), den.tolist()))
+
+
+@st.composite
+def _row_lists(draw):
+    """Lists of triples whose entries come from a few drawn values, so rows
+    repeat and tie in their leading columns."""
+    pool = draw(st.lists(draw(st.sampled_from([_small, _ints])), min_size=1, max_size=4))
+    value = st.sampled_from(pool)
+    return draw(st.lists(st.tuples(value, value, value), max_size=12))
+
+
+@_properties
+@given(_row_lists())
+def test_distinct_rows_matches_sorted_set(triples):
+    top = max((abs(v) for t in triples for v in t), default=0)
+    rows = int_rows(triples, exact_dtype(top))
+    got = _distinct_rows(rows)
+    assert got.dtype == rows.dtype
+    assert list(row_triples(got)) == sorted(set(triples))
 
 
 @_properties

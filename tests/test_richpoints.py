@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pencils.constructions import (
     Pencil,
@@ -13,17 +14,21 @@ from pencils.constructions import (
     standard_shift_centres,
 )
 from pencils.errors import PreconditionError
-from pencils.projective import ProjLine, ProjPoint
+from pencils.projective import ProjPoint, row_triples
 from pencils.richpoints import _kernel_dtype, rich_points
 
-from oracles import join, rich_points_bruteforce
+from oracles import _canon, _cross, join, rich_points_bruteforce
 from transforms import ProjTransform, SingularMatrix
 
 
 def _pencil(cx, cy, through):
     centre = ProjPoint.from_affine(cx, cy)
-    return Pencil(centre, [ProjLine(*join(centre.coords, ProjPoint.from_affine(x, y).coords))
+    return Pencil(centre, [join(centre.coords, ProjPoint.from_affine(x, y).coords)
                            for x, y in through])
+
+
+def _lines(pc):
+    return set(row_triples(pc.rows))
 
 
 def _random_config(rng, max_pencils=4, max_lines=5, scale=1, offset=0):
@@ -42,21 +47,18 @@ def _random_config(rng, max_pencils=4, max_lines=5, scale=1, offset=0):
                 c = at(rng.randint(-5, 5), rng.randint(-5, 5))
             if c not in centres:
                 centres.append(c)
-        pencils = []
+        line_sets = []
         for c in centres:
             lines = set()
             while len(lines) < rng.randint(1, max_lines):
                 q = at(rng.randint(-6, 6), rng.randint(-6, 6))
                 if q == c:
                     continue
-                lines.add(ProjLine(*join(c.coords, q.coords)))
-            pencils.append(Pencil(c, lines))
-        shared = set(pencils[0].lines)
-        for pc in pencils[1:]:
-            shared &= pc.lines
-        if shared:
+                lines.add(join(c.coords, q.coords))
+            line_sets.append(lines)
+        if set.intersection(*line_sets):
             continue
-        return PencilConfig(pencils)
+        return PencilConfig(Pencil(c, lines) for c, lines in zip(centres, line_sets))
 
 
 def test_too_few_pencils():
@@ -66,8 +68,8 @@ def test_too_few_pencils():
 
 def test_grid_two_pencils():
     # horizontals x verticals: every grid node is rich
-    h = Pencil(ProjPoint(1, 0, 0), [ProjLine(0, 1, -k) for k in (1, 2, 3)])
-    v = Pencil(ProjPoint(0, 1, 0), [ProjLine(1, 0, -k) for k in (1, 2, 3)])
+    h = Pencil(ProjPoint(1, 0, 0), [(0, 1, -k) for k in (1, 2, 3)])
+    v = Pencil(ProjPoint(0, 1, 0), [(1, 0, -k) for k in (1, 2, 3)])
     rep = rich_points(PencilConfig([h, v]))
     assert rep.count == 9
     assert rep.infinite_count == 0
@@ -102,10 +104,7 @@ def test_rich_points_monotone_under_added_pencil():
         if any(pc.centre == extra.centre for pc in cfg.pencils):
             continue
         bigger = PencilConfig(list(cfg.pencils) + [extra])
-        shared = set(bigger.pencils[0].lines)
-        for pc in bigger.pencils[1:]:
-            shared &= pc.lines
-        if shared:
+        if set.intersection(*map(_lines, bigger.pencils)):
             continue
         assert rich_points(bigger).points <= rich_points(cfg).points
 
@@ -114,8 +113,7 @@ def _oracle_check(cfg):
     """The oracle's rich set is the points plus the excluded centres, and
     the excluded centres are exactly its centres."""
     rep = rich_points(cfg)
-    want = rich_points_bruteforce([[l.coeffs for l in pc.lines]
-                                   for pc in cfg.pencils])
+    want = rich_points_bruteforce([pc.rows.tolist() for pc in cfg.pencils])
     excluded = {c.coords for c in rep.excluded_centres}
     assert {p.coords for p in rep.points} | excluded == want
     assert excluded == want & {pc.centre.coords for pc in cfg.pencils}
@@ -161,7 +159,7 @@ def test_rich_points_big_coefficients_match_bruteforce():
     rng = random.Random(31)
     configs = [shared, centre] + [
         _random_config(rng, scale=scale, offset=offset) for _ in range(15)]
-    assert max(abs(v) for l in shared.pencils[0].lines for v in l.coeffs) > 2**31
+    assert max(abs(v) for v in shared.pencils[0].rows.ravel().tolist()) > 2**31
     reports = []
     for cfg in configs:
         assert _kernel_dtype(cfg.pencils) is object
@@ -172,7 +170,7 @@ def test_rich_points_big_coefficients_match_bruteforce():
 
 def _transformed(t, cfg):
     return PencilConfig([Pencil(t.apply_point(pc.centre),
-                                [t.apply_line(l) for l in pc.lines])
+                                [t.apply_line(l) for l in row_triples(pc.rows)])
                          for pc in cfg.pencils])
 
 
@@ -213,29 +211,28 @@ def test_centre_exclusion():
     assert ProjPoint.from_affine(2, 2) in rep.excluded_centres
     assert ProjPoint.from_affine(2, 2) not in rep.points
     for p in rep.points:
-        assert all(join(pc.centre.coords, p.coords) in {l.coeffs for l in pc.lines}
+        assert all(join(pc.centre.coords, p.coords) in _lines(pc)
                    for pc in (p1, p2, p3))
 
 
 def test_shared_line_candidates_are_found():
     # (5, 0) only meets the two smallest pencils on their shared line y = 0,
     # so the pairwise-meet pass alone would miss it
-    y0 = ProjLine(0, 1, 0)
-    p1 = Pencil(ProjPoint.from_affine(0, 0), [y0, ProjLine(1, -1, 0)])
-    p2 = Pencil(ProjPoint.from_affine(1, 0), [y0, ProjLine(2, -1, -2)])
-    p3 = Pencil(ProjPoint.from_affine(0, 5),
-                [ProjLine(*join((0, 5, 1), (5, 0, 1)))])
+    y0 = (0, 1, 0)
+    p1 = Pencil(ProjPoint.from_affine(0, 0), [y0, (1, -1, 0)])
+    p2 = Pencil(ProjPoint.from_affine(1, 0), [y0, (2, -1, -2)])
+    p3 = Pencil(ProjPoint.from_affine(0, 5), [join((0, 5, 1), (5, 0, 1))])
     rep = rich_points(PencilConfig([p1, p2, p3]))
     assert ProjPoint.from_affine(5, 0) in rep.points
-    lines = [[l.coeffs for l in pc.lines] for pc in (p1, p2, p3)]
+    lines = [pc.rows.tolist() for pc in (p1, p2, p3)]
     got = {p.coords for p in rep.points} | {c.coords for c in rep.excluded_centres}
     assert got == rich_points_bruteforce(lines)
 
 
 def test_line_in_every_pencil_is_an_error():
-    y0 = ProjLine(0, 1, 0)
-    p1 = Pencil(ProjPoint.from_affine(0, 0), [y0, ProjLine(1, -1, 0)])
-    p2 = Pencil(ProjPoint.from_affine(1, 0), [y0, ProjLine(1, 1, -1)])
+    y0 = (0, 1, 0)
+    p1 = Pencil(ProjPoint.from_affine(0, 0), [y0, (1, -1, 0)])
+    p2 = Pencil(ProjPoint.from_affine(1, 0), [y0, (1, 1, -1)])
     with pytest.raises(ValueError):
         rich_points(PencilConfig([p1, p2]))
 
@@ -272,6 +269,43 @@ def test_m_pencil_rich_count_dominates_edges():
 def test_report_sorted_points_deterministic():
     cfg = build_grid_footnote_config(3)
     rep = rich_points(cfg)
-    pts = rep.sorted_points()
-    assert pts == sorted(pts)
+    pts = list(row_triples(rep.rows))
+    assert pts == sorted(set(pts))
+    assert pts == [p.coords for p in sorted(rep.points)]
     assert len(pts) == rep.count
+
+
+# Coordinates are all small (int64 kernel) or straddle 2^62 (object kernel),
+# so both dtypes get drawn.
+_small = st.integers(-6, 6)
+_ints = st.one_of(_small, st.integers(2**62 - 6, 2**62 + 6),
+                  st.integers(-2**62 - 6, -2**62 + 6))
+_properties = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+@st.composite
+def _line_sets(draw):
+    """2-4 distinct centres, each with 1-5 lines joining it to drawn points;
+    no line lies in every pencil."""
+    ints = draw(st.sampled_from([_small, _ints]))
+    point = st.tuples(ints, ints, ints).filter(any).map(_canon)
+    centres = draw(st.lists(point, min_size=2, max_size=4, unique=True))
+    line_sets = [{_canon(_cross(c, q)) for q in draw(st.lists(point, min_size=1, max_size=5))
+                  if any(_cross(c, q))} for c in centres]
+    assume(all(line_sets) and not set.intersection(*line_sets))
+    return centres, line_sets
+
+
+@_properties
+@given(_line_sets())
+def test_rich_points_property_matches_bruteforce(drawn):
+    centres, line_sets = drawn
+    rep = rich_points(PencilConfig(Pencil(ProjPoint(*c), lines)
+                                   for c, lines in zip(centres, line_sets)))
+    want = rich_points_bruteforce([sorted(lines) for lines in line_sets])
+    rows = list(row_triples(rep.rows))
+    assert rows == sorted(set(rows))
+    assert set(rows) == want - set(centres)
+    assert rep.count == len(want - set(centres))
+    assert rep.infinite_count == sum(p[2] == 0 for p in want - set(centres))
+    assert [c.coords for c in rep.excluded_centres] == sorted(want & set(centres))

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from pencils.constructions import (
+    Pencil,
+    PencilConfig,
     build_farey_shift_construction,
     build_grid_footnote_config,
     build_symmetric_farey_construction,
     standard_shift_centres,
 )
 from pencils.incidence import verify_lemma_chain
-from pencils.projective import ProjLine, ProjPoint
+from pencils.projective import ProjPoint
 from pencils.richpoints import rich_points
 from pencils.serialize import (
     SWEEP_CSV_HEADER,
@@ -19,8 +21,6 @@ from pencils.serialize import (
     graph_construction_from_json,
     graph_construction_to_json,
     lemma_report_to_json,
-    line_from_json,
-    line_to_json,
     pencil_config_from_json,
     pencil_config_to_json,
     point_from_json,
@@ -37,9 +37,12 @@ from pencils.sweeps import fit_exponent, sweep
 def test_point_line_json_roundtrip():
     p = ProjPoint.from_affine(Fraction(1, 2), Fraction(-3))
     assert point_from_json(point_to_json(p)) == p
-    l = ProjLine(2, -4, 6)
-    assert line_from_json(line_to_json(l)) == l
     assert point_to_json(ProjPoint(1, 0, 0)) == ["1", "0", "0"]
+    # a line triple is written in canonical form and reads back as its row
+    cfg = PencilConfig([Pencil(ProjPoint(1, 0, 0), [(0, -2, 4), (0, 1, -2)])])
+    obj = pencil_config_to_json(cfg)
+    assert obj["pencils"][0]["lines"] == [["0", "1", "-2"]]
+    assert pencil_config_from_json(obj).pencils == cfg.pencils
 
 
 def test_pencil_config_json_roundtrip():
@@ -49,7 +52,7 @@ def test_pencil_config_json_roundtrip():
     assert back.label == cfg.label
     assert back.sizes() == cfg.sizes()
     assert [pc.centre for pc in back.pencils] == [pc.centre for pc in cfg.pencils]
-    assert [pc.lines for pc in back.pencils] == [pc.lines for pc in cfg.pencils]
+    assert back.pencils == cfg.pencils
     assert rich_points(back).points == rich_points(cfg).points
 
 

@@ -5,7 +5,9 @@ of M, which is the inverse-transpose action up to the (projectively
 irrelevant) factor det(M), so incidence is preserved exactly.
 """
 
-from pencils.projective import ProjLine, ProjPoint
+from pencils.projective import ProjPoint
+
+from oracles import _canon
 
 
 class SingularMatrix(ValueError):
@@ -36,6 +38,6 @@ class ProjTransform:
         v = p.coords
         return ProjPoint(*(sum(row[k] * v[k] for k in range(3)) for row in self.matrix))
 
-    def apply_line(self, l: ProjLine) -> ProjLine:
-        v = l.coeffs
-        return ProjLine(*(sum(row[k] * v[k] for k in range(3)) for row in self.cofactor))
+    def apply_line(self, v: tuple) -> tuple:
+        """The canonical triple of the image of the line triple v."""
+        return _canon(tuple(sum(row[k] * v[k] for k in range(3)) for row in self.cofactor))
