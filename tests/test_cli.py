@@ -143,16 +143,16 @@ _GRAPH = {"label": "g", "n": 4, "d": "0", "A": ["1"], "B": ["1"], "edges": [[0, 
     ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": 7}]}),
     ("rich-points", {"pencils": [{"centre": 3, "lines": []}]}),
     ("rich-points", {"label": ["x"], "pencils": []}),
-    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["0", "0", "0"]]}]}),
-    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["0", "1", "0"]]}]}),
-    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [5]}]}),
-    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["1", "0"]]}]}),
     ("verify-lemma", {}),
     ("verify-lemma", []),
     ("verify-lemma", {**_GRAPH, "A": 5}),
     ("verify-lemma", {**_GRAPH, "edges": 5}),
     ("verify-lemma", {**_GRAPH, "label": ["x"]}),
     ("verify-lemma", {k: v for k, v in _GRAPH.items() if k != "n"}),
+    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["0", "0", "0"]]}]}),
+    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["0", "1", "0"]]}]}),
+    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [5]}]}),
+    ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["1", "0"]]}]}),
 ])
 def test_malformed_json_shapes_exit_2(capsys, tmp_path, command, obj):
     path = tmp_path / "in.json"
