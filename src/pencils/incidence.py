@@ -177,9 +177,9 @@ def _witness_identity_holds(inst: IncidenceInstance) -> bool:
     + (x1 - x2) = 0 for b1, b2 in N(a) needs no check of its own:
     (b - y1) r1 = a - x1 and (b - y2) r2 = a - x2 exactly, so it holds by
     algebra, and only the memberships can fail."""
-    (x1, y1), (x2, y2) = inst.centre1, inst.centre2
-    return bool(_member(*_edge_ratios(inst.graph, -x1, -y1), *inst.ratio1).all()
-                and _member(*_edge_ratios(inst.graph, -x2, -y2), *inst.ratio2).all())
+    sides = ((inst.centre1, inst.ratio1), (inst.centre2, inst.ratio2))
+    return all(_member(*_edge_ratios(inst.graph, -x, -y), _rank_keys(*ratio)).all()
+               for (x, y), ratio in sides)
 
 
 def verify_lemma_chain(graph: BipartiteGraph, centre1, centre2) -> LemmaChainReport:

@@ -142,12 +142,12 @@ def _rank_keys(num, den):
     return key, nums, dens
 
 
-def _member(qnum, qden, num, den) -> np.ndarray:
-    """Whether each query pair is one of the pairs (num, den), which are
-    distinct and sorted by (num, den), so their rank keys are sorted: a
-    column whose rank holds another value misses, a hit's rank key is looked
-    up among the pairs' keys; int64 or object arrays."""
-    key, nums, dens = _rank_keys(num, den)
+def _member(qnum, qden, ranked) -> np.ndarray:
+    """Whether each query pair is one of a set of distinct pairs, given as
+    its _rank_keys triple (key, nums, dens) with key sorted: a column whose
+    rank holds another value misses, a hit's rank key is looked up among
+    the keys; int64 or object arrays."""
+    key, nums, dens = ranked
     if not len(key):
         return np.zeros(len(qnum), dtype=bool)
     i = np.minimum(np.searchsorted(nums, qnum), len(nums) - 1)

@@ -1,14 +1,15 @@
 """Exact computation of the points lying on at least one line of every pencil.
 
 Candidates come from pairwise meets of the two smallest pencils, so the
-cost is O(s1*s2*(m-2)) hash tests rather than quadratic in the total line
-count.  One array kernel does the work: the meets of a block of
+cost is O(s1*s2*(m-2)) sorted lookups rather than quadratic in the total
+line count.  One array kernel does the work: the meets of a block of
 first-pencil lines with all second-pencil lines are row-wise cross
 products of the pencils' line rows; each other pencil is probed by joining
-its centre to every surviving meet, canonicalising the joins and looking
-them up in the pencil's set of line triples.  The surviving meets stay
-canonical rows, deduplicated and sorted in one pass; ProjPoint objects
-are built only for excluded centres and when a caller reads ``points``.
+its centre to every surviving meet, canonicalising the joins and testing
+them with projective._member against the pencil's rows, ranked once on
+two columns (see _line_test).  The surviving meets stay canonical rows,
+deduplicated and sorted in one pass; ProjPoint objects are built only for
+excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -26,6 +27,8 @@ from .errors import PreconditionError
 from .projective import (
     ProjPoint,
     _distinct_rows,
+    _member,
+    _rank_keys,
     canonical_rows,
     cross_rows,
     exact_dtype,
@@ -73,12 +76,23 @@ class RichPointReport:
 
 
 def _kernel_dtype(pencils):
-    """int64 when 4*C*M^2 < 2^62, with M the largest |line coefficient| and
-    C the largest |centre coordinate|: a meet entry is at most 2M^2 and a
-    probe entry, cross(centre, meet), at most 4CM^2."""
+    """int64 when 2C*max(2M^2, C) < 2^62 (M the largest |line coefficient|, C
+    the largest |centre coordinate|): a meet entry is at most 2M^2, a probe
+    join cross(centre, meet) 4CM^2 and the join of two centres 2C^2."""
     m = max((int(np.abs(pc.rows).max()) for pc in pencils if pc.size), default=0)
     c = max(abs(v) for pc in pencils for v in pc.centre.coords)
-    return exact_dtype(4 * c * m * m)
+    return exact_dtype(2 * c * max(2 * m * m, c))
+
+
+def _line_test(pc, dtype):
+    """Membership in the pencil's lines for canonical rows of lines through
+    its centre.  Such a line is fixed by the two coefficients left when the
+    column k of a nonzero centre coordinate is dropped, so the pencil is
+    ranked once on those pairs and each query row is one _member lookup."""
+    k = max(i for i, v in enumerate(pc.centre.coords) if v)
+    key, nums, dens = _rank_keys(*np.delete(pc.rows.astype(dtype), k, axis=1).T)
+    key.sort()
+    return lambda rows: _member(*np.delete(rows, k, axis=1).T, (key, nums, dens))
 
 
 def rich_points(config: PencilConfig) -> RichPointReport:
@@ -92,38 +106,36 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         raise PreconditionError("richness needs at least 2 pencils")
     by_size = sorted(config.pencils, key=lambda pc: pc.size)
     first, second, rest = by_size[0], by_size[1], by_size[2:]
-    # A line shared by the two seed pencils witnesses both at once; points
-    # on it only show up as meets with a pencil NOT containing that line.
-    line_sets = [set(row_triples(pc.rows)) for pc in by_size]
-    hosts = []
-    for shared in line_sets[0] & line_sets[1]:
-        host = next((pc for pc, lines in zip(rest, line_sets[2:])
-                     if shared not in lines), None)
-        if host is None:
-            raise ValueError(
-                f"line {shared} belongs to every pencil; every point on it "
-                f"is rich, so the rich set is infinite"
-            )
-        hosts.append((shared, host))
-
     dtype = _kernel_dtype(config.pencils)
-    probes = [(int_rows([pc.centre.coords], dtype), lines)
-              for pc, lines in zip(rest, line_sets[2:])]
+    centres = int_rows((pc.centre.coords for pc in by_size), dtype)
+    tests = [_line_test(pc, dtype) for pc in by_size]
+    probes = list(zip(centres[2:, None], tests[2:]))
     found = [np.empty((0, 3), dtype=dtype)]
 
     def sift(meets):
         """Add the canonical meets that lie on a line of every rest pencil.
         A meet equal to a rest centre passes that centre's own probe (the
         join is zero); centres are split off after all meets are sifted."""
-        for centre, lines in probes:
+        for centre, on_pencil in probes:
             joins = cross_rows(centre, meets)
             keep = (joins == 0).all(axis=1)
             live = ~keep
-            keep[live] = np.fromiter(
-                map(lines.__contains__, row_triples(canonical_rows(joins[live]))),
-                dtype=bool, count=np.count_nonzero(live))
+            keep[live] = on_pencil(canonical_rows(joins[live]))
             meets = meets[keep]
         found.append(canonical_rows(meets))
+
+    # Distinct centres share at most one line, their join.  If both seeds hold
+    # it, its points show up only as meets with a pencil not holding it; a
+    # pencil holds it if it is one of its lines and joins its centre to the first.
+    lines = canonical_rows(cross_rows(centres[:1], centres[1:]))
+    holds = [(row == lines[0]).all() and on_pencil(row[None])[0]
+             for on_pencil, row in zip(tests, [lines[0], *lines])]
+    if holds[0] and holds[1]:
+        host = next((pc for pc, held in zip(rest, holds[2:]) if not held), None)
+        if host is None:
+            raise ValueError(f"line {tuple(lines[0].tolist())} belongs to every pencil; "
+                             f"every point on it is rich, so the rich set is infinite")
+        sift(cross_rows(lines[:1], host.rows.astype(dtype)))
 
     first_rows, second_rows = first.rows.astype(dtype), second.rows.astype(dtype)
     for lo in range(0, len(first_rows), _MEET_BLOCK):
@@ -131,13 +143,10 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         meets = cross_rows(block, second_rows[None, :, :]).reshape(-1, 3)
         # a zero row is the meet of a line shared by both seed pencils
         sift(meets[(meets != 0).any(axis=1)])
-    for shared, host in hosts:
-        sift(cross_rows(int_rows([shared], dtype), host.rows.astype(dtype)))
 
     # a found centre met a first- and a second-pencil line and passed every
     # other probe, so it is on a line of every other pencil
     rows = _distinct_rows(np.concatenate(found))
-    centres = int_rows((pc.centre.coords for pc in config.pencils), dtype)
     is_centre = (rows[:, None] == centres).all(axis=2).any(axis=1)
     return RichPointReport(
         rows=rows[~is_centre],

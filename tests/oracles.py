@@ -89,6 +89,13 @@ def join(p, q):
     return _canon(_cross(p, q))
 
 
+def pencil_lines_bruteforce(lines, queries):
+    """Whether each query line triple is one of ``lines``: its canonical
+    triple looked up in the set of canonical line triples."""
+    canonical = {_canon(line) for line in lines}
+    return [_canon(query) in canonical for query in queries]
+
+
 def _on_line(point, line):
     return sum(p * l for p, l in zip(point, line)) == 0
 

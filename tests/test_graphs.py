@@ -14,7 +14,7 @@ from pencils.graphs import (
     neighbourhood_square_sum,
     shifted_restricted_ratio_set,
 )
-from pencils.projective import _member
+from pencils.projective import _member, _rank_keys
 
 from oracles import _as_set, multiplication_table_bruteforce
 
@@ -207,16 +207,17 @@ def _check_ratio_arrays_and_member():
         for qs, qdtype in ((queries, np.int64), (queries + huge, object)):
             qn = np.array([q.numerator for q in qs], dtype=qdtype)
             qd = np.array([q.denominator for q in qs], dtype=qdtype)
-            got = _member(qn, qd, num, den)
+            got = _member(qn, qd, _rank_keys(num, den))
             assert got.dtype == bool
             assert got.tolist() == [q in _as_set((num, den)) for q in qs]
         # a row dropped from the set is a miss, the rest still hit
         if len(num):
-            got = _member(num, den, num[1:], den[1:])
+            got = _member(num, den, _rank_keys(num[1:], den[1:]))
             assert got.tolist() == [False] + [True] * (len(num) - 1)
     empty = np.array([], dtype=np.int64)
-    assert _member(np.array([1, 2]), np.array([1, 3]), empty, empty).tolist() == [False, False]
-    assert _member(empty, empty, empty, empty).tolist() == []
+    none = _rank_keys(empty, empty)
+    assert _member(np.array([1, 2]), np.array([1, 3]), none).tolist() == [False, False]
+    assert _member(empty, empty, none).tolist() == []
 
 
 def test_ratio_arrays_and_member():

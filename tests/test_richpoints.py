@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import pencils.richpoints
 from pencils.constructions import (
     Pencil,
     PencilConfig,
@@ -14,10 +17,10 @@ from pencils.constructions import (
     standard_shift_centres,
 )
 from pencils.errors import PreconditionError
-from pencils.projective import ProjPoint, row_triples
-from pencils.richpoints import _kernel_dtype, rich_points
+from pencils.projective import ProjPoint, exact_dtype, int_rows, row_triples
+from pencils.richpoints import _kernel_dtype, _line_test, rich_points
 
-from oracles import _canon, _cross, join, rich_points_bruteforce
+from oracles import _canon, _cross, join, pencil_lines_bruteforce, rich_points_bruteforce
 from transforms import ProjTransform, SingularMatrix
 
 
@@ -280,28 +283,48 @@ def test_report_sorted_points_deterministic():
 _small = st.integers(-6, 6)
 _ints = st.one_of(_small, st.integers(2**62 - 6, 2**62 + 6),
                   st.integers(-2**62 - 6, -2**62 + 6))
-_properties = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+def _points(ints):
+    return st.tuples(ints, ints, ints).filter(any).map(_canon)
 
 
 @st.composite
 def _line_sets(draw):
-    """2-4 distinct centres, each with 1-5 lines joining it to drawn points;
-    no line lies in every pencil."""
+    """2-4 distinct centres, each with 1-5 lines joining it to drawn points.
+    Sometimes the join of the two centres with the fewest lines is added to
+    both of their pencils, so they are likely the seed pencils; sometimes
+    the centres are collinear and their join is added to every pencil."""
     ints = draw(st.sampled_from([_small, _ints]))
-    point = st.tuples(ints, ints, ints).filter(any).map(_canon)
-    centres = draw(st.lists(point, min_size=2, max_size=4, unique=True))
+    point = _points(ints)
+    shared = ["none", "pair", "all"][draw(st.integers(0, 2))]
+    # a line held by only two pencils needs a third pencil to host it
+    centres = draw(st.lists(point, min_size=2 + (shared == "pair"), max_size=4, unique=True))
+    if shared == "all":
+        # the other centres move onto the line through the first two
+        a, b = centres[:2]
+        weights = draw(st.lists(st.tuples(_small, _small).filter(any), max_size=2))
+        centres = list(dict.fromkeys(
+            [a, b, *(_canon(tuple(u * x + v * y for x, y in zip(a, b))) for u, v in weights)]))
     line_sets = [{_canon(_cross(c, q)) for q in draw(st.lists(point, min_size=1, max_size=5))
                   if any(_cross(c, q))} for c in centres]
-    assume(all(line_sets) and not set.intersection(*line_sets))
+    if shared != "none":
+        i, j = sorted(range(len(centres)), key=lambda k: len(line_sets[k]))[:2]
+        for k in (range(len(centres)) if shared == "all" else (i, j)):
+            line_sets[k].add(join(centres[i], centres[j]))
+    assume(all(line_sets))
     return centres, line_sets
 
 
-@_properties
 @given(_line_sets())
 def test_rich_points_property_matches_bruteforce(drawn):
     centres, line_sets = drawn
-    rep = rich_points(PencilConfig(Pencil(ProjPoint(*c), lines)
-                                   for c, lines in zip(centres, line_sets)))
+    config = PencilConfig(Pencil(ProjPoint(*c), lines) for c, lines in zip(centres, line_sets))
+    if set.intersection(*line_sets):
+        with pytest.raises(ValueError, match="belongs to every pencil"):
+            rich_points(config)
+        return
+    rep = rich_points(config)
     want = rich_points_bruteforce([sorted(lines) for lines in line_sets])
     rows = list(row_triples(rep.rows))
     assert rows == sorted(set(rows))
@@ -309,3 +332,38 @@ def test_rich_points_property_matches_bruteforce(drawn):
     assert rep.count == len(want - set(centres))
     assert rep.infinite_count == sum(p[2] == 0 for p in want - set(centres))
     assert [c.coords for c in rep.excluded_centres] == sorted(want & set(centres))
+
+
+@st.composite
+def _pencil_probes(draw):
+    """A centre, at infinity for some draws, the lines joining it to drawn
+    points, and queries: canonical joins of the centre with those points
+    and with other drawn points."""
+    ints = draw(st.sampled_from([_small, _ints]))
+    centre = draw(st.one_of(_points(ints), st.just((0, 1, 0)),
+                            ints.map(lambda k: (1, k, 0))))
+    joins = lambda points: [join(centre, q) for q in points if q != centre]
+    lines = joins(draw(st.lists(_points(ints), max_size=5)))
+    return centre, lines, lines + joins(draw(st.lists(_points(ints), max_size=5)))
+
+
+def test_line_test_property_matches_tuple_sets():
+    """rich_points' pencil line test against tuple-set membership; a
+    counting wrapper around its _member calls shows both dtypes drawn."""
+    member, dtypes = pencils.richpoints._member, Counter()
+
+    def counting(qa, qb, ranked):
+        dtypes[qa.dtype.name] += 1
+        return member(qa, qb, ranked)
+
+    @given(_pencil_probes())
+    def check(drawn):
+        centre, lines, queries = drawn
+        dtype = exact_dtype(max(abs(v) for t in [centre, *queries] for v in t))
+        on_pencil = _line_test(Pencil(ProjPoint(*centre), lines), dtype)
+        assert on_pencil(int_rows(queries, dtype)).tolist() == pencil_lines_bruteforce(
+            lines, queries)
+
+    with mock.patch.object(pencils.richpoints, "_member", counting):
+        check()
+    assert dtypes["int64"] and dtypes["object"], dtypes
