@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CentreOnPointSet, PreconditionError
-from .graphs import BipartiteGraph, GroundSet
+from .graphs import BipartiteGraph, GroundSet, _sorted_ground
 from .projective import (
     ProjPoint,
     _distinct_rows,
@@ -180,14 +180,19 @@ def floored_log_quotient(n: int, d, sqrt_numerator: bool = False) -> int:
 
 
 def _block_graph(left: GroundSet, right: GroundSet, blocks) -> BipartiteGraph:
-    """The graph that joins, within each (left values, right values) block,
-    every left value to every right value."""
-    chunks = []
-    for left_vals, right_vals in blocks:
-        li = np.array([left.index_of(v) for v in left_vals], dtype=np.uint32)
-        ri = np.array([right.index_of(v) for v in right_vals], dtype=np.uint32)
-        chunks.append(np.stack(np.meshgrid(li, ri, indexing="ij"), axis=-1).reshape(-1, 2))
-    return BipartiteGraph(left, right, np.concatenate(chunks))
+    """The graph that joins, within each (left positions, right positions)
+    block, every left position to every right position."""
+    return BipartiteGraph(left, right, np.concatenate(
+        [np.stack(np.meshgrid(li, ri, indexing="ij"), axis=-1).reshape(-1, 2)
+         for li, ri in blocks]))
+
+
+def _coprime_blocks(upper: int, dens: range):
+    """The reduced i/j, 1 <= i <= upper and j in dens, as (num, den) arrays
+    in j-major order, and the np.split offsets of the blocks j > dens[0]."""
+    i, j = np.meshgrid(np.arange(1, upper + 1), np.array(dens))
+    keep = np.gcd(i, j) == 1
+    return i[keep], j[keep], np.cumsum(keep.sum(axis=1))[:-1]
 
 
 def build_farey_shift_construction(n: int, d=0) -> GraphConstruction:
@@ -206,12 +211,12 @@ def build_farey_shift_construction(n: int, d=0) -> GraphConstruction:
     if upper < 2 or l_max < upper:
         raise PreconditionError(f"degenerate ranges at n = {n}, d = {d}")
 
-    blocks = [([Fraction(i, j) for i in range(1, upper + 1) if math.gcd(i, j) == 1],
-               [Fraction(1, l) for l in range(j, l_max + 1, j)])
-              for j in range(lower, upper + 1)]
-    left = GroundSet.from_values(v for block, _ in blocks for v in block)
-    right = GroundSet.from_values(Fraction(1, l) for l in range(1, l_max + 1))
-    graph = _block_graph(left, right, blocks)
+    num, den, cuts = _coprime_blocks(upper, range(lower, upper + 1))
+    left, lpos = _sorted_ground(num, den)
+    right, rpos = _sorted_ground(np.ones(l_max, dtype=np.int64), np.arange(1, l_max + 1))
+    # block j holds 1/l for l = j, 2j, ..., at rpos[l - 1]
+    graph = _block_graph(left, right, zip(np.split(lpos, cuts),
+                                          (rpos[j - 1::j] for j in range(lower, upper + 1))))
     return GraphConstruction(graph, n, d, f"farey-shift(n={n},d={d})")
 
 
@@ -224,11 +229,10 @@ def build_symmetric_farey_construction(n: int) -> GraphConstruction:
     if n < 1:
         raise PreconditionError("need n >= 1")
     s = math.isqrt(n)
-    blocks = [[Fraction(i, j) for i in range(1, s + 1) if math.gcd(i, j) == 1]
-              for j in range(1, s + 1)]
-    ground = GroundSet.from_values(v for block in blocks for v in block)
-    graph = _block_graph(ground, ground, ((block, block) for block in blocks))
-    return GraphConstruction(graph, n, Fraction(0), f"symmetric(n={n})")
+    num, den, cuts = _coprime_blocks(s, range(1, s + 1))
+    ground, pos = _sorted_ground(num, den)
+    graph = _block_graph(ground, ground, ((p, p) for p in np.split(pos, cuts)))
+    return GraphConstruction(graph, n, 0, f"symmetric(n={n})")
 
 
 # ---------------------------------------------------------------------------

@@ -30,63 +30,59 @@ __all__ = [
 
 
 class GroundSet:
-    """Ordered collection of distinct rationals with positional indexing.
+    """Distinct rationals in a fixed order, held as integer arrays: the
+    reduced numerators and positive denominators, int64 when the height
+    (the largest |numerator| or denominator, 0 when empty) is below 2^62,
+    else Python ints.  ``elements`` builds the Fractions when read."""
 
-    Its exact integer form is built once: the numerator and denominator
-    arrays in ground-set order, int64 when the height (the largest
-    |numerator| or denominator, 0 when empty) is below 2^62, else Python ints.
-    """
-
-    __slots__ = ("elements", "_index", "numerators", "denominators", "height")
+    __slots__ = ("numerators", "denominators", "height")
 
     def __init__(self, elements):
-        elems = tuple(Fraction(e) for e in elements)
-        nums = [e.numerator for e in elems]
-        dens = [e.denominator for e in elems]
-        # keyed by (numerator, denominator): a tuple of ints hashes and
-        # compares far faster than a Fraction
-        index = dict(zip(zip(nums, dens), range(len(elems))))
-        if len(index) != len(elems):
+        pairs = [Fraction(e).as_integer_ratio() for e in elements]
+        self.height = max((max(abs(p), q) for p, q in pairs), default=0)
+        rows = np.array(pairs, dtype=exact_dtype(self.height)).reshape(-1, 2)
+        self.numerators, self.denominators = rows.T.copy()
+        if len(_distinct(_rank_keys(self.numerators, self.denominators)[0])) != len(pairs):
             raise ValueError("ground set elements must be pairwise distinct")
-        self.elements = elems
-        self._index = index
-        self.height = max(max(map(abs, nums), default=0), max(dens, default=0))
-        dtype = exact_dtype(self.height)
-        self.numerators = np.array(nums, dtype=dtype)
-        self.denominators = np.array(dens, dtype=dtype)
 
-    @classmethod
-    def from_values(cls, values) -> "GroundSet":
-        """Deduplicate and sort, the deterministic order used everywhere, by
-        the integer key floor(v * D^2), D the largest denominator: distinct
-        values differ by at least 1/D^2, so their keys differ."""
-        values = [Fraction(v) for v in values]
-        scale = max((v.denominator for v in values), default=1) ** 2
-        by_key = {v.numerator * scale // v.denominator: v for v in values}
-        return cls(by_key[k] for k in sorted(by_key))
-
-    def index_of(self, value) -> int:
-        return self._index[Fraction(value).as_integer_ratio()]
+    @property
+    def elements(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.numerators.tolist(), self.denominators.tolist()))
 
     def __contains__(self, value):
-        return Fraction(value).as_integer_ratio() in self._index
-
-    def __getitem__(self, i) -> Fraction:
-        return self.elements[i]
+        v = Fraction(value)
+        return bool((self.numerators[self.denominators == v.denominator] == v.numerator).any())
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.numerators)
 
     def __eq__(self, other):
-        return isinstance(other, GroundSet) and self.elements == other.elements
+        return (isinstance(other, GroundSet) and np.array_equal(self.numerators, other.numerators)
+                and np.array_equal(self.denominators, other.denominators))
 
     def __repr__(self):
-        if len(self.elements) <= 6:
-            return f"GroundSet({[str(e) for e in self.elements]})"
-        return f"GroundSet(<{len(self.elements)} elements>)"
+        shown = [str(e) for e in self.elements] if len(self) <= 6 else f"<{len(self)} elements>"
+        return f"GroundSet({shown})"
+
+
+def _sorted_ground(num, den):
+    """The GroundSet of the distinct values among reduced (num, den) integer
+    arrays, den > 0, in increasing order, and the uint32 position of every
+    input pair in it.  The key floor(num * D^2 / den), D the largest den, is
+    exact: distinct values differ by at least 1/D^2, so their keys differ."""
+    height = max(int(np.abs(num).max(initial=0)), int(den.max(initial=0)))
+    scale = int(den.max(initial=1)) ** 2
+    dtype = exact_dtype(height * scale)
+    _, first, pos = np.unique(num.astype(dtype) * scale // den.astype(dtype),
+                              return_index=True, return_inverse=True)
+    ground = GroundSet.__new__(GroundSet)
+    ground.numerators, ground.denominators = (v[first].astype(exact_dtype(height))
+                                              for v in (num, den))
+    ground.height = height
+    return ground, pos.astype(np.uint32)
 
 
 class BipartiteGraph:
@@ -175,7 +171,7 @@ def _edge_ratios(graph: BipartiteGraph, x=0, y=0):
     den *= np.abs(qn)[j]
     zero = den == 0
     if zero.any():
-        raise ZeroDenominator(graph.right[int(j[zero.argmax()])])
+        raise ZeroDenominator(graph.right.elements[int(j[zero.argmax()])])
     num = pn[i]
     num *= (qd * np.sign(qn))[j]
     return _reduce_pairs(num, den)

@@ -77,8 +77,8 @@ def _random_lemma_case(rng):
         na, nb = rng.randint(1, 30), rng.randint(1, 30)
         a_vals = rng.sample(range(0, 60), na)
         b_vals = rng.sample(range(0, 60), nb)
-        A = GroundSet.from_values(Fraction(v) for v in a_vals)
-        B = GroundSet.from_values(Fraction(v) for v in b_vals)
+        A = GroundSet(sorted(map(Fraction, a_vals)))
+        B = GroundSet(sorted(map(Fraction, b_vals)))
         edges = [(i, j) for i in range(na) for j in range(nb)
                  if rng.random() < 0.3]
         if not edges:
@@ -161,7 +161,8 @@ def test_criterion_03_farey_small_case():
     got = (len(built.A), len(built.B), built.graph.edge_count)
     ok = got == (7, 16, 39)
     ok &= set(built.A) == a_set and set(built.B) == b_set
-    pairs = {(built.A[i], built.B[j]) for i, j in built.graph.edge_array.tolist()}
+    A, B = built.A.elements, built.B.elements
+    pairs = {(A[i], B[j]) for i, j in built.graph.edge_array.tolist()}
     ok &= pairs == set(edges)
     assert _verdict(3, ok, f"(|A|,|B|,|E|)={got} matches enumeration (7,16,39)")
 
@@ -247,7 +248,8 @@ def test_criterion_08_m_pencil_general_position():
         for n in (64, 256):
             cfg = build_m_pencil_config(m, n)
             built = build_symmetric_farey_construction(n)
-            points = [ProjPoint.from_affine(built.A[i], built.B[j]).coords
+            A, B = built.A.elements, built.B.elements
+            points = [ProjPoint.from_affine(A[i], B[j]).coords
                       for i, j in built.graph.edge_array.tolist()]
             pencils = [(pc.centre.coords, set(row_triples(pc.rows)))
                        for pc in cfg.pencils]

@@ -153,6 +153,7 @@ _GRAPH = {"label": "g", "n": 4, "d": "0", "A": ["1"], "B": ["1"], "edges": [[0, 
     ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["0", "1", "0"]]}]}),
     ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [5]}]}),
     ("rich-points", {"pencils": [{"centre": ["0", "1", "0"], "lines": [["1", "0"]]}]}),
+    ("verify-lemma", {**_GRAPH, "A": ["1", "2/2"]}),
 ])
 def test_malformed_json_shapes_exit_2(capsys, tmp_path, command, obj):
     path = tmp_path / "in.json"

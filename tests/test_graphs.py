@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pencils.errors import PreconditionError, ZeroDenominator
 from pencils.graphs import (
     BipartiteGraph,
     GroundSet,
     _ratio_arrays,
+    _sorted_ground,
     multiplication_table_size,
     neighbourhood_square_sum,
     shifted_restricted_ratio_set,
 )
-from pencils.projective import _member, _rank_keys
+from pencils.projective import _member, _rank_keys, exact_dtype
 
 from oracles import _as_set, multiplication_table_bruteforce
 
@@ -24,47 +26,83 @@ def _random_graph(rng, max_side=8):
     nb = rng.randint(1, max_side)
     a_vals = rng.sample(range(-20, 21), na)
     b_vals = rng.sample(range(-20, 21), nb)
-    A = GroundSet.from_values(Fraction(v) for v in a_vals)
-    B = GroundSet.from_values(Fraction(v, rng.choice([1, 1, 2])) for v in b_vals)
+    A = GroundSet(sorted({Fraction(v) for v in a_vals}))
+    B = GroundSet(sorted({Fraction(v, rng.choice([1, 1, 2])) for v in b_vals}))
     edges = [(i, j) for i in range(len(A)) for j in range(len(B))
              if rng.random() < 0.4]
     return BipartiteGraph(A, B, edges)
 
 
 def test_ground_set_rejects_duplicates():
-    with pytest.raises(ValueError):
-        GroundSet([Fraction(1), Fraction(2), Fraction(1)])
+    for values in ([Fraction(1), Fraction(2), Fraction(1)], ["1", "2/2"],
+                   [2**70, Fraction(-1, 3), Fraction(2**71, 2)]):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            GroundSet(values)
 
 
-def test_ground_set_from_values_sorts_and_dedups():
-    g = GroundSet.from_values([Fraction(3), Fraction(1), Fraction(3), Fraction(2)])
-    assert list(g) == [Fraction(1), Fraction(2), Fraction(3)]
-    assert g.index_of(Fraction(2)) == 1
-    assert g[0] == Fraction(1)
-    assert Fraction(3) in g and Fraction(5) not in g
+def test_ground_set_arrays_and_lookups():
+    g = GroundSet([Fraction(3), Fraction(1), Fraction(2)])
+    assert list(g) == list(g.elements) == [Fraction(3), Fraction(1), Fraction(2)]
+    assert Fraction(3) in g and Fraction(5) not in g and 2**64 + 3 not in g
     assert len(g) == 3
-    # negative values, shared denominators and heights past 2^62; the
-    # stored integer form matches the Fractions
+    assert g == GroundSet(["3", "1", "2"]) != GroundSet([1, 2, 3])
+    # negative values, shared denominators and heights past 2^62, in drawn
+    # order; the stored integer form matches the Fractions
     rng = random.Random(5)
     for _ in range(60):
         scale = rng.choice([1, 1, 2**70])
         values = [Fraction(rng.randint(-40, 40) * scale,
                            rng.choice([1, 2, 3, 4, 6, 7, 2**63 + 1]))
                   for _ in range(rng.randint(1, 40))]
-        g = GroundSet.from_values(values)
-        assert list(g) == sorted(set(values))
+        g = GroundSet(dict.fromkeys(values))
+        assert list(g) == list(dict.fromkeys(values))
         assert g.numerators.tolist() == [v.numerator for v in g]
         assert g.denominators.tolist() == [v.denominator for v in g]
         assert g.height == _height(g)
         assert (g.numerators.dtype == object) == (g.height >= 2**62)
-    empty = GroundSet.from_values([])
+    empty = GroundSet([])
     assert len(empty) == empty.height == 0
     assert empty.numerators.size == empty.denominators.size == 0
 
 
+# A drawn list has coordinates up to 40 (int64 key and arrays), near 2^21
+# (object key, int64 arrays) or straddling 2^62 (object key and arrays).
+_coords = [st.integers(0, 40), st.integers(2**21 - 40, 2**21 + 40),
+           st.integers(2**62 - 40, 2**62 + 40)]
+
+
+@st.composite
+def _value_lists(draw):
+    """Rationals built from a few drawn numerators of either sign and
+    positive denominators, so values repeat and share denominators."""
+    ints = draw(st.sampled_from(_coords))
+    nums = draw(st.lists(st.one_of(ints, ints.map(lambda v: -v)), min_size=1, max_size=4))
+    dens = draw(st.lists(ints.filter(bool), min_size=1, max_size=3))
+    return draw(st.lists(st.builds(Fraction, st.sampled_from(nums), st.sampled_from(dens)),
+                         min_size=1, max_size=12))
+
+
+@given(_value_lists())
+def test_sorted_ground_matches_sorted_set(values):
+    top = max((max(abs(v.numerator), v.denominator) for v in values), default=0)
+    num, den = (np.array(col, dtype=exact_dtype(top))
+                for col in ([v.numerator for v in values], [v.denominator for v in values]))
+    ground, pos = _sorted_ground(num, den)
+    elements = ground.elements
+    assert list(elements) == sorted(set(values))
+    assert ground == GroundSet(sorted(set(values)))
+    assert ground.height == top
+    assert ground.numerators.dtype == ground.denominators.dtype == exact_dtype(top)
+    assert pos.dtype == np.uint32
+    assert [elements[p] for p in pos.tolist()] == values
+    # queries past 2^62 against int64 arrays compare exactly, with no wraparound
+    queries = values + [v + 2**64 for v in values] + [v / 2**64 for v in values]
+    assert [q in ground for q in queries] == [q in set(values) for q in queries]
+
+
 def test_graph_edges_deduped_and_sorted():
-    A = GroundSet.from_values([Fraction(0), Fraction(1)])
-    B = GroundSet.from_values([Fraction(0), Fraction(1)])
+    A = GroundSet([Fraction(0), Fraction(1)])
+    B = GroundSet([Fraction(0), Fraction(1)])
     g = BipartiteGraph(A, B, [(1, 0), (0, 0), (1, 0), (0, 1)])
     assert g.edge_count == 3
     assert g.edge_array.tolist() == [[0, 0], [0, 1], [1, 0]]
@@ -73,8 +111,8 @@ def test_graph_edges_deduped_and_sorted():
 def test_graph_rejects_out_of_range_edges():
     """Also indices that are not exact ints: the uint32 cast would read
     (0.5, 1.9) as (0, 1) and True as 1, and overflow on -1 and 2^32."""
-    A = GroundSet.from_values([Fraction(0), Fraction(1)])
-    B = GroundSet.from_values([Fraction(0), Fraction(1)])
+    A = GroundSet([Fraction(0), Fraction(1)])
+    B = GroundSet([Fraction(0), Fraction(1)])
     bad = ([(0, 2)], [(0.5, 1.9)], [(0, True)], [(0, -1)], [(2**32, 0)],
            np.array([[0.5, 1.9]]), np.array([[False, True]]),
            np.array([[0, -1]]), np.array([[2**32, 0]]))
@@ -89,16 +127,16 @@ def test_graph_dedup_matches_sort_dedup_oracle():
     rng = random.Random(42)
     for _ in range(50):
         na, nb = rng.randint(1, 6), rng.randint(1, 6)
-        A = GroundSet.from_values([Fraction(v) for v in range(na)])
-        B = GroundSet.from_values([Fraction(v) for v in range(nb)])
+        A = GroundSet(range(na))
+        B = GroundSet(range(nb))
         raw = [(rng.randrange(na), rng.randrange(nb)) for _ in range(rng.randint(0, 30))]
         g = BipartiteGraph(A, B, raw)
         assert [tuple(e) for e in g.edge_array.tolist()] == sorted(set(raw))
 
 
 def test_degrees_and_transpose():
-    A = GroundSet.from_values([Fraction(0), Fraction(1), Fraction(2)])
-    B = GroundSet.from_values([Fraction(5), Fraction(7)])
+    A = GroundSet([Fraction(0), Fraction(1), Fraction(2)])
+    B = GroundSet([Fraction(5), Fraction(7)])
     g = BipartiteGraph(A, B, [(0, 0), (0, 1), (2, 1)])
     assert list(g.left_degrees()) == [2, 0, 1]
     t = g.transpose()
@@ -107,8 +145,8 @@ def test_degrees_and_transpose():
 
 
 def test_restricted_ops_empty_graph():
-    A = GroundSet.from_values([Fraction(1), Fraction(2)])
-    B = GroundSet.from_values([Fraction(3)])
+    A = GroundSet([Fraction(1), Fraction(2)])
+    B = GroundSet([Fraction(3)])
     g = BipartiteGraph(A, B, [])
     assert shifted_restricted_ratio_set(g, Fraction(0), Fraction(0)) == frozenset()
     assert neighbourhood_square_sum(g) == 0
@@ -118,15 +156,16 @@ def test_restricted_ops_empty_graph():
 
 
 def test_restricted_ops_complete_graph_example():
-    A = GroundSet.from_values([Fraction(0), Fraction(1)])
-    B = GroundSet.from_values([Fraction(0), Fraction(1)])
+    A = GroundSet([Fraction(0), Fraction(1)])
+    B = GroundSet([Fraction(0), Fraction(1)])
     g = BipartiteGraph(A, B, [(i, j) for i in range(2) for j in range(2)])
     assert shifted_restricted_ratio_set(g, 0, 1) == {Fraction(0), Fraction(1, 2), Fraction(1)}
     assert neighbourhood_square_sum(g) == 8
 
 
 def _value_pairs(g):
-    return [(g.left[i], g.right[j]) for i, j in g.edge_array.tolist()]
+    left, right = g.left.elements, g.right.elements
+    return [(left[i], right[j]) for i, j in g.edge_array.tolist()]
 
 
 def _height(values):
@@ -229,8 +268,8 @@ def test_ratio_arrays_and_member_object_dtype(object_dtype):
 
 
 def test_ratio_set_zero_denominator():
-    A = GroundSet.from_values([Fraction(1)])
-    B = GroundSet.from_values([Fraction(-2), Fraction(3)])
+    A = GroundSet([Fraction(1)])
+    B = GroundSet([Fraction(-2), Fraction(3)])
     g = BipartiteGraph(A, B, [(0, 0), (0, 1)])
     with pytest.raises(ZeroDenominator):
         shifted_restricted_ratio_set(g, Fraction(0), Fraction(2))

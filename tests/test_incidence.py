@@ -32,10 +32,11 @@ from oracles import (
 
 
 def _graph(a_vals, b_vals, pairs):
-    A = GroundSet.from_values([Fraction(v) for v in a_vals])
-    B = GroundSet.from_values([Fraction(v) for v in b_vals])
-    idx = [(A.index_of(Fraction(a)), B.index_of(Fraction(b))) for a, b in pairs]
-    return BipartiteGraph(A, B, idx)
+    A = GroundSet(sorted(set(map(Fraction, a_vals))))
+    B = GroundSet(sorted(set(map(Fraction, b_vals))))
+    ai = {v: k for k, v in enumerate(A)}
+    bi = {v: k for k, v in enumerate(B)}
+    return BipartiteGraph(A, B, [(ai[Fraction(a)], bi[Fraction(b)]) for a, b in pairs])
 
 
 def _hashjoin(inst):
@@ -178,7 +179,7 @@ def _check_count_matches_oracles():
         assert (count_incidences(inst) == incidence_count_bruteforce(pts, _lines(inst))
                 == _hashjoin(inst))
     assert swapped
-    empty = BipartiteGraph(GroundSet.from_values([1]), GroundSet.from_values([2]), [])
+    empty = BipartiteGraph(GroundSet([1]), GroundSet([2]), [])
     inst = build_lemma_instance(empty, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(-1)))
     assert count_incidences(inst) == incidence_count_bruteforce([], _lines(inst)) == 0
     assert _hashjoin(inst) == 0
@@ -276,8 +277,8 @@ def test_witness_check_matches_pairwise_oracle_object_dtype(object_dtype):
 
 
 def test_verify_chain_empty_graph():
-    A = GroundSet.from_values([Fraction(1)])
-    B = GroundSet.from_values([Fraction(2)])
+    A = GroundSet([Fraction(1)])
+    B = GroundSet([Fraction(2)])
     g = BipartiteGraph(A, B, [])
     rep = verify_lemma_chain(g, (Fraction(0), Fraction(-1)), (Fraction(1), Fraction(-1)))
     assert rep.all_ok

@@ -10,6 +10,7 @@ import pencils.richpoints
 from pencils.constructions import (
     Pencil,
     PencilConfig,
+    build_farey_shift_construction,
     build_grid_footnote_config,
     build_m_pencil_config,
     build_symmetric_farey_construction,
@@ -256,8 +257,22 @@ def test_four_pencil_rich_count_dominates_edges():
     rep = rich_points(cfg)
     assert rep.count >= built.graph.edge_count
     # every edge point of the construction is rich by design
+    A, B = built.A.elements, built.B.elements
     for i, j in built.graph.edge_array.tolist():
-        assert ProjPoint.from_affine(built.A[i], built.B[j]) in rep.points
+        assert ProjPoint.from_affine(A[i], B[j]) in rep.points
+
+
+def test_probed_pencils_centred_at_infinity():
+    """The two diagonal pencils, centred at infinity and the largest, are
+    probed rather than seeds, so a wrong dropped column in their line test
+    changes the count."""
+    built = build_farey_shift_construction(16)
+    centres = [ProjPoint.from_affine(0, 0), ProjPoint(0, 1, 0),
+               ProjPoint(1, 1, 0), ProjPoint(1, -1, 0)]
+    cfg = pencils_from_graph(built, centres)
+    assert cfg.sizes() == (17, 7, 31, 32)
+    lines = [pc.rows.tolist() for pc in cfg.pencils]
+    assert rich_points(cfg).count == 41 == len(rich_points_bruteforce(lines))
 
 
 def test_m_pencil_rich_count_dominates_edges():
