@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ZeroDenominator
-from .projective import _affine_image, _distinct, _rank_keys, _reduce_pairs, exact_dtype
+from .projective import _affine_image, _distinct, _pair_keys, _reduce_pairs, exact_dtype
 
 __all__ = [
     "GroundSet",
@@ -42,7 +42,7 @@ class GroundSet:
         self.height = max((max(abs(p), q) for p, q in pairs), default=0)
         rows = np.array(pairs, dtype=exact_dtype(self.height)).reshape(-1, 2)
         self.numerators, self.denominators = rows.T.copy()
-        if len(_distinct(_rank_keys(self.numerators, self.denominators)[0])) != len(pairs):
+        if len(_distinct(_pair_keys(self.numerators, self.denominators)[0])) != len(pairs):
             raise ValueError("ground set elements must be pairwise distinct")
 
     @property
@@ -179,10 +179,12 @@ def _edge_ratios(graph: BipartiteGraph, x=0, y=0):
 
 def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):
     """The distinct (a + x) / (b + y) over the edges as reduced (num, den)
-    arrays, sorted by (num, den)."""
-    key, nums, dens = _rank_keys(*_edge_ratios(graph, x, y))
+    arrays, sorted by (num, den), in the edge ratios' dtype, not the key's."""
+    num, den = _edge_ratios(graph, x, y)
+    key, (n0, _, d0, d1) = _pair_keys(num, den)
     key = _distinct(key)
-    return nums[key // len(dens)], dens[key % len(dens)]
+    w = d1 - d0 + 1
+    return (key // w + n0).astype(num.dtype), (key % w + d0).astype(den.dtype)
 
 
 def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[Fraction]:

@@ -7,9 +7,9 @@ two shifted ratio sets (A - x1)/_G(B - y1) and (A - x2)/_G(B - y2); the
 lines, one per pair (b1, b2) in B x B, have equation
 (b1 - y1) x - (b2 - y2) y + (x1 - x2) = 0.
 
-The count is an integer-key join and the witness check an array membership,
-both on reduced (num, den) arrays from projective's pair kernels: int64 below
-exact_dtype's bound, else Python ints.
+The count is a join on exact mixed-radix pair keys and the witness check an
+array membership, both on reduced (num, den) arrays from projective's pair
+kernels: int64 below exact_dtype's bound, else Python ints.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, neighbourhood_square_sum
 from .graphs import _edge_ratios, _ratio_arrays, _shifted
-from .projective import _affine_image, _member, _rank_keys, exact_dtype
+from .projective import _affine_image, _member, _pair_keys, exact_dtype
 
 __all__ = [
     "IncidenceInstance",
@@ -65,11 +65,6 @@ class IncidenceInstance:
                 f"|L|={self.line_count}, swapped={self.swapped})")
 
 
-def _affine_pair(c) -> tuple[Fraction, Fraction]:
-    x, y = c
-    return Fraction(x), Fraction(y)
-
-
 def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> IncidenceInstance:
     """Instance for two affine centres over an edge set.
 
@@ -78,7 +73,7 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> IncidenceIn
     coordinates swap roles (the graph is transposed), after which the first
     coordinates always differ and all |B|^2 lines are pairwise distinct.
     """
-    c1, c2 = _affine_pair(centre1), _affine_pair(centre2)
+    c1, c2 = ((Fraction(x), Fraction(y)) for x, y in (centre1, centre2))
     if c1 == c2:
         raise PreconditionError(f"centres coincide at {c1}")
     swapped = c1[0] == c2[0]
@@ -107,8 +102,11 @@ def count_incidences(inst: IncidenceInstance) -> int:
     Both sides are reduced (num, den) outer products, O(|B| (|R1| + |R2|));
     every entry is at most 2 H_u H_r H_s (heights of b - y, the ratios and
     x1 - x2), so they are int64 below 2^62 and Python ints otherwise.
-    Shared rank keys make each t one int64; N1 N2 is summed in Python ints.
+    Both sides are keyed by _pair_keys in one shared box, so each t is one
+    exact key; N1 N2 is summed in Python ints.
     """
+    if not len(inst.ratio1[0]):  # no edges; the dtype bound below needs a ratio
+        return 0
     (x1, y1), (x2, y2) = inst.centre1, inst.centre2
     shift = x1 - x2
     un, ud, hu = _shifted(inst.graph.right, -y1)
@@ -117,14 +115,12 @@ def count_incidences(inst: IncidenceInstance) -> int:
     dtype = exact_dtype(2 * max(hu, hv) * hr * max(abs(shift.numerator), shift.denominator))
     t1 = _affine_image(un, ud, *inst.ratio1, shift, dtype)
     t2 = _affine_image(vn, vd, *inst.ratio2, Fraction(0), dtype)
-    split = len(t1[0])
-    # free the sides, then their concatenation, once consumed: a third off the peak
-    num, den = (np.concatenate(pair) for pair in zip(t1, t2))
-    del t1, t2
-    key = _rank_keys(num, den)[0]
-    del num, den
-    k1, c1 = np.unique(key[:split], return_counts=True)
-    k2, c2 = np.unique(key[split:], return_counts=True)
+    box = tuple(int(f([f(a) for a in col])) for col in zip(t1, t2) for f in (np.min, np.max))
+    # each side's keys are freed once np.unique has read them
+    k1, c1 = np.unique(_pair_keys(*t1, box)[0], return_counts=True)
+    del t1
+    k2, c2 = np.unique(_pair_keys(*t2, box)[0], return_counts=True)
+    del t2
     _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
     return sum(a * b for a, b in zip(c1[i1].tolist(), c2[i2].tolist()))
 
@@ -178,7 +174,7 @@ def _witness_identity_holds(inst: IncidenceInstance) -> bool:
     (b - y1) r1 = a - x1 and (b - y2) r2 = a - x2 exactly, so it holds by
     algebra, and only the memberships can fail."""
     sides = ((inst.centre1, inst.ratio1), (inst.centre2, inst.ratio2))
-    return all(_member(*_edge_ratios(inst.graph, -x, -y), _rank_keys(*ratio)).all()
+    return all(_member(*_edge_ratios(inst.graph, -x, -y), _pair_keys(*ratio)).all()
                for (x, y), ratio in sides)
 
 

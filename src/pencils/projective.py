@@ -13,7 +13,7 @@ canonical_rows, _distinct_rows) apply the cross product, the canonical
 form and the dedup to whole (k, 3) integer arrays, in the dtype that
 exact_dtype picks from a caller's magnitude bound.  The pair kernels do the
 same for rationals held as reduced (num, den) arrays: reduce, affine images
-u*r + s, rank keys for dedup, and membership in a deduplicated set.
+u*r + s, exact pair keys for dedup and joins, and membership in a set.
 """
 
 from __future__ import annotations
@@ -129,32 +129,34 @@ def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
     return _reduce_pairs(num, den)
 
 
-def _rank_keys(num, den):
-    """One int64 key per (num, den) pair, rank(num) * |dens| + rank(den), in
-    (num, den) order, and the distinct nums and dens.  Both ranks are below
-    the pair count, so keys stay below 2^63 for arrays that fit in memory."""
-    nums, dens = _distinct(num), _distinct(den)
-    width = len(dens)
-    assert len(nums) * width < 1 << 63
-    key = np.searchsorted(nums, num)
-    key *= width
-    key += np.searchsorted(dens, den)
-    return key, nums, dens
+def _pair_keys(num, den, box=None):
+    """The mixed-radix keys (num - n0) * w + (den - d0), w = d1 - d0 + 1, of
+    pairs in box = (n0, n1, d0, d1), by default their ranges (empty for no
+    pairs), and the box; keys sort as the pairs and decode by // and %.  The
+    exact_dtype of the largest key plus the box height holds every step."""
+    if box is None:
+        box = ((int(num.min()), int(num.max()), int(den.min()), int(den.max()))
+               if len(num) else (0, -1, 0, -1))
+    n0, n1, d0, d1 = box
+    w = d1 - d0 + 1
+    key = num.astype(exact_dtype((n1 - n0) * w + w - 1 + max(map(abs, box))))
+    key -= n0
+    key *= w
+    key += den.astype(key.dtype, copy=False)
+    key -= d0
+    return key, box
 
 
-def _member(qnum, qden, ranked) -> np.ndarray:
+def _member(qnum, qden, keyed) -> np.ndarray:
     """Whether each query pair is one of a set of distinct pairs, given as
-    its _rank_keys triple (key, nums, dens) with key sorted: a column whose
-    rank holds another value misses, a hit's rank key is looked up among
-    the keys; int64 or object arrays."""
-    key, nums, dens = ranked
-    if not len(key):
-        return np.zeros(len(qnum), dtype=bool)
-    i = np.minimum(np.searchsorted(nums, qnum), len(nums) - 1)
-    j = np.minimum(np.searchsorted(dens, qden), len(dens) - 1)
-    qkey = i * len(dens) + j
+    its _pair_keys (key, box) with key sorted: a pair outside the box
+    misses, and one inside is looked up by its key; int64 or object arrays."""
+    key, (n0, n1, d0, d1) = keyed
+    hit = (qnum >= n0) & (qnum <= n1) & (qden >= d0) & (qden <= d1)
+    qkey = _pair_keys(qnum[hit], qden[hit], keyed[1])[0]
     at = np.minimum(np.searchsorted(key, qkey), len(key) - 1)
-    return (nums[i] == qnum) & (dens[j] == qden) & (key[at] == qkey)
+    hit[hit] = key[at] == qkey
+    return hit
 
 
 class ProjPoint:

@@ -6,7 +6,7 @@ line count.  One array kernel does the work: the meets of a block of
 first-pencil lines with all second-pencil lines are row-wise cross
 products of the pencils' line rows; each other pencil is probed by joining
 its centre to every surviving meet, canonicalising the joins and testing
-them with projective._member against the pencil's rows, ranked once on
+them with projective._member against the pencil's rows, keyed once on
 two columns (see _line_test).  The surviving meets stay canonical rows,
 deduplicated and sorted in one pass; ProjPoint objects are built only for
 excluded centres and when a caller reads ``points``.
@@ -28,7 +28,7 @@ from .projective import (
     ProjPoint,
     _distinct_rows,
     _member,
-    _rank_keys,
+    _pair_keys,
     canonical_rows,
     cross_rows,
     exact_dtype,
@@ -84,15 +84,15 @@ def _kernel_dtype(pencils):
     return exact_dtype(2 * c * max(2 * m * m, c))
 
 
-def _line_test(pc, dtype):
+def _line_test(pc):
     """Membership in the pencil's lines for canonical rows of lines through
     its centre.  Such a line is fixed by the two coefficients left when the
-    column k of a nonzero centre coordinate is dropped, so the pencil is
-    ranked once on those pairs and each query row is one _member lookup."""
+    column k of a nonzero centre coordinate is dropped, so the pencil's
+    pairs are keyed once and each query row is one _member lookup."""
     k = max(i for i, v in enumerate(pc.centre.coords) if v)
-    key, nums, dens = _rank_keys(*np.delete(pc.rows.astype(dtype), k, axis=1).T)
+    key, box = _pair_keys(*np.delete(pc.rows, k, axis=1).T)
     key.sort()
-    return lambda rows: _member(*np.delete(rows, k, axis=1).T, (key, nums, dens))
+    return lambda rows: _member(*np.delete(rows, k, axis=1).T, (key, box))
 
 
 def rich_points(config: PencilConfig) -> RichPointReport:
@@ -108,7 +108,7 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     first, second, rest = by_size[0], by_size[1], by_size[2:]
     dtype = _kernel_dtype(config.pencils)
     centres = int_rows((pc.centre.coords for pc in by_size), dtype)
-    tests = [_line_test(pc, dtype) for pc in by_size]
+    tests = [_line_test(pc) for pc in by_size]
     probes = list(zip(centres[2:, None], tests[2:]))
     found = [np.empty((0, 3), dtype=dtype)]
 

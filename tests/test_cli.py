@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pencils.cli as cli
 from pencils.cli import main
@@ -185,6 +193,11 @@ def test_verify_lemma_from_graph_file(capsys, tmp_path):
     assert main(["verify-lemma", "--graph", str(g),
                  "--centres", '[["0","-1"],["-1","-1"]]']) == 0
     assert json.loads(capsys.readouterr().out)["all_ok"] is True
+    # an edgeless graph whose B is past 2^64 has no incidences
+    g.write_text(json.dumps({**_GRAPH, "B": [str(2**64)], "edges": []}))
+    assert main(["verify-lemma", "--graph", str(g),
+                 "--centres", '[["0","-1"],["-1","-1"]]']) == 0
+    assert json.loads(capsys.readouterr().out)["incidence_count"] == 0
 
 
 def test_verify_lemma_rejects_bad_centres(capsys, tmp_path):
@@ -300,6 +313,143 @@ def test_fit_rejects_rows_with_wrong_cell_count(capsys, monkeypatch):
         assert main(["fit", "--rows", "-"]) == 2
         err = capsys.readouterr().err
         assert "expected 8" in err and "Traceback" not in err
+
+
+# Leaves mix the schemas' own keys and rational strings with arbitrary
+# values, so that drawn inputs get past the first shape checks.
+_KEYS = ["pencils", "centre", "lines", "label", "A", "B", "edges", "n", "d"]
+_STRINGS = ["0", "1", "-1", "1/2", "-3/4", "2/2", "1/0", "0/0", "1e3", " 2", "1.5", "x",
+            str(2**64), f"1/{2**64}", str(2**32)]
+_leaves = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+           | st.sampled_from(_STRINGS) | st.text(max_size=4))
+_json = st.recursive(_leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+    st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4), max_leaves=12)
+
+
+@st.composite
+def _mutated(draw, golden):
+    """``golden`` with one or two nodes deleted, repeated in their list or
+    replaced by drawn JSON, or, for a CSV string, with cells replaced and
+    rows dropped or repeated."""
+    if isinstance(golden, str):
+        rows = [line.split(",") for line in golden.splitlines()]
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(rows) - 1))
+            kind = draw(st.integers(0, 2))
+            if kind == 0:
+                cell = draw(st.integers(0, len(rows[i]) - 1))
+                rows[i][cell] = draw(st.sampled_from(_STRINGS + ["", "1;x", "-5", "1;;2"])
+                                     | st.text(max_size=3))
+            elif kind == 1:
+                del rows[i]
+            else:
+                rows.insert(i, list(rows[i]))
+            if not rows:
+                return ""
+        return "".join(",".join(cells) + "\n" for cells in rows)
+    obj = copy.deepcopy(golden)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        if not path:
+            obj = draw(_json)
+            continue
+        parent, key = functools.reduce(operator.getitem, path[:-1], obj), path[-1]
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            del parent[key]
+        elif kind == 1 and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = draw(_leaves | _json)
+    return obj
+
+
+def _paths(node, path=()):
+    """The key path of every node of a JSON value, children before their
+    parent, so the root's comes last."""
+    keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield from _paths(node[key], (*path, key))
+    yield path
+
+
+@functools.cache
+def _goldens():
+    """Small valid CLI inputs, made once by the CLI itself."""
+    def stdout_of(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(list(argv)) == 0
+        return out.getvalue()
+    return {
+        "config": json.loads(stdout_of("construct", "--construction", "symmetric", "--n", "16",
+                                       "--centres", '[["0","0"],["-1","0"],["0","1","0"]]')),
+        "graph": json.loads(stdout_of("construct", "--construction", "symmetric", "--n", "16")),
+        "centres": [["0", "-1"], ["1", "-1"]],
+        "rows": stdout_of("sweep", "--construction", "symmetric", "--n", "4,16,64,256",
+                          "--format", "csv"),
+    }
+
+
+_INPUT = object()  # stands for the path of the file that holds the drawn input
+
+
+@st.composite
+def _cli_runs(draw):
+    """(reader, argv, text) for one reader, its input text drawn from a
+    recursive JSON (or CSV-like) strategy or mutated from a golden input;
+    centres are also drawn as lists of coordinate pairs and triples."""
+    reader = draw(st.sampled_from(["config", "graph", "centres", "rows"]))
+    golden = _goldens()[reader]
+    if reader == "rows":
+        cells = st.sampled_from(_STRINGS + ["", "1;2", "symmetric"]) | st.text(max_size=3)
+        free = st.lists(st.lists(cells, min_size=1, max_size=9), max_size=4).map(
+            lambda rows: "".join(",".join(r) + "\n" for r in rows))
+        header = st.just(golden.splitlines()[0] + "\n")
+        return reader, ["fit", "--rows", _INPUT], draw(
+            st.one_of(_mutated(golden), free, st.builds(str.__add__, header, free)))
+    if reader == "centres":
+        coords = st.sampled_from(_STRINGS)
+        pairs = st.lists(st.tuples(coords, coords) | st.tuples(coords, coords, coords),
+                         min_size=1, max_size=3)
+        centres = json.dumps(draw(st.one_of(pairs, _mutated(golden), _json)))
+        return reader, ["verify-lemma", "--n", "16", "--centres", centres], None
+    text = json.dumps(draw(st.one_of(_mutated(golden), _json)))
+    if reader == "config":
+        return reader, ["rich-points", "--config", _INPUT], text
+    return reader, ["verify-lemma", "--graph", _INPUT, "--centres",
+                    json.dumps(_goldens()["centres"])], text
+
+
+def test_cli_readers_fuzz():
+    """Every drawn input to the four readers exits 0, 2 or 3, never with a
+    traceback; counters show each reader drawn and both exit kinds seen."""
+    seen = Counter()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+
+        # a fuzz needs more examples than the profile's 40 to reach exit 0
+        # on every reader
+        @settings(max_examples=200)
+        @given(_cli_runs())
+        def check(run):
+            reader, argv, text = run
+            if text is not None:
+                path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main([str(path) if a is _INPUT else a for a in argv])
+                except SystemExit as exc:  # argparse rejects an option value
+                    code = exc.code
+            assert code in (0, 2, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            seen[reader, code] += 1
+
+        check()
+    assert all(seen[reader, code] for reader in ("config", "graph", "centres", "rows")
+               for code in (0, 2)), seen
 
 
 def _sha(data) -> str:

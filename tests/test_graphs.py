@@ -1,22 +1,26 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pencils.graphs
 from pencils.errors import PreconditionError, ZeroDenominator
 from pencils.graphs import (
     BipartiteGraph,
     GroundSet,
+    _edge_ratios,
     _ratio_arrays,
     _sorted_ground,
     multiplication_table_size,
     neighbourhood_square_sum,
     shifted_restricted_ratio_set,
 )
-from pencils.projective import _member, _rank_keys, exact_dtype
+from pencils.projective import _member, _pair_keys, exact_dtype
 
 from oracles import _as_set, multiplication_table_bruteforce
 
@@ -246,15 +250,15 @@ def _check_ratio_arrays_and_member():
         for qs, qdtype in ((queries, np.int64), (queries + huge, object)):
             qn = np.array([q.numerator for q in qs], dtype=qdtype)
             qd = np.array([q.denominator for q in qs], dtype=qdtype)
-            got = _member(qn, qd, _rank_keys(num, den))
+            got = _member(qn, qd, _pair_keys(num, den))
             assert got.dtype == bool
             assert got.tolist() == [q in _as_set((num, den)) for q in qs]
         # a row dropped from the set is a miss, the rest still hit
         if len(num):
-            got = _member(num, den, _rank_keys(num[1:], den[1:]))
+            got = _member(num, den, _pair_keys(num[1:], den[1:]))
             assert got.tolist() == [False] + [True] * (len(num) - 1)
     empty = np.array([], dtype=np.int64)
-    none = _rank_keys(empty, empty)
+    none = _pair_keys(empty, empty)
     assert _member(np.array([1, 2]), np.array([1, 3]), none).tolist() == [False, False]
     assert _member(empty, empty, none).tolist() == []
 
@@ -265,6 +269,78 @@ def test_ratio_arrays_and_member():
 
 def test_ratio_arrays_and_member_object_dtype(object_dtype):
     _check_ratio_arrays_and_member()
+
+
+def _values(element):
+    return st.lists(element, min_size=1, max_size=5)
+
+
+def _both_kinds(ijs):
+    return [v for i, j in ijs for v in (Fraction(2**40 + j, i), Fraction(i, 2**40 + j))]
+
+
+# Ground values and shifts per regime, each aiming at one (pair, key) dtype
+# combination: positive integers over B values (2^40 + j)/i and
+# i/(2^40 + j), whose ratios spread both columns, so that span * w passes
+# 2^62 while every entry stays below it (int64 pairs, object key); small
+# rationals (int64 pairs and key); left values past 2^64 (object pairs and
+# key); and multiples of 2^64 whose ratios reduce to small values (object
+# pairs, int64 key).
+_tiny, _positive, _natural = st.integers(-20, 20), st.integers(1, 20), st.integers(0, 20)
+_regimes = [
+    (_values(_positive.map(Fraction)), _values(st.tuples(_positive, _tiny)).map(_both_kinds),
+     _natural.map(Fraction), st.just(Fraction(0))),
+    (_values(st.builds(Fraction, _tiny, _positive)), _values(st.builds(Fraction, _tiny, _positive)),
+     st.builds(Fraction, _tiny, _positive), st.builds(Fraction, _tiny, _positive)),
+    (_values(st.builds(lambda k, r: Fraction(k * 2**64 + r), _positive, _tiny)),
+     _values(st.builds(Fraction, _positive, _positive)), _tiny.map(Fraction),
+     _natural.map(Fraction)),
+    (_values(_tiny.map(lambda k: Fraction(k * 2**64))),
+     _values(_positive.map(lambda k: Fraction(k * 2**64))),
+     _tiny.map(lambda k: Fraction(k * 2**64)), _natural.map(lambda k: Fraction(k * 2**64))),
+]
+
+
+@st.composite
+def _ratio_cases(draw):
+    """A graph over drawn ground sets, the complete graph with a drawn
+    subset of its edges dropped, and shifts x, y."""
+    a, b, x, y = _regimes[draw(st.integers(0, len(_regimes) - 1))]
+    left, right = GroundSet(sorted(set(draw(a)))), GroundSet(sorted(set(draw(b))))
+    pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
+    dropped = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return (BipartiteGraph(left, right, [e for e, drop in zip(pairs, dropped) if not drop]),
+            draw(x), draw(y))
+
+
+def test_ratio_arrays_property_matches_fraction_set():
+    """_ratio_arrays against the Fraction set of (a + x) / (b + y) over the
+    edges, as (numerator, denominator) pairs in sorted order and in the edge
+    ratios' dtype; a counting wrapper around its _pair_keys calls shows every
+    (pair, key) dtype combination drawn."""
+    pair_keys, dtypes = pencils.graphs._pair_keys, Counter()
+
+    def counting(num, den, box=None):
+        key, box = pair_keys(num, den, box)
+        dtypes[num.dtype.name, key.dtype.name] += 1
+        return key, box
+
+    @given(_ratio_cases())
+    def check(case):
+        g, x, y = case
+        values = _value_pairs(g)
+        if any(b + y == 0 for _, b in values):
+            with pytest.raises(ZeroDenominator):
+                _ratio_arrays(g, x, y)
+            return
+        with mock.patch.object(pencils.graphs, "_pair_keys", counting):
+            num, den = _ratio_arrays(g, x, y)
+        assert num.dtype == den.dtype == _edge_ratios(g, x, y)[0].dtype
+        assert list(zip(num.tolist(), den.tolist())) == sorted(
+            (r.numerator, r.denominator) for r in {(a + x) / (b + y) for a, b in values})
+
+    check()
+    assert {(p, k) for p in ("int64", "object") for k in ("int64", "object")} <= set(dtypes), dtypes
 
 
 def test_ratio_set_zero_denominator():

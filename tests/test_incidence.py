@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from pencils import incidence
 from pencils.constructions import build_symmetric_farey_construction
@@ -210,6 +213,58 @@ def test_count_past_the_int64_bound_matches_hashjoin(monkeypatch):
         assert count_incidences(inst) == _hashjoin(inst)
         assert picked[-1] is object
         assert verify_lemma_chain(g, c1, c2).all_ok
+
+
+@st.composite
+def _lemma_cases(draw):
+    """A graph over positive values, edgeless for some draws, and two
+    distinct centres with negative coordinates, which share their first
+    coordinate (a swapped instance) for some draws.  Every value is a
+    multiple of a drawn unit, 1 or 2^64, so both dtypes are drawn."""
+    unit = 2 ** (64 * draw(st.integers(0, 1)))
+    values = st.builds(lambda p, q: Fraction(p * unit, q), st.integers(1, 12), st.integers(1, 3))
+    left = GroundSet(sorted(set(draw(st.lists(values, min_size=1, max_size=5)))))
+    right = GroundSet(sorted(set(draw(st.lists(values, min_size=1, max_size=5)))))
+    pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    coord = st.builds(lambda p, q: Fraction(-p * unit, q), st.integers(1, 6), st.integers(1, 3))
+    c1 = (draw(coord), draw(coord))
+    c2 = (draw(st.one_of(st.just(c1[0]), coord)), draw(coord))
+    assume(c1 != c2)
+    edges = [e for e, keep in zip(pairs, kept) if keep]
+    return BipartiteGraph(left, right, edges), c1, c2
+
+
+def test_count_property_matches_hashjoin():
+    """count_incidences against the hash-join oracle on ratio sets computed
+    with Fractions; counters show edgeless, swapped and both key dtypes drawn."""
+    pair_keys, seen = incidence._pair_keys, Counter()
+
+    def counting(num, den, box=None):
+        key, box = pair_keys(num, den, box)
+        seen[key.dtype.name] += 1
+        return key, box
+
+    @given(_lemma_cases())
+    def check(case):
+        g, c1, c2 = case
+        (x1, y1), (x2, y2) = c1, c2
+        left, right, edges = g.left.elements, g.right.elements, g.edge_array.tolist()
+        if x1 == x2:  # the lemma swaps the plane's coordinates
+            left, right, edges = right, left, [(j, i) for i, j in edges]
+            (y1, x1), (y2, x2) = c1, c2
+        ratio1 = {(left[i] - x1) / (right[j] - y1) for i, j in edges}
+        ratio2 = {(left[i] - x2) / (right[j] - y2) for i, j in edges}
+        inst = build_lemma_instance(g, c1, c2)
+        assert inst.swapped == (c1[0] == c2[0])
+        assert (_as_set(inst.ratio1), _as_set(inst.ratio2)) == (ratio1, ratio2)
+        with mock.patch.object(incidence, "_pair_keys", counting):
+            got = count_incidences(inst)
+        assert got == incidence_count_hashjoin(right, (x1, y1), (x2, y2), ratio1, ratio2)
+        seen["edgeless" if not edges else "swapped" if inst.swapped else "plain"] += 1
+
+    check()
+    assert all(seen[k] for k in ("int64", "object", "edgeless", "swapped", "plain")), seen
 
 
 def test_ratio_sets_are_the_shifted_ones():

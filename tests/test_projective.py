@@ -12,7 +12,7 @@ from pencils.projective import (
     _distinct,
     _distinct_rows,
     _member,
-    _rank_keys,
+    _pair_keys,
     _reduce_pairs,
     canonical_rows,
     cross_rows,
@@ -208,23 +208,45 @@ def test_reduce_and_affine_image_match_fractions(raw, us, rs, s):
 
 
 @given(_lists(_rationals, 12))
-def test_rank_keys_dedup_matches_fraction_set(values):
+def test_pair_keys_decode_order_and_dedup(values):
     num, den = _pair_arrays(values)
-    key, nums, dens = _rank_keys(num, den)
-    # the key decodes to its pair, and equal keys are equal pairs
-    assert _pairs(nums[key // len(dens)], dens[key % len(dens)]) == _pairs(num, den)
+    key, (n0, n1, d0, d1) = _pair_keys(num, den)
+    w = d1 - d0 + 1
+    # the key decodes to its pair, sorts as the pairs do, and equal keys
+    # are equal pairs
+    assert _pairs(key // w + n0, key % w + d0) == _pairs(num, den)
+    order = np.argsort(key, kind="stable")
+    assert _pairs(num[order], den[order]) == sorted(_pairs(num, den))
     distinct = _distinct(key)
-    decoded = _pairs(nums[distinct // len(dens)], dens[distinct % len(dens)])
+    decoded = _pairs(distinct // w + n0, distinct % w + d0)
     assert decoded == sorted((v.numerator, v.denominator) for v in set(values))
+
+
+def _box_faces(members):
+    """The pairs just outside each face of the members' (num, den) box."""
+    if not members:
+        return []
+    nums = [v.numerator for v in members]
+    dens = [v.denominator for v in members]
+    n, d = nums[0], dens[0]
+    return [(min(nums) - 1, d), (max(nums) + 1, d), (n, min(dens) - 1), (n, max(dens) + 1)]
 
 
 @given(_lists(_rationals, 10), _lists(_rationals, 10))
 def test_member_matches_fraction_set(members, others):
-    # the set is ranked in drawn order and only its keys are sorted, as for
+    # the set is keyed in drawn order and only its keys are sorted, as for
     # a pencil's lines with one column dropped
-    key, nums, dens = _rank_keys(*_pair_arrays(list(dict.fromkeys(members))))
-    key.sort()
-    queries = members + others
-    got = _member(*_pair_arrays(queries), (key, nums, dens))
-    assert got.dtype == bool
-    assert got.tolist() == [q in set(members) for q in queries]
+    keyed = _pair_keys(*_pair_arrays(list(dict.fromkeys(members))))
+    keyed[0].sort()
+    empty = _pair_keys(*_pair_arrays([]))
+    pairs = {(v.numerator, v.denominator) for v in members}
+    queries = [(v.numerator, v.denominator) for v in members + others] + _box_faces(members)
+    # queries past 2^62 come only as object arrays, also against an int64 set
+    huge = [(n + 2**64, d) for n, d in queries[:3]] + [(n, d + 2**64) for n, d in queries[:3]]
+    for qs in (queries, queries + huge):
+        for dtype in {exact_dtype(max((abs(v) for q in qs for v in q), default=0)), object}:
+            qnum, qden = (np.array([q[i] for q in qs], dtype=dtype) for i in (0, 1))
+            got = _member(qnum, qden, keyed)
+            assert got.dtype == bool
+            assert got.tolist() == [q in pairs for q in qs]
+            assert _member(qnum, qden, empty).tolist() == [False] * len(qs)

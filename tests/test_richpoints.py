@@ -367,15 +367,15 @@ def test_line_test_property_matches_tuple_sets():
     counting wrapper around its _member calls shows both dtypes drawn."""
     member, dtypes = pencils.richpoints._member, Counter()
 
-    def counting(qa, qb, ranked):
+    def counting(qa, qb, keyed):
         dtypes[qa.dtype.name] += 1
-        return member(qa, qb, ranked)
+        return member(qa, qb, keyed)
 
     @given(_pencil_probes())
     def check(drawn):
         centre, lines, queries = drawn
         dtype = exact_dtype(max(abs(v) for t in [centre, *queries] for v in t))
-        on_pencil = _line_test(Pencil(ProjPoint(*centre), lines), dtype)
+        on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
         assert on_pencil(int_rows(queries, dtype)).tolist() == pencil_lines_bruteforce(
             lines, queries)
 
