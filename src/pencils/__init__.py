@@ -26,7 +26,6 @@ from .constructions import (
 )
 from .richpoints import RichPointReport, rich_points
 from .incidence import (
-    IncidenceInstance,
     LemmaChainReport,
     build_lemma_instance,
     count_incidences,

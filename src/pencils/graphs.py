@@ -157,13 +157,13 @@ def _shifted(ground: GroundSet, x: Fraction):
     return num, den, int(max(np.abs(num).max(initial=0), den.max(initial=0)))
 
 
-def _edge_ratios(graph: BipartiteGraph, x=0, y=0):
-    """Reduced (num, den) arrays of (a + x) / (b + y) per edge, den > 0.
-    With p = a + x and q = b + y reduced it is (pn*qd*sign(qn)) / (pd*|qn|),
-    bounded by H_P*H_Q.  Raises ZeroDenominator if b + y = 0 on an edge:
-    skipping the edge would corrupt every downstream count."""
-    pn, pd, hp = _shifted(graph.left, Fraction(x))
-    qn, qd, hq = _shifted(graph.right, Fraction(y))
+def _edge_ratios(graph: BipartiteGraph, p, q):
+    """Reduced (num, den) arrays of p_a / q_b per edge (a, b), den > 0, for
+    p and q the _shifted left and right ground sets.  With p_a and q_b
+    reduced it is (pn*qd*sign(qn)) / (pd*|qn|), bounded by H_P*H_Q.  Raises
+    ZeroDenominator if q_b = 0 on an edge: skipping the edge would corrupt
+    every downstream count."""
+    (pn, pd, hp), (qn, qd, hq) = p, q
     dtype = exact_dtype(hp * hq)
     pn, pd, qn, qd = (v.astype(dtype, copy=False) for v in (pn, pd, qn, qd))
     i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
@@ -177,14 +177,23 @@ def _edge_ratios(graph: BipartiteGraph, x=0, y=0):
     return _reduce_pairs(num, den)
 
 
-def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):
-    """The distinct (a + x) / (b + y) over the edges as reduced (num, den)
-    arrays, sorted by (num, den), in the edge ratios' dtype, not the key's."""
-    num, den = _edge_ratios(graph, x, y)
-    key, (n0, _, d0, d1) = _pair_keys(num, den)
+def _distinct_pairs(keyed, dtype):
+    """The distinct pairs behind a _pair_keys (key, box), sorted by
+    (num, den) and decoded into dtype, the pairs' own, not the key's."""
+    key, (n0, _, d0, d1) = keyed
     key = _distinct(key)
     w = d1 - d0 + 1
-    return (key // w + n0).astype(num.dtype), (key % w + d0).astype(den.dtype)
+    return (key // w + n0).astype(dtype), (key % w + d0).astype(dtype)
+
+
+def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):
+    """The distinct (a + x) / (b + y) over the edges as reduced (num, den)
+    arrays, sorted by (num, den), in the edge ratios' dtype."""
+    num, den = _edge_ratios(graph, _shifted(graph.left, Fraction(x)),
+                            _shifted(graph.right, Fraction(y)))
+    keyed, dtype = _pair_keys(num, den), num.dtype
+    del num, den  # the sort needs only the keys, so the edge ratios go first
+    return _distinct_pairs(keyed, dtype)
 
 
 def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[Fraction]:

@@ -7,25 +7,27 @@ two shifted ratio sets (A - x1)/_G(B - y1) and (A - x2)/_G(B - y2); the
 lines, one per pair (b1, b2) in B x B, have equation
 (b1 - y1) x - (b2 - y2) y + (x1 - x2) = 0.
 
-The count is a join on exact mixed-radix pair keys and the witness check an
-array membership, both on reduced (num, den) arrays from projective's pair
-kernels: int64 below exact_dtype's bound, else Python ints.
+An instance shifts each ground set once per centre, to A - x and B - y,
+and reduces each edge's ratio (a - x)/(b - y) once.  The count, a join on
+exact mixed-radix pair keys, and the witness check, an array membership,
+read those arrays: reduced (num, den) arrays from projective's pair
+kernels, int64 below exact_dtype's bound, else Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, neighbourhood_square_sum
-from .graphs import _edge_ratios, _ratio_arrays, _shifted
+from .graphs import _distinct_pairs, _edge_ratios, _shifted
 from .projective import _affine_image, _member, _pair_keys, exact_dtype
 
 __all__ = [
-    "IncidenceInstance",
     "LemmaChainReport",
     "build_lemma_instance",
     "count_incidences",
@@ -34,38 +36,25 @@ __all__ = [
 ]
 
 
-class IncidenceInstance:
-    """Exact incidence-counting instance.
+class _Instance(NamedTuple):
+    """The lemma's instance after any swap, made only by build_lemma_instance.
+    Per centre (x, y): B - y as _shifted's (num, den, height), each edge's
+    (a - x)/(b - y) and their distinct values R, sorted, as (num, den)
+    arrays.  The points R1 x R2 and the lines l_{b1,b2} stay implicit."""
 
-    The points R1 x R2 and the lines l_{b1,b2}, (b1, b2) in B x B, are
-    implicit: the count and the witness check need only the two ratio
-    sets (sorted distinct (num, den) arrays), the ground set B and centres.
-    """
-
-    __slots__ = ("graph", "centre1", "centre2", "swapped", "ratio1", "ratio2")
-
-    def __init__(self, graph, centre1, centre2, swapped, ratio1, ratio2):
-        self.graph = graph
-        self.centre1 = centre1
-        self.centre2 = centre2
-        self.swapped = swapped
-        self.ratio1 = ratio1
-        self.ratio2 = ratio2
-
-    @property
-    def point_count(self) -> int:
-        return len(self.ratio1[0]) * len(self.ratio2[0])
-
-    @property
-    def line_count(self) -> int:
-        return len(self.graph.right) ** 2
-
-    def __repr__(self):
-        return (f"IncidenceInstance(|P|={self.point_count}, "
-                f"|L|={self.line_count}, swapped={self.swapped})")
+    graph: BipartiteGraph
+    swapped: bool
+    centre1: tuple
+    right1: tuple
+    edges1: tuple
+    ratio1: tuple
+    centre2: tuple
+    right2: tuple
+    edges2: tuple
+    ratio2: tuple
 
 
-def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> IncidenceInstance:
+def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> _Instance:
     """Instance for two affine centres over an edge set.
 
     Requires distinct centres and shifts that miss the denominator ground
@@ -81,36 +70,37 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> IncidenceIn
         graph = graph.transpose()
         c1 = (c1[1], c1[0])
         c2 = (c2[1], c2[0])
-    (x1, y1), (x2, y2) = c1, c2
-    for y in (y1, y2):
+    for _, y in (c1, c2):
         if y in graph.right:
             raise PreconditionError(f"shift {y} lies in the denominator ground set")
-
-    ratio1 = _ratio_arrays(graph, -x1, -y1)
-    ratio2 = _ratio_arrays(graph, -x2, -y2)
     # x1 != x2 makes (b1, b2) -> line injective
-    assert x1 != x2
-    return IncidenceInstance(graph, c1, c2, swapped, ratio1, ratio2)
+    assert c1[0] != c2[0]
+
+    def side(x, y):
+        right = _shifted(graph.right, -y)
+        edges = _edge_ratios(graph, _shifted(graph.left, -x), right)
+        return (x, y), right, edges, _distinct_pairs(_pair_keys(*edges), edges[0].dtype)
+
+    return _Instance(graph, swapped, *side(*c1), *side(*c2))
 
 
-def count_incidences(inst: IncidenceInstance) -> int:
+def count_incidences(inst: _Instance) -> int:
     """Exact |{(p, l) : p on l}| for the instance, as one integer-key join.
 
     (r1, r2) lies on l_{b1,b2} iff (b1 - y1) r1 + (x1 - x2) = (b2 - y2) r2,
     so I = sum over t of N1(t) N2(t), N1(t) counting the (b1, r1) in B x R1
     with left side t and N2(t) the (b2, r2) in B x R2 with right side t.
-    Both sides are reduced (num, den) outer products, O(|B| (|R1| + |R2|));
-    every entry is at most 2 H_u H_r H_s (heights of b - y, the ratios and
-    x1 - x2), so they are int64 below 2^62 and Python ints otherwise.
-    Both sides are keyed by _pair_keys in one shared box, so each t is one
-    exact key; N1 N2 is summed in Python ints.
+    Both sides are reduced (num, den) outer products of the instance's B - y
+    and R, O(|B| (|R1| + |R2|)); every entry is at most 2 H_u H_r H_s
+    (heights of b - y, the ratios and x1 - x2), so they are int64 below
+    2^62 and Python ints otherwise.  Both sides are keyed by _pair_keys in
+    one shared box, so each t is one exact key; N1 N2 is summed in Python
+    ints.
     """
     if not len(inst.ratio1[0]):  # no edges; the dtype bound below needs a ratio
         return 0
-    (x1, y1), (x2, y2) = inst.centre1, inst.centre2
-    shift = x1 - x2
-    un, ud, hu = _shifted(inst.graph.right, -y1)
-    vn, vd, hv = _shifted(inst.graph.right, -y2)
+    shift = inst.centre1[0] - inst.centre2[0]
+    (un, ud, hu), (vn, vd, hv) = inst.right1, inst.right2
     hr = max(int(np.abs(a).max(initial=0)) for a in (*inst.ratio1, *inst.ratio2))
     dtype = exact_dtype(2 * max(hu, hv) * hr * max(abs(shift.numerator), shift.denominator))
     t1 = _affine_image(un, ud, *inst.ratio1, shift, dtype)
@@ -167,15 +157,14 @@ class LemmaChainReport:
                 and self.cauchy_schwarz_ok and self.szemeredi_trotter_sane)
 
 
-def _witness_identity_holds(inst: IncidenceInstance) -> bool:
-    """Per edge (a, b): r1 = (a - x1)/(b - y1) in R1 and r2 = (a - x2)/(b - y2)
-    in R2, as reduced integer pairs.  The identity (b1 - y1) r1 - (b2 - y2) r2
-    + (x1 - x2) = 0 for b1, b2 in N(a) needs no check of its own:
-    (b - y1) r1 = a - x1 and (b - y2) r2 = a - x2 exactly, so it holds by
-    algebra, and only the memberships can fail."""
-    sides = ((inst.centre1, inst.ratio1), (inst.centre2, inst.ratio2))
-    return all(_member(*_edge_ratios(inst.graph, -x, -y), _pair_keys(*ratio)).all()
-               for (x, y), ratio in sides)
+def _witness_identity_holds(inst: _Instance) -> bool:
+    """Per edge (a, b): the instance's r1 = (a - x1)/(b - y1) is in R1 and its
+    r2 = (a - x2)/(b - y2) in R2, as reduced integer pairs.  The identity
+    (b1 - y1) r1 - (b2 - y2) r2 + (x1 - x2) = 0 for b1, b2 in N(a) needs no
+    check of its own: (b - y1) r1 = a - x1 and (b - y2) r2 = a - x2
+    exactly, so it holds by algebra, and only the memberships can fail."""
+    sides = ((inst.edges1, inst.ratio1), (inst.edges2, inst.ratio2))
+    return all(_member(*edges, _pair_keys(*ratio)).all() for edges, ratio in sides)
 
 
 def verify_lemma_chain(graph: BipartiteGraph, centre1, centre2) -> LemmaChainReport:
@@ -192,10 +181,11 @@ def verify_lemma_chain(graph: BipartiteGraph, centre1, centre2) -> LemmaChainRep
     edges = g.edge_count
     nss = neighbourhood_square_sum(g)
     incidences = count_incidences(inst)
+    sizes = (len(inst.ratio1[0]), len(inst.ratio2[0]))
+    points, lines = sizes[0] * sizes[1], len(g.right) ** 2
     if edges > 0:
         scale = max(len(g.left), len(g.right))
-        ratio = ((len(inst.ratio1[0]) + len(inst.ratio2[0]))
-                 * scale ** 1.75 / edges ** 1.5)
+        ratio = sum(sizes) * scale ** 1.75 / edges ** 1.5
     else:
         ratio = None
     return LemmaChainReport(
@@ -203,15 +193,14 @@ def verify_lemma_chain(graph: BipartiteGraph, centre1, centre2) -> LemmaChainRep
         edge_count=edges,
         left_size=len(g.left),
         right_size=len(g.right),
-        ratio_sizes=(len(inst.ratio1[0]), len(inst.ratio2[0])),
-        point_count=inst.point_count,
-        line_count=inst.line_count,
+        ratio_sizes=sizes,
+        point_count=points,
+        line_count=lines,
         neighbourhood_square_sum=nss,
         incidence_count=incidences,
         witness_ok=_witness_identity_holds(inst),
         incidence_lower_ok=incidences >= nss,
         cauchy_schwarz_ok=len(g.left) * nss >= edges * edges,
-        szemeredi_trotter_sane=szemeredi_trotter_ok(
-            incidences, inst.point_count, inst.line_count),
+        szemeredi_trotter_sane=szemeredi_trotter_ok(incidences, points, lines),
         constant_ratio=ratio,
     )

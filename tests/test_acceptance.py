@@ -28,12 +28,7 @@ from pencils.graphs import (
     multiplication_table_size,
     shifted_restricted_ratio_set,
 )
-from pencils.incidence import (
-    IncidenceInstance,
-    _witness_identity_holds,
-    build_lemma_instance,
-    verify_lemma_chain,
-)
+from pencils.incidence import _witness_identity_holds, build_lemma_instance, verify_lemma_chain
 from pencils.projective import ProjPoint, row_triples
 from pencils.richpoints import rich_points
 from pencils.sweeps import (
@@ -196,7 +191,8 @@ def test_criterion_05_lemma_chain_verdicts(lemma_reports):
 def test_witness_check_matches_pairwise_oracle(lemma_cases):
     """The one-pass witness check gives the pairwise oracle's verdict on the
     criterion-5 instances, and both reject a ratio set missing one element
-    and a perturbed centre."""
+    and a perturbed centre, built as a real instance and given the
+    unperturbed ratio sets."""
     def verdicts(inst):
         g = inst.graph
         pairwise = witness_identity_pairwise(
@@ -209,11 +205,10 @@ def test_witness_check_matches_pairwise_oracle(lemma_cases):
         assert verdicts(inst) == (True, True)
         (x1, y1), c2 = inst.centre1, inst.centre2
         num, den = inst.ratio1
-        missing = IncidenceInstance(inst.graph, inst.centre1, c2, inst.swapped,
-                                    (num[1:], den[1:]), inst.ratio2)
+        missing = inst._replace(ratio1=(num[1:], den[1:]))
         assert verdicts(missing) == (False, False)
-        moved = IncidenceInstance(inst.graph, (x1 + Fraction(1, 997), y1), c2,
-                                  inst.swapped, inst.ratio1, inst.ratio2)
+        moved = build_lemma_instance(inst.graph, (x1 + Fraction(1, 997), y1), c2)._replace(
+            ratio1=inst.ratio1, ratio2=inst.ratio2)
         assert verdicts(moved) == (False, False)
 
 

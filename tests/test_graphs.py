@@ -15,6 +15,7 @@ from pencils.graphs import (
     GroundSet,
     _edge_ratios,
     _ratio_arrays,
+    _shifted,
     _sorted_ground,
     multiplication_table_size,
     neighbourhood_square_sum,
@@ -335,7 +336,8 @@ def test_ratio_arrays_property_matches_fraction_set():
             return
         with mock.patch.object(pencils.graphs, "_pair_keys", counting):
             num, den = _ratio_arrays(g, x, y)
-        assert num.dtype == den.dtype == _edge_ratios(g, x, y)[0].dtype
+        edges = _edge_ratios(g, _shifted(g.left, Fraction(x)), _shifted(g.right, Fraction(y)))
+        assert num.dtype == den.dtype == edges[0].dtype
         assert list(zip(num.tolist(), den.tolist())) == sorted(
             (r.numerator, r.denominator) for r in {(a + x) / (b + y) for a, b in values})
 

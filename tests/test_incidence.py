@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from pencils import incidence
+from pencils import graphs, incidence
 from pencils.constructions import build_symmetric_farey_construction
 from pencils.errors import PreconditionError
 from pencils.graphs import (
@@ -17,7 +17,6 @@ from pencils.graphs import (
     shifted_restricted_ratio_set,
 )
 from pencils.incidence import (
-    IncidenceInstance,
     _witness_identity_holds,
     build_lemma_instance,
     count_incidences,
@@ -84,30 +83,31 @@ def test_tiny_instance_exact_counts():
     # R1 = A/(B+1) = {1/2, 2/3}, R2 = (A-1)/(B+2) = {0, 1/4}
     assert _as_set(inst.ratio1) == {Fraction(1, 2), Fraction(2, 3)}
     assert _as_set(inst.ratio2) == {Fraction(0), Fraction(1, 4)}
-    assert inst.point_count == 4
-    assert inst.line_count == 4
     # (1/2, 0) lies on l_{1,1} and l_{1,2}; (2/3, 1/4) on l_{2,2}
     assert count_incidences(inst) == 3
 
 
 def test_line_tags_are_b_pairs():
     g = _graph([1, 2, 3], [1, 2], [(1, 1), (2, 1), (3, 2)])
-    inst = build_lemma_instance(g, (Fraction(0), Fraction(-1)), (Fraction(2), Fraction(-3)))
-    assert inst.line_count == len(g.right) ** 2
+    c1, c2 = (Fraction(0), Fraction(-1)), (Fraction(2), Fraction(-3))
+    inst = build_lemma_instance(g, c1, c2)
+    rep = verify_lemma_chain(g, c1, c2)
+    assert rep.line_count == len(g.right) ** 2
     # one line per (b1, b2) in B x B, pairwise distinct because x1 != x2
-    assert len(set(_lines(inst))) == inst.line_count
+    assert len(set(_lines(inst))) == rep.line_count
 
 
 def test_line_count_on_random_instances():
     rng = random.Random(42)
     for _ in range(20):
         g, c1, c2 = _random_instance(rng)
-        inst = build_lemma_instance(g, c1, c2)
+        inst, rep = build_lemma_instance(g, c1, c2), verify_lemma_chain(g, c1, c2)
+        assert rep.swapped == inst.swapped
         if inst.swapped:
-            assert inst.line_count == len(g.left) ** 2
+            assert rep.line_count == len(g.left) ** 2
         else:
-            assert inst.line_count == len(g.right) ** 2
-        assert inst.point_count == len(_as_set(inst.ratio1)) * len(_as_set(inst.ratio2))
+            assert rep.line_count == len(g.right) ** 2
+        assert rep.point_count == len(_as_set(inst.ratio1)) * len(_as_set(inst.ratio2))
 
 
 def test_coincident_centres_rejected():
@@ -127,9 +127,10 @@ def test_swapped_instance():
     g = _graph([1, 2], [1, 2], [(1, 1), (1, 2), (2, 2)])
     inst = build_lemma_instance(g, (Fraction(3), Fraction(-1)), (Fraction(3), Fraction(-2)))
     assert inst.swapped
-    assert inst.line_count == len(g.left) ** 2
+    assert len(inst.graph.right) == len(g.left)
     rep = verify_lemma_chain(g, (Fraction(3), Fraction(-1)), (Fraction(3), Fraction(-2)))
     assert rep.swapped and rep.all_ok
+    assert rep.line_count == len(g.left) ** 2
 
 
 def test_swapped_instance_rejects_shift_into_left():
@@ -312,23 +313,43 @@ def test_verify_chain_random_instances_object_dtype(object_dtype):
 def test_witness_check_matches_pairwise_oracle_object_dtype(object_dtype):
     """On object arrays too, the witness check agrees with the pairwise
     oracle, and both reject a ratio set missing its last row and a moved
-    first centre (the int64 case runs on the criterion-5 instances)."""
+    first centre, built as a real instance and given the unmoved ratio sets
+    (the int64 case runs on the criterion-5 instances)."""
     rng = random.Random(23)
     for _ in range(20):
         g, c1, c2 = _random_instance(rng, max_side=6)
         inst = build_lemma_instance(g, c1, c2)
         (x1, y1), c2 = inst.centre1, inst.centre2
         num, den = inst.ratio1
-        missing = IncidenceInstance(inst.graph, inst.centre1, c2, inst.swapped,
-                                    (num[:-1], den[:-1]), inst.ratio2)
-        moved = IncidenceInstance(inst.graph, (x1 + Fraction(1, 997), y1), c2,
-                                  inst.swapped, inst.ratio1, inst.ratio2)
+        missing = inst._replace(ratio1=(num[:-1], den[:-1]))
+        moved = build_lemma_instance(inst.graph, (x1 + Fraction(1, 997), y1), c2)._replace(
+            ratio1=inst.ratio1, ratio2=inst.ratio2)
         h = inst.graph
         for case, want in ((inst, True), (missing, False), (moved, False)):
             pairwise = witness_identity_pairwise(
                 h.left.elements, h.right.elements, h.edge_array.tolist(),
                 case.centre1, case.centre2, _as_set(case.ratio1), _as_set(case.ratio2))
             assert _witness_identity_holds(case) == pairwise == want
+
+
+def test_lemma_chain_shifts_each_ground_set_once():
+    """verify_lemma_chain shifts A and B once per centre, 4 _shifted calls
+    on a plain and on a swapped instance; the counter wraps _shifted under
+    each module's name for it."""
+    shifted, calls = graphs._shifted, []
+
+    def counting(ground, x):
+        calls.append(x)
+        return shifted(ground, x)
+
+    g = _graph([1, 2], [1, 2], [(1, 1), (1, 2), (2, 2)])
+    for x2, swapped in ((1, False), (3, True)):
+        calls.clear()
+        with mock.patch.object(graphs, "_shifted", counting), \
+                mock.patch.object(incidence, "_shifted", counting):
+            rep = verify_lemma_chain(g, (Fraction(3), Fraction(-1)), (Fraction(x2), Fraction(-2)))
+        assert rep.swapped == swapped and rep.all_ok
+        assert len(calls) == 4
 
 
 def test_verify_chain_empty_graph():

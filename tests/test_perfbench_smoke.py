@@ -12,6 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import worker  # noqa: E402
+from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -26,10 +27,15 @@ def test_tiny_workload_outputs_are_exact_object_dtype(name, tmp_path, object_dty
 
 
 def _check_tiny_workload(name, tmp_path):
-    """The workload's exact outputs match its pinned expected values."""
+    """The workload's exact outputs match its pinned expected values, and its
+    probe, if it has one, runs under a tracer and records its spans."""
     wl = WORKLOADS[name]
     inp = wl.setup("tiny", 42, tmp_path)
     ops = wl.run(inp, None)
     if hasattr(wl, "finish"):
         wl.finish(inp, ops)
     assert worker.check(ops, wl.expected(inp, False)) == []
+    if hasattr(wl, "probe"):
+        tracer = Tracer("smoke")
+        wl.probe(inp, tracer)
+        assert tracer.spans
