@@ -3,11 +3,11 @@ multiplication-table sizes.
 
 Edges are stored as index pairs into the two ground sets (a sorted,
 deduplicated uint32 array), which keeps ten-million-edge sweeps compact
-while every derived quantity stays exact.  Ratio sets are integer arrays:
-the shifted ground sets' numerators and denominators are gathered along
-the edges and multiplied, then reduced and deduplicated by projective's
-pair kernels, in the dtype exact_dtype picks from a Python-int bound; no
-float.
+while every derived quantity stays exact; projective's pair kernels key
+the edges as (i, j) pairs, dedup and sort them.  Ratio sets are integer
+arrays: the shifted ground sets' numerators and denominators are gathered
+along the edges and multiplied, then reduced and deduplicated by the same
+pair kernels, in the dtype exact_dtype picks from a Python-int bound.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ZeroDenominator
-from .projective import _affine_image, _distinct, _pair_keys, _reduce_pairs, exact_dtype
+from .projective import _affine_image, _distinct_pairs, _pair_keys, _reduce_pairs, exact_dtype
 
 __all__ = [
     "GroundSet",
@@ -42,7 +42,7 @@ class GroundSet:
         self.height = max((max(abs(p), q) for p, q in pairs), default=0)
         rows = np.array(pairs, dtype=exact_dtype(self.height)).reshape(-1, 2)
         self.numerators, self.denominators = rows.T.copy()
-        if len(_distinct(_pair_keys(self.numerators, self.denominators)[0])) != len(pairs):
+        if len(_distinct_pairs(_pair_keys(*rows.T), rows.dtype)[0]) != len(pairs):
             raise ValueError("ground set elements must be pairwise distinct")
 
     @property
@@ -113,12 +113,8 @@ class BipartiteGraph:
                              and arr[:, 1].max() < len(right)):
             raise ValueError("edge index out of range or not an integer")
         arr = arr.astype(np.uint32, copy=False)
-        packed = arr[:, 0].astype(np.uint64) << np.uint64(32) | arr[:, 1].astype(np.uint64)
-        packed = _distinct(packed)
-        out = np.empty((packed.size, 2), dtype=np.uint32)
-        out[:, 0] = (packed >> np.uint64(32)).astype(np.uint32)
-        out[:, 1] = (packed & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        self.edge_array = out
+        box = (0, len(left) - 1, 0, len(right) - 1)
+        self.edge_array = np.stack(_distinct_pairs(_pair_keys(*arr.T, box), np.uint32), axis=1)
 
     @property
     def edge_count(self) -> int:
@@ -175,15 +171,6 @@ def _edge_ratios(graph: BipartiteGraph, p, q):
     num = pn[i]
     num *= (qd * np.sign(qn))[j]
     return _reduce_pairs(num, den)
-
-
-def _distinct_pairs(keyed, dtype):
-    """The distinct pairs behind a _pair_keys (key, box), sorted by
-    (num, den) and decoded into dtype, the pairs' own, not the key's."""
-    key, (n0, _, d0, d1) = keyed
-    key = _distinct(key)
-    w = d1 - d0 + 1
-    return (key // w + n0).astype(dtype), (key % w + d0).astype(dtype)
 
 
 def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):

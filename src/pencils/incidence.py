@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, neighbourhood_square_sum
-from .graphs import _distinct_pairs, _edge_ratios, _shifted
-from .projective import _affine_image, _member, _pair_keys, exact_dtype
+from .graphs import _edge_ratios, _shifted
+from .projective import _affine_image, _distinct_pairs, _member, _pair_keys, exact_dtype
 
 __all__ = [
     "LemmaChainReport",

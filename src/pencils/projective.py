@@ -13,7 +13,8 @@ canonical_rows, _distinct_rows) apply the cross product, the canonical
 form and the dedup to whole (k, 3) integer arrays, in the dtype that
 exact_dtype picks from a caller's magnitude bound.  The pair kernels do the
 same for rationals held as reduced (num, den) arrays: reduce, affine images
-u*r + s, exact pair keys for dedup and joins, and membership in a set.
+u*r + s, exact pair keys (of graph edges too) for dedup and joins, their
+decode back to sorted distinct pairs, and membership in a set.
 """
 
 from __future__ import annotations
@@ -89,17 +90,6 @@ def canonical_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-d array, sorted: np.sort and an
-    adjacent-difference mask, which on numpy 2.4 is many times faster
-    than np.unique."""
-    values = np.sort(values)
-    keep = np.empty(len(values), dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a (k, 3) array in lexicographic order:
     np.lexsort and an adjacent-row mask; int64 or object arrays."""
@@ -145,6 +135,28 @@ def _pair_keys(num, den, box=None):
     key += den.astype(key.dtype, copy=False)
     key -= d0
     return key, box
+
+
+def _distinct_pairs(keyed, dtype):
+    """The distinct pairs behind a _pair_keys (key, box), sorted by (num, den)
+    and decoded into dtype, the pairs' own, not the key's.  Pass it straight
+    from _pair_keys: the key is sorted in place and deduplicated by a mask
+    (faster than np.unique); both are freed before the columns are decoded."""
+    key, (n0, _, d0, d1) = keyed
+    del keyed
+    key.sort()
+    keep = np.empty(len(key), dtype=bool)
+    keep[:1] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    del keep
+    w = d1 - d0 + 1
+    num = key // w
+    num += n0
+    num = num.astype(dtype, copy=False)
+    key %= w
+    key += d0
+    return num, key.astype(dtype, copy=False)
 
 
 def _member(qnum, qden, keyed) -> np.ndarray:

@@ -7,9 +7,10 @@ first-pencil lines with all second-pencil lines are row-wise cross
 products of the pencils' line rows; each other pencil is probed by joining
 its centre to every surviving meet, canonicalising the joins and testing
 them with projective._member against the pencil's rows, keyed once on
-two columns (see _line_test).  The surviving meets stay canonical rows,
-deduplicated and sorted in one pass; ProjPoint objects are built only for
-excluded centres and when a caller reads ``points``.
+two columns (see _line_test); the seed pencils are only asked whether they
+hold the join of their centres, a row lookup.  The surviving meets stay
+canonical rows, deduplicated and sorted in one pass; ProjPoint objects are
+built only for excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -85,14 +86,15 @@ def _kernel_dtype(pencils):
 
 
 def _line_test(pc):
-    """Membership in the pencil's lines for canonical rows of lines through
-    its centre.  Such a line is fixed by the two coefficients left when the
-    column k of a nonzero centre coordinate is dropped, so the pencil's
-    pairs are keyed once and each query row is one _member lookup."""
+    """Membership in the pencil's lines for canonical rows of lines l through
+    its centre c.  k must be the last nonzero coordinate of c: l_k c_k is
+    -(sum of l_i c_i, i < k), so l_k depends only on the coefficients before
+    it, l is fixed by the pair left when column k is dropped, and the pairs
+    of the sorted rows strictly increase; so do their keys, which _member
+    needs sorted.  Each query row is one _member lookup."""
     k = max(i for i, v in enumerate(pc.centre.coords) if v)
-    key, box = _pair_keys(*np.delete(pc.rows, k, axis=1).T)
-    key.sort()
-    return lambda rows: _member(*np.delete(rows, k, axis=1).T, (key, box))
+    keyed = _pair_keys(*np.delete(pc.rows, k, axis=1).T)
+    return lambda rows: _member(*np.delete(rows, k, axis=1).T, keyed)
 
 
 def rich_points(config: PencilConfig) -> RichPointReport:
@@ -108,8 +110,7 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     first, second, rest = by_size[0], by_size[1], by_size[2:]
     dtype = _kernel_dtype(config.pencils)
     centres = int_rows((pc.centre.coords for pc in by_size), dtype)
-    tests = [_line_test(pc) for pc in by_size]
-    probes = list(zip(centres[2:, None], tests[2:]))
+    probes = [(centre, _line_test(pc)) for centre, pc in zip(centres[2:, None], rest)]
     found = [np.empty((0, 3), dtype=dtype)]
 
     def sift(meets):
@@ -125,17 +126,16 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         found.append(canonical_rows(meets))
 
     # Distinct centres share at most one line, their join.  If both seeds hold
-    # it, its points show up only as meets with a pencil not holding it; a
-    # pencil holds it if it is one of its lines and joins its centre to the first.
-    lines = canonical_rows(cross_rows(centres[:1], centres[1:]))
-    holds = [(row == lines[0]).all() and on_pencil(row[None])[0]
-             for on_pencil, row in zip(tests, [lines[0], *lines])]
-    if holds[0] and holds[1]:
-        host = next((pc for pc, held in zip(rest, holds[2:]) if not held), None)
+    # it, its points show up only as meets with a pencil not holding it: one
+    # whose centre is off it, or whose line test rejects it.
+    shared, *lines = canonical_rows(cross_rows(centres[0], centres[1:]))
+    if all((pc.rows == shared).all(axis=1).any() for pc in (first, second)):
+        host = next((pc for pc, (_, on_pencil), line in zip(rest, probes, lines)
+                     if not ((line == shared).all() and on_pencil(shared[None])[0])), None)
         if host is None:
-            raise ValueError(f"line {tuple(lines[0].tolist())} belongs to every pencil; "
+            raise ValueError(f"line {tuple(shared.tolist())} belongs to every pencil; "
                              f"every point on it is rich, so the rich set is infinite")
-        sift(cross_rows(lines[:1], host.rows.astype(dtype)))
+        sift(cross_rows(shared, host.rows.astype(dtype)))
 
     first_rows, second_rows = first.rows.astype(dtype), second.rows.astype(dtype)
     for lo in range(0, len(first_rows), _MEET_BLOCK):

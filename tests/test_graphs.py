@@ -390,6 +390,13 @@ def test_multiplication_table_matches_bruteforce():
         assert multiplication_table_size(n) == multiplication_table_bruteforce(n)
 
 
+@given(st.integers(1, 60), st.integers(1, 80))
+def test_multiplication_table_property_matches_bruteforce(n, segment):
+    # windows of a few cells put window edges inside every small table
+    with mock.patch.object(pencils.graphs, "_SIEVE_SEGMENT", segment):
+        assert multiplication_table_size(n) == multiplication_table_bruteforce(n)
+
+
 def test_multiplication_table_monotone_and_bounded():
     prev = 0
     for n in range(1, 200):

@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 from pencils.projective import (
     ProjPoint,
     _affine_image,
-    _distinct,
+    _distinct_pairs,
     _distinct_rows,
     _member,
     _pair_keys,
@@ -207,19 +208,43 @@ def test_reduce_and_affine_image_match_fractions(raw, us, rs, s):
                             for u in us for r in rs]
 
 
-@given(_lists(_rationals, 12))
-def test_pair_keys_decode_order_and_dedup(values):
-    num, den = _pair_arrays(values)
-    key, (n0, n1, d0, d1) = _pair_keys(num, den)
-    w = d1 - d0 + 1
-    # the key decodes to its pair, sorts as the pairs do, and equal keys
-    # are equal pairs
-    assert _pairs(key // w + n0, key % w + d0) == _pairs(num, den)
-    order = np.argsort(key, kind="stable")
-    assert _pairs(num[order], den[order]) == sorted(_pairs(num, den))
-    distinct = _distinct(key)
-    decoded = _pairs(distinct // w + n0, distinct % w + d0)
-    assert decoded == sorted((v.numerator, v.denominator) for v in set(values))
+# uint32 index columns, as graph edges are keyed: entries near 0 and near
+# 2^32 - 1, and sometimes the box of every uint32 pair, whose keys pass 2^62
+_index = st.one_of(st.integers(0, 5), st.integers(2**32 - 6, 2**32 - 1))
+_key_columns = [
+    *(st.lists(_rationals(ints), max_size=12).map(_pair_arrays) for ints in (_small, _ints)),
+    st.lists(st.tuples(_index, _index), max_size=12).map(
+        lambda pairs: tuple(np.array([p[i] for p in pairs], dtype=np.uint32).reshape(-1)
+                            for i in (0, 1))),
+]
+
+
+def test_pair_keys_decode_order_and_dedup():
+    """_pair_keys and _distinct_pairs on reduced fractions (int64 or object)
+    and on uint32 index columns; a counter shows every (pair, key) dtype
+    combination drawn."""
+    dtypes = Counter()
+
+    @given(st.integers(0, len(_key_columns) - 1).flatmap(_key_columns.__getitem__),
+           st.booleans())
+    def check(columns, full_box):
+        num, den = columns
+        box = (0, 2**32 - 1, 0, 2**32 - 1) if full_box and num.dtype == np.uint32 else None
+        key, (n0, n1, d0, d1) = _pair_keys(num, den, box)
+        dtypes[num.dtype.name, key.dtype.name] += 1
+        w = d1 - d0 + 1
+        # the key decodes to its pair, sorts as the pairs do, and equal keys
+        # are equal pairs
+        assert _pairs(key // w + n0, key % w + d0) == _pairs(num, den)
+        order = np.argsort(key, kind="stable")
+        assert _pairs(num[order], den[order]) == sorted(_pairs(num, den))
+        got = _distinct_pairs(_pair_keys(num, den, box), num.dtype)
+        assert got[0].dtype == got[1].dtype == num.dtype
+        assert _pairs(*got) == sorted(set(_pairs(num, den)))
+
+    check()
+    assert {("int64", "int64"), ("object", "object"), ("uint32", "int64"),
+            ("uint32", "object")} <= set(dtypes), dtypes
 
 
 def _box_faces(members):
@@ -234,8 +259,9 @@ def _box_faces(members):
 
 @given(_lists(_rationals, 10), _lists(_rationals, 10))
 def test_member_matches_fraction_set(members, others):
-    # the set is keyed in drawn order and only its keys are sorted, as for
-    # a pencil's lines with one column dropped
+    # the set is keyed in drawn order and only its keys are sorted; a
+    # pencil's line keys need no sort, as they already increase (see
+    # test_line_test_property_matches_tuple_sets)
     keyed = _pair_keys(*_pair_arrays(list(dict.fromkeys(members))))
     keyed[0].sort()
     empty = _pair_keys(*_pair_arrays([]))

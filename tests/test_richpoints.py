@@ -331,22 +331,54 @@ def _line_sets(draw):
     return centres, line_sets
 
 
-@given(_line_sets())
-def test_rich_points_property_matches_bruteforce(drawn):
-    centres, line_sets = drawn
-    config = PencilConfig(Pencil(ProjPoint(*c), lines) for c, lines in zip(centres, line_sets))
-    if set.intersection(*line_sets):
-        with pytest.raises(ValueError, match="belongs to every pencil"):
-            rich_points(config)
-        return
-    rep = rich_points(config)
-    want = rich_points_bruteforce([sorted(lines) for lines in line_sets])
-    rows = list(row_triples(rep.rows))
-    assert rows == sorted(set(rows))
-    assert set(rows) == want - set(centres)
-    assert rep.count == len(want - set(centres))
-    assert rep.infinite_count == sum(p[2] == 0 for p in want - set(centres))
-    assert [c.coords for c in rep.excluded_centres] == sorted(want & set(centres))
+def test_rich_points_property_matches_bruteforce():
+    """rich_points against the brute-force rich set; a counter shows each
+    branch on the join of the seed centres reached: the seeds do not share
+    it, a pencil not holding it hosts it, or every pencil holds it."""
+    branches = Counter()
+
+    @given(_line_sets())
+    def check(drawn):
+        centres, line_sets = drawn
+        config = PencilConfig(Pencil(ProjPoint(*c), lines)
+                              for c, lines in zip(centres, line_sets))
+        if set.intersection(*line_sets):
+            branches["every pencil"] += 1
+            with pytest.raises(ValueError, match="belongs to every pencil"):
+                rich_points(config)
+            return
+        # the seeds are the two pencils with the fewest lines, the first in
+        # config order on a tie
+        i, j = sorted(range(len(centres)), key=lambda k: len(line_sets[k]))[:2]
+        shared = join(centres[i], centres[j]) in line_sets[i] & line_sets[j]
+        branches["host" if shared else "not shared"] += 1
+        rep = rich_points(config)
+        want = rich_points_bruteforce([sorted(lines) for lines in line_sets])
+        rows = list(row_triples(rep.rows))
+        assert rows == sorted(set(rows))
+        assert set(rows) == want - set(centres)
+        assert rep.count == len(want - set(centres))
+        assert rep.infinite_count == sum(p[2] == 0 for p in want - set(centres))
+        assert [c.coords for c in rep.excluded_centres] == sorted(want & set(centres))
+
+    check()
+    assert branches.keys() == {"not shared", "host", "every pencil"}, branches
+
+
+def test_rich_points_keys_only_probed_pencils():
+    """Only the m - 2 probed pencils get a line test; the seeds answer their
+    one question by a row lookup."""
+    config = build_m_pencil_config(4, 16)
+    calls = []
+
+    def counting(pc):
+        calls.append(pc)
+        return line_test(pc)
+
+    line_test = pencils.richpoints._line_test
+    with mock.patch.object(pencils.richpoints, "_line_test", counting):
+        rich_points(config)
+    assert len(calls) == config.m - 2 == 2
 
 
 @st.composite
@@ -363,22 +395,34 @@ def _pencil_probes(draw):
 
 
 def test_line_test_property_matches_tuple_sets():
-    """rich_points' pencil line test against tuple-set membership; a
-    counting wrapper around its _member calls shows both dtypes drawn."""
-    member, dtypes = pencils.richpoints._member, Counter()
+    """rich_points' pencil line test against tuple-set membership, and the
+    keys it builds from the pencil's sorted rows strictly increase, since
+    _member needs them sorted and the test sorts nothing.  Counting wrappers
+    around its _pair_keys and _member calls show both dtypes of keys and
+    queries drawn, and centres at infinity."""
+    pair_keys, member, dtypes = pencils.richpoints._pair_keys, pencils.richpoints._member, Counter()
+
+    def keying(num, den):
+        key, box = pair_keys(num, den)
+        dtypes["key", key.dtype.name] += 1
+        assert (key[1:] > key[:-1]).all()
+        return key, box
 
     def counting(qa, qb, keyed):
-        dtypes[qa.dtype.name] += 1
+        dtypes["query", qa.dtype.name] += 1
         return member(qa, qb, keyed)
 
     @given(_pencil_probes())
     def check(drawn):
         centre, lines, queries = drawn
+        dtypes["at infinity"] += centre[2] == 0
         dtype = exact_dtype(max(abs(v) for t in [centre, *queries] for v in t))
         on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
         assert on_pencil(int_rows(queries, dtype)).tolist() == pencil_lines_bruteforce(
             lines, queries)
 
-    with mock.patch.object(pencils.richpoints, "_member", counting):
+    with (mock.patch.object(pencils.richpoints, "_pair_keys", keying),
+          mock.patch.object(pencils.richpoints, "_member", counting)):
         check()
-    assert dtypes["int64"] and dtypes["object"], dtypes
+    assert all(dtypes[kind, name] for kind in ("key", "query") for name in ("int64", "object"))
+    assert dtypes["at infinity"], dtypes
