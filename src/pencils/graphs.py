@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ZeroDenominator
-from .projective import _affine_image, _distinct_pairs, _pair_keys, _reduce_pairs, exact_dtype
+from .projective import (_affine_image, _distinct_pairs, _exact, _pair_keys, _reduce_pairs,
+                         exact_dtype)
 
 __all__ = [
     "GroundSet",
@@ -30,15 +31,15 @@ __all__ = [
 
 
 class GroundSet:
-    """Distinct rationals in a fixed order, held as integer arrays: the
-    reduced numerators and positive denominators, int64 when the height
-    (the largest |numerator| or denominator, 0 when empty) is below 2^62,
-    else Python ints.  ``elements`` builds the Fractions when read."""
+    """Distinct rationals (a float or bool raises TypeError) in a fixed order,
+    held as integer arrays: the reduced numerators and positive denominators,
+    int64 when the height (the largest |numerator| or denominator, 0 when
+    empty) is below 2^62, else Python ints.  ``elements`` builds Fractions."""
 
     __slots__ = ("numerators", "denominators", "height")
 
     def __init__(self, elements):
-        pairs = [Fraction(e).as_integer_ratio() for e in elements]
+        pairs = [_exact(e, Fraction).as_integer_ratio() for e in elements]
         self.height = max((max(abs(p), q) for p, q in pairs), default=0)
         rows = np.array(pairs, dtype=exact_dtype(self.height)).reshape(-1, 2)
         self.numerators, self.denominators = rows.T.copy()
@@ -48,10 +49,6 @@ class GroundSet:
     @property
     def elements(self) -> tuple[Fraction, ...]:
         return tuple(map(Fraction, self.numerators.tolist(), self.denominators.tolist()))
-
-    def __contains__(self, value):
-        v = Fraction(value)
-        return bool((self.numerators[self.denominators == v.denominator] == v.numerator).any())
 
     def __iter__(self):
         return iter(self.elements)
@@ -120,13 +117,6 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return int(self.edge_array.shape[0])
 
-    def left_degrees(self) -> list[int]:
-        """|N(a)| for every left element, in ground-set order."""
-        if self.edge_count == 0:
-            return [0] * len(self.left)
-        counts = np.bincount(self.edge_array[:, 0], minlength=len(self.left))
-        return [int(c) for c in counts]
-
     def transpose(self) -> "BipartiteGraph":
         return BipartiteGraph(self.right, self.left, self.edge_array[:, ::-1])
 
@@ -167,7 +157,8 @@ def _edge_ratios(graph: BipartiteGraph, p, q):
     den *= np.abs(qn)[j]
     zero = den == 0
     if zero.any():
-        raise ZeroDenominator(graph.right.elements[int(j[zero.argmax()])])
+        b, ground = j[zero.argmax()], graph.right
+        raise ZeroDenominator(Fraction(int(ground.numerators[b]), int(ground.denominators[b])))
     num = pn[i]
     num *= (qd * np.sign(qn))[j]
     return _reduce_pairs(num, den)
@@ -190,8 +181,9 @@ def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[F
 
 
 def neighbourhood_square_sum(graph: BipartiteGraph) -> int:
-    """Sum of |N(a)|^2 over the left ground set, exactly."""
-    return sum(d * d for d in graph.left_degrees())
+    """Sum of |N(a)|^2 over the left ground set; degrees by bincount, squares in Python ints."""
+    degrees = np.bincount(graph.edge_array[:, 0], minlength=len(graph.left))
+    return sum(d * d for d in degrees.tolist())
 
 
 # Time guard for the product sieve, which marks about n^2/2 products.

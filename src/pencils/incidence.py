@@ -7,8 +7,9 @@ two shifted ratio sets (A - x1)/_G(B - y1) and (A - x2)/_G(B - y2); the
 lines, one per pair (b1, b2) in B x B, have equation
 (b1 - y1) x - (b2 - y2) y + (x1 - x2) = 0.
 
-An instance shifts each ground set once per centre, to A - x and B - y,
-and reduces each edge's ratio (a - x)/(b - y) once.  The count, a join on
+An instance shifts each ground set once per centre, to A - x and B - y;
+a zero numerator of B - y means y lies in B, which the lemma refuses.  It
+reduces each edge's ratio (a - x)/(b - y) once.  The count, a join on
 exact mixed-radix pair keys, and the witness check, an array membership,
 read those arrays: reduced (num, den) arrays from projective's pair
 kernels, int64 below exact_dtype's bound, else Python ints.
@@ -70,14 +71,13 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> _Instance:
         graph = graph.transpose()
         c1 = (c1[1], c1[0])
         c2 = (c2[1], c2[0])
-    for _, y in (c1, c2):
-        if y in graph.right:
-            raise PreconditionError(f"shift {y} lies in the denominator ground set")
     # x1 != x2 makes (b1, b2) -> line injective
     assert c1[0] != c2[0]
 
     def side(x, y):
         right = _shifted(graph.right, -y)
+        if (right[0] == 0).any():
+            raise PreconditionError(f"shift {y} lies in the denominator ground set")
         edges = _edge_ratios(graph, _shifted(graph.left, -x), right)
         return (x, y), right, edges, _distinct_pairs(_pair_keys(*edges), edges[0].dtype)
 

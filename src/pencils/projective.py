@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import index as _as_int
+from operator import index
 
 import numpy as np
 
@@ -35,8 +35,16 @@ __all__ = [
 ]
 
 
+def _exact(v, kind=index):
+    """v as an exact int (kind=index) or Fraction (kind=Fraction); a bool or
+    a float (0.1 would be 3602879701896397/2^55) raises TypeError."""
+    if isinstance(v, (bool, float)):
+        raise TypeError(f"{v!r} is a {type(v).__name__}, not an exact number")
+    return kind(v)
+
+
 def _canonical(x, y, z):
-    x, y, z = _as_int(x), _as_int(y), _as_int(z)
+    x, y, z = _exact(x), _exact(y), _exact(z)
     if not (x or y or z):
         raise ValueError("(0, 0, 0) does not represent a projective element")
     g = gcd(gcd(abs(x), abs(y)), abs(z))
@@ -62,7 +70,7 @@ def exact_dtype(bound: int):
 def int_rows(triples, dtype) -> np.ndarray:
     """A (k, 3) array of integer triples in the given dtype; a row of
     another length raises ValueError, a non-integer entry TypeError."""
-    return np.array([(_as_int(x), _as_int(y), _as_int(z)) for x, y, z in triples],
+    return np.array([(_exact(x), _exact(y), _exact(z)) for x, y, z in triples],
                     dtype=dtype).reshape(-1, 3)
 
 
@@ -182,8 +190,8 @@ class ProjPoint:
 
     @classmethod
     def from_affine(cls, x, y) -> "ProjPoint":
-        """Embed the affine point (x, y); accepts ints, Fractions, or 'p/q' strings."""
-        x, y = Fraction(x), Fraction(y)
+        """Embed the affine point (x, y): ints, Fractions or 'p/q' strings; a float raises."""
+        x, y = _exact(x, Fraction), _exact(y, Fraction)
         return cls(
             x.numerator * y.denominator,
             y.numerator * x.denominator,

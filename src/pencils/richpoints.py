@@ -7,8 +7,8 @@ first-pencil lines with all second-pencil lines are row-wise cross
 products of the pencils' line rows; each other pencil is probed by joining
 its centre to every surviving meet, canonicalising the joins and testing
 them with projective._member against the pencil's rows, keyed once on
-two columns (see _line_test); the seed pencils are only asked whether they
-hold the join of their centres, a row lookup.  The surviving meets stay
+two columns (see _line_test).  Each pencil is asked by a row lookup whether
+it holds the join of the seed centres.  The surviving meets stay
 canonical rows, deduplicated and sorted in one pass; ProjPoint objects are
 built only for excluded centres and when a caller reads ``points``.
 
@@ -126,12 +126,11 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         found.append(canonical_rows(meets))
 
     # Distinct centres share at most one line, their join.  If both seeds hold
-    # it, its points show up only as meets with a pencil not holding it: one
-    # whose centre is off it, or whose line test rejects it.
-    shared, *lines = canonical_rows(cross_rows(centres[0], centres[1:]))
-    if all((pc.rows == shared).all(axis=1).any() for pc in (first, second)):
-        host = next((pc for pc, (_, on_pencil), line in zip(rest, probes, lines)
-                     if not ((line == shared).all() and on_pencil(shared[None])[0])), None)
+    # it, its points show up only as meets with a pencil not holding it.
+    shared = canonical_rows(cross_rows(centres[0], centres[1:2]))[0]
+    holds = [(pc.rows == shared).all(axis=1).any() for pc in by_size]
+    if holds[0] and holds[1]:
+        host = next((pc for pc, held in zip(rest, holds[2:]) if not held), None)
         if host is None:
             raise ValueError(f"line {tuple(shared.tolist())} belongs to every pencil; "
                              f"every point on it is rich, so the rich set is infinite")

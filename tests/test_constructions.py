@@ -140,6 +140,14 @@ def test_pencil_requires_incident_lines():
         Pencil(centre, [(1, -1), (2, -2), (3, -3)])
 
 
+def test_pencil_rejects_bool_coefficients():
+    # (True, -1, 0) would read as the line (1, -1, 0) through the centre
+    centre = ProjPoint.from_affine(0, 0)
+    for lines in ([(True, -1, 0)], [(1, -1, False)], np.array([(True, False, False)])):
+        with pytest.raises(TypeError):
+            Pencil(centre, lines)
+
+
 def test_pencil_rows_are_sorted_distinct_canonical():
     # scaled and repeated triples of one line collapse to its canonical row,
     # from an iterable, an int64 array or an object array of Python ints

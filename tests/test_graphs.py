@@ -38,11 +38,25 @@ def _random_graph(rng, max_side=8):
     return BipartiteGraph(A, B, edges)
 
 
+def _left_degrees(g):
+    """|N(a)| for every left index, counted from the edge list."""
+    counts = Counter(i for i, _ in g.edge_array.tolist())
+    return [counts[a] for a in range(len(g.left))]
+
+
 def test_ground_set_rejects_duplicates():
     for values in ([Fraction(1), Fraction(2), Fraction(1)], ["1", "2/2"],
                    [2**70, Fraction(-1, 3), Fraction(2**71, 2)]):
         with pytest.raises(ValueError, match="pairwise distinct"):
             GroundSet(values)
+
+
+def test_ground_set_rejects_floats_and_bools():
+    # 0.1 would be stored as 3602879701896397/2^55 and True as 1
+    for values in ([0.1], [Fraction(1), 0.5], [np.float64(2)], [True], [0, False]):
+        with pytest.raises(TypeError):
+            GroundSet(values)
+    assert GroundSet([1, "1/2", Fraction(1, 3)]).elements == (1, Fraction(1, 2), Fraction(1, 3))
 
 
 def test_ground_set_arrays_and_lookups():
@@ -143,7 +157,8 @@ def test_degrees_and_transpose():
     A = GroundSet([Fraction(0), Fraction(1), Fraction(2)])
     B = GroundSet([Fraction(5), Fraction(7)])
     g = BipartiteGraph(A, B, [(0, 0), (0, 1), (2, 1)])
-    assert list(g.left_degrees()) == [2, 0, 1]
+    assert _left_degrees(g) == [2, 0, 1]
+    assert neighbourhood_square_sum(g) == 5
     t = g.transpose()
     assert t.left is g.right and t.right is g.left
     assert t.edge_array.tolist() == [[0, 0], [1, 0], [1, 2]]
@@ -186,8 +201,7 @@ def _check_ratio_set_matches_bruteforce():
         y = Fraction(rng.randint(22, 25))  # keeps every denominator nonzero
         got = shifted_restricted_ratio_set(g, x, y)
         assert got == {(a + x) / (b + y) for a, b in pairs}
-        assert neighbourhood_square_sum(g) == sum(
-            d * d for d in g.left_degrees())
+        assert neighbourhood_square_sum(g) == sum(d * d for d in _left_degrees(g))
     # negative and non-integer shifts; a shift that zeroes b + y on an
     # edge must raise and name that b
     hits = 0
@@ -372,7 +386,7 @@ def test_op_set_sizes_bounded_by_edges():
         got = shifted_restricted_ratio_set(g, Fraction(1), Fraction(30))
         assert len(got) <= e
         if e:
-            assert len(got) >= max(g.left_degrees())
+            assert len(got) >= max(_left_degrees(g))
 
 
 def test_multiplication_table_small_values():

@@ -139,6 +139,56 @@ def test_swapped_instance_rejects_shift_into_left():
         build_lemma_instance(g, (Fraction(2), Fraction(-1)), (Fraction(2), Fraction(-2)))
 
 
+@st.composite
+def _shift_cases(draw):
+    """Drawn ground values, a graph over them and two distinct centres whose
+    coordinates are, for some draws, ground values, so a y in the
+    denominator ground set is drawn with and without the swap.  Every value
+    is a multiple of a drawn unit, 1 or 2^64, so both dtypes are drawn."""
+    unit = 2 ** (64 * draw(st.integers(0, 1)))
+    values = st.builds(lambda p, q: Fraction(p * unit, q), st.integers(-4, 4), st.integers(1, 2))
+    left = sorted(set(draw(st.lists(values, min_size=1, max_size=4))))
+    right = sorted(set(draw(st.lists(values, min_size=1, max_size=4))))
+    coord = st.one_of(values, st.sampled_from(left), st.sampled_from(right))
+    c1 = (draw(coord), draw(coord))
+    c2 = (draw(st.one_of(st.just(c1[0]), coord)), draw(coord))
+    assume(c1 != c2)
+    edges = draw(st.lists(st.tuples(st.integers(0, len(left) - 1),
+                                    st.integers(0, len(right) - 1)), max_size=8))
+    return left, right, BipartiteGraph(GroundSet(left), GroundSet(right), edges), c1, c2
+
+
+def test_shift_check_property_matches_fraction_oracle():
+    """build_lemma_instance refuses a centre exactly when its y, after any
+    swap, is an element of the denominator ground set, as Fractions; a spy
+    on _shifted records which dtypes the shifted ground sets took."""
+    shifted, seen = incidence._shifted, Counter()
+
+    def spy(ground, x):
+        out = shifted(ground, x)
+        seen[out[0].dtype.name] += 1
+        return out
+
+    @given(_shift_cases())
+    def check(case):
+        left, right, g, (x1, y1), (x2, y2) = case
+        swapped = x1 == x2
+        denominators, ys = (left, (x1, x2)) if swapped else (right, (y1, y2))
+        refused = any(y in denominators for y in ys)
+        with mock.patch.object(incidence, "_shifted", spy):
+            if refused:
+                with pytest.raises(PreconditionError, match="lies in the denominator ground set"):
+                    build_lemma_instance(g, (x1, y1), (x2, y2))
+            else:
+                assert build_lemma_instance(g, (x1, y1), (x2, y2)).swapped == swapped
+        seen["swapped" if swapped else "unswapped"] += 1
+        seen["refused" if refused else "built"] += 1
+
+    check()
+    branches = ("int64", "object", "swapped", "unswapped", "refused", "built")
+    assert all(seen[k] for k in branches), seen
+
+
 def _line_scan_count(inst):
     """I by scanning each line l_{b1,b2}: for every r1 in R1, the one y with
     (b1 - y1) r1 + (x1 - x2) = (b2 - y2) y is looked up in R2."""

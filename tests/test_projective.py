@@ -62,6 +62,24 @@ def test_affine_bridge():
         ProjPoint(1, 1, 0).to_affine()
 
 
+def test_projpoint_rejects_bools_and_floats():
+    # True would read as 1; int_rows, which builds centre rows, refuses it too
+    for coords in ((True, 0, 0), (1, False, 1), (np.True_, 0, 0), (1.0, 0, 1)):
+        with pytest.raises(TypeError):
+            ProjPoint(*coords)
+    with pytest.raises(TypeError):
+        int_rows([(1, 2, True)], np.int64)
+    assert ProjPoint(np.int64(2), 0, 4).coords == (1, 0, 2)
+
+
+def test_from_affine_rejects_floats_and_bools():
+    # 0.1 would read as 3602879701896397/2^55
+    for x, y in ((0.1, 0), (0, np.float64(0.5)), (True, 0), (0, False)):
+        with pytest.raises(TypeError):
+            ProjPoint.from_affine(x, y)
+    assert ProjPoint.from_affine("1/10", 0) == ProjPoint(1, 0, 10)
+
+
 def test_duality_property():
     rng = random.Random(7)
     for _ in range(100):

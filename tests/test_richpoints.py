@@ -21,7 +21,8 @@ from pencils.errors import PreconditionError
 from pencils.projective import ProjPoint, exact_dtype, int_rows, row_triples
 from pencils.richpoints import _kernel_dtype, _line_test, rich_points
 
-from oracles import _canon, _cross, join, pencil_lines_bruteforce, rich_points_bruteforce
+from oracles import (_canon, _cross, _on_line, join, pencil_lines_bruteforce,
+                     rich_points_bruteforce)
 from transforms import ProjTransform, SingularMatrix
 
 
@@ -307,15 +308,17 @@ def _points(ints):
 @st.composite
 def _line_sets(draw):
     """2-4 distinct centres, each with 1-5 lines joining it to drawn points.
-    Sometimes the join of the two centres with the fewest lines is added to
-    both of their pencils, so they are likely the seed pencils; sometimes
-    the centres are collinear and their join is added to every pencil."""
+    Sometimes the centres are collinear.  Sometimes the join of the two
+    centres with the fewest lines is added to both of their pencils, so
+    they are likely the seed pencils, and, when the centres are collinear,
+    to some of the other pencils or to all of them."""
     ints = draw(st.sampled_from([_small, _ints]))
     point = _points(ints)
     shared = ["none", "pair", "all"][draw(st.integers(0, 2))]
+    collinear = shared == "all" or draw(st.booleans())
     # a line held by only two pencils needs a third pencil to host it
     centres = draw(st.lists(point, min_size=2 + (shared == "pair"), max_size=4, unique=True))
-    if shared == "all":
+    if collinear:
         # the other centres move onto the line through the first two
         a, b = centres[:2]
         weights = draw(st.lists(st.tuples(_small, _small).filter(any), max_size=2))
@@ -325,8 +328,9 @@ def _line_sets(draw):
                   if any(_cross(c, q))} for c in centres]
     if shared != "none":
         i, j = sorted(range(len(centres)), key=lambda k: len(line_sets[k]))[:2]
-        for k in (range(len(centres)) if shared == "all" else (i, j)):
-            line_sets[k].add(join(centres[i], centres[j]))
+        for k in range(len(centres)):
+            if k in (i, j) or shared == "all" or (collinear and draw(st.booleans())):
+                line_sets[k].add(join(centres[i], centres[j]))
     assume(all(line_sets))
     return centres, line_sets
 
@@ -334,7 +338,9 @@ def _line_sets(draw):
 def test_rich_points_property_matches_bruteforce():
     """rich_points against the brute-force rich set; a counter shows each
     branch on the join of the seed centres reached: the seeds do not share
-    it, a pencil not holding it hosts it, or every pencil holds it."""
+    it, a pencil not holding it hosts it, or every pencil holds it.  It also
+    shows a pencil whose centre is on the join but which does not hold it,
+    so it hosts the join only as a pencil not holding it."""
     branches = Counter()
 
     @given(_line_sets())
@@ -350,8 +356,12 @@ def test_rich_points_property_matches_bruteforce():
         # the seeds are the two pencils with the fewest lines, the first in
         # config order on a tie
         i, j = sorted(range(len(centres)), key=lambda k: len(line_sets[k]))[:2]
-        shared = join(centres[i], centres[j]) in line_sets[i] & line_sets[j]
+        line = join(centres[i], centres[j])
+        shared = line in line_sets[i] & line_sets[j]
         branches["host" if shared else "not shared"] += 1
+        # the seeds hold it here, so such a pencil is a probed one
+        branches["centre on it, not held"] += shared and any(
+            _on_line(c, line) and line not in lines for c, lines in zip(centres, line_sets))
         rep = rich_points(config)
         want = rich_points_bruteforce([sorted(lines) for lines in line_sets])
         rows = list(row_triples(rep.rows))
@@ -362,7 +372,8 @@ def test_rich_points_property_matches_bruteforce():
         assert [c.coords for c in rep.excluded_centres] == sorted(want & set(centres))
 
     check()
-    assert branches.keys() == {"not shared", "host", "every pencil"}, branches
+    assert branches.keys() == {"not shared", "host", "every pencil", "centre on it, not held"}
+    assert all(branches.values()), branches
 
 
 def test_rich_points_keys_only_probed_pencils():
