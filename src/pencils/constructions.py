@@ -22,6 +22,7 @@ from .graphs import BipartiteGraph, GroundSet, _sorted_ground
 from .projective import (
     ProjPoint,
     _distinct_rows,
+    _exact,
     canonical_rows,
     cross_rows,
     exact_dtype,
@@ -115,7 +116,7 @@ class GraphConstruction:
     def __init__(self, graph: BipartiteGraph, n: int, d, label: str):
         self.graph = graph
         self.n = int(n)
-        self.d = Fraction(d)
+        self.d = _exact(d, Fraction)
         self.label = label
 
     @property
@@ -146,7 +147,7 @@ def floored_log_quotient(n: int, d, sqrt_numerator: bool = False) -> int:
     evaluated in interval arithmetic at increasing precision until both
     interval endpoints share a floor, which is then the true floor.
     """
-    d = Fraction(d)
+    d = _exact(d, Fraction)
     if d < 0:
         raise ValueError("d must be nonnegative")
     if d == 0:
@@ -202,7 +203,7 @@ def build_farey_shift_construction(n: int, d=0) -> GraphConstruction:
     U = floor(sqrt(n)/(ln n)^d), B = { 1/l : 1 <= l <= floor(n/(ln n)^d) },
     and (i/j, 1/l) is an edge exactly when j divides l.
     """
-    d = Fraction(d)
+    d = _exact(d, Fraction)
     if (n < 4 and d == 0) or (n < 16 and d > 0):
         raise PreconditionError(f"n = {n} too small for d = {d}")
     upper = floored_log_quotient(n, d, sqrt_numerator=True)
@@ -360,7 +361,7 @@ def build(construction: str, n: int, d=0, m=None, centres=None):
     """
     if construction not in CONSTRUCTION_TAGS:
         raise ValueError(f"unknown construction tag {construction!r}")
-    if Fraction(d) != 0 and construction != "farey-shift":
+    if _exact(d, Fraction) != 0 and construction != "farey-shift":
         raise ValueError(f"d applies only to farey-shift, not {construction}")
     if (m is None) == (construction == "m-pencil"):
         raise ValueError("m-pencil needs m" if m is None

@@ -167,8 +167,8 @@ def _edge_ratios(graph: BipartiteGraph, p, q):
 def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):
     """The distinct (a + x) / (b + y) over the edges as reduced (num, den)
     arrays, sorted by (num, den), in the edge ratios' dtype."""
-    num, den = _edge_ratios(graph, _shifted(graph.left, Fraction(x)),
-                            _shifted(graph.right, Fraction(y)))
+    num, den = _edge_ratios(graph, _shifted(graph.left, _exact(x, Fraction)),
+                            _shifted(graph.right, _exact(y, Fraction)))
     keyed, dtype = _pair_keys(num, den), num.dtype
     del num, den  # the sort needs only the keys, so the edge ratios go first
     return _distinct_pairs(keyed, dtype)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, neighbourhood_square_sum
 from .graphs import _edge_ratios, _shifted
-from .projective import _affine_image, _distinct_pairs, _member, _pair_keys, exact_dtype
+from .projective import _affine_image, _distinct_pairs, _exact, _member, _pair_keys, exact_dtype
 
 __all__ = [
     "LemmaChainReport",
@@ -63,7 +63,7 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> _Instance:
     coordinates swap roles (the graph is transposed), after which the first
     coordinates always differ and all |B|^2 lines are pairwise distinct.
     """
-    c1, c2 = ((Fraction(x), Fraction(y)) for x, y in (centre1, centre2))
+    c1, c2 = ((_exact(x, Fraction), _exact(y, Fraction)) for x, y in (centre1, centre2))
     if c1 == c2:
         raise PreconditionError(f"centres coincide at {c1}")
     swapped = c1[0] == c2[0]

@@ -1,16 +1,19 @@
 """Exact computation of the points lying on at least one line of every pencil.
 
-Candidates come from pairwise meets of the two smallest pencils, so the
-cost is O(s1*s2*(m-2)) sorted lookups rather than quadratic in the total
-line count.  One array kernel does the work: the meets of a block of
-first-pencil lines with all second-pencil lines are row-wise cross
-products of the pencils' line rows; each other pencil is probed by joining
-its centre to every surviving meet, canonicalising the joins and testing
-them with projective._member against the pencil's rows, keyed once on
-two columns (see _line_test).  Each pencil is asked by a row lookup whether
-it holds the join of the seed centres.  The surviving meets stay
-canonical rows, deduplicated and sorted in one pass; ProjPoint objects are
-built only for excluded centres and when a caller reads ``points``.
+Candidates are the meets u x v of a line u of the smallest pencil with a
+line v of the second smallest, so the cost is O(s1*s2*(m-2)) sorted
+lookups rather than quadratic in the total line count.  One array kernel
+does the work.  A point p is on a line of the pencil centred at c when the
+join c x p is one of its lines, and for p = u x v that join is
+(c.v)u - (c.u)v: each other pencil is probed on two columns of it, formed
+from the dot products of the seed lines with c (over a block of u and all
+of v at the first probe, over the surviving pairs after it) and tested by
+projective._member against the pencil's rows, keyed once in a 2-column
+normal form (see _line_test).  Meets are formed only for the pairs that
+pass every probe.  Each pencil is asked by a row lookup whether it holds
+the join of the seed centres.  The surviving meets are canonical rows,
+deduplicated and sorted in one pass; ProjPoint objects are built only for
+excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -39,8 +42,8 @@ from .projective import (
 
 __all__ = ["RichPointReport", "rich_points"]
 
-# First-pencil lines per block of seed meets: temporaries hold
-# _MEET_BLOCK * s2 rows at a time.
+# First-pencil lines per block of seed pairs: the first probe's temporaries
+# hold _MEET_BLOCK * s2 join entries at a time.
 _MEET_BLOCK = 32
 
 
@@ -79,22 +82,41 @@ class RichPointReport:
 def _kernel_dtype(pencils):
     """int64 when 2C*max(2M^2, C) < 2^62 (M the largest |line coefficient|, C
     the largest |centre coordinate|): a meet entry is at most 2M^2, a probe
-    join cross(centre, meet) 4CM^2 and the join of two centres 2C^2."""
+    join c x (u x v) = (c.v)u - (c.u)v is cross(centre, meet), so at most
+    4CM^2, each product (c.u)v_i at most 3CM^2, and the join of two centres
+    2C^2."""
     m = max((int(np.abs(pc.rows).max()) for pc in pencils if pc.size), default=0)
     c = max(abs(v) for pc in pencils for v in pc.centre.coords)
     return exact_dtype(2 * c * max(2 * m * m, c))
 
 
+def _normal_pairs(a, b):
+    """a and b divided in place by their gcd, then negated where the first
+    nonzero entry is negative; a zero pair stays zero."""
+    g = np.gcd(a, b)
+    g[g == 0] = 1
+    g[(a < 0) | ((a == 0) & (b < 0))] *= -1
+    a //= g
+    b //= g
+    return a, b
+
+
 def _line_test(pc):
-    """Membership in the pencil's lines for canonical rows of lines l through
-    its centre c.  k must be the last nonzero coordinate of c: l_k c_k is
-    -(sum of l_i c_i, i < k), so l_k depends only on the coefficients before
-    it, l is fixed by the pair left when column k is dropped, and the pairs
-    of the sorted rows strictly increase; so do their keys, which _member
-    needs sorted.  Each query row is one _member lookup."""
+    """The two columns kept of a join l = c x p of the pencil's centre c with
+    a point p, and a test on those two columns of joins: whether p is on one
+    of the pencil's lines.  The dropped column k is the last nonzero
+    coordinate of c: l_k c_k is -(sum of l_i c_i, i < k), so a line through
+    c is fixed by its kept pair, which is zero only for the zero join, p = c,
+    and such a p passes.  Pairs are compared in one normal form
+    (_normal_pairs) by _member, on the pencil's rows keyed once.  Column k is
+    never the first nonzero entry of a line through c, so on a canonical row
+    only the gcd step acts; but that gcd divides c_k, so when |c_k| > 1 the
+    normalised pairs can leave row order, and the keys are sorted."""
     k = max(i for i, v in enumerate(pc.centre.coords) if v)
-    keyed = _pair_keys(*np.delete(pc.rows, k, axis=1).T)
-    return lambda rows: _member(*np.delete(rows, k, axis=1).T, keyed)
+    kept = [i for i in range(3) if i != k]
+    keyed = _pair_keys(*_normal_pairs(*pc.rows[:, kept].T))
+    keyed[0].sort()
+    return kept, lambda a, b: _member(*_normal_pairs(a, b), keyed) | ((a == 0) & (b == 0))
 
 
 def rich_points(config: PencilConfig) -> RichPointReport:
@@ -110,20 +132,23 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     first, second, rest = by_size[0], by_size[1], by_size[2:]
     dtype = _kernel_dtype(config.pencils)
     centres = int_rows((pc.centre.coords for pc in by_size), dtype)
-    probes = [(centre, _line_test(pc)) for centre, pc in zip(centres[2:, None], rest)]
+    probes = [(centre, *_line_test(pc)) for centre, pc in zip(centres[2:], rest)]
     found = [np.empty((0, 3), dtype=dtype)]
 
-    def sift(meets):
-        """Add the canonical meets that lie on a line of every rest pencil.
-        A meet equal to a rest centre passes that centre's own probe (the
-        join is zero); centres are split off after all meets are sifted."""
-        for centre, on_pencil in probes:
-            joins = cross_rows(centre, meets)
-            keep = (joins == 0).all(axis=1)
-            live = ~keep
-            keep[live] = on_pencil(canonical_rows(joins[live]))
-            meets = meets[keep]
-        found.append(canonical_rows(meets))
+    def sift(u, v):
+        """Add the canonical meets u[i] x v[j] that lie on a line of every
+        probed pencil, formed only for the (i, j) that pass every probe.  A
+        zero meet (u = v, a line both seeds hold) passes every probe and is
+        dropped; a meet equal to a probed centre passes that centre's own
+        probe, and centres are split off after all meets are sifted."""
+        dots = [(u @ centre, v @ centre) for centre, _, _ in probes]
+        for lo in range(0, len(u), _MEET_BLOCK):
+            ii, jj = np.arange(lo, min(lo + _MEET_BLOCK, len(u)))[:, None], np.arange(len(v))
+            for (cu, cv), (_, kept, on_pencil) in zip(dots, probes):
+                keep = on_pencil(*(cv[jj] * u[ii, col] - cu[ii] * v[jj, col] for col in kept))
+                ii, jj = (w[keep] for w in np.broadcast_arrays(ii, jj))
+            meets = cross_rows(u[ii], v[jj]).reshape(-1, 3)
+            found.append(canonical_rows(meets[(meets != 0).any(axis=1)]))
 
     # Distinct centres share at most one line, their join.  If both seeds hold
     # it, its points show up only as meets with a pencil not holding it.
@@ -134,14 +159,8 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         if host is None:
             raise ValueError(f"line {tuple(shared.tolist())} belongs to every pencil; "
                              f"every point on it is rich, so the rich set is infinite")
-        sift(cross_rows(shared, host.rows.astype(dtype)))
-
-    first_rows, second_rows = first.rows.astype(dtype), second.rows.astype(dtype)
-    for lo in range(0, len(first_rows), _MEET_BLOCK):
-        block = first_rows[lo:lo + _MEET_BLOCK, None, :]
-        meets = cross_rows(block, second_rows[None, :, :]).reshape(-1, 3)
-        # a zero row is the meet of a line shared by both seed pencils
-        sift(meets[(meets != 0).any(axis=1)])
+        sift(shared[None], host.rows.astype(dtype))
+    sift(first.rows.astype(dtype), second.rows.astype(dtype))
 
     # a found centre met a first- and a second-pencil line and passed every
     # other probe, so it is on a line of every other pencil

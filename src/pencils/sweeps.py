@@ -75,7 +75,7 @@ def sweep(construction: str, n_values, d=0, centres=None, m=None) -> list[SweepR
     n_values = [int(n) for n in n_values]
     if n_values != sorted(n_values):
         raise ValueError("n_values must be sorted ascending")
-    return [_compute_row(construction, n, Fraction(d), centres, m) for n in n_values]
+    return [_compute_row(construction, n, d, centres, m) for n in n_values]
 
 
 @dataclass(frozen=True)

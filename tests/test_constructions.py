@@ -102,6 +102,19 @@ def test_farey_shift_with_positive_d_shrinks():
     assert damped.label == "farey-shift(n=1024,d=43/1000)"
 
 
+def test_d_rejects_floats_and_bools():
+    # 0.043 would be read as 3098476543630901/2^56, and True as 1
+    graph = build_symmetric_farey_construction(4).graph
+    for d in (0.043, True):
+        for call in (lambda: floored_log_quotient(64, d),
+                     lambda: build_farey_shift_construction(64, d),
+                     lambda: GraphConstruction(graph, 4, d, "symmetric(n=4)"),
+                     lambda: build("symmetric", 16, d)):
+            with pytest.raises(TypeError):
+                call()
+    assert build_farey_shift_construction(64, "43/1000").d == Fraction(43, 1000)
+
+
 def test_symmetric_matches_enumeration():
     for n in (4, 16, 36):
         built = build_symmetric_farey_construction(n)

@@ -370,6 +370,15 @@ def test_ratio_set_zero_denominator():
     assert shifted_restricted_ratio_set(g2, Fraction(0), Fraction(2)) == {Fraction(1, 5)}
 
 
+def test_ratio_set_rejects_float_and_bool_shifts():
+    # a shift of 0.1 gave ratios with denominator 2^56, and True read as 1
+    g = BipartiteGraph(GroundSet([1, 2]), GroundSet([1, 2]), [(0, 0), (1, 1)])
+    for x, y in ((0.1, 0), (0, 0.5), (True, 0), (0, False)):
+        with pytest.raises(TypeError):
+            shifted_restricted_ratio_set(g, x, y)
+    assert shifted_restricted_ratio_set(g, "1/2", 0) == {Fraction(3, 2), Fraction(5, 4)}
+
+
 def test_cauchy_schwarz_inequality_holds():
     rng = random.Random(7)
     for _ in range(60):

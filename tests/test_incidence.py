@@ -116,6 +116,17 @@ def test_coincident_centres_rejected():
         build_lemma_instance(g, (Fraction(0), Fraction(-1)), (Fraction(0), Fraction(-1)))
 
 
+def test_float_and_bool_centres_rejected():
+    # (0.1, -1) was read as x = 3602879701896397/2^55, and (True, -1) as x = 1,
+    # with all_ok true
+    g = _graph([1, 2], [1, 2], [(1, 1), (2, 2)])
+    for centre in ((0.1, -1), (0, -1.0), (True, -1), (0, False)):
+        with pytest.raises(TypeError):
+            build_lemma_instance(g, centre, (Fraction(3), Fraction(-1)))
+        with pytest.raises(TypeError):
+            verify_lemma_chain(g, (Fraction(3), Fraction(-1)), centre)
+
+
 def test_shift_into_denominators_rejected():
     g = _graph([1, 2], [1, 2], [(1, 1), (2, 2)])
     with pytest.raises(PreconditionError, match="lies in the denominator ground set"):

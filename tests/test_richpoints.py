@@ -392,35 +392,78 @@ def test_rich_points_keys_only_probed_pencils():
     assert len(calls) == config.m - 2 == 2
 
 
+
+def test_rich_points_forms_meets_only_for_survivors():
+    """Meets are formed only for the seed pairs that pass every probe, so
+    the rows cross_rows returns total far fewer than s1 * s2.  When both
+    seeds hold the join S of their centres, the pair (S, S) passes every
+    probe with a zero meet, which is dropped rather than canonicalised
+    (canonical_rows of a zero row divides by a zero gcd)."""
+    cross, canonical, formed = pencils.richpoints.cross_rows, pencils.richpoints.canonical_rows, []
+
+    def counting(u, v):
+        rows = cross(u, v)
+        formed.append(rows.reshape(-1, 3))
+        return rows
+
+    def nonzero(rows):
+        assert (rows != 0).any(axis=1).all()
+        return canonical(rows)
+
+    y0 = (0, 1, 0)
+    shared = PencilConfig([Pencil(ProjPoint.from_affine(0, 0), [y0, (1, -1, 0)]),
+                           Pencil(ProjPoint.from_affine(1, 0), [y0, (2, -1, -2)]),
+                           Pencil(ProjPoint.from_affine(0, 5), [(1, 1, -5), (1, 0, 0)])])
+    config = build_m_pencil_config(4, 16)
+    with (mock.patch.object(pencils.richpoints, "cross_rows", counting),
+          mock.patch.object(pencils.richpoints, "canonical_rows", nonzero)):
+        rep = rich_points(config)
+        s1, s2 = sorted(config.sizes())[:2]
+        # every seed pair used to get a meet: s1 * s2 = 187 rows; now 60
+        assert rep.count > 0 and 2 * sum(map(len, formed)) < s1 * s2
+        formed.clear()
+        got = rich_points(shared)
+    assert any((rows == 0).all(axis=1).any() for rows in formed)
+    assert {p.coords for p in got.points} | {c.coords for c in got.excluded_centres} == (
+        rich_points_bruteforce([pc.rows.tolist() for pc in shared.pencils]))
+    assert ProjPoint.from_affine(5, 0) in got.points
+
 @st.composite
 def _pencil_probes(draw):
     """A centre, at infinity for some draws, the lines joining it to drawn
-    points, and queries: canonical joins of the centre with those points
-    and with other drawn points."""
+    points, and queries: joins of the centre with those points and with
+    other drawn points, each scaled by a drawn nonzero factor, since the
+    kernel queries raw joins."""
     ints = draw(st.sampled_from([_small, _ints]))
     centre = draw(st.one_of(_points(ints), st.just((0, 1, 0)),
                             ints.map(lambda k: (1, k, 0))))
     joins = lambda points: [join(centre, q) for q in points if q != centre]
     lines = joins(draw(st.lists(_points(ints), max_size=5)))
-    return centre, lines, lines + joins(draw(st.lists(_points(ints), max_size=5)))
+    queries = lines + joins(draw(st.lists(_points(ints), max_size=5)))
+    scales = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(queries),
+                           max_size=len(queries)))
+    return centre, lines, [tuple(f * v for v in q) for f, q in zip(scales, queries)]
 
 
 def test_line_test_property_matches_tuple_sets():
-    """rich_points' pencil line test against tuple-set membership, and the
-    keys it builds from the pencil's sorted rows strictly increase, since
-    _member needs them sorted and the test sorts nothing.  Counting wrappers
-    around its _pair_keys and _member calls show both dtypes of keys and
-    queries drawn, and centres at infinity."""
+    """rich_points' pencil line test, queried on the two kept columns of
+    scaled joins, against tuple-set membership, and the keys _member
+    receives strictly increase, since it needs them sorted.  Counting
+    wrappers around the test's _pair_keys and _member calls show both
+    dtypes of keys and queries drawn, centres at infinity, and a pencil
+    whose normalised pairs leave row order (this needs |c_k| > 1), so the
+    sort of the keys is needed."""
     pair_keys, member, dtypes = pencils.richpoints._pair_keys, pencils.richpoints._member, Counter()
 
     def keying(num, den):
         key, box = pair_keys(num, den)
         dtypes["key", key.dtype.name] += 1
-        assert (key[1:] > key[:-1]).all()
+        dtypes["leaves row order"] += not (key[1:] > key[:-1]).all()
         return key, box
 
     def counting(qa, qb, keyed):
         dtypes["query", qa.dtype.name] += 1
+        assert (keyed[0][1:] > keyed[0][:-1]).all()
         return member(qa, qb, keyed)
 
     @given(_pencil_probes())
@@ -428,12 +471,12 @@ def test_line_test_property_matches_tuple_sets():
         centre, lines, queries = drawn
         dtypes["at infinity"] += centre[2] == 0
         dtype = exact_dtype(max(abs(v) for t in [centre, *queries] for v in t))
-        on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
-        assert on_pencil(int_rows(queries, dtype)).tolist() == pencil_lines_bruteforce(
-            lines, queries)
+        kept, on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
+        assert on_pencil(*int_rows(queries, dtype)[:, kept].T).tolist() == (
+            pencil_lines_bruteforce(lines, queries))
 
     with (mock.patch.object(pencils.richpoints, "_pair_keys", keying),
           mock.patch.object(pencils.richpoints, "_member", counting)):
         check()
     assert all(dtypes[kind, name] for kind in ("key", "query") for name in ("int64", "object"))
-    assert dtypes["at infinity"], dtypes
+    assert dtypes["at infinity"] and dtypes["leaves row order"], dtypes

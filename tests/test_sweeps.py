@@ -83,6 +83,13 @@ def test_sweep_validates_inputs():
     assert "farey-shift" in CONSTRUCTION_TAGS
 
 
+def test_sweep_rejects_float_and_bool_d():
+    with pytest.raises(TypeError):
+        sweep("farey-shift", [64], d=0.043)
+    with pytest.raises(TypeError):
+        sweep("symmetric", [16], d=False)
+
+
 def test_sweep_symmetric_rows():
     rows = sweep("symmetric", [4, 16, 64])
     assert [r.edge_count for r in rows] == [5, 33, 255]
