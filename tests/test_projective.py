@@ -277,9 +277,8 @@ def _box_faces(members):
 
 @given(_lists(_rationals, 10), _lists(_rationals, 10))
 def test_member_matches_fraction_set(members, others):
-    # the set is keyed in drawn order and only its keys are sorted; a
-    # pencil's line keys need no sort, as they already increase (see
-    # test_line_test_property_matches_tuple_sets)
+    # the set is keyed in drawn order and only its keys are sorted, as a
+    # pencil's line test does (see test_line_test_property_matches_tuple_sets)
     keyed = _pair_keys(*_pair_arrays(list(dict.fromkeys(members))))
     keyed[0].sort()
     empty = _pair_keys(*_pair_arrays([]))

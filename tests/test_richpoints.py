@@ -428,6 +428,7 @@ def test_rich_points_forms_meets_only_for_survivors():
         rich_points_bruteforce([pc.rows.tolist() for pc in shared.pencils]))
     assert ProjPoint.from_affine(5, 0) in got.points
 
+
 @st.composite
 def _pencil_probes(draw):
     """A centre, at infinity for some draws, the lines joining it to drawn
