@@ -115,7 +115,7 @@ class GraphConstruction:
 
     def __init__(self, graph: BipartiteGraph, n: int, d, label: str):
         self.graph = graph
-        self.n = int(n)
+        self.n = _exact(n)
         self.d = _exact(d, Fraction)
         self.label = label
 
@@ -147,7 +147,7 @@ def floored_log_quotient(n: int, d, sqrt_numerator: bool = False) -> int:
     evaluated in interval arithmetic at increasing precision until both
     interval endpoints share a floor, which is then the true floor.
     """
-    d = _exact(d, Fraction)
+    n, d = _exact(n), _exact(d, Fraction)
     if d < 0:
         raise ValueError("d must be nonnegative")
     if d == 0:
@@ -203,7 +203,7 @@ def build_farey_shift_construction(n: int, d=0) -> GraphConstruction:
     U = floor(sqrt(n)/(ln n)^d), B = { 1/l : 1 <= l <= floor(n/(ln n)^d) },
     and (i/j, 1/l) is an edge exactly when j divides l.
     """
-    d = _exact(d, Fraction)
+    n, d = _exact(n), _exact(d, Fraction)
     if (n < 4 and d == 0) or (n < 16 and d > 0):
         raise PreconditionError(f"n = {n} too small for d = {d}")
     upper = floored_log_quotient(n, d, sqrt_numerator=True)
@@ -227,6 +227,7 @@ def build_symmetric_farey_construction(n: int) -> GraphConstruction:
     A = { i/j in lowest terms : 1 <= i, j <= isqrt(n) }, and (i/j, k/j) is an
     edge for every pair sharing the denominator j; both ground sets are A.
     """
+    n = _exact(n)
     if n < 1:
         raise PreconditionError("need n >= 1")
     s = math.isqrt(n)
@@ -265,6 +266,7 @@ def general_position_centers(m: int) -> list[ProjPoint]:
     pairwise differences in t; each difference is nonzero and below p in
     absolute value, so the product, and hence the determinant, is nonzero.
     """
+    m = _exact(m)
     if m < 1:
         raise PreconditionError("need m >= 1")
     p = _least_prime_at_least(m)
@@ -334,6 +336,7 @@ def build_grid_footnote_config(n: int) -> PencilConfig:
     integer grid: n horizontals, n verticals, 2n-1 of slope 1, 2n-1 of
     slope -1, all centres on the line at infinity.
     """
+    n = _exact(n)
     if n < 1:
         raise PreconditionError("need n >= 1")
     horizontals = Pencil(ProjPoint(1, 0, 0), [(0, 1, -a) for a in range(1, n + 1)])

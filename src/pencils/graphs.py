@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ZeroDenominator
-from .projective import (_affine_image, _distinct_pairs, _exact, _pair_keys, _reduce_pairs,
+from .projective import (_affine_image, _distinct_pairs, _exact, _normalise, _pair_keys,
                          exact_dtype)
 
 __all__ = [
@@ -144,24 +144,23 @@ def _shifted(ground: GroundSet, x: Fraction):
 
 
 def _edge_ratios(graph: BipartiteGraph, p, q):
-    """Reduced (num, den) arrays of p_a / q_b per edge (a, b), den > 0, for
-    p and q the _shifted left and right ground sets.  With p_a and q_b
-    reduced it is (pn*qd*sign(qn)) / (pd*|qn|), bounded by H_P*H_Q.  Raises
-    ZeroDenominator if q_b = 0 on an edge: skipping the edge would corrupt
-    every downstream count."""
+    """Reduced (num, den) arrays of p_a / q_b = (pn*qd) / (pd*qn) per edge
+    (a, b), den > 0, bounded by H_P*H_Q, for p and q the _shifted left and
+    right ground sets.  Raises ZeroDenominator if q_b = 0 on an edge:
+    skipping the edge would corrupt every downstream count."""
     (pn, pd, hp), (qn, qd, hq) = p, q
     dtype = exact_dtype(hp * hq)
     pn, pd, qn, qd = (v.astype(dtype, copy=False) for v in (pn, pd, qn, qd))
     i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
     den = pd[i]
-    den *= np.abs(qn)[j]
+    den *= qn[j]
     zero = den == 0
     if zero.any():
         b, ground = j[zero.argmax()], graph.right
         raise ZeroDenominator(Fraction(int(ground.numerators[b]), int(ground.denominators[b])))
     num = pn[i]
-    num *= (qd * np.sign(qn))[j]
-    return _reduce_pairs(num, den)
+    num *= qd[j]
+    return _normalise(den, num)[::-1]
 
 
 def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):
@@ -202,6 +201,7 @@ def multiplication_table_size(n: int) -> int:
     range marks the part of that progression inside it, for the a with
     a^2 < hi and a*n >= lo, and counts its marked cells.
     """
+    n = _exact(n)
     if n < 1:
         raise PreconditionError("multiplication table needs n >= 1")
     if n > _TABLE_SIEVE_LIMIT:

@@ -121,6 +121,7 @@ def szemeredi_trotter_ok(incidences: int, n_points: int, n_lines: int) -> bool:
     Cubing both sides keeps the comparison in the integers:
     I - 4(P + L) <= 4 (PL)^(2/3)  <=>  (I - 4(P+L))^3 <= 64 (PL)^2.
     """
+    incidences, n_points, n_lines = map(_exact, (incidences, n_points, n_lines))
     slack = incidences - 4 * (n_points + n_lines)
     if slack <= 0:
         return True

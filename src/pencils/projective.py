@@ -8,13 +8,13 @@ coordinate zero) are ordinary values.  No floating point anywhere.
 
 Sets of lines and of rich points live as sorted, distinct (k, 3) arrays
 of canonical rows; ProjPoint is the object form of one point, for centres
-and for callers at the API edge.  The row kernels (cross_rows,
-canonical_rows, _distinct_rows) apply the cross product, the canonical
-form and the dedup to whole (k, 3) integer arrays, in the dtype that
-exact_dtype picks from a caller's magnitude bound.  The pair kernels do the
-same for rationals held as reduced (num, den) arrays: reduce, affine images
-u*r + s, exact pair keys (of graph edges too) for dedup and joins, their
-decode back to sorted distinct pairs, and membership in a set.
+and for callers at the API edge.  _normalise is _canonical's array form,
+for rows and, den first, for reduced (num, den) pairs.  The row kernels
+(cross_rows, canonical_rows, _distinct_rows) apply the cross product, that
+form and the dedup to (k, 3) integer arrays, in the dtype exact_dtype picks
+from a caller's bound.  The pair kernels serve rationals as reduced (num,
+den) arrays: affine images u*r + s, exact pair keys (of graph edges too)
+for dedup and joins, their decode to sorted distinct pairs, and set membership.
 """
 
 from __future__ import annotations
@@ -87,14 +87,26 @@ def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
                     axis=-1)
 
 
+def _normalise(*cols):
+    """Integer tuples as two or more equal-length column arrays (int64 or
+    object), divided in place by their gcd and negated where the first
+    nonzero entry is negative; a zero tuple stays zero.  Returns the columns."""
+    g, neg = cols[-1], cols[-1] < 0
+    for col in cols[-2::-1]:
+        g = np.gcd(col, g)
+        neg = (col < 0) | ((col == 0) & neg)
+    g[g == 0] = 1
+    g[neg] *= -1
+    for col in cols:
+        col //= g
+    return cols
+
+
 def canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """_canonical applied to every row of a (k, 3) array with no zero row:
-    divide by the row gcd, then make the first nonzero entry positive."""
-    g = np.gcd(np.gcd(rows[:, 0], rows[:, 1]), rows[:, 2])
-    rows = rows // g[:, None]
-    x, y, z = rows[:, 0], rows[:, 1], rows[:, 2]
-    neg = (x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))
-    rows[neg] = -rows[neg]
+    """_canonical applied to every row of a (k, 3) array, in a copy; a zero
+    row stays zero."""
+    rows = rows.copy()
+    _normalise(*rows.T)
     return rows
 
 
@@ -108,23 +120,14 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _reduce_pairs(num: np.ndarray, den: np.ndarray):
-    """(num, den) divided in place by their elementwise gcd; den != 0."""
-    g = np.gcd(num, den)
-    num //= g
-    den //= g
-    return num, den
-
-
 def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
     """Reduced (num, den) arrays of u*r + s over all pairs (u, r), u-major,
-    den > 0, for u and r given as (num, den) arrays (or a scalar u) with
-    positive dens."""
+    den > 0, for u and r given as (num, den) arrays (or a scalar u)."""
     un, ud, rn, rd = (np.asarray(a, dtype=dtype) for a in (un, ud, rn, rd))
     den = np.multiply.outer(ud, rd).ravel()
     num = np.multiply.outer(un, rn).ravel() * s.denominator + den * s.numerator
     den *= s.denominator
-    return _reduce_pairs(num, den)
+    return _normalise(den, num)[::-1]
 
 
 def _pair_keys(num, den, box=None):

@@ -8,12 +8,12 @@ join c x p is one of its lines, and for p = u x v that join is
 (c.v)u - (c.u)v: each other pencil is probed on two columns of it, formed
 from the dot products of the seed lines with c (over a block of u and all
 of v at the first probe, over the surviving pairs after it) and tested by
-projective._member against the pencil's rows, keyed once in a 2-column
-normal form (see _line_test).  Meets are formed only for the pairs that
-pass every probe.  Each pencil is asked by a row lookup whether it holds
-the join of the seed centres.  The surviving meets are canonical rows,
-deduplicated and sorted in one pass; ProjPoint objects are built only for
-excluded centres and when a caller reads ``points``.
+projective._member against the pencil's rows, keyed once, both in
+projective's normal form (see _line_test).  Meets are formed only for the
+pairs that pass every probe.  Each pencil is asked by a row lookup whether
+it holds the join of the seed centres.  The surviving meets are canonical
+rows, deduplicated and sorted in one pass; ProjPoint objects are built
+only for excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -32,6 +32,7 @@ from .projective import (
     ProjPoint,
     _distinct_rows,
     _member,
+    _normalise,
     _pair_keys,
     canonical_rows,
     cross_rows,
@@ -90,33 +91,22 @@ def _kernel_dtype(pencils):
     return exact_dtype(2 * c * max(2 * m * m, c))
 
 
-def _normal_pairs(a, b):
-    """a and b divided in place by their gcd, then negated where the first
-    nonzero entry is negative; a zero pair stays zero."""
-    g = np.gcd(a, b)
-    g[g == 0] = 1
-    g[(a < 0) | ((a == 0) & (b < 0))] *= -1
-    a //= g
-    b //= g
-    return a, b
-
-
 def _line_test(pc):
     """The two columns kept of a join l = c x p of the pencil's centre c with
     a point p, and a test on those two columns of joins: whether p is on one
     of the pencil's lines.  The dropped column k is the last nonzero
     coordinate of c: l_k c_k is -(sum of l_i c_i, i < k), so a line through
     c is fixed by its kept pair, which is zero only for the zero join, p = c,
-    and such a p passes.  Pairs are compared in one normal form
-    (_normal_pairs) by _member, on the pencil's rows keyed once.  Column k is
-    never the first nonzero entry of a line through c, so on a canonical row
-    only the gcd step acts; but that gcd divides c_k, so when |c_k| > 1 the
-    normalised pairs can leave row order, and the keys are sorted."""
+    and such a p passes.  Pairs are compared by _member after _normalise, on
+    the pencil's kept pairs keyed once.  Column k is never the first nonzero
+    entry of a line through c, so on a canonical row only the gcd step acts;
+    but that gcd divides c_k, so when |c_k| > 1 the normalised pairs can
+    leave row order, and the keys are sorted."""
     k = max(i for i, v in enumerate(pc.centre.coords) if v)
     kept = [i for i in range(3) if i != k]
-    keyed = _pair_keys(*_normal_pairs(*pc.rows[:, kept].T))
+    keyed = _pair_keys(*_normalise(*pc.rows[:, kept].T))
     keyed[0].sort()
-    return kept, lambda a, b: _member(*_normal_pairs(a, b), keyed) | ((a == 0) & (b == 0))
+    return kept, lambda a, b: _member(*_normalise(a, b), keyed) | ((a == 0) & (b == 0))
 
 
 def rich_points(config: PencilConfig) -> RichPointReport:

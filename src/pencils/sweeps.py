@@ -16,6 +16,7 @@ from fractions import Fraction
 from .constructions import build, standard_shift_centres
 from .errors import PreconditionError
 from .graphs import _ratio_arrays
+from .projective import _exact
 from .richpoints import rich_points
 
 __all__ = [
@@ -72,7 +73,7 @@ def _compute_row(construction, n, d, centres, m) -> SweepRow:
 def sweep(construction: str, n_values, d=0, centres=None, m=None) -> list[SweepRow]:
     """One exactly-computed row per n, in ascending n order; every column
     except wall_time_ms is deterministic."""
-    n_values = [int(n) for n in n_values]
+    n_values = [_exact(n) for n in n_values]
     if n_values != sorted(n_values):
         raise ValueError("n_values must be sorted ascending")
     return [_compute_row(construction, n, d, centres, m) for n in n_values]
@@ -131,5 +132,5 @@ def fitted_ceiling_violations(rows, field: str, exponent):
 def tracking_ratios(rows, field: str, exponent) -> list[tuple[int, float]]:
     """value / n^exponent per row; the constant-tracking companion to an
     asymptotic claim that cannot be asserted at finite n."""
-    e = float(Fraction(exponent))
+    e = float(_exact(exponent, Fraction))
     return [(row.n, getattr(row, field) / row.n ** e) for row in rows]

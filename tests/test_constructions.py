@@ -22,7 +22,9 @@ from pencils.constructions import (
     standard_shift_centres,
 )
 from pencils.errors import CentreOnPointSet, PreconditionError
-from pencils.graphs import BipartiteGraph, GroundSet, shifted_restricted_ratio_set
+from pencils.graphs import (BipartiteGraph, GroundSet, multiplication_table_size,
+                            shifted_restricted_ratio_set)
+from pencils.incidence import szemeredi_trotter_ok
 from pencils.projective import ProjPoint, row_triples
 
 from oracles import (
@@ -103,7 +105,8 @@ def test_farey_shift_with_positive_d_shrinks():
 
 
 def test_d_rejects_floats_and_bools():
-    # 0.043 would be read as 3098476543630901/2^56, and True as 1
+    # 0.043 would be read as 3098476543630901/2^56, and True as 1; a float
+    # size such as 16.5 would be truncated to 16
     graph = build_symmetric_farey_construction(4).graph
     for d in (0.043, True):
         for call in (lambda: floored_log_quotient(64, d),
@@ -112,7 +115,23 @@ def test_d_rejects_floats_and_bools():
                      lambda: build("symmetric", 16, d)):
             with pytest.raises(TypeError):
                 call()
+    for n in (16.5, True):
+        for call in (lambda: floored_log_quotient(n, 0),
+                     lambda: build_farey_shift_construction(n),
+                     lambda: build_symmetric_farey_construction(n),
+                     lambda: build_grid_footnote_config(n),
+                     lambda: build_m_pencil_config(n, 16),
+                     lambda: build_m_pencil_config(4, n),
+                     lambda: general_position_centers(n),
+                     lambda: GraphConstruction(graph, n, 0, "symmetric(n=4)"),
+                     lambda: multiplication_table_size(n),
+                     lambda: szemeredi_trotter_ok(n, 1, 1),
+                     lambda: szemeredi_trotter_ok(1, n, 1),
+                     lambda: szemeredi_trotter_ok(1, 1, n)):
+            with pytest.raises(TypeError):
+                call()
     assert build_farey_shift_construction(64, "43/1000").d == Fraction(43, 1000)
+    assert GraphConstruction(graph, np.int64(4), 0, "symmetric(n=4)").n == 4
 
 
 def test_symmetric_matches_enumeration():

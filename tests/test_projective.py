@@ -1,20 +1,26 @@
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pencils import (build_m_pencil_config, build_symmetric_farey_construction, rich_points,
+                     sweep, verify_lemma_chain)
 from pencils.projective import (
     ProjPoint,
     _affine_image,
+    _canonical,
     _distinct_pairs,
     _distinct_rows,
     _member,
+    _normalise,
     _pair_keys,
-    _reduce_pairs,
     canonical_rows,
     cross_rows,
     exact_dtype,
@@ -140,19 +146,69 @@ def test_ordering_is_total_on_canonical_triples():
     assert sorted(pts) == sorted(pts, key=lambda p: p.coords)
 
 
+def _sign_branch(t):
+    """The branch of the normal form's sign rule that a tuple takes, with the
+    position of its first nonzero entry."""
+    at = next((i for i, v in enumerate(t) if v), None)
+    return "zero" if at is None else ("negated" if t[at] < 0 else "kept", at)
+
+
 def test_array_kernel_matches_oracle_in_both_dtypes():
+    """canonical_rows against the oracle, zero rows included, and _normalise
+    on 2-column tuples against _canonical's sign rule, in int64 and object
+    arrays; a counter shows every branch of the sign rule reached."""
     rng = random.Random(19)
+    reached = Counter()
     # a cross entry is at most 2 * top^2
     for top, expected in ((9, np.int64), (2**30, np.int64), (2**70, object)):
         dtype = exact_dtype(2 * top * top)
         assert dtype is expected
         us = [tuple(rng.randint(-top, top) for _ in range(3)) for _ in range(200)]
         vs = [tuple(rng.randint(-top, top) for _ in range(3)) for _ in range(200)]
-        pairs = [(u, v) for u, v in zip(us, vs) if any(_cross(u, v))]
+        # u x u is a zero row, which stays zero
+        pairs = list(zip(us, vs)) + [(u, u) for u in us[:5]]
+        crosses = [_cross(u, v) for u, v in pairs]
         rows = cross_rows(int_rows((u for u, _ in pairs), dtype),
                           int_rows((v for _, v in pairs), dtype))
         assert list(row_triples(canonical_rows(rows))) == [
-            _canon(_cross(u, v)) for u, v in pairs]
+            _canon(t) if any(t) else (0, 0, 0) for t in crosses]
+        # scaled 2-column tuples, so zero entries, both signs and gcds above 1 occur
+        ab = [(s * x, s * y) for x, y, s in ((rng.randint(-2, 2), rng.randint(-2, 2),
+                                              rng.randint(1, top)) for _ in range(200))]
+        cols = [np.array(col, dtype=dtype) for col in zip(*ab)]
+        assert list(zip(*(col.tolist() for col in _normalise(*cols)))) == [
+            _canonical(a, b, 0)[:2] if a or b else (0, 0) for a, b in ab]
+        name = np.dtype(dtype).name
+        reached.update((name, "row", _sign_branch(t)) for t in crosses)
+        reached.update((name, "pair", _sign_branch(t)) for t in ab)
+        reached.update((name, "pair", "gcd > 1") for a, b in ab if gcd(a, b) > 1)
+    assert {(name, kind, branch) for name in ("int64", "object")
+            for kind, branches in (("row", ("zero", ("negated", 0), ("kept", 0))),
+                                   ("pair", ("zero", "gcd > 1", ("negated", 0), ("kept", 0),
+                                             ("negated", 1), ("kept", 1))))
+            for branch in branches} <= set(reached), reached
+
+
+def test_only_projective_calls_gcd():
+    """One normal form: every np.gcd call that rich_points, the lemma chain
+    and a farey-shift sweep row make comes from pencils.projective, apart
+    from the coprimality mask of constructions._coprime_blocks."""
+    np_gcd, callers = np.gcd, Counter()
+
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers[frame.f_globals["__name__"], frame.f_code.co_name] += 1
+        return np_gcd(*args, **kwargs)
+
+    with mock.patch.object(np, "gcd", recording):
+        rich_points(build_m_pencil_config(4, 16))
+        verify_lemma_chain(build_symmetric_farey_construction(64).graph, (0, -1), (1, -1))
+        sweep("farey-shift", [256])
+    assert {module for module, _ in callers} == {"pencils.projective",
+                                                 "pencils.constructions"}, callers
+    assert {(module, name) for module, name in callers
+            if module != "pencils.projective"} == {("pencils.constructions",
+                                                    "_coprime_blocks")}, callers
 
 
 def test_exact_dtype_bound():
@@ -176,7 +232,7 @@ def _rationals(ints=_ints):
 
 
 def _raw_pairs(ints):
-    return st.tuples(ints, ints.filter(lambda d: d > 0))
+    return st.tuples(ints, ints.filter(bool))
 
 
 def _columns(nums, dens):
@@ -212,18 +268,31 @@ def test_distinct_rows_matches_sorted_set(triples):
     assert list(row_triples(got)) == sorted(set(triples))
 
 
-@given(_lists(_raw_pairs, 8), _lists(_rationals, 6), _lists(_rationals, 6),
-       st.one_of(_rationals(_small), _rationals()))
-def test_reduce_and_affine_image_match_fractions(raw, us, rs, s):
-    num, den = _columns([n for n, _ in raw], [d for _, d in raw])
-    assert _pairs(*_reduce_pairs(num, den)) == [
-        (f.numerator, f.denominator) for f in (Fraction(n, d) for n, d in raw)]
-    # every entry is at most 2 H_u H_r H_s before reduction
-    height = lambda vs: max((max(abs(v.numerator), v.denominator) for v in vs), default=1)
-    dtype = exact_dtype(2 * height(us) * height(rs) * height([s]))
-    got = _affine_image(*_pair_arrays(us), *_pair_arrays(rs), s, dtype)
-    assert _pairs(*got) == [((u * r + s).numerator, (u * r + s).denominator)
-                            for u in us for r in rs]
+def test_reduce_and_affine_image_match_fractions():
+    """_normalise(den, num) on raw pairs whose dens take either sign, and
+    _affine_image, against Fraction; a counter shows both den signs and a
+    gcd above 1 reached in both dtypes."""
+    reached = Counter()
+
+    @given(_lists(_raw_pairs, 8), _lists(_rationals, 6), _lists(_rationals, 6),
+           st.one_of(_rationals(_small), _rationals()))
+    def check(raw, us, rs, s):
+        num, den = _columns([n for n, _ in raw], [d for _, d in raw])
+        reached.update((num.dtype.name, "den < 0" if d < 0 else "den > 0") for _, d in raw)
+        reached.update((num.dtype.name, "gcd > 1") for n, d in raw if gcd(n, d) > 1)
+        _normalise(den, num)
+        assert _pairs(num, den) == [
+            (f.numerator, f.denominator) for f in (Fraction(n, d) for n, d in raw)]
+        # every entry is at most 2 H_u H_r H_s before reduction
+        height = lambda vs: max((max(abs(v.numerator), v.denominator) for v in vs), default=1)
+        dtype = exact_dtype(2 * height(us) * height(rs) * height([s]))
+        got = _affine_image(*_pair_arrays(us), *_pair_arrays(rs), s, dtype)
+        assert _pairs(*got) == [((u * r + s).numerator, (u * r + s).denominator)
+                                for u in us for r in rs]
+
+    check()
+    assert {(name, branch) for name in ("int64", "object")
+            for branch in ("den < 0", "den > 0", "gcd > 1")} <= set(reached), reached
 
 
 # uint32 index columns, as graph edges are keyed: entries near 0 and near

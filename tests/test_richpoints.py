@@ -397,8 +397,8 @@ def test_rich_points_forms_meets_only_for_survivors():
     """Meets are formed only for the seed pairs that pass every probe, so
     the rows cross_rows returns total far fewer than s1 * s2.  When both
     seeds hold the join S of their centres, the pair (S, S) passes every
-    probe with a zero meet, which is dropped rather than canonicalised
-    (canonical_rows of a zero row divides by a zero gcd)."""
+    probe with a zero meet, which is dropped rather than canonicalised: a
+    zero row is not a projective point."""
     cross, canonical, formed = pencils.richpoints.cross_rows, pencils.richpoints.canonical_rows, []
 
     def counting(u, v):

@@ -88,6 +88,16 @@ def test_sweep_rejects_float_and_bool_d():
         sweep("farey-shift", [64], d=0.043)
     with pytest.raises(TypeError):
         sweep("symmetric", [16], d=False)
+    # the sizes too (16.5 was truncated to 16), and the tracked exponents
+    for n in (16.5, True):
+        with pytest.raises(TypeError):
+            sweep("symmetric", [n])
+    for e in (1.5, True):
+        with pytest.raises(TypeError):
+            tracking_ratios(_rows([1, 2]), "edge_count", e)
+        with pytest.raises(TypeError):
+            fitted_ceiling_violations(_rows([1, 2]), "edge_count", e)
+    assert tracking_ratios(_rows([16]), "edge_count", "3/2") == [(4, 2.0)]
 
 
 def test_sweep_symmetric_rows():
