@@ -62,7 +62,7 @@ class Pencil:
         if rows.dtype.kind not in "iu" and not {int}.issuperset(map(type, rows.flat)):
             raise TypeError("line coefficients must be integers")
         c = max(abs(v) for v in centre.coords)
-        h = int(np.abs(rows).max()) if len(rows) else 0
+        h = max(-int(rows.min()), int(rows.max())) if len(rows) else 0
         rows = rows.astype(exact_dtype(3 * c * h), copy=False)
         if not (rows != 0).any(axis=1).all():
             raise ValueError("(0, 0, 0) does not represent a line")

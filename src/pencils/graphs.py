@@ -3,11 +3,11 @@ multiplication-table sizes.
 
 Edges are stored as index pairs into the two ground sets (a sorted,
 deduplicated uint32 array), which keeps ten-million-edge sweeps compact
-while every derived quantity stays exact; projective's pair kernels key
-the edges as (i, j) pairs, dedup and sort them.  Ratio sets are integer
+while every derived quantity stays exact; projective's tuple kernels key
+the edges as (i, j) pairs, sort and dedup them.  Ratio sets are integer
 arrays: the shifted ground sets' numerators and denominators are gathered
-along the edges and multiplied, then reduced and deduplicated by the same
-pair kernels, in the dtype exact_dtype picks from a Python-int bound.
+along the edges and multiplied, then reduced and deduplicated as (num,
+den) tuples, in the dtype exact_dtype picks from a Python-int bound.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ZeroDenominator
-from .projective import (_affine_image, _distinct_pairs, _exact, _normalise, _pair_keys,
-                         exact_dtype)
+from .projective import _affine_image, _distinct, _exact, _keys, _normalise, exact_dtype
 
 __all__ = [
     "GroundSet",
@@ -43,7 +42,7 @@ class GroundSet:
         self.height = max((max(abs(p), q) for p, q in pairs), default=0)
         rows = np.array(pairs, dtype=exact_dtype(self.height)).reshape(-1, 2)
         self.numerators, self.denominators = rows.T.copy()
-        if len(_distinct_pairs(_pair_keys(*rows.T), rows.dtype)[0]) != len(pairs):
+        if len(_distinct(_keys(rows.T), rows.dtype)[0]) != len(pairs):
             raise ValueError("ground set elements must be pairwise distinct")
 
     @property
@@ -110,8 +109,8 @@ class BipartiteGraph:
                              and arr[:, 1].max() < len(right)):
             raise ValueError("edge index out of range or not an integer")
         arr = arr.astype(np.uint32, copy=False)
-        box = (0, len(left) - 1, 0, len(right) - 1)
-        self.edge_array = np.stack(_distinct_pairs(_pair_keys(*arr.T, box), np.uint32), axis=1)
+        box = ((0, len(left) - 1), (0, len(right) - 1))
+        self.edge_array = np.stack(_distinct(_keys(arr.T, box), np.uint32), axis=1)
 
     @property
     def edge_count(self) -> int:
@@ -168,9 +167,9 @@ def _ratio_arrays(graph: BipartiteGraph, x=0, y=0):
     arrays, sorted by (num, den), in the edge ratios' dtype."""
     num, den = _edge_ratios(graph, _shifted(graph.left, _exact(x, Fraction)),
                             _shifted(graph.right, _exact(y, Fraction)))
-    keyed, dtype = _pair_keys(num, den), num.dtype
+    keyed, dtype = _keys((num, den)), num.dtype
     del num, den  # the sort needs only the keys, so the edge ratios go first
-    return _distinct_pairs(keyed, dtype)
+    return _distinct(keyed, dtype)
 
 
 def shifted_restricted_ratio_set(graph: BipartiteGraph, x=0, y=0) -> frozenset[Fraction]:

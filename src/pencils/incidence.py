@@ -10,8 +10,8 @@ lines, one per pair (b1, b2) in B x B, have equation
 An instance shifts each ground set once per centre, to A - x and B - y;
 a zero numerator of B - y means y lies in B, which the lemma refuses.  It
 reduces each edge's ratio (a - x)/(b - y) once.  The count, a join on
-exact mixed-radix pair keys, and the witness check, an array membership,
-read those arrays: reduced (num, den) arrays from projective's pair
+exact mixed-radix keys of (num, den) tuples, and the witness check, an
+array membership, read those reduced arrays through projective's tuple
 kernels, int64 below exact_dtype's bound, else Python ints.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, neighbourhood_square_sum
 from .graphs import _edge_ratios, _shifted
-from .projective import _affine_image, _distinct_pairs, _exact, _member, _pair_keys, exact_dtype
+from .projective import _affine_image, _distinct, _exact, _keys, _member, exact_dtype
 
 __all__ = [
     "LemmaChainReport",
@@ -79,7 +79,7 @@ def build_lemma_instance(graph: BipartiteGraph, centre1, centre2) -> _Instance:
         if (right[0] == 0).any():
             raise PreconditionError(f"shift {y} lies in the denominator ground set")
         edges = _edge_ratios(graph, _shifted(graph.left, -x), right)
-        return (x, y), right, edges, _distinct_pairs(_pair_keys(*edges), edges[0].dtype)
+        return (x, y), right, edges, _distinct(_keys(edges), edges[0].dtype)
 
     return _Instance(graph, swapped, *side(*c1), *side(*c2))
 
@@ -93,9 +93,9 @@ def count_incidences(inst: _Instance) -> int:
     Both sides are reduced (num, den) outer products of the instance's B - y
     and R, O(|B| (|R1| + |R2|)); every entry is at most 2 H_u H_r H_s
     (heights of b - y, the ratios and x1 - x2), so they are int64 below
-    2^62 and Python ints otherwise.  Both sides are keyed by _pair_keys in
-    one shared box, so each t is one exact key; N1 N2 is summed in Python
-    ints.
+    2^62 and Python ints otherwise.  Both sides are keyed by _keys in one
+    shared box, one (lo, hi) per column, so each t is one exact key; N1 N2
+    is summed in Python ints.
     """
     if not len(inst.ratio1[0]):  # no edges; the dtype bound below needs a ratio
         return 0
@@ -105,11 +105,11 @@ def count_incidences(inst: _Instance) -> int:
     dtype = exact_dtype(2 * max(hu, hv) * hr * max(abs(shift.numerator), shift.denominator))
     t1 = _affine_image(un, ud, *inst.ratio1, shift, dtype)
     t2 = _affine_image(vn, vd, *inst.ratio2, Fraction(0), dtype)
-    box = tuple(int(f([f(a) for a in col])) for col in zip(t1, t2) for f in (np.min, np.max))
+    box = tuple((int(min(map(np.min, col))), int(max(map(np.max, col)))) for col in zip(t1, t2))
     # each side's keys are freed once np.unique has read them
-    k1, c1 = np.unique(_pair_keys(*t1, box)[0], return_counts=True)
+    k1, c1 = np.unique(_keys(t1, box)[0], return_counts=True)
     del t1
-    k2, c2 = np.unique(_pair_keys(*t2, box)[0], return_counts=True)
+    k2, c2 = np.unique(_keys(t2, box)[0], return_counts=True)
     del t2
     _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
     return sum(a * b for a, b in zip(c1[i1].tolist(), c2[i2].tolist()))
@@ -165,7 +165,7 @@ def _witness_identity_holds(inst: _Instance) -> bool:
     check of its own: (b - y1) r1 = a - x1 and (b - y2) r2 = a - x2
     exactly, so it holds by algebra, and only the memberships can fail."""
     sides = ((inst.edges1, inst.ratio1), (inst.edges2, inst.ratio2))
-    return all(_member(*edges, _pair_keys(*ratio)).all() for edges, ratio in sides)
+    return all(_member(edges, _keys(ratio)).all() for edges, ratio in sides)
 
 
 def verify_lemma_chain(graph: BipartiteGraph, centre1, centre2) -> LemmaChainReport:

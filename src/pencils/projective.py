@@ -10,11 +10,12 @@ Sets of lines and of rich points live as sorted, distinct (k, 3) arrays
 of canonical rows; ProjPoint is the object form of one point, for centres
 and for callers at the API edge.  _normalise is _canonical's array form,
 for rows and, den first, for reduced (num, den) pairs.  The row kernels
-(cross_rows, canonical_rows, _distinct_rows) apply the cross product, that
-form and the dedup to (k, 3) integer arrays, in the dtype exact_dtype picks
-from a caller's bound.  The pair kernels serve rationals as reduced (num,
-den) arrays: affine images u*r + s, exact pair keys (of graph edges too)
-for dedup and joins, their decode to sorted distinct pairs, and set membership.
+(cross_rows, canonical_rows) apply the cross product and that form to (k, 3)
+integer arrays, in the dtype exact_dtype picks from a caller's bound;
+_affine_image forms u*r + s over reduced (num, den) arrays.  Rows, pairs
+and graph edges are all integer tuples held as columns, with one key: _keys
+gives each tuple an exact mixed-radix key that sorts as the tuples do,
+_distinct sorts, deduplicates and decodes by it, and _member looks tuples up.
 """
 
 from __future__ import annotations
@@ -111,13 +112,8 @@ def canonical_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a (k, 3) array in lexicographic order:
-    np.lexsort and an adjacent-row mask; int64 or object arrays."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.empty(len(rows), dtype=bool)
-    keep[:1] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
-    return rows[keep]
+    """The distinct rows of a (k, 3) array in lexicographic order, in its dtype."""
+    return np.stack(_distinct(_keys(rows.T), rows.dtype), axis=1)
 
 
 def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
@@ -130,30 +126,32 @@ def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
     return _normalise(den, num)[::-1]
 
 
-def _pair_keys(num, den, box=None):
-    """The mixed-radix keys (num - n0) * w + (den - d0), w = d1 - d0 + 1, of
-    pairs in box = (n0, n1, d0, d1), by default their ranges (empty for no
-    pairs), and the box; keys sort as the pairs and decode by // and %.  The
-    exact_dtype of the largest key plus the box height holds every step."""
+def _keys(cols, box=None):
+    """The mixed-radix keys of integer tuples given as equal-length columns
+    (int64, uint32 or object), first column most significant, so keys sort
+    as the tuples do, and their box: one (lo, hi) per column, by default the
+    columns' ranges ((0, -1) for no tuples).  The exact_dtype of the product
+    of the widths plus the largest |bound| holds every step."""
     if box is None:
-        box = ((int(num.min()), int(num.max()), int(den.min()), int(den.max()))
-               if len(num) else (0, -1, 0, -1))
-    n0, n1, d0, d1 = box
-    w = d1 - d0 + 1
-    key = num.astype(exact_dtype((n1 - n0) * w + w - 1 + max(map(abs, box))))
-    key -= n0
-    key *= w
-    key += den.astype(key.dtype, copy=False)
-    key -= d0
+        box = [(int(c.min()), int(c.max())) if len(c) else (0, -1) for c in cols]
+    size, top = 1, 0
+    for lo, hi in box:
+        size, top = size * (hi - lo + 1), max(top, abs(lo), abs(hi))
+    key = cols[0].astype(exact_dtype(size + top))
+    key -= box[0][0]
+    for col, (lo, hi) in zip(cols[1:], box[1:]):
+        key *= hi - lo + 1
+        key += col.astype(key.dtype, copy=False)
+        key -= lo
     return key, box
 
 
-def _distinct_pairs(keyed, dtype):
-    """The distinct pairs behind a _pair_keys (key, box), sorted by (num, den)
-    and decoded into dtype, the pairs' own, not the key's.  Pass it straight
-    from _pair_keys: the key is sorted in place and deduplicated by a mask
-    (faster than np.unique); both are freed before the columns are decoded."""
-    key, (n0, _, d0, d1) = keyed
+def _distinct(keyed, dtype):
+    """The distinct tuples behind a _keys (key, box), sorted, as columns in
+    dtype, the tuples' own, not the key's.  Pass it straight from _keys: the
+    key is sorted in place and deduplicated by a mask (faster than
+    np.unique); both are freed before the columns are decoded, last first."""
+    key, box = keyed
     del keyed
     key.sort()
     keep = np.empty(len(key), dtype=bool)
@@ -161,24 +159,27 @@ def _distinct_pairs(keyed, dtype):
     np.not_equal(key[1:], key[:-1], out=keep[1:])
     key = key[keep]
     del keep
-    w = d1 - d0 + 1
-    num = key // w
-    num += n0
-    num = num.astype(dtype, copy=False)
-    key %= w
-    key += d0
-    return num, key.astype(dtype, copy=False)
+    cols = []
+    for lo, hi in box[:0:-1]:
+        col = key % (hi - lo + 1)
+        col += lo
+        cols.append(col.astype(dtype, copy=False))
+        key //= hi - lo + 1
+    key += box[0][0]
+    return (key.astype(dtype, copy=False), *cols[::-1])
 
 
-def _member(qnum, qden, keyed) -> np.ndarray:
-    """Whether each query pair is one of a set of distinct pairs, given as
-    its _pair_keys (key, box) with key sorted: a pair outside the box
-    misses, and one inside is looked up by its key; int64 or object arrays."""
-    key, (n0, n1, d0, d1) = keyed
-    hit = (qnum >= n0) & (qnum <= n1) & (qden >= d0) & (qden <= d1)
-    qkey = _pair_keys(qnum[hit], qden[hit], keyed[1])[0]
-    at = np.minimum(np.searchsorted(key, qkey), len(key) - 1)
-    hit[hit] = key[at] == qkey
+def _member(query, keyed) -> np.ndarray:
+    """Whether each query tuple, given as columns of any one shape, is one of
+    a set of distinct tuples, given as its _keys (key, box) with key sorted:
+    a tuple outside the box misses, and one inside is looked up by its key;
+    int64 or object arrays."""
+    key, box = keyed
+    hit = (query[0] >= box[0][0]) & (query[0] <= box[0][1])
+    for q, (lo, hi) in zip(query[1:], box[1:]):
+        hit &= (q >= lo) & (q <= hi)
+    qkey = _keys([q[hit] for q in query], box)[0]
+    hit[hit] = key.take(key.searchsorted(qkey), mode="clip") == qkey
     return hit
 
 

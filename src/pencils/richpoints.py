@@ -12,8 +12,8 @@ projective._member against the pencil's rows, keyed once, both in
 projective's normal form (see _line_test).  Meets are formed only for the
 pairs that pass every probe.  Each pencil is asked by a row lookup whether
 it holds the join of the seed centres.  The surviving meets are canonical
-rows, deduplicated and sorted in one pass; ProjPoint objects are built
-only for excluded centres and when a caller reads ``points``.
+rows, sorted and deduplicated on their tuple keys; ProjPoint objects are
+built only for excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -31,9 +31,9 @@ from .errors import PreconditionError
 from .projective import (
     ProjPoint,
     _distinct_rows,
+    _keys,
     _member,
     _normalise,
-    _pair_keys,
     canonical_rows,
     cross_rows,
     exact_dtype,
@@ -104,9 +104,9 @@ def _line_test(pc):
     leave row order, and the keys are sorted."""
     k = max(i for i, v in enumerate(pc.centre.coords) if v)
     kept = [i for i in range(3) if i != k]
-    keyed = _pair_keys(*_normalise(*pc.rows[:, kept].T))
+    keyed = _keys(_normalise(*pc.rows[:, kept].T))
     keyed[0].sort()
-    return kept, lambda a, b: _member(*_normalise(a, b), keyed) | ((a == 0) & (b == 0))
+    return kept, lambda a, b: _member(_normalise(a, b), keyed) | ((a == 0) & (b == 0))
 
 
 def rich_points(config: PencilConfig) -> RichPointReport:

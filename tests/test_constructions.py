@@ -191,6 +191,13 @@ def test_pencil_rows_are_sorted_distinct_canonical():
         assert pencil.size == 2
         assert pencil == Pencil(centre, [(1, -1, 0), (0, 1, 0)])
     assert Pencil(centre, []).size == 0
+    # -2^63 is its own np.abs in int64, so the height is read in Python ints;
+    # the int64 array and the Python ints give the one object row (2^63, -1, 0)
+    lowest = np.array([[-2**63, 1, 0]])
+    assert lowest.dtype == np.int64
+    pencil = Pencil(centre, lowest)
+    assert pencil.rows.dtype == object and pencil.rows.tolist() == [[2**63, -1, 0]]
+    assert pencil == Pencil(centre, [(-2**63, 1, 0)])
 
 
 def test_pencil_config_rejects_coincident_centres():

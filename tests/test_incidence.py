@@ -300,10 +300,10 @@ def _lemma_cases(draw):
 def test_count_property_matches_hashjoin():
     """count_incidences against the hash-join oracle on ratio sets computed
     with Fractions; counters show edgeless, swapped and both key dtypes drawn."""
-    pair_keys, seen = incidence._pair_keys, Counter()
+    keys, seen = incidence._keys, Counter()
 
-    def counting(num, den, box=None):
-        key, box = pair_keys(num, den, box)
+    def counting(cols, box=None):
+        key, box = keys(cols, box)
         seen[key.dtype.name] += 1
         return key, box
 
@@ -320,7 +320,7 @@ def test_count_property_matches_hashjoin():
         inst = build_lemma_instance(g, c1, c2)
         assert inst.swapped == (c1[0] == c2[0])
         assert (_as_set(inst.ratio1), _as_set(inst.ratio2)) == (ratio1, ratio2)
-        with mock.patch.object(incidence, "_pair_keys", counting):
+        with mock.patch.object(incidence, "_keys", counting):
             got = count_incidences(inst)
         assert got == incidence_count_hashjoin(right, (x1, y1), (x2, y2), ratio1, ratio2)
         seen["edgeless" if not edges else "swapped" if inst.swapped else "plain"] += 1

@@ -8,19 +8,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pencils import (build_m_pencil_config, build_symmetric_farey_construction, rich_points,
-                     sweep, verify_lemma_chain)
+from pencils import (build_farey_shift_construction, build_m_pencil_config,
+                     build_symmetric_farey_construction, pencils_from_graph, rich_points,
+                     standard_shift_centres, sweep, verify_lemma_chain)
 from pencils.projective import (
     ProjPoint,
     _affine_image,
     _canonical,
-    _distinct_pairs,
+    _distinct,
     _distinct_rows,
+    _keys,
     _member,
     _normalise,
-    _pair_keys,
     canonical_rows,
     cross_rows,
     exact_dtype,
@@ -211,6 +212,23 @@ def test_only_projective_calls_gcd():
                                                     "_coprime_blocks")}, callers
 
 
+def test_no_lexsort_in_the_pipelines():
+    """One tuple key: rows and pairs are sorted and deduplicated through
+    _keys and _distinct, so the pipelines never call np.lexsort."""
+    np_lexsort, calls = np.lexsort, []
+
+    def recording(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return np_lexsort(*args, **kwargs)
+
+    with mock.patch.object(np, "lexsort", recording):
+        rich_points(build_m_pencil_config(4, 16))
+        pencils_from_graph(build_farey_shift_construction(256), standard_shift_centres())
+        verify_lemma_chain(build_symmetric_farey_construction(64).graph, (0, -1), (1, -1))
+        sweep("farey-shift", [256])
+    assert calls == []
+
+
 def test_exact_dtype_bound():
     assert exact_dtype(2**62 - 1) is np.int64
     assert exact_dtype(2**62) is object
@@ -235,19 +253,24 @@ def _raw_pairs(ints):
     return st.tuples(ints, ints.filter(bool))
 
 
-def _columns(nums, dens):
-    """(num, den) arrays, int64 when every entry is below 2^62, else object."""
-    ints = [*nums, *dens]
+def _columns(*cols):
+    """Equal-length integer columns as arrays, int64 when every entry is below
+    2^62, else object."""
+    ints = [v for col in cols for v in col]
     return tuple(np.array(ints, dtype=exact_dtype(max(map(abs, ints), default=0)))
-                 .reshape(2, -1))
+                 .reshape(len(cols), -1))
+
+
+def _tuple_arrays(tuples, width):
+    return _columns(*([t[i] for t in tuples] for i in range(width)))
 
 
 def _pair_arrays(values):
     return _columns([v.numerator for v in values], [v.denominator for v in values])
 
 
-def _pairs(num, den):
-    return list(zip(num.tolist(), den.tolist()))
+def _tuples(*cols):
+    return list(zip(*(col.tolist() for col in cols)))
 
 
 @st.composite
@@ -259,13 +282,22 @@ def _row_lists(draw):
     return draw(st.lists(st.tuples(value, value, value), max_size=12))
 
 
-@given(_row_lists())
-def test_distinct_rows_matches_sorted_set(triples):
-    top = max((abs(v) for t in triples for v in t), default=0)
-    rows = int_rows(triples, exact_dtype(top))
-    got = _distinct_rows(rows)
-    assert got.dtype == rows.dtype
-    assert list(row_triples(got)) == sorted(set(triples))
+def test_distinct_rows_matches_sorted_set():
+    """_distinct_rows against the sorted set of the triples, in the rows'
+    dtype; a counter shows int64 and object rows drawn."""
+    dtypes = Counter()
+
+    @given(_row_lists())
+    def check(triples):
+        top = max((abs(v) for t in triples for v in t), default=0)
+        rows = int_rows(triples, exact_dtype(top))
+        dtypes[rows.dtype.name] += 1
+        got = _distinct_rows(rows)
+        assert got.dtype == rows.dtype
+        assert list(row_triples(got)) == sorted(set(triples))
+
+    check()
+    assert dtypes["int64"] and dtypes["object"], dtypes
 
 
 def test_reduce_and_affine_image_match_fractions():
@@ -281,13 +313,13 @@ def test_reduce_and_affine_image_match_fractions():
         reached.update((num.dtype.name, "den < 0" if d < 0 else "den > 0") for _, d in raw)
         reached.update((num.dtype.name, "gcd > 1") for n, d in raw if gcd(n, d) > 1)
         _normalise(den, num)
-        assert _pairs(num, den) == [
+        assert _tuples(num, den) == [
             (f.numerator, f.denominator) for f in (Fraction(n, d) for n, d in raw)]
         # every entry is at most 2 H_u H_r H_s before reduction
         height = lambda vs: max((max(abs(v.numerator), v.denominator) for v in vs), default=1)
         dtype = exact_dtype(2 * height(us) * height(rs) * height([s]))
         got = _affine_image(*_pair_arrays(us), *_pair_arrays(rs), s, dtype)
-        assert _pairs(*got) == [((u * r + s).numerator, (u * r + s).denominator)
+        assert _tuples(*got) == [((u * r + s).numerator, (u * r + s).denominator)
                                 for u in us for r in rs]
 
     check()
@@ -295,10 +327,17 @@ def test_reduce_and_affine_image_match_fractions():
             for branch in ("den < 0", "den > 0", "gcd > 1")} <= set(reached), reached
 
 
-# uint32 index columns, as graph edges are keyed: entries near 0 and near
-# 2^32 - 1, and sometimes the box of every uint32 pair, whose keys pass 2^62
+# Key columns: 1- and 3-column tuples of small, mid-sized (int64 entries
+# whose 3-column keys pass 2^62) and huge entries, of either sign; reduced
+# fractions (int64 or object); and uint32 index columns, as graph edges are
+# keyed, with entries near 0 and near 2^32 - 1, sometimes in the box of
+# every uint32 pair, whose keys pass 2^62.
+_mid = st.integers(-2**30, 2**30)
 _index = st.one_of(st.integers(0, 5), st.integers(2**32 - 6, 2**32 - 1))
 _key_columns = [
+    *(st.lists(st.tuples(*[ints] * width), max_size=12).map(
+        lambda tuples, width=width: _tuple_arrays(tuples, width))
+      for width in (1, 3) for ints in (_small, _mid, _ints)),
     *(st.lists(_rationals(ints), max_size=12).map(_pair_arrays) for ints in (_small, _ints)),
     st.lists(st.tuples(_index, _index), max_size=12).map(
         lambda pairs: tuple(np.array([p[i] for p in pairs], dtype=np.uint32).reshape(-1)
@@ -306,59 +345,100 @@ _key_columns = [
 ]
 
 
-def test_pair_keys_decode_order_and_dedup():
-    """_pair_keys and _distinct_pairs on reduced fractions (int64 or object)
-    and on uint32 index columns; a counter shows every (pair, key) dtype
-    combination drawn."""
-    dtypes = Counter()
+def _decode(key, box):
+    """The tuples behind keys, decoded digit by digit in Python ints."""
+    tuples = []
+    for k in key.tolist():
+        digits = []
+        for lo, hi in box[::-1]:
+            k, digit = divmod(k, hi - lo + 1)
+            digits.append(digit + lo)
+        assert k == 0
+        tuples.append(tuple(digits[::-1]))
+    return tuples
 
-    @given(st.integers(0, len(_key_columns) - 1).flatmap(_key_columns.__getitem__),
-           st.booleans())
+
+def test_pair_keys_decode_order_and_dedup():
+    """_keys and _distinct on 1-, 2- and 3-column tuples: reduced fractions
+    and tuples with negative entries (int64 or object) and uint32 index
+    columns; a counter shows every (width, tuple, key) dtype combination
+    drawn and negative entries in each width."""
+    reached = Counter()
+
+    @settings(max_examples=10)
     def check(columns, full_box):
-        num, den = columns
-        box = (0, 2**32 - 1, 0, 2**32 - 1) if full_box and num.dtype == np.uint32 else None
-        key, (n0, n1, d0, d1) = _pair_keys(num, den, box)
-        dtypes[num.dtype.name, key.dtype.name] += 1
-        w = d1 - d0 + 1
-        # the key decodes to its pair, sorts as the pairs do, and equal keys
-        # are equal pairs
-        assert _pairs(key // w + n0, key % w + d0) == _pairs(num, den)
+        full = full_box and columns[0].dtype == np.uint32
+        key, box = _keys(columns, ((0, 2**32 - 1),) * 2 if full else None)
+        width, name = len(columns), columns[0].dtype.name
+        reached[width, name, key.dtype.name] += 1
+        reached[width, "negative"] += any(v < 0 for col in columns for v in col.tolist())
+        tuples = _tuples(*columns)
+        # the key decodes to its tuple, sorts as the tuples do, and equal
+        # keys are equal tuples
+        assert _decode(key, box) == tuples
         order = np.argsort(key, kind="stable")
-        assert _pairs(num[order], den[order]) == sorted(_pairs(num, den))
-        got = _distinct_pairs(_pair_keys(num, den, box), num.dtype)
-        assert got[0].dtype == got[1].dtype == num.dtype
-        assert _pairs(*got) == sorted(set(_pairs(num, den)))
+        assert _tuples(*(col[order] for col in columns)) == sorted(tuples)
+        got = _distinct(_keys(columns, box), columns[0].dtype)
+        assert len(got) == width and all(col.dtype == columns[0].dtype for col in got)
+        assert _tuples(*got) == sorted(set(tuples))
+
+    # each kind of columns gets its own examples, so the derandomized draws reach all
+    for columns in _key_columns:
+        given(columns, st.booleans())(check)()
+    assert {(2, "int64", "int64"), (2, "object", "object"), (2, "uint32", "int64"),
+            (2, "uint32", "object"), (1, "int64", "int64"), (1, "object", "object"),
+            (3, "int64", "int64"), (3, "int64", "object"), (3, "object", "object"),
+            (1, "negative"), (2, "negative"), (3, "negative")} <= set(reached), reached
+
+
+def _box_faces(rows):
+    """The tuples just outside each face of the rows' box: the first row with
+    one entry moved just below or above its column's range."""
+    return [rows[0][:i] + (v,) + rows[0][i + 1:] for i, col in enumerate(zip(*rows))
+            for v in (min(col) - 1, max(col) + 1)]
+
+
+def test_member_matches_fraction_set():
+    """_member on pairs (num, den) and rows (num, den, num - den) against
+    tuple-set membership, queried with the members, other draws, the tuples
+    just outside each face of the box, the box's two corners (the top one
+    keys past every member unless it is one) and tuples past 2^64, against
+    the set and an empty one.  The set is keyed in drawn order and only its
+    keys are sorted, as a pencil's line test does (see
+    test_line_test_property_matches_tuple_sets).  A counter shows, per
+    width, both key and query dtypes, hits, and misses inside the box,
+    past the last key and outside the box."""
+    reached = Counter()
+
+    @given(_lists(_rationals, 10), _lists(_rationals, 10))
+    def check(members, others):
+        for width in (2, 3):
+            row = lambda v: (v.numerator, v.denominator, v.numerator - v.denominator)[:width]
+            rows = [row(v) for v in dict.fromkeys(members)]
+            keyed = _keys(_tuple_arrays(rows, width))
+            keyed[0].sort()
+            empty = _keys(_tuple_arrays([], width))
+            corners = [tuple(map(f, zip(*rows))) for f in (min, max)] if rows else []
+            queries = [row(v) for v in members + others] + _box_faces(rows) + corners
+            # queries past 2^62 come only as object arrays, also against an int64 set
+            huge = [q[:i] + (q[i] + 2**64,) + q[i + 1:]
+                    for i in range(width) for q in queries[:3]]
+            inside = lambda q: bool(rows) and all(lo <= v <= hi for v, lo, hi in zip(q, *corners))
+            reached.update((width, "hit" if q in rows else "miss, past the last key"
+                            if inside(q) and q > max(rows) else "miss, in box" if inside(q)
+                            else "miss, out of box") for q in queries + huge)
+            for qs in (queries, queries + huge):
+                top = max((abs(v) for q in qs for v in q), default=0)
+                for dtype in {exact_dtype(top), object}:
+                    query = [np.array([q[i] for q in qs], dtype=dtype) for i in range(width)]
+                    reached[width, "key", keyed[0].dtype.name, "query", query[0].dtype.name] += 1
+                    got = _member(query, keyed)
+                    assert got.dtype == bool
+                    assert got.tolist() == [q in rows for q in qs]
+                    assert _member(query, empty).tolist() == [False] * len(qs)
 
     check()
-    assert {("int64", "int64"), ("object", "object"), ("uint32", "int64"),
-            ("uint32", "object")} <= set(dtypes), dtypes
-
-
-def _box_faces(members):
-    """The pairs just outside each face of the members' (num, den) box."""
-    if not members:
-        return []
-    nums = [v.numerator for v in members]
-    dens = [v.denominator for v in members]
-    n, d = nums[0], dens[0]
-    return [(min(nums) - 1, d), (max(nums) + 1, d), (n, min(dens) - 1), (n, max(dens) + 1)]
-
-
-@given(_lists(_rationals, 10), _lists(_rationals, 10))
-def test_member_matches_fraction_set(members, others):
-    # the set is keyed in drawn order and only its keys are sorted, as a
-    # pencil's line test does (see test_line_test_property_matches_tuple_sets)
-    keyed = _pair_keys(*_pair_arrays(list(dict.fromkeys(members))))
-    keyed[0].sort()
-    empty = _pair_keys(*_pair_arrays([]))
-    pairs = {(v.numerator, v.denominator) for v in members}
-    queries = [(v.numerator, v.denominator) for v in members + others] + _box_faces(members)
-    # queries past 2^62 come only as object arrays, also against an int64 set
-    huge = [(n + 2**64, d) for n, d in queries[:3]] + [(n, d + 2**64) for n, d in queries[:3]]
-    for qs in (queries, queries + huge):
-        for dtype in {exact_dtype(max((abs(v) for q in qs for v in q), default=0)), object}:
-            qnum, qden = (np.array([q[i] for q in qs], dtype=dtype) for i in (0, 1))
-            got = _member(qnum, qden, keyed)
-            assert got.dtype == bool
-            assert got.tolist() == [q in pairs for q in qs]
-            assert _member(qnum, qden, empty).tolist() == [False] * len(qs)
+    assert {(width, *branch) for width in (2, 3) for branch in (
+        ("hit",), ("miss, in box",), ("miss, past the last key",), ("miss, out of box",),
+        ("key", "int64", "query", "int64"), ("key", "int64", "query", "object"),
+        ("key", "object", "query", "object"))} <= set(reached), reached

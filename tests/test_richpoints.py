@@ -450,22 +450,22 @@ def test_line_test_property_matches_tuple_sets():
     """rich_points' pencil line test, queried on the two kept columns of
     scaled joins, against tuple-set membership, and the keys _member
     receives strictly increase, since it needs them sorted.  Counting
-    wrappers around the test's _pair_keys and _member calls show both
+    wrappers around the test's _keys and _member calls show both
     dtypes of keys and queries drawn, centres at infinity, and a pencil
     whose normalised pairs leave row order (this needs |c_k| > 1), so the
     sort of the keys is needed."""
-    pair_keys, member, dtypes = pencils.richpoints._pair_keys, pencils.richpoints._member, Counter()
+    keys, member, dtypes = pencils.richpoints._keys, pencils.richpoints._member, Counter()
 
-    def keying(num, den):
-        key, box = pair_keys(num, den)
+    def keying(cols):
+        key, box = keys(cols)
         dtypes["key", key.dtype.name] += 1
         dtypes["leaves row order"] += not (key[1:] > key[:-1]).all()
         return key, box
 
-    def counting(qa, qb, keyed):
-        dtypes["query", qa.dtype.name] += 1
+    def counting(query, keyed):
+        dtypes["query", query[0].dtype.name] += 1
         assert (keyed[0][1:] > keyed[0][:-1]).all()
-        return member(qa, qb, keyed)
+        return member(query, keyed)
 
     @given(_pencil_probes())
     def check(drawn):
@@ -476,7 +476,7 @@ def test_line_test_property_matches_tuple_sets():
         assert on_pencil(*int_rows(queries, dtype)[:, kept].T).tolist() == (
             pencil_lines_bruteforce(lines, queries))
 
-    with (mock.patch.object(pencils.richpoints, "_pair_keys", keying),
+    with (mock.patch.object(pencils.richpoints, "_keys", keying),
           mock.patch.object(pencils.richpoints, "_member", counting)):
         check()
     assert all(dtypes[kind, name] for kind in ("key", "query") for name in ("int64", "object"))
