@@ -21,9 +21,9 @@ from .errors import CentreOnPointSet, PreconditionError
 from .graphs import BipartiteGraph, GroundSet, _sorted_ground
 from .projective import (
     ProjPoint,
-    _distinct_rows,
     _exact,
-    canonical_rows,
+    _height,
+    _row_set,
     cross_rows,
     exact_dtype,
     int_rows,
@@ -48,22 +48,25 @@ __all__ = [
 
 class Pencil:
     """A centre plus the distinct lines through it, held as ``rows``: one
-    sorted (k, 3) integer array of canonical line triples."""
+    sorted (k, 3) integer array of canonical line triples, a _row_set."""
 
     __slots__ = ("centre", "rows")
 
     def __init__(self, centre: ProjPoint, lines):
         """``lines`` are integer triples, as a (k, 3) array or an iterable;
         a float raises TypeError.  Scaled and repeated triples give one row;
-        a zero triple or a line missing the centre raises ValueError.  The
-        incidence test's entries are at most 3*C*H (C, H the largest
-        |centre coordinate| and |entry|)."""
-        rows = lines if isinstance(lines, np.ndarray) else int_rows(lines, object)
-        if rows.dtype.kind not in "iu" and not {int}.issuperset(map(type, rows.flat)):
+        an array of another shape, a zero triple or a line missing the
+        centre raises ValueError.  The incidence test's entries are at most
+        3*C*H (C, H the largest |centre coordinate| and |entry|)."""
+        # int_rows checks every entry of an iterable; an array is checked here
+        if not isinstance(lines, np.ndarray):
+            lines = int_rows(lines, object)
+        elif lines.ndim != 2 or lines.shape[1] != 3:
+            raise ValueError(f"lines must be a (k, 3) array, not one of shape {lines.shape}")
+        elif lines.dtype.kind not in "iu" and not {int}.issuperset(map(type, lines.flat)):
             raise TypeError("line coefficients must be integers")
         c = max(abs(v) for v in centre.coords)
-        h = max(-int(rows.min()), int(rows.max())) if len(rows) else 0
-        rows = rows.astype(exact_dtype(3 * c * h), copy=False)
+        rows = lines.astype(exact_dtype(3 * c * _height(lines)), copy=False)
         if not (rows != 0).any(axis=1).all():
             raise ValueError("(0, 0, 0) does not represent a line")
         missed = rows[rows @ np.array(centre.coords, dtype=rows.dtype) != 0]
@@ -71,7 +74,7 @@ class Pencil:
             raise ValueError(f"line {tuple(missed[0].tolist())} does not pass "
                              f"through the centre {centre}")
         self.centre = centre
-        self.rows = _distinct_rows(canonical_rows(rows))
+        self.rows = _row_set(rows)
 
     @property
     def size(self) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ZeroDenominator
-from .projective import _affine_image, _distinct, _exact, _keys, _normalise, exact_dtype
+from .projective import _affine_image, _distinct, _exact, _height, _keys, _normalise, exact_dtype
 
 __all__ = [
     "GroundSet",
@@ -69,7 +69,7 @@ def _sorted_ground(num, den):
     arrays, den > 0, in increasing order, and the uint32 position of every
     input pair in it.  The key floor(num * D^2 / den), D the largest den, is
     exact: distinct values differ by at least 1/D^2, so their keys differ."""
-    height = max(int(np.abs(num).max(initial=0)), int(den.max(initial=0)))
+    height = _height(num, den)
     scale = int(den.max(initial=1)) ** 2
     dtype = exact_dtype(height * scale)
     _, first, pos = np.unique(num.astype(dtype) * scale // den.astype(dtype),
@@ -139,7 +139,7 @@ def _shifted(ground: GroundSet, x: Fraction):
     max(H, 1) * (|x.num| + x.den), with H the height of the ground set."""
     dtype = exact_dtype(max(ground.height, 1) * (abs(x.numerator) + x.denominator))
     num, den = _affine_image(1, 1, ground.numerators, ground.denominators, x, dtype)
-    return num, den, int(max(np.abs(num).max(initial=0), den.max(initial=0)))
+    return num, den, _height(num, den)
 
 
 def _edge_ratios(graph: BipartiteGraph, p, q):

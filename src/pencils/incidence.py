@@ -26,7 +26,7 @@ import numpy as np
 from .errors import PreconditionError
 from .graphs import BipartiteGraph, neighbourhood_square_sum
 from .graphs import _edge_ratios, _shifted
-from .projective import _affine_image, _distinct, _exact, _keys, _member, exact_dtype
+from .projective import _affine_image, _distinct, _exact, _height, _keys, _member, exact_dtype
 
 __all__ = [
     "LemmaChainReport",
@@ -101,7 +101,7 @@ def count_incidences(inst: _Instance) -> int:
         return 0
     shift = inst.centre1[0] - inst.centre2[0]
     (un, ud, hu), (vn, vd, hv) = inst.right1, inst.right2
-    hr = max(int(np.abs(a).max(initial=0)) for a in (*inst.ratio1, *inst.ratio2))
+    hr = _height(*inst.ratio1, *inst.ratio2)
     dtype = exact_dtype(2 * max(hu, hv) * hr * max(abs(shift.numerator), shift.denominator))
     t1 = _affine_image(un, ud, *inst.ratio1, shift, dtype)
     t2 = _affine_image(vn, vd, *inst.ratio2, Fraction(0), dtype)

@@ -9,13 +9,13 @@ coordinate zero) are ordinary values.  No floating point anywhere.
 Sets of lines and of rich points live as sorted, distinct (k, 3) arrays
 of canonical rows; ProjPoint is the object form of one point, for centres
 and for callers at the API edge.  _normalise is _canonical's array form,
-for rows and, den first, for reduced (num, den) pairs.  The row kernels
-(cross_rows, canonical_rows) apply the cross product and that form to (k, 3)
-integer arrays, in the dtype exact_dtype picks from a caller's bound;
-_affine_image forms u*r + s over reduced (num, den) arrays.  Rows, pairs
-and graph edges are all integer tuples held as columns, with one key: _keys
-gives each tuple an exact mixed-radix key that sorts as the tuples do,
-_distinct sorts, deduplicates and decodes by it, and _member looks tuples up.
+for rows and, den first, for reduced (num, den) pairs.  Integer arrays are
+int64 or object, as exact_dtype picks from a bound, often on _height, the
+largest |entry| of arrays; cross_rows and _affine_image form u x v and
+u*r + s.  Rows, pairs and graph edges are integer tuples held as columns,
+with one key: _keys gives each tuple an exact mixed-radix key that sorts as
+the tuples do, _distinct sorts, deduplicates and decodes by it, _member
+looks tuples up, and _row_set makes the sorted set of canonical rows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "exact_dtype",
     "int_rows",
     "cross_rows",
-    "canonical_rows",
     "row_triples",
 ]
 
@@ -58,6 +57,13 @@ def _canonical(x, y, z):
 # Every entry and every product formed from it stays below this, so int64
 # arithmetic (limit 2^63) can neither overflow nor wrap.
 _INT64_BOUND = 1 << 62
+
+
+def _height(*arrays) -> int:
+    """The largest |entry| of integer arrays (int64, uint64 or object) as a
+    Python int, 0 when they hold none.  It reads min and max: np.abs wraps
+    int64 -2^63 to itself."""
+    return max((max(-int(a.min()), int(a.max())) for a in arrays if a.size), default=0)
 
 
 def exact_dtype(bound: int):
@@ -101,19 +107,6 @@ def _normalise(*cols):
     for col in cols:
         col //= g
     return cols
-
-
-def canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """_canonical applied to every row of a (k, 3) array, in a copy; a zero
-    row stays zero."""
-    rows = rows.copy()
-    _normalise(*rows.T)
-    return rows
-
-
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a (k, 3) array in lexicographic order, in its dtype."""
-    return np.stack(_distinct(_keys(rows.T), rows.dtype), axis=1)
 
 
 def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
@@ -167,6 +160,12 @@ def _distinct(keyed, dtype):
         key //= hi - lo + 1
     key += box[0][0]
     return (key.astype(dtype, copy=False), *cols[::-1])
+
+
+def _row_set(rows: np.ndarray) -> np.ndarray:
+    """The distinct canonical rows of a (k, 3) integer array, sorted, in its
+    dtype; a zero row stays zero.  The caller's array is left as it is."""
+    return np.stack(_distinct(_keys(_normalise(*rows.T.copy())), rows.dtype), axis=1)
 
 
 def _member(query, keyed) -> np.ndarray:

@@ -11,9 +11,9 @@ of v at the first probe, over the surviving pairs after it) and tested by
 projective._member against the pencil's rows, keyed once, both in
 projective's normal form (see _line_test).  Meets are formed only for the
 pairs that pass every probe.  Each pencil is asked by a row lookup whether
-it holds the join of the seed centres.  The surviving meets are canonical
-rows, sorted and deduplicated on their tuple keys; ProjPoint objects are
-built only for excluded centres and when a caller reads ``points``.
+it holds the join of the seed centres.  The surviving meets of all blocks
+become one set of canonical rows by projective._row_set; ProjPoint objects
+are built only for excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -30,11 +30,11 @@ from .constructions import PencilConfig
 from .errors import PreconditionError
 from .projective import (
     ProjPoint,
-    _distinct_rows,
+    _height,
     _keys,
     _member,
     _normalise,
-    canonical_rows,
+    _row_set,
     cross_rows,
     exact_dtype,
     int_rows,
@@ -85,8 +85,8 @@ def _kernel_dtype(pencils):
     the largest |centre coordinate|): a meet entry is at most 2M^2, a probe
     join c x (u x v) = (c.v)u - (c.u)v is cross(centre, meet), so at most
     4CM^2, each product (c.u)v_i at most 3CM^2, and the join of two centres
-    2C^2."""
-    m = max((int(np.abs(pc.rows).max()) for pc in pencils if pc.size), default=0)
+    2C^2.  M is read by projective._height."""
+    m = _height(*(pc.rows for pc in pencils))
     c = max(abs(v) for pc in pencils for v in pc.centre.coords)
     return exact_dtype(2 * c * max(2 * m * m, c))
 
@@ -126,7 +126,7 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     found = [np.empty((0, 3), dtype=dtype)]
 
     def sift(u, v):
-        """Add the canonical meets u[i] x v[j] that lie on a line of every
+        """Add the raw meets u[i] x v[j] that lie on a line of every
         probed pencil, formed only for the (i, j) that pass every probe.  A
         zero meet (u = v, a line both seeds hold) passes every probe and is
         dropped; a meet equal to a probed centre passes that centre's own
@@ -138,11 +138,11 @@ def rich_points(config: PencilConfig) -> RichPointReport:
                 keep = on_pencil(*(cv[jj] * u[ii, col] - cu[ii] * v[jj, col] for col in kept))
                 ii, jj = (w[keep] for w in np.broadcast_arrays(ii, jj))
             meets = cross_rows(u[ii], v[jj]).reshape(-1, 3)
-            found.append(canonical_rows(meets[(meets != 0).any(axis=1)]))
+            found.append(meets[(meets != 0).any(axis=1)])
 
     # Distinct centres share at most one line, their join.  If both seeds hold
     # it, its points show up only as meets with a pencil not holding it.
-    shared = canonical_rows(cross_rows(centres[0], centres[1:2]))[0]
+    shared = _row_set(cross_rows(centres[0], centres[1:2]))[0]
     holds = [(pc.rows == shared).all(axis=1).any() for pc in by_size]
     if holds[0] and holds[1]:
         host = next((pc for pc, held in zip(rest, holds[2:]) if not held), None)
@@ -154,7 +154,7 @@ def rich_points(config: PencilConfig) -> RichPointReport:
 
     # a found centre met a first- and a second-pencil line and passed every
     # other probe, so it is on a line of every other pencil
-    rows = _distinct_rows(np.concatenate(found))
+    rows = _row_set(np.concatenate(found))
     is_centre = (rows[:, None] == centres).all(axis=2).any(axis=1)
     return RichPointReport(
         rows=rows[~is_centre],

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -177,6 +178,16 @@ def test_pencil_rejects_bool_coefficients():
     centre = ProjPoint.from_affine(0, 0)
     for lines in ([(True, -1, 0)], [(1, -1, False)], np.array([(True, False, False)])):
         with pytest.raises(TypeError):
+            Pencil(centre, lines)
+
+
+def test_pencil_rejects_arrays_of_another_shape():
+    # the error names the shape: two valid lines in a (1, 2, 3) array are not
+    # read as a (2, 3) one, and a (3,) or (1, 2) array is not a set of lines
+    centre = ProjPoint(0, 0, 1)
+    for lines in (np.array([[(1, -1, 0), (0, 1, 0)]]), np.array([1, -1, 0]),
+                  np.array([[1, -1]])):
+        with pytest.raises(ValueError, match=re.escape(f"shape {lines.shape}")):
             Pencil(centre, lines)
 
 

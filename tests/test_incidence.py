@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pencils import graphs, incidence
 from pencils.constructions import build_symmetric_farey_construction
@@ -151,12 +151,11 @@ def test_swapped_instance_rejects_shift_into_left():
 
 
 @st.composite
-def _shift_cases(draw):
+def _shift_cases(draw, unit):
     """Drawn ground values, a graph over them and two distinct centres whose
     coordinates are, for some draws, ground values, so a y in the
     denominator ground set is drawn with and without the swap.  Every value
-    is a multiple of a drawn unit, 1 or 2^64, so both dtypes are drawn."""
-    unit = 2 ** (64 * draw(st.integers(0, 1)))
+    is a multiple of the unit, 1 or 2^64, so both dtypes are drawn."""
     values = st.builds(lambda p, q: Fraction(p * unit, q), st.integers(-4, 4), st.integers(1, 2))
     left = sorted(set(draw(st.lists(values, min_size=1, max_size=4))))
     right = sorted(set(draw(st.lists(values, min_size=1, max_size=4))))
@@ -171,8 +170,9 @@ def _shift_cases(draw):
 
 def test_shift_check_property_matches_fraction_oracle():
     """build_lemma_instance refuses a centre exactly when its y, after any
-    swap, is an element of the denominator ground set, as Fractions; a spy
-    on _shifted records which dtypes the shifted ground sets took."""
+    swap, is an element of the denominator ground set, as Fractions; each
+    unit gets its own examples, and a spy on _shifted records which dtypes
+    the shifted ground sets took."""
     shifted, seen = incidence._shifted, Counter()
 
     def spy(ground, x):
@@ -180,7 +180,7 @@ def test_shift_check_property_matches_fraction_oracle():
         seen[out[0].dtype.name] += 1
         return out
 
-    @given(_shift_cases())
+    @settings(max_examples=20)
     def check(case):
         left, right, g, (x1, y1), (x2, y2) = case
         swapped = x1 == x2
@@ -195,7 +195,8 @@ def test_shift_check_property_matches_fraction_oracle():
         seen["swapped" if swapped else "unswapped"] += 1
         seen["refused" if refused else "built"] += 1
 
-    check()
+    for unit in (1, 2**64):
+        given(_shift_cases(unit))(check)()
     branches = ("int64", "object", "swapped", "unswapped", "refused", "built")
     assert all(seen[k] for k in branches), seen
 
@@ -278,12 +279,11 @@ def test_count_past_the_int64_bound_matches_hashjoin(monkeypatch):
 
 
 @st.composite
-def _lemma_cases(draw):
+def _lemma_cases(draw, unit):
     """A graph over positive values, edgeless for some draws, and two
     distinct centres with negative coordinates, which share their first
     coordinate (a swapped instance) for some draws.  Every value is a
-    multiple of a drawn unit, 1 or 2^64, so both dtypes are drawn."""
-    unit = 2 ** (64 * draw(st.integers(0, 1)))
+    multiple of the unit, 1 or 2^64, so both dtypes are drawn."""
     values = st.builds(lambda p, q: Fraction(p * unit, q), st.integers(1, 12), st.integers(1, 3))
     left = GroundSet(sorted(set(draw(st.lists(values, min_size=1, max_size=5)))))
     right = GroundSet(sorted(set(draw(st.lists(values, min_size=1, max_size=5)))))
@@ -299,7 +299,8 @@ def _lemma_cases(draw):
 
 def test_count_property_matches_hashjoin():
     """count_incidences against the hash-join oracle on ratio sets computed
-    with Fractions; counters show edgeless, swapped and both key dtypes drawn."""
+    with Fractions; each unit gets its own examples, and counters show
+    edgeless, swapped and both key dtypes drawn."""
     keys, seen = incidence._keys, Counter()
 
     def counting(cols, box=None):
@@ -307,7 +308,7 @@ def test_count_property_matches_hashjoin():
         seen[key.dtype.name] += 1
         return key, box
 
-    @given(_lemma_cases())
+    @settings(max_examples=20)
     def check(case):
         g, c1, c2 = case
         (x1, y1), (x2, y2) = c1, c2
@@ -325,7 +326,8 @@ def test_count_property_matches_hashjoin():
         assert got == incidence_count_hashjoin(right, (x1, y1), (x2, y2), ratio1, ratio2)
         seen["edgeless" if not edges else "swapped" if inst.swapped else "plain"] += 1
 
-    check()
+    for unit in (1, 2**64):
+        given(_lemma_cases(unit))(check)()
     assert all(seen[k] for k in ("int64", "object", "edgeless", "swapped", "plain")), seen
 
 

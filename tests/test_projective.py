@@ -1,15 +1,18 @@
+import ast
 import pickle
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pencils
 from pencils import (build_farey_shift_construction, build_m_pencil_config,
                      build_symmetric_farey_construction, pencils_from_graph, rich_points,
                      standard_shift_centres, sweep, verify_lemma_chain)
@@ -18,11 +21,11 @@ from pencils.projective import (
     _affine_image,
     _canonical,
     _distinct,
-    _distinct_rows,
+    _height,
     _keys,
     _member,
     _normalise,
-    canonical_rows,
+    _row_set,
     cross_rows,
     exact_dtype,
     int_rows,
@@ -155,9 +158,9 @@ def _sign_branch(t):
 
 
 def test_array_kernel_matches_oracle_in_both_dtypes():
-    """canonical_rows against the oracle, zero rows included, and _normalise
-    on 2-column tuples against _canonical's sign rule, in int64 and object
-    arrays; a counter shows every branch of the sign rule reached."""
+    """_normalise on the columns of cross rows against the oracle, zero rows
+    included, and on 2-column tuples against _canonical's sign rule, in int64
+    and object arrays; a counter shows every branch of the sign rule reached."""
     rng = random.Random(19)
     reached = Counter()
     # a cross entry is at most 2 * top^2
@@ -171,8 +174,8 @@ def test_array_kernel_matches_oracle_in_both_dtypes():
         crosses = [_cross(u, v) for u, v in pairs]
         rows = cross_rows(int_rows((u for u, _ in pairs), dtype),
                           int_rows((v for _, v in pairs), dtype))
-        assert list(row_triples(canonical_rows(rows))) == [
-            _canon(t) if any(t) else (0, 0, 0) for t in crosses]
+        _normalise(*rows.T)
+        assert list(row_triples(rows)) == [_canon(t) if any(t) else (0, 0, 0) for t in crosses]
         # scaled 2-column tuples, so zero entries, both signs and gcds above 1 occur
         ab = [(s * x, s * y) for x, y, s in ((rng.randint(-2, 2), rng.randint(-2, 2),
                                               rng.randint(1, top)) for _ in range(200))]
@@ -212,6 +215,18 @@ def test_only_projective_calls_gcd():
                                                     "_coprime_blocks")}, callers
 
 
+def test_no_np_abs_in_the_package():
+    """One height: no module under src/pencils names np.abs (or
+    np.absolute), which wraps int64 -2^63 to itself; the largest |entry|
+    of an array is read by projective._height."""
+    package = Path(pencils.__file__).parent
+    uses = [(path.name, node.lineno) for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("abs", "absolute")
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert uses == []
+
+
 def test_no_lexsort_in_the_pipelines():
     """One tuple key: rows and pairs are sorted and deduplicated through
     _keys and _distinct, so the pipelines never call np.lexsort."""
@@ -232,6 +247,33 @@ def test_no_lexsort_in_the_pipelines():
 def test_exact_dtype_bound():
     assert exact_dtype(2**62 - 1) is np.int64
     assert exact_dtype(2**62) is object
+
+
+def test_height_matches_python_ints():
+    """_height against max(|v|) in Python ints: int64 holding -2^63 (its own
+    np.abs), uint64 holding 2^64 - 1, object entries past 2^62 of either
+    sign, empty arrays (0 when no array holds an entry), all-negative and
+    all-positive arrays, and several arrays of mixed dtypes at once."""
+    int64 = lambda *vs: np.array(vs, dtype=np.int64)
+    cases = [
+        [int64(-2**63, 5)],
+        [int64(2**63 - 1, -2**63 + 1)],
+        [np.array([3, 2**64 - 1], dtype=np.uint64)],
+        [np.array([-2**62 - 7, 2**62 + 3], dtype=object)],
+        [np.array([2**70, -2**80], dtype=object)],
+        [int64(-7, -9)],
+        [int64(7, 9)],
+        [int64()],
+        [np.empty((0, 3), dtype=object)],
+        [],
+        [int64(-3, 2, 1, 0).reshape(2, 2), int64(), np.array([2**64 - 1], dtype=np.uint64),
+         int64(-2**63)],
+        [int64(-4, 1), np.array([3], dtype=object), int64()],
+    ]
+    for arrays in cases:
+        got = _height(*arrays)
+        assert type(got) is int
+        assert got == max((abs(v) for a in arrays for v in a.ravel().tolist()), default=0)
 
 
 # A drawn list holds only small entries (int64 arrays) or entries that
@@ -274,30 +316,42 @@ def _tuples(*cols):
 
 
 @st.composite
-def _row_lists(draw):
-    """Lists of triples whose entries come from a few drawn values, so rows
-    repeat and tie in their leading columns."""
-    pool = draw(st.lists(draw(st.sampled_from([_small, _ints])), min_size=1, max_size=4))
+def _row_lists(draw, ints):
+    """Lists of triples, each a drawn nonzero multiple of one whose entries
+    come from a few drawn values, so rows repeat, tie in their leading
+    columns and scale to one line; a zero row ends some lists."""
+    pool = draw(st.lists(ints, min_size=1, max_size=4))
     value = st.sampled_from(pool)
-    return draw(st.lists(st.tuples(value, value, value), max_size=12))
+    scaled = st.builds(lambda t, f: tuple(f * v for v in t), st.tuples(value, value, value),
+                       st.integers(-3, 3).filter(bool))
+    return draw(st.lists(scaled, max_size=12)) + [(0, 0, 0)] * draw(st.booleans())
 
 
-def test_distinct_rows_matches_sorted_set():
-    """_distinct_rows against the sorted set of the triples, in the rows'
-    dtype; a counter shows int64 and object rows drawn."""
-    dtypes = Counter()
+def test_row_set_matches_sorted_canonical_set():
+    """_row_set against the sorted set of the _canonical triples (a zero row
+    stays zero), in the rows' dtype, with its input left as it is.  Each
+    kind of entries gets its own examples; a counter shows int64 and object
+    rows, zero rows and two triples of one line drawn."""
+    reached = Counter()
 
-    @given(_row_lists())
+    @settings(max_examples=20)
     def check(triples):
         top = max((abs(v) for t in triples for v in t), default=0)
         rows = int_rows(triples, exact_dtype(top))
-        dtypes[rows.dtype.name] += 1
-        got = _distinct_rows(rows)
-        assert got.dtype == rows.dtype
-        assert list(row_triples(got)) == sorted(set(triples))
+        before = rows.copy()
+        canonical = [_canonical(*t) if any(t) else (0, 0, 0) for t in triples]
+        reached[rows.dtype.name] += 1
+        reached["zero row"] += (0, 0, 0) in triples
+        reached["one line, two triples"] += len(set(canonical)) < len(set(triples))
+        got = _row_set(rows)
+        assert got.dtype == rows.dtype and got.shape == (len(set(canonical)), 3)
+        assert list(row_triples(got)) == sorted(set(canonical))
+        assert np.array_equal(rows, before)
 
-    check()
-    assert dtypes["int64"] and dtypes["object"], dtypes
+    for ints in (_small, _ints):
+        given(_row_lists(ints))(check)()
+    assert all(reached[k] for k in ("int64", "object", "zero row", "one line, two triples")), (
+        reached)
 
 
 def test_reduce_and_affine_image_match_fractions():
