@@ -34,11 +34,12 @@ def _read_text(path: str) -> str:
     return sys.stdin.read() if path == "-" else Path(path).read_text()
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(pieces, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(pieces)
         print(f"wrote {out}", file=sys.stderr)
 
 
@@ -71,8 +72,7 @@ def _cmd_construct(args) -> int:
         print(f"{built!r}", file=sys.stderr)
     payload = (serialize.graph_construction_to_json(built) if config is None
                else serialize.pencil_config_to_json(config))
-    del built, config  # freed before the JSON text, the step that peaks in memory
-    _write_output(serialize.dumps(payload), args.out)
+    _write_output(serialize.iterdumps(payload), args.out)
     return 0
 
 
@@ -82,7 +82,7 @@ def _cmd_rich_points(args) -> int:
     report = rich_points(config)
     elapsed = time.perf_counter() - start
     print(f"rich points: {report.count} in {elapsed:.2f}s", file=sys.stderr)
-    _write_output(serialize.dumps(serialize.rich_report_to_json(report)), args.out)
+    _write_output(serialize.iterdumps(serialize.rich_report_to_json(report)), args.out)
     # the one-line summary stays off stdout when stdout carries the JSON
     print(serialize.rich_report_summary_csv(report),
           file=sys.stderr if args.out is None else sys.stdout)
@@ -102,7 +102,7 @@ def _cmd_verify_lemma(args) -> int:
         raise PreconditionError("verify-lemma centres must be affine")
     pairs = [c.to_affine() for c in centres]
     report = verify_lemma_chain(construction.graph, pairs[0], pairs[1])
-    _write_output(serialize.dumps(serialize.lemma_report_to_json(report)), args.out)
+    _write_output(serialize.iterdumps(serialize.lemma_report_to_json(report)), args.out)
     if not report.all_ok:
         print("verification FAILED", file=sys.stderr)
         return 3
@@ -118,15 +118,15 @@ def _cmd_sweep(args) -> int:
                  centres=centres, m=args.m)
     print(f"swept {len(rows)} rows in {time.perf_counter() - start:.2f}s",
           file=sys.stderr)
-    _write_output(serialize.sweep_rows_to_csv(rows) if args.format == "csv"
-                  else serialize.dumps(serialize.sweep_rows_to_json(rows)), args.out)
+    _write_output([serialize.sweep_rows_to_csv(rows)] if args.format == "csv"
+                  else serialize.iterdumps(serialize.sweep_rows_to_json(rows)), args.out)
     return 0
 
 
 def _cmd_fit(args) -> int:
     rows = serialize.sweep_rows_from_csv(_read_text(args.rows))
     fit = fit_exponent(rows, args.field)
-    _write_output(serialize.dumps(serialize.fit_to_json(fit, args.field)), args.out)
+    _write_output(serialize.iterdumps(serialize.fit_to_json(fit, args.field)), args.out)
     return 0
 
 

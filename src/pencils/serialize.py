@@ -1,8 +1,9 @@
 """Fixed JSON/CSV schemas for constructions, configs, and reports.
 
 Rationals travel as decimal or "p/q" strings, so nothing is rounded;
-only the approximate exponent fit carries floats.  Sweep-row and fit
-columns are the SweepRow and ExponentFit fields, written by value type
+only the approximate exponent fit carries floats; lines, points and edges
+stay arrays, which dumps writes a chunk of rows at a time.  Sweep-row and
+fit columns are the SweepRow and ExponentFit fields, written by value type
 and read by the types SweepRow declares.  Layouts are deterministic, so
 identical inputs give byte-identical reports, wall_time_ms aside.
 """
@@ -10,9 +11,13 @@ identical inputs give byte-identical reports, wall_time_ms aside.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import fields
 from fractions import Fraction
+from itertools import chain
 from typing import get_type_hints
+
+import numpy as np
 
 from .constructions import GraphConstruction, Pencil, PencilConfig
 from .graphs import BipartiteGraph, GroundSet
@@ -31,15 +36,53 @@ __all__ = [
     "lemma_report_to_json",
     "sweep_rows_to_json", "sweep_rows_to_csv", "sweep_rows_from_csv",
     "fit_to_json",
-    "dumps",
+    "dumps", "iterdumps",
 ]
 
 _ROW_TYPES = get_type_hints(SweepRow)
 SWEEP_CSV_HEADER = ",".join(_ROW_TYPES)
 
 
+# an integer array leaf, its cells '"%d"' (coordinates travel as strings) or
+# '%d' (indices); one %-format per _CHUNK rows bounds the text held at once
+_Rows = namedtuple("_Rows", "array cell")
+_CHUNK = 4096
+
+
+def _pieces(obj, nl: str):
+    """The text of obj as json.dumps(obj, indent=2) writes it, in pieces;
+    nl is a newline plus the indent of the line obj starts on."""
+    inner = nl + "  "
+    if isinstance(obj, _Rows):
+        rows = obj.array
+        row = f"{inner}[{inner}  " + f",{inner}  ".join([obj.cell] * rows.shape[1]) + f"{inner}]"
+        for start in range(0, len(rows), _CHUNK):
+            chunk = rows[start:start + _CHUNK]
+            yield ("," if start else "[") + ",".join([row] * len(chunk)) % tuple(
+                chunk.ravel().tolist())
+        yield nl + "]" if len(rows) else "[]"
+    elif isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(obj.items()):
+            yield f"{',' if i else '{'}{inner}{json.dumps(key)}: "
+            yield from _pieces(value, inner)
+        yield nl + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, value in enumerate(obj):
+            yield ("," if i else "[") + inner
+            yield from _pieces(value, inner)
+        yield nl + "]"
+    else:
+        yield json.dumps(obj)
+
+
+def iterdumps(obj):
+    """The text of dumps(obj), json.dumps(obj, indent=2) plus a newline, in
+    pieces for a caller to write as they come; array leaves included."""
+    return chain(_pieces(obj, "\n"), ["\n"])
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return "".join(iterdumps(obj))
 
 
 def exact_from_json(value, kind=int):
@@ -61,7 +104,7 @@ def point_to_json(p: ProjPoint) -> list[str]:
 
 
 def _triple_from_json(triple) -> tuple:
-    if not isinstance(triple, list) or len(triple) != 3:
+    if type(triple) is not list or len(triple) != 3:
         raise ValueError(f"{triple!r} is not a list of three coordinates")
     return tuple(map(exact_from_json, triple))
 
@@ -70,17 +113,13 @@ def point_from_json(triple) -> ProjPoint:
     return ProjPoint(*_triple_from_json(triple))
 
 
-def _rows_to_json(rows) -> list[list[str]]:
-    return [[str(c) for c in row] for row in rows.tolist()]
-
-
 def pencil_config_to_json(config: PencilConfig) -> dict:
     return {
         "label": config.label,
         "pencils": [
             {
                 "centre": point_to_json(pc.centre),
-                "lines": _rows_to_json(pc.rows),
+                "lines": _Rows(pc.rows, '"%d"'),
             }
             for pc in config.pencils
         ],
@@ -104,10 +143,25 @@ def _label(obj) -> str:
     return label
 
 
+def _rows_from_json(rows: list) -> np.ndarray:
+    """JSON coordinate triples as a (k, 3) int64 (past it, object) array,
+    checked in bulk; a bad row or entry raises ValueError naming it."""
+    shaped = {list}.issuperset(map(type, rows)) and {3}.issuperset(map(len, rows))
+    flat = list(chain.from_iterable(rows)) if shaped else []
+    if not (shaped and {int, str}.issuperset(map(type, flat))):
+        for row in rows:  # only a malformed list gets here: name its first bad row
+            _triple_from_json(row)
+    values = list(map(int, flat))  # int() names a string it cannot parse
+    try:
+        return np.array(values, np.int64).reshape(-1, 3)
+    except OverflowError:
+        return np.array(values, object).reshape(-1, 3)
+
+
 def pencil_config_from_json(obj) -> PencilConfig:
     pencils = [
         Pencil(point_from_json(_required(entry, "centre")),
-               [_triple_from_json(l) for l in _required(entry, "lines")])
+               _rows_from_json(_required(entry, "lines")))
         for entry in _required(obj, "pencils")
     ]
     return PencilConfig(pencils, label=_label(obj))
@@ -120,7 +174,7 @@ def graph_construction_to_json(c: GraphConstruction) -> dict:
         "d": str(c.d),
         "A": [str(a) for a in c.A],
         "B": [str(b) for b in c.B],
-        "edges": c.graph.edge_array.tolist(),
+        "edges": _Rows(c.graph.edge_array, "%d"),
     }
 
 
@@ -142,7 +196,7 @@ def rich_report_to_json(report: RichPointReport) -> dict:
         "count": report.count,
         "infinite_count": report.infinite_count,
         "excluded_centres": [point_to_json(p) for p in report.excluded_centres],
-        "points": _rows_to_json(report.rows),
+        "points": _Rows(report.rows, '"%d"'),
     }
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pencils.cli as cli
 from pencils.cli import main
@@ -425,14 +425,23 @@ def test_cli_readers_fuzz():
     """Every drawn input to the four readers exits 0, 2 or 3, never with a
     traceback; counters show each reader drawn and both exit kinds seen."""
     seen = Counter()
+    golden = _goldens()
+    centres = json.dumps(golden["centres"])
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
 
         # a fuzz needs more examples than the profile's 40 to reach exit 0
-        # on every reader
+        # on every reader.  Each reader's golden input is also an explicit
+        # example: Hypothesis mixes the literals of every loaded local module
+        # into its draws, so an unrelated edit can move the drawn examples.
         @settings(max_examples=200)
         @given(_cli_runs())
+        @example(("config", ["rich-points", "--config", _INPUT], json.dumps(golden["config"])))
+        @example(("graph", ["verify-lemma", "--graph", _INPUT, "--centres", centres],
+                  json.dumps(golden["graph"])))
+        @example(("centres", ["verify-lemma", "--n", "16", "--centres", centres], None))
+        @example(("rows", ["fit", "--rows", _INPUT], golden["rows"]))
         def check(run):
             reader, argv, text = run
             if text is not None:

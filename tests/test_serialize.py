@@ -40,7 +40,7 @@ def test_point_line_json_roundtrip():
     assert point_to_json(ProjPoint(1, 0, 0)) == ["1", "0", "0"]
     # a line triple is written in canonical form and reads back as its row
     cfg = PencilConfig([Pencil(ProjPoint(1, 0, 0), [(0, -2, 4), (0, 1, -2)])])
-    obj = pencil_config_to_json(cfg)
+    obj = json.loads(dumps(pencil_config_to_json(cfg)))
     assert obj["pencils"][0]["lines"] == [["0", "1", "-2"]]
     assert pencil_config_from_json(obj).pencils == cfg.pencils
 
@@ -58,7 +58,7 @@ def test_pencil_config_json_roundtrip():
 
 def test_graph_construction_json_roundtrip():
     built = build_farey_shift_construction(64, Fraction(43, 1000))
-    back = graph_construction_from_json(graph_construction_to_json(built))
+    back = graph_construction_from_json(json.loads(dumps(graph_construction_to_json(built))))
     assert back.label == built.label
     assert back.n == built.n and back.d == built.d
     assert list(back.A) == list(built.A)
@@ -69,7 +69,7 @@ def test_graph_construction_json_roundtrip():
 def test_rich_report_json_and_csv():
     cfg = build_grid_footnote_config(2)
     rep = rich_points(cfg)
-    obj = rich_report_to_json(rep)
+    obj = json.loads(dumps(rich_report_to_json(rep)))
     assert obj["count"] == 4
     assert obj["infinite_count"] == 0
     assert len(obj["points"]) == 4
