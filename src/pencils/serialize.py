@@ -50,8 +50,7 @@ _CHUNK = 4096
 
 
 def _pieces(obj, nl: str):
-    """The text of obj as json.dumps(obj, indent=2) writes it, in pieces;
-    nl is a newline plus the indent of the line obj starts on."""
+    """json.dumps(obj, indent=2) in pieces; nl is "\\n" plus the indent obj starts at."""
     inner = nl + "  "
     if isinstance(obj, _Rows):
         rows = obj.array
@@ -61,16 +60,14 @@ def _pieces(obj, nl: str):
             yield ("," if start else "[") + ",".join([row] * len(chunk)) % tuple(
                 chunk.ravel().tolist())
         yield nl + "]" if len(rows) else "[]"
-    elif isinstance(obj, dict) and obj:
-        for i, (key, value) in enumerate(obj.items()):
-            yield f"{',' if i else '{'}{inner}{json.dumps(key)}: "
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        keyed = isinstance(obj, dict)
+        items = (((f"{json.dumps(k)}: ", v) for k, v in obj.items()) if keyed
+                 else (("", v) for v in obj))
+        for i, (head, value) in enumerate(items):
+            yield ("," if i else "{" if keyed else "[") + inner + head
             yield from _pieces(value, inner)
-        yield nl + "}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        for i, value in enumerate(obj):
-            yield ("," if i else "[") + inner
-            yield from _pieces(value, inner)
-        yield nl + "]"
+        yield nl + ("}" if keyed else "]")
     else:
         yield json.dumps(obj)
 
