@@ -91,32 +91,44 @@ _coords = [st.integers(0, 40), st.integers(2**21 - 40, 2**21 + 40),
 
 
 @st.composite
-def _value_lists(draw):
+def _value_lists(draw, ints):
     """Rationals built from a few drawn numerators of either sign and
     positive denominators, so values repeat and share denominators."""
-    ints = draw(st.sampled_from(_coords))
     nums = draw(st.lists(st.one_of(ints, ints.map(lambda v: -v)), min_size=1, max_size=4))
     dens = draw(st.lists(ints.filter(bool), min_size=1, max_size=3))
     return draw(st.lists(st.builds(Fraction, st.sampled_from(nums), st.sampled_from(dens)),
                          min_size=1, max_size=12))
 
 
-@given(_value_lists())
-def test_sorted_ground_matches_sorted_set(values):
-    top = max((max(abs(v.numerator), v.denominator) for v in values), default=0)
-    num, den = (np.array(col, dtype=exact_dtype(top))
-                for col in ([v.numerator for v in values], [v.denominator for v in values]))
-    ground, pos = _sorted_ground(num, den)
-    elements = ground.elements
-    assert list(elements) == sorted(set(values))
-    assert ground == GroundSet(sorted(set(values)))
-    assert ground.height == top
-    assert ground.numerators.dtype == ground.denominators.dtype == exact_dtype(top)
-    assert pos.dtype == np.uint32
-    assert [elements[p] for p in pos.tolist()] == values
-    # queries past 2^62 against int64 arrays compare exactly, with no wraparound
-    queries = values + [v + 2**64 for v in values] + [v / 2**64 for v in values]
-    assert [q in ground for q in queries] == [q in set(values) for q in queries]
+def test_sorted_ground_matches_sorted_set():
+    """Each size of coordinates gets its own examples; a counter shows the
+    three regimes reached: int64 sort keys, object keys over an int64
+    ground set (the keys' factor D^2 takes them past 2^62), and an object
+    ground set."""
+    regimes = Counter()
+
+    @settings(max_examples=20)
+    def check(values):
+        top = max((max(abs(v.numerator), v.denominator) for v in values), default=0)
+        num, den = (np.array(col, dtype=exact_dtype(top))
+                    for col in ([v.numerator for v in values], [v.denominator for v in values]))
+        ground, pos = _sorted_ground(num, den)
+        elements = ground.elements
+        assert list(elements) == sorted(set(values))
+        assert ground == GroundSet(sorted(set(values)))
+        assert ground.height == top
+        assert ground.numerators.dtype == ground.denominators.dtype == exact_dtype(top)
+        assert pos.dtype == np.uint32
+        assert [elements[p] for p in pos.tolist()] == values
+        # queries past 2^62 against int64 arrays compare exactly, with no wraparound
+        queries = values + [v + 2**64 for v in values] + [v / 2**64 for v in values]
+        assert [q in ground for q in queries] == [q in set(values) for q in queries]
+        key = exact_dtype(top * max(v.denominator for v in values) ** 2)
+        regimes[np.dtype(key).name, ground.numerators.dtype.name] += 1
+
+    for ints in _coords:
+        given(_value_lists(ints))(check)()
+    assert regimes.keys() == {("int64", "int64"), ("object", "int64"), ("object", "object")}, regimes
 
 
 def test_graph_edges_deduped_and_sorted():

@@ -306,13 +306,12 @@ def _points(ints):
 
 
 @st.composite
-def _line_sets(draw):
+def _line_sets(draw, ints):
     """2-4 distinct centres, each with 1-5 lines joining it to drawn points.
     Sometimes the centres are collinear.  Sometimes the join of the two
     centres with the fewest lines is added to both of their pencils, so
     they are likely the seed pencils, and, when the centres are collinear,
     to some of the other pencils or to all of them."""
-    ints = draw(st.sampled_from([_small, _ints]))
     point = _points(ints)
     shared = ["none", "pair", "all"][draw(st.integers(0, 2))]
     collinear = shared == "all" or draw(st.booleans())
@@ -340,14 +339,17 @@ def test_rich_points_property_matches_bruteforce():
     branch on the join of the seed centres reached: the seeds do not share
     it, a pencil not holding it hosts it, or every pencil holds it.  It also
     shows a pencil whose centre is on the join but which does not hold it,
-    so it hosts the join only as a pencil not holding it."""
+    so it hosts the join only as a pencil not holding it.  Each kind of
+    coordinates gets its own examples, and the counter shows both dtypes
+    of the pencils' rows reached."""
     branches = Counter()
 
-    @given(_line_sets())
+    @settings(max_examples=20)
     def check(drawn):
         centres, line_sets = drawn
         config = PencilConfig(Pencil(ProjPoint(*c), lines)
                               for c, lines in zip(centres, line_sets))
+        branches["rows", config.pencils[-1].rows.dtype.name] += 1
         if set.intersection(*line_sets):
             branches["every pencil"] += 1
             with pytest.raises(ValueError, match="belongs to every pencil"):
@@ -371,8 +373,10 @@ def test_rich_points_property_matches_bruteforce():
         assert rep.infinite_count == sum(p[2] == 0 for p in want - set(centres))
         assert [c.coords for c in rep.excluded_centres] == sorted(want & set(centres))
 
-    check()
-    assert branches.keys() == {"not shared", "host", "every pencil", "centre on it, not held"}
+    for ints in (_small, _ints):
+        given(_line_sets(ints))(check)()
+    assert branches.keys() == {"not shared", "host", "every pencil", "centre on it, not held",
+                               ("rows", "int64"), ("rows", "object")}
     assert all(branches.values()), branches
 
 
