@@ -43,8 +43,9 @@ _ROW_TYPES = get_type_hints(SweepRow)
 SWEEP_CSV_HEADER = ",".join(_ROW_TYPES)
 
 
-# an integer array leaf, its cells '"%d"' (coordinates travel as strings) or
-# '%d' (indices); one %-format per _CHUNK rows bounds the text held at once
+# an integer array leaf (a tuple, so _pieces tests for it before tuples), its
+# cells '"%d"' (coordinates travel as strings) or '%d' (indices); one
+# %-format per _CHUNK rows bounds the text held at once
 _Rows = namedtuple("_Rows", "array cell")
 _CHUNK = 4096
 
