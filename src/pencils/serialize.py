@@ -1,9 +1,8 @@
 """Fixed JSON/CSV schemas for constructions, configs, and reports.
 
 Rationals travel as decimal or "p/q" strings, so nothing is rounded;
-only the approximate exponent fit carries floats; lines, points and edges
-stay arrays, which dumps writes a chunk of rows at a time.  Sweep-row and
-fit columns are the SweepRow and ExponentFit fields, written by value type
+only the approximate exponent fit carries floats.  Sweep-row and fit
+columns are the SweepRow and ExponentFit fields, written by value type
 and read by the types SweepRow declares.  Layouts are deterministic, so
 identical inputs give byte-identical reports, wall_time_ms aside.
 """
@@ -43,19 +42,17 @@ _ROW_TYPES = get_type_hints(SweepRow)
 SWEEP_CSV_HEADER = ",".join(_ROW_TYPES)
 
 
-# an integer array leaf (a tuple, so _pieces tests for it before tuples), its
-# cells '"%d"' (coordinates travel as strings) or '%d' (indices); one
-# %-format per _CHUNK rows bounds the text held at once
+# an integer array leaf of dumps, its cells '"%d"' (coordinates) or '%d' (indices)
 _Rows = namedtuple("_Rows", "array cell")
-_CHUNK = 4096
+_CHUNK = 4096  # rows per %-format, which bounds the text held at once
 
 
 def _pieces(obj, nl: str):
     """json.dumps(obj, indent=2) in pieces; nl is "\\n" plus the indent obj starts at."""
     inner = nl + "  "
-    if isinstance(obj, _Rows):
-        rows = obj.array
-        row = f"{inner}[{inner}  " + f",{inner}  ".join([obj.cell] * rows.shape[1]) + f"{inner}]"
+    if isinstance(obj, _Rows):  # a tuple, so tested before the tuple branch
+        rows, cell = obj
+        row = f"{inner}[{inner}  " + f",{inner}  ".join([cell] * rows.shape[1]) + f"{inner}]"
         for start in range(0, len(rows), _CHUNK):
             chunk = rows[start:start + _CHUNK]
             yield ("," if start else "[") + ",".join([row] * len(chunk)) % tuple(
@@ -63,9 +60,8 @@ def _pieces(obj, nl: str):
         yield nl + "]" if len(rows) else "[]"
     elif isinstance(obj, (dict, list, tuple)) and obj:
         keyed = isinstance(obj, dict)
-        items = (((f"{json.dumps(k)}: ", v) for k, v in obj.items()) if keyed
-                 else (("", v) for v in obj))
-        for i, (head, value) in enumerate(items):
+        for i, (key, value) in enumerate(obj.items() if keyed else enumerate(obj)):
+            head = json.dumps({key: 0})[1:-2] if keyed else ""  # the key as json.dumps writes it
             yield ("," if i else "{" if keyed else "[") + inner + head
             yield from _pieces(value, inner)
         yield nl + ("}" if keyed else "]")
@@ -74,8 +70,7 @@ def _pieces(obj, nl: str):
 
 
 def iterdumps(obj):
-    """The text of dumps(obj), json.dumps(obj, indent=2) plus a newline, in
-    pieces for a caller to write as they come; array leaves included."""
+    """The text of dumps(obj) in pieces, for a caller to write as they come."""
     return chain(_pieces(obj, "\n"), ["\n"])
 
 
@@ -142,14 +137,12 @@ def _label(obj) -> str:
 
 
 def _rows_from_json(rows: list) -> np.ndarray:
-    """JSON coordinate triples as a (k, 3) int64 (past it, object) array,
-    checked in bulk; a bad row or entry raises ValueError naming it."""
+    """JSON triples as a (k, 3) int64 (past it, object) array; a bad row raises ValueError."""
     shaped = {list}.issuperset(map(type, rows)) and {3}.issuperset(map(len, rows))
-    flat = list(chain.from_iterable(rows)) if shaped else []
-    if not (shaped and {int, str}.issuperset(map(type, flat))):
+    if not (shaped and {int, str}.issuperset(map(type, chain.from_iterable(rows)))):
         for row in rows:  # only a malformed list gets here: name its first bad row
             _triple_from_json(row)
-    values = list(map(int, flat))  # int() names a string it cannot parse
+    values = list(map(int, chain.from_iterable(rows)))  # int() names a string it cannot parse
     try:
         return np.array(values, np.int64).reshape(-1, 3)
     except OverflowError:

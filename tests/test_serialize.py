@@ -190,6 +190,15 @@ def test_dumps_matches_json_dumps_on_array_leaves():
     assert reached["past 2^63"], reached
 
 
+def test_dumps_converts_keys_as_json_dumps():
+    """A non-str key is written as json.dumps writes it, and a key that
+    json.dumps refuses raises the same TypeError."""
+    doc = {1: [1, {None: "x", True: [], 1.5: {}}], "k\u00e9y": ("a", 2)}
+    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        dumps({(1, 2): 0})
+
+
 # small coordinates give int64 rows; coordinates past 2^62 give object rows
 # and, as joins, JSON entries past int64
 _small = st.integers(-5, 5)
