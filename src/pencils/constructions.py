@@ -53,18 +53,12 @@ class Pencil:
     __slots__ = ("centre", "rows")
 
     def __init__(self, centre: ProjPoint, lines):
-        """``lines`` are integer triples, as a (k, 3) array or an iterable;
-        a float raises TypeError.  Scaled and repeated triples give one row;
-        an array of another shape, a zero triple or a line missing the
-        centre raises ValueError.  The incidence test's entries are at most
+        """``lines`` are integer triples, a (k, 3) array or an iterable, taken in
+        by int_rows (a bool or float raises TypeError, another width ValueError).
+        Scaled and repeated triples give one row; a zero triple or a line missing
+        the centre raises ValueError.  The incidence test's entries are at most
         3*C*H (C, H the largest |centre coordinate| and |entry|)."""
-        # int_rows checks every entry of an iterable; an array is checked here
-        if not isinstance(lines, np.ndarray):
-            lines = int_rows(lines, object)
-        elif lines.ndim != 2 or lines.shape[1] != 3:
-            raise ValueError(f"lines must be a (k, 3) array, not one of shape {lines.shape}")
-        elif lines.dtype.kind not in "iu" and not {int}.issuperset(map(type, lines.flat)):
-            raise TypeError("line coefficients must be integers")
+        lines = int_rows(lines)
         c = max(abs(v) for v in centre.coords)
         rows = lines.astype(exact_dtype(3 * c * _height(lines)), copy=False)
         if not (rows != 0).any(axis=1).all():
@@ -314,7 +308,7 @@ def pencils_from_graph(construction: GraphConstruction, centres,
     points = np.stack((an[i] * bd[j], bn[j] * ad[i], ad[i] * bd[j]), axis=1)
     pencils = []
     for centre in centres:
-        joins = cross_rows(int_rows([centre.coords], dtype), points)
+        joins = cross_rows(np.array(centre.coords, dtype), points)
         # the join vanishes exactly when the edge point is the centre
         if (joins == 0).all(axis=1).any():
             raise CentreOnPointSet(centre)

@@ -1,13 +1,13 @@
 """Ground sets, bipartite edge sets, graph-restricted ratio sets and
 multiplication-table sizes.
 
-Edges are stored as index pairs into the two ground sets (a sorted,
-deduplicated uint32 array), which keeps ten-million-edge sweeps compact
-while every derived quantity stays exact; projective's tuple kernels key
-the edges as (i, j) pairs, sort and dedup them.  Ratio sets are integer
-arrays: the shifted ground sets' numerators and denominators are gathered
-along the edges and multiplied, then reduced and deduplicated as (num,
-den) tuples, in the dtype exact_dtype picks from a Python-int bound.
+Edges, taken in by int_rows, are stored as index pairs into the two ground
+sets (a sorted, deduplicated uint32 array), which keeps ten-million-edge
+sweeps compact while every derived quantity stays exact; projective's tuple
+kernels key the edges as (i, j) pairs, sort and dedup them.  Ratio sets are
+integer arrays: the shifted ground sets' numerators and denominators are
+gathered along the edges and multiplied, then reduced and deduplicated as
+(num, den) tuples, in the dtype exact_dtype picks from a Python-int bound.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ZeroDenominator
-from .projective import _affine_image, _distinct, _exact, _height, _keys, _normalise, exact_dtype
+from .projective import (_affine_image, _distinct, _exact, _height, _keys, _normalise,
+                         exact_dtype, int_rows)
 
 __all__ = [
     "GroundSet",
@@ -85,30 +86,22 @@ class BipartiteGraph:
     """Explicit edge set E(G) over two indexed ground sets.
 
     The edge array is sorted lexicographically and deduplicated, so two
-    graphs with the same edges compare and serialize identically.  Indices
-    must be exact ints (or an integer dtype) inside the ground sets, checked
-    before the uint32 cast, which would truncate 0.5 and read True as 1.
-    """
+    graphs with the same edges compare and serialize identically.  Edges
+    come in through int_rows; an index that is not an exact int, or lies
+    outside its ground set, raises ValueError.  Kept edges are uint32."""
 
     __slots__ = ("left", "right", "edge_array")
 
     def __init__(self, left: GroundSet, right: GroundSet, edges):
         self.left = left
         self.right = right
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        arr = np.asarray(edges)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("edges must be (i, j) index pairs")
-        # numpy reads a bool among ints as an int, so a list is checked per entry
-        exact = arr.dtype.kind in "iu" and (isinstance(edges, np.ndarray) or all(
-            type(v) is int for pair in edges for v in pair))
-        if arr.size and not (exact and arr.min() >= 0 and arr[:, 0].max() < len(left)
-                             and arr[:, 1].max() < len(right)):
+        try:
+            arr = int_rows(edges, 2)
+        except TypeError:  # an entry that is not an exact int
+            arr = None
+        if arr is None or arr.size and not (arr.min() >= 0 and arr[:, 0].max() < len(left)
+                                            and arr[:, 1].max() < len(right)):
             raise ValueError("edge index out of range or not an integer")
-        arr = arr.astype(np.uint32, copy=False)
         box = ((0, len(left) - 1), (0, len(right) - 1))
         self.edge_array = np.stack(_distinct(_keys(arr.T, box), np.uint32), axis=1)
 

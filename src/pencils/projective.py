@@ -6,23 +6,25 @@ projective class therefore has exactly one representative, so equality,
 hashing and set membership are bit-exact.  Elements at infinity (third
 coordinate zero) are ordinary values.  No floating point anywhere.
 
-Sets of lines and of rich points live as sorted, distinct (k, 3) arrays
-of canonical rows; ProjPoint is the object form of one point, for centres
-and for callers at the API edge.  _normalise is _canonical's array form,
-for rows and, den first, for reduced (num, den) pairs.  Integer arrays are
-int64 or object, as exact_dtype picks from a bound, often on _height, the
-largest |entry| of arrays; cross_rows and _affine_image form u x v and
-u*r + s.  Rows, pairs and graph edges are integer tuples held as columns,
-with one key: _keys gives each tuple an exact mixed-radix key that sorts as
-the tuples do, _distinct sorts, deduplicates and decodes by it, _member
-looks tuples up, and _row_set makes the sorted set of canonical rows.
+Sets of lines and of rich points live as sorted, distinct (k, 3) arrays of
+canonical rows; ProjPoint is the object form of one point, for centres and
+for callers at the API edge.  _normalise is _canonical's array form, for
+rows and, den first, for reduced (num, den) pairs.  Integer tables (pencil
+lines, graph edges) come in through int_rows.  Integer arrays are int64 or
+object, as exact_dtype picks from a bound, often on _height, the largest
+|entry| of arrays; cross_rows and _affine_image form u x v and u*r + s.
+Rows, pairs and graph edges are integer tuples held as columns, with one
+key: _keys gives each tuple an exact mixed-radix key that sorts as the
+tuples do, _distinct sorts, deduplicates and decodes by it, _member looks
+tuples up, and _row_set makes the sorted set of canonical rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
-from operator import index
+from operator import index, length_hint
 
 import numpy as np
 
@@ -74,11 +76,26 @@ def exact_dtype(bound: int):
     return np.int64 if bound < _INT64_BOUND else object
 
 
-def int_rows(triples, dtype) -> np.ndarray:
-    """A (k, 3) array of integer triples in the given dtype; a row of
-    another length raises ValueError, a non-integer entry TypeError."""
-    return np.array([(_exact(x), _exact(y), _exact(z)) for x, y, z in triples],
-                    dtype=dtype).reshape(-1, 3)
+def int_rows(rows, width=3) -> np.ndarray:
+    """Rows of ``width`` exact ints as a (k, width) array.  An integer-dtype
+    array, or a nonempty one of Python ints, is returned as it is; other rows
+    are checked in bulk (a numpy int passes, a bool, float or str raises
+    TypeError) and built as int64, object past it.  Another width: ValueError."""
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"rows must be a (k, {width}) array, not one of shape {rows.shape}")
+        if rows.dtype.kind in "iu" or rows.size and {int}.issuperset(map(type, rows.flat)):
+            return rows
+    rows = list(rows)
+    if not {width}.issuperset(map(length_hint, rows, repeat(-1))):  # -1: not a sequence
+        raise ValueError(f"every row must hold {width} entries")
+    values = list(chain.from_iterable(rows))
+    if not {int}.issuperset(map(type, values)):
+        values = list(map(_exact, values))
+    try:
+        return np.fromiter(values, np.int64, len(values)).reshape(-1, width)
+    except OverflowError:
+        return np.array(values, object).reshape(-1, width)
 
 
 def row_triples(rows: np.ndarray):
@@ -121,7 +138,7 @@ def _affine_image(un, ud, rn, rd, s: Fraction, dtype):
 
 def _keys(cols, box=None):
     """The mixed-radix keys of integer tuples given as equal-length columns
-    (int64, uint32 or object), first column most significant, so keys sort
+    (integer dtype or object), first column most significant, so keys sort
     as the tuples do, and their box: one (lo, hi) per column, by default the
     columns' ranges ((0, -1) for no tuples).  The exact_dtype of the product
     of the widths plus the largest |bound| holds every step."""

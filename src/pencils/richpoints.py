@@ -37,7 +37,6 @@ from .projective import (
     _row_set,
     cross_rows,
     exact_dtype,
-    int_rows,
     row_triples,
 )
 
@@ -121,7 +120,7 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     by_size = sorted(config.pencils, key=lambda pc: pc.size)
     first, second, rest = by_size[0], by_size[1], by_size[2:]
     dtype = _kernel_dtype(config.pencils)
-    centres = int_rows((pc.centre.coords for pc in by_size), dtype)
+    centres = np.array([pc.centre.coords for pc in by_size], dtype)
     probes = [(centre, *_line_test(pc)) for centre, pc in zip(centres[2:], rest)]
     found = [np.empty((0, 3), dtype=dtype)]
 

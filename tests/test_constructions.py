@@ -105,6 +105,21 @@ def test_farey_shift_with_positive_d_shrinks():
     assert damped.label == "farey-shift(n=1024,d=43/1000)"
 
 
+def test_parameters_out_of_range_are_refused():
+    """The refusals of a negative d, of ln n <= 1 with d > 0, of ranges
+    that d leaves empty, and of n < 1 or m < 1."""
+    with pytest.raises(ValueError, match="d must be nonnegative"):
+        floored_log_quotient(64, -1)
+    with pytest.raises(PreconditionError, match="need ln n > 1"):
+        floored_log_quotient(2, 1)
+    with pytest.raises(PreconditionError, match="degenerate ranges at n = 16, d = 1"):
+        build_farey_shift_construction(16, 1)
+    with pytest.raises(PreconditionError, match="need n >= 1"):
+        build_symmetric_farey_construction(0)
+    with pytest.raises(PreconditionError, match="need m >= 1"):
+        general_position_centers(0)
+
+
 def test_d_rejects_floats_and_bools():
     # 0.043 would be read as 3098476543630901/2^56, and True as 1; a float
     # size such as 16.5 would be truncated to 16

@@ -154,6 +154,15 @@ def test_graph_rejects_out_of_range_edges():
         assert BipartiteGraph(A, B, edges).edge_array.tolist() == [[0, 1], [1, 1]]
 
 
+def test_graph_rejects_edges_that_are_not_pairs():
+    # a flat list or array of indices is not read as pairs
+    A = GroundSet([Fraction(0), Fraction(1)])
+    with pytest.raises(ValueError, match="every row must hold 2 entries"):
+        BipartiteGraph(A, A, [0, 1, 1])
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        BipartiteGraph(A, A, np.array([0, 1, 1]))
+
+
 def test_graph_dedup_matches_sort_dedup_oracle():
     rng = random.Random(42)
     for _ in range(50):

@@ -1,6 +1,7 @@
 import ast
 import pickle
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -11,9 +12,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pencils
-from pencils import (build_farey_shift_construction, build_m_pencil_config,
+from pencils import (BipartiteGraph, GroundSet, Pencil, build_farey_shift_construction,
+                     build_m_pencil_config,
                      build_symmetric_farey_construction, pencils_from_graph, rich_points,
                      standard_shift_centres, sweep, verify_lemma_chain)
 from pencils.projective import (
@@ -73,12 +76,12 @@ def test_affine_bridge():
 
 
 def test_projpoint_rejects_bools_and_floats():
-    # True would read as 1; int_rows, which builds centre rows, refuses it too
+    # True would read as 1; int_rows, the intake for integer tables, refuses it too
     for coords in ((True, 0, 0), (1, False, 1), (np.True_, 0, 0), (1.0, 0, 1)):
         with pytest.raises(TypeError):
             ProjPoint(*coords)
     with pytest.raises(TypeError):
-        int_rows([(1, 2, True)], np.int64)
+        int_rows([(1, 2, True)])
     assert ProjPoint(np.int64(2), 0, 4).coords == (1, 0, 2)
 
 
@@ -172,8 +175,8 @@ def test_array_kernel_matches_oracle_in_both_dtypes():
         # u x u is a zero row, which stays zero
         pairs = list(zip(us, vs)) + [(u, u) for u in us[:5]]
         crosses = [_cross(u, v) for u, v in pairs]
-        rows = cross_rows(int_rows((u for u, _ in pairs), dtype),
-                          int_rows((v for _, v in pairs), dtype))
+        rows = cross_rows(int_rows(u for u, _ in pairs).astype(dtype),
+                          int_rows(v for _, v in pairs).astype(dtype))
         _normalise(*rows.T)
         assert list(row_triples(rows)) == [_canon(t) if any(t) else (0, 0, 0) for t in crosses]
         # scaled 2-column tuples, so zero entries, both signs and gcds above 1 occur
@@ -224,6 +227,23 @@ def test_no_np_abs_in_the_package():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr in ("abs", "absolute")
             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert uses == []
+
+
+def test_only_projective_and_serialize_test_entry_types():
+    """One intake: whether a table entry is an exact int is decided by
+    projective (int_rows, _exact) and, for JSON cells, by serialize; no other
+    module under src/pencils calls map(type, ...) or compares a type(x)."""
+    package = Path(pencils.__file__).parent
+    is_type = lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "type")
+    uses = [(path.name, node.lineno) for path in sorted(package.glob("*.py"))
+            if path.stem not in ("projective", "serialize")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "map" and node.args and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "type"
+            or isinstance(node, ast.Compare) and any(map(is_type, [node.left, *node.comparators]))]
     assert uses == []
 
 
@@ -337,7 +357,7 @@ def test_row_set_matches_sorted_canonical_set():
     @settings(max_examples=20)
     def check(triples):
         top = max((abs(v) for t in triples for v in t), default=0)
-        rows = int_rows(triples, exact_dtype(top))
+        rows = int_rows(triples).astype(exact_dtype(top))
         before = rows.copy()
         canonical = [_canonical(*t) if any(t) else (0, 0, 0) for t in triples]
         reached[rows.dtype.name] += 1
@@ -496,3 +516,158 @@ def test_member_matches_fraction_set():
         ("hit",), ("miss, in box",), ("miss, past the last key",), ("miss, out of box",),
         ("key", "int64", "query", "int64"), ("key", "int64", "query", "object"),
         ("key", "object", "query", "object"))} <= set(reached), reached
+
+
+def _pencil_rows(lines):
+    return Pencil(ProjPoint(0, 0, 1), lines).rows.tolist()
+
+
+def _graph_edges(edges, ground=GroundSet(range(3))):
+    return BipartiteGraph(ground, ground, edges).edge_array.tolist()
+
+
+# (intake, good rows of it, the error that an entry which is not an exact int raises)
+_INTAKES = [
+    (_pencil_rows, [(1, 0, 0), (2, 2, 0), (0, 1, 0)], TypeError, None),
+    (_graph_edges, [(2, 0), (0, 1), (2, 0)], ValueError,
+     "edge index out of range or not an integer"),
+]
+
+
+@pytest.mark.parametrize("intake, rows, entry_error, message", _INTAKES,
+                         ids=["Pencil", "BipartiteGraph"])
+def test_pencil_and_graph_take_tables_alike(intake, rows, entry_error, message):
+    """Pencil and BipartiteGraph take their integer tables through int_rows,
+    so both accept the same forms and refuse the same entries and shapes."""
+    width, expected = len(rows[0]), intake(rows)
+    numpy_ints = [tuple(kind(v) for kind, v in zip((np.int64, np.uint8, np.int32), row))
+                  for row in rows]
+    for good in ([list(row) for row in rows], numpy_ints, np.array(rows, dtype=np.int64),
+                 np.array(rows, dtype=np.uint32), np.array(rows, dtype=object)):
+        assert intake(good) == expected
+    assert intake([]) == []
+    for entry in (True, np.True_, 1.0, "1", None):
+        with pytest.raises(entry_error, match=message):
+            intake(rows + [(entry, *rows[0][1:])])
+    for row in (rows[0][:-1], rows[0] + (0,), 5):
+        with pytest.raises(ValueError, match=f"every row must hold {width} entries"):
+            intake(rows + [row])
+    for array in (np.array([]), np.array([1, 0, 0]), np.zeros((1, 2, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match=re.escape(f"shape {array.shape}")):
+            intake(array)
+    with pytest.raises(ValueError, match=f"every row must hold {width} entries"):
+        intake([5])
+
+
+def _int_rows_oracle(rows, width):
+    """int_rows in plain Python: "ValueError" for an array of another shape
+    or a row that is not a sequence of width entries, "TypeError" for an
+    entry that is not an int or a numpy integer, else the rows as tuples."""
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != width:
+            return "ValueError"
+        rows = rows.tolist()
+    if any(not isinstance(row, (list, tuple, np.ndarray)) or len(row) != width
+           for row in rows):
+        return "ValueError"
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+           for row in rows for v in row):
+        return "TypeError"
+    return [tuple(int(v) for v in row) for row in rows]
+
+
+_NOT_INTS = st.sampled_from([True, False, np.True_, 1.5, np.float64(2.0), "7", None])
+_NUMPY_INTS = st.one_of(st.builds(np.int64, st.integers(-2**40, 2**40)),
+                        st.builds(np.uint16, st.integers(0, 2**16 - 1)))
+
+
+@st.composite
+def _tables(draw, ints):
+    """A width and a list of rows of that many drawn ints, tuples or lists,
+    then at most one change to one row: a numpy integer entry, an entry that
+    is not an int, one entry more or less, or an int in place of the row."""
+    width = draw(st.sampled_from([2, 3]))
+    row = st.lists(ints, min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, row.map(tuple)), max_size=6))
+    change = draw(st.sampled_from(range(6)))
+    if rows and change:
+        i = draw(st.integers(0, len(rows) - 1))
+        new, j = list(rows[i]), draw(st.integers(0, width - 1))
+        if change == 1:
+            new[j] = draw(_NUMPY_INTS)
+        elif change == 2:
+            new[j] = draw(_NOT_INTS)
+        rows[i] = {3: new + [0], 4: new[:-1], 5: new[0]}.get(change, new)
+    return width, rows
+
+
+def test_int_rows_matches_python_oracle():
+    """int_rows against _int_rows_oracle, one @given run per regime: lists of
+    small ints, integer (and float and bool) arrays of drawn shapes, and
+    values past 2^63 as lists and as object arrays.  Kept arrays come back
+    as they are, built ones as int64 (object past it); a counter shows the
+    fast path, the _exact fallback, the object fallback and each refusal."""
+    reached, exact, used = Counter(), pencils.projective._exact, []
+
+    def counting(v):
+        used.append(v)
+        return exact(v)
+
+    def check(rows, width):
+        expected = _int_rows_oracle(rows, width)
+        used.clear()
+        if isinstance(expected, str):
+            with pytest.raises((ValueError, TypeError)) as raised:
+                int_rows(rows, width)
+            assert raised.type.__name__ == expected
+            kind = "shape" if "shape" in str(raised.value) else "row" if "hold" in str(
+                raised.value) else "entry"
+            reached[regime, expected, kind] += 1
+            return
+        got = int_rows(rows, width)
+        assert got.shape == (len(expected), width)
+        assert list(map(tuple, got.tolist())) == expected
+        if got is rows:
+            reached[regime, "kept"] += 1
+        else:
+            fits = all(-2**63 <= v < 2**63 for row in expected for v in row)
+            assert got.dtype == (np.int64 if fits else object)
+            reached[regime, "built", got.dtype.name, "_exact" if used else "scan"] += 1
+
+    @settings(max_examples=40)
+    @given(_tables(st.integers(-2**40, 2**40)))
+    def lists(drawn):
+        width, rows = drawn
+        check(rows, width)
+
+    dtypes = st.one_of(st.sampled_from([np.int8, np.int64, np.uint32, np.uint64]),
+                       st.sampled_from([np.float64, np.bool_]))
+
+    @settings(max_examples=40)
+    @given(st.sampled_from([2, 3]), st.data())
+    def arrays(width, data):
+        rows = data.draw(hnp.arrays(dtypes, st.tuples(st.integers(0, 5), st.just(width))))
+        # as drawn, or flattened, nested once more, or one column wider
+        check(data.draw(st.sampled_from([rows, rows.ravel(), rows[None],
+                                         np.concatenate([rows, rows[:, :1]], axis=1)])), width)
+
+    huge = st.one_of(st.integers(-9, 9), st.integers(2**63 - 2, 2**63 + 2),
+                     st.integers(-2**70, 2**70))
+
+    @settings(max_examples=40)
+    @given(_tables(huge))
+    def past_int64(drawn):
+        width, rows = drawn
+        check(rows, width)
+        if all(isinstance(row, (list, tuple)) and len(row) == width for row in rows):
+            check(np.array(rows, dtype=object).reshape(-1, width), width)
+
+    with mock.patch.object(pencils.projective, "_exact", counting):
+        for regime, run in (("lists", lists), ("arrays", arrays), ("past int64", past_int64)):
+            run()
+    assert {("lists", "built", "int64", "scan"), ("lists", "built", "int64", "_exact"),
+            ("lists", "TypeError", "entry"), ("lists", "ValueError", "row"),
+            ("arrays", "kept"), ("arrays", "TypeError", "entry"), ("arrays", "ValueError", "shape"),
+            ("past int64", "kept"), ("past int64", "built", "object", "scan"),
+            ("past int64", "built", "object", "_exact"), ("past int64", "TypeError", "entry"),
+            ("past int64", "ValueError", "row")} <= set(reached), reached

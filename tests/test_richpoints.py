@@ -473,7 +473,7 @@ def test_line_test_property_matches_tuple_sets():
         dtypes["at infinity"] += centre[2] == 0
         dtype = exact_dtype(max(abs(v) for t in [centre, *queries] for v in t))
         kept, on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
-        assert on_pencil(*int_rows(queries, dtype)[:, kept].T).tolist() == (
+        assert on_pencil(*int_rows(queries).astype(dtype)[:, kept].T).tolist() == (
             pencil_lines_bruteforce(lines, queries))
 
     with (mock.patch.object(pencils.richpoints, "_keys", keying),

@@ -72,6 +72,7 @@ def test_graph_construction_json_roundtrip():
     assert list(back.A) == list(built.A)
     assert list(back.B) == list(built.B)
     assert back.graph.edge_array.tolist() == built.graph.edge_array.tolist()
+    assert back.graph == built.graph and back.graph != built.graph.transpose()
 
 
 def test_rich_report_json_and_csv():
