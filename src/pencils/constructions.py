@@ -2,8 +2,8 @@
 and their realizations as pencil configurations.
 
 A pencil's lines are one sorted (k, 3) array of distinct canonical integer
-rows; pencils_from_graph hands each centre's join array straight to the
-Pencil constructor, which builds no object per line.
+rows; pencils_from_graph rebuilds each centre's lines from the distinct kept
+pairs of its joins for the Pencil constructor, which builds no object per line.
 
 Real-valued range bounds of the form n^e / (ln n)^d are evaluated as exact
 integer floors (interval arithmetic decides the floor when d > 0); every
@@ -21,10 +21,12 @@ from .errors import CentreOnPointSet, PreconditionError
 from .graphs import BipartiteGraph, GroundSet, _sorted_ground
 from .projective import (
     ProjPoint,
+    _distinct,
     _exact,
     _height,
+    _keys,
+    _normalise,
     _row_set,
-    cross_rows,
     exact_dtype,
     int_rows,
 )
@@ -291,28 +293,37 @@ def pencils_from_graph(construction: GraphConstruction, centres,
     point (a, b) of the construction, deduplicated.
 
     Every pencil covers the whole edge-point set by definition, so each
-    edge point is rich for the resulting configuration.  The edge points
-    (an*bd : bn*ad : ad*bd) and their joins with a centre are integer
-    arrays; with C the largest |centre coordinate| and H_A, H_B the largest
-    |numerator| or denominator of each ground set, a point entry is at most
-    H_A*H_B and a join entry at most 2*C*H_A*H_B, so the arrays are int64
-    when 4*C*H_A*H_B < 2^62 and Python ints otherwise.
+    edge point is rich for the resulting configuration.  A join l = c x p
+    is fixed by its kept pair (l_i, l_j), i < j the columns other than the
+    last nonzero coordinate k of c, which is zero only for p = c (see
+    richpoints._line_test).  The pairs are normalised and deduplicated, and
+    each (a, b) gives the line (a*c_k, b*c_k, -(a*c_i + b*c_j)) at (i, j, k)
+    by l.c = 0.  With C the largest |centre coordinate| and H_A, H_B the
+    largest |numerator| or denominator of each ground set, a join entry is
+    at most 2*C*H_A*H_B and a rebuilt one 4*C^2*H_A*H_B, so the arrays are
+    int64 when 4*C^2*H_A*H_B < 2^62 and Python ints otherwise.
     """
     graph = construction.graph
     centres = list(centres)
-    c = max((abs(v) for centre in centres for v in centre.coords), default=0)
-    dtype = exact_dtype(4 * c * graph.left.height * graph.right.height)
+    top = max((abs(v) for centre in centres for v in centre.coords), default=0)
+    dtype = exact_dtype(4 * top * top * graph.left.height * graph.right.height)
     an, ad, bn, bd = (v.astype(dtype, copy=False) for g in (graph.left, graph.right)
                       for v in (g.numerators, g.denominators))
-    i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
-    points = np.stack((an[i] * bd[j], bn[j] * ad[i], ad[i] * bd[j]), axis=1)
+    e, f = graph.edge_array[:, 0], graph.edge_array[:, 1]
+    p = (an[e] * bd[f], bn[f] * ad[e], ad[e] * bd[f])
     pencils = []
     for centre in centres:
-        joins = cross_rows(np.array(centre.coords, dtype), points)
-        # the join vanishes exactly when the edge point is the centre
-        if (joins == 0).all(axis=1).any():
+        c = centre.coords
+        k = max(t for t, v in enumerate(c) if v)
+        i, j = (t for t in range(3) if t != k)
+        # column t of c x p is c_(t+1) p_(t+2) - c_(t+2) p_(t+1), indices mod 3
+        pair = (c[(t + 1) % 3] * p[(t + 2) % 3] - c[(t + 2) % 3] * p[(t + 1) % 3] for t in (i, j))
+        a, b = _distinct(_keys(_normalise(*pair)), dtype)
+        if ((a == 0) & (b == 0)).any():  # a zero join: the edge point is the centre
             raise CentreOnPointSet(centre)
-        pencils.append(Pencil(centre, joins))
+        rows = np.empty((len(a), 3), dtype)
+        rows[:, i], rows[:, j], rows[:, k] = a * c[k], b * c[k], -(a * c[i] + b * c[j])
+        pencils.append(Pencil(centre, rows))
     if label is None:
         label = f"pencils[{construction.label}]"
     return PencilConfig(pencils, label=label)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import build, standard_shift_centres
-from .errors import PreconditionError
+from .errors import PreconditionError, ZeroDenominator
 from .graphs import _ratio_arrays
 from .projective import _exact
 from .richpoints import rich_points
@@ -45,17 +45,17 @@ class SweepRow:
 
 def _compute_row(construction, n, d, centres, m) -> SweepRow:
     """Build the family at n, count its rich points when it has a pencil
-    config, and size one ratio set per affine centre of the config, or the
-    one at (0, 0) when the row has no config."""
+    config, and size one ratio set per affine centre of the config, read
+    off its pencil by _affine_ratio_size, or the one at (0, 0) when the row
+    has no config."""
     start = time.perf_counter()
     if construction == "farey-shift" and centres is None:
         centres = standard_shift_centres()
     built, config = build(construction, n, d, m, centres)
     report = None if config is None else rich_points(config)
     # the grid's centres all lie at infinity, so it sizes no ratio set
-    shifts = [(0, 0)] if config is None else [
-        pc.centre.to_affine() for pc in config.pencils if not pc.centre.is_infinite]
-    ratio_sizes = tuple(len(_ratio_arrays(built.graph, -x, -y)[0]) for x, y in shifts)
+    ratio_sizes = (len(_ratio_arrays(built.graph)[0]),) if config is None else tuple(
+        _affine_ratio_size(pc) for pc in config.pencils if not pc.centre.is_infinite)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepRow(
         n=n,
@@ -68,6 +68,17 @@ def _compute_row(construction, n, d, centres, m) -> SweepRow:
         pencil_sizes=() if report is None else report.pencil_sizes,
         wall_time_ms=elapsed_ms,
     )
+
+
+def _affine_ratio_size(pc) -> int:
+    """|{(a - x)/(b - y)}| over the edge points (a, b) of a pencils_from_graph
+    pencil centred at the affine (x, y): its size, as the line through (x, y)
+    and (a, b) has direction (a - x : b - y).  An edge point with b = y puts
+    the horizontal line (0 : 1 : -y) in the pencil and raises ZeroDenominator."""
+    x, y = pc.centre.to_affine()
+    if (pc.rows == (0, y.denominator, -y.numerator)).all(axis=1).any():
+        raise ZeroDenominator(y)
+    return pc.size
 
 
 def sweep(construction: str, n_values, d=0, centres=None, m=None) -> list[SweepRow]:

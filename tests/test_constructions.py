@@ -1,12 +1,15 @@
 import math
+import operator
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pencils.constructions import (
     GraphConstruction,
@@ -26,7 +29,7 @@ from pencils.errors import CentreOnPointSet, PreconditionError
 from pencils.graphs import (BipartiteGraph, GroundSet, multiplication_table_size,
                             shifted_restricted_ratio_set)
 from pencils.incidence import szemeredi_trotter_ok
-from pencils.projective import ProjPoint, row_triples
+from pencils.projective import ProjPoint, exact_dtype, row_triples
 
 from oracles import (
     _on_line,
@@ -302,6 +305,99 @@ def test_pencils_from_graph_infinite_centres():
     assert verticals.size == len({a for a, _ in _value_pairs(built.graph)})
     for line in horizontals.rows.tolist():
         assert _on_line((1, 0, 0), line)
+
+
+def _edge_point(a, b):
+    return (a.numerator * b.denominator, b.numerator * a.denominator,
+            a.denominator * b.denominator)
+
+
+@st.composite
+def _graph_and_centres(draw, ints, dens):
+    """Two ground sets of drawn rationals, at least one edge, and one to four
+    distinct centres: drawn triples, triples at infinity, or edge points."""
+    values = st.lists(st.builds(Fraction, ints, dens), min_size=1, max_size=6)
+    left, right = (sorted(set(draw(values))) for _ in range(2))
+    edges = draw(st.lists(st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1)),
+                          min_size=1, max_size=12, unique=True))
+    digits = st.integers(-9, 9)
+    centre = st.one_of(st.tuples(digits, digits, digits).filter(any),
+                       st.tuples(digits, digits, st.just(0)).filter(any),
+                       st.sampled_from([_edge_point(left[i], right[j]) for i, j in edges]))
+    centres = list(dict.fromkeys(ProjPoint(*t) for t in draw(st.lists(centre, min_size=1,
+                                                                       max_size=4))))
+    return left, right, edges, centres
+
+
+def test_pencils_from_graph_matches_the_join_oracle():
+    """Every pencil against oracles.join of its centre with the Fraction edge
+    points, one @given run for small ground values and one for values near
+    and past the int64 bound, whose 4*C^2*H_A*H_B lands on either side of
+    2^62, also where the joins' bound 4*C*H_A*H_B is below it.  Centres come with |c_k| > 1, with c_k < 0 (c_k the last nonzero
+    coordinate) and at infinity, and a centre that is an edge point raises
+    CentreOnPointSet for the first such centre; a counter shows each kind
+    reached in each dtype the bound picks."""
+    reached = Counter()
+
+    def check(drawn):
+        left, right, edges, centres = drawn
+        built = GraphConstruction(BipartiteGraph(GroundSet(left), GroundSet(right), edges),
+                                  16, 0, "drawn")
+        top = max(abs(v) for centre in centres for v in centre.coords)
+        heights = built.A.height * built.B.height
+        regime = exact_dtype(4 * top * top * heights).__name__
+        # the rebuilt entries, not the joins (4*C*H_A*H_B), pick object here
+        reached[regime, "join bound below 2^62"] += 4 * top * heights < 2**62
+        points = {_edge_point(left[i], right[j]) for i, j in edges}
+        on_set = [centre for centre in centres if centre in {ProjPoint(*p) for p in points}]
+        if on_set:
+            with pytest.raises(CentreOnPointSet) as raised:
+                pencils_from_graph(built, centres)
+            assert raised.value.centre == on_set[0]
+            reached[regime, "on the point set"] += 1
+            return
+        for centre, pencil in zip(centres, pencils_from_graph(built, centres).pencils):
+            assert pencil.centre == centre
+            assert (list(row_triples(pencil.rows))
+                    == sorted({join(centre.coords, p) for p in points}))
+            c = centre.coords
+            k = max(t for t in range(3) if c[t])
+            reached.update((regime, kind) for kind, hit in (
+                ("at infinity", c[2] == 0), ("|c_k| > 1", abs(c[k]) > 1), ("c_k < 0", c[k] < 0))
+                if hit)
+
+    @given(_graph_and_centres(st.integers(-60, 60), st.integers(1, 12)))
+    def small(drawn):
+        check(drawn)
+
+    # numerators and denominators of each example in one band: H_A*H_B in
+    # [2^54, 2^58] puts 4*C^2*H_A*H_B on either side of 2^62 as C varies, and
+    # the other band puts it past 2^62
+    bands = [st.integers(lo, hi) for lo, hi in ((2**27, 2**29), (2**40, 2**70))]
+
+    @given(st.one_of(*(_graph_and_centres(st.one_of(band, band.map(operator.neg)), band)
+                       for band in bands)))
+    def large(drawn):
+        check(drawn)
+
+    small()
+    large()
+    assert {(regime, kind) for regime in ("int64", "object") for kind in (
+        "at infinity", "|c_k| > 1", "c_k < 0", "on the point set")} <= set(+reached), reached
+    assert reached["object", "join bound below 2^62"], reached
+
+
+def test_pencils_from_graph_dtype_covers_rebuilt_lines():
+    """A rebuilt line entry reaches 4*C^2*H_A*H_B, past the joins' 4*C*H_A*H_B:
+    here the joins' bound is below 2^62, but a kept entry near 17*2^56 times
+    c_k = 8 is past 2^63, so int64 arrays would wrap."""
+    a, b = Fraction(2**28 - 1, 2**28 - 3), Fraction(-(2**28 - 5), 2**28 - 7)
+    built = GraphConstruction(BipartiteGraph(GroundSet([a]), GroundSet([b]), [(0, 0)]),
+                              16, 0, "near 2^63")
+    centre = ProjPoint(1, 9, 8)
+    assert 4 * 9 * built.A.height * built.B.height < 2**62
+    (pencil,) = pencils_from_graph(built, [centre]).pencils
+    assert list(row_triples(pencil.rows)) == [join(centre.coords, _edge_point(a, b))]
 
 
 def test_standard_shift_centres():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pickle
 import random
 import re
@@ -269,6 +270,34 @@ def test_no_lexsort_in_the_pipelines():
         verify_lemma_chain(build_symmetric_farey_construction(64).graph, (0, -1), (1, -1))
         sweep("farey-shift", [256])
     assert calls == []
+
+
+def test_pencils_from_graph_takes_one_gcd_per_edge_point():
+    """A pencil is its kept pairs: pencils_from_graph forms no cross_rows,
+    and it normalises each centre's joins once, on their two kept columns
+    over the |E| edge points; the one other _normalise per pencil is the
+    Pencil constructor's _row_set on the distinct lines alone."""
+    normalise, calls = pencils.projective._normalise, []
+
+    def recording(*cols):
+        calls.append((sys._getframe(1).f_code.co_name, [len(col) for col in cols]))
+        return normalise(*cols)
+
+    source = ast.parse(inspect.getsource(pencils_from_graph))
+    assert not [node for node in ast.walk(source) if "cross_rows" in (
+        getattr(node, "id", None), getattr(node, "attr", None))]
+    cases = [(build_farey_shift_construction(256), standard_shift_centres()),
+             (build_symmetric_farey_construction(64),
+              [ProjPoint(2, 1, -3), ProjPoint(1, 7, 0), ProjPoint(0, 1, 0)])]
+    for built, centres in cases:
+        calls.clear()
+        with mock.patch.object(pencils.projective, "_normalise", recording), \
+                mock.patch.object(pencils.constructions, "_normalise", recording):
+            config = pencils_from_graph(built, centres)
+        edges = built.edge_count
+        assert calls == [call for size in config.sizes()
+                         for call in (("pencils_from_graph", [edges] * 2), ("_row_set", [size] * 3))]
+        assert max(config.sizes()) < edges
 
 
 def test_exact_dtype_bound():

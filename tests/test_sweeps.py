@@ -1,11 +1,16 @@
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from pencils.constructions import CONSTRUCTION_TAGS, standard_shift_centres
-from pencils.errors import PreconditionError
+import pencils.sweeps
+from pencils.cli import main
+from pencils.constructions import CONSTRUCTION_TAGS, build, standard_shift_centres
+from pencils.errors import PreconditionError, ZeroDenominator
+from pencils.graphs import shifted_restricted_ratio_set
+from pencils.projective import ProjPoint
 from pencils.sweeps import (
     SweepRow,
     fit_exponent,
@@ -100,6 +105,15 @@ def test_sweep_rejects_float_and_bool_d():
     assert tracking_ratios(_rows([16]), "edge_count", "3/2") == [(4, 2.0)]
 
 
+def _ratio_sizes(construction, n, d=0, m=None, centres=None):
+    """One shifted_restricted_ratio_set size per affine centre (x, y) of the
+    family's pencils at n, built apart from the sweep: |{(a - x)/(b - y)}|."""
+    built, config = build(construction, n, d, m, centres)
+    return tuple(len(shifted_restricted_ratio_set(built.graph, -x, -y))
+                 for x, y in (pc.centre.to_affine() for pc in config.pencils
+                              if not pc.centre.is_infinite))
+
+
 def test_sweep_symmetric_rows():
     rows = sweep("symmetric", [4, 16, 64])
     assert [r.edge_count for r in rows] == [5, 33, 255]
@@ -112,6 +126,8 @@ def test_sweep_symmetric_rows():
     # with centres, one ratio set per affine centre, as for farey-shift
     for r in sweep("symmetric", [16, 64], centres=standard_shift_centres()):
         assert r.ratio_set_sizes == r.pencil_sizes[:3]
+        assert r.ratio_set_sizes == _ratio_sizes("symmetric", r.n,
+                                                 centres=standard_shift_centres())
 
 
 def test_sweep_grid_rows():
@@ -132,6 +148,8 @@ def test_sweep_farey_rows():
         # three affine centres produce the recorded ratio sizes, and the
         # pencil at infinity adds no ratio set
         assert r.ratio_set_sizes == r.pencil_sizes[:3]
+        assert r.ratio_set_sizes == _ratio_sizes("farey-shift", r.n, r.d,
+                                                 centres=standard_shift_centres())
 
 
 def test_sweep_m_pencil_rows():
@@ -140,8 +158,48 @@ def test_sweep_m_pencil_rows():
         assert r.rich_count >= r.edge_count
         assert len(r.pencil_sizes) == 4
         assert r.ratio_set_sizes == r.pencil_sizes
+        assert r.ratio_set_sizes == _ratio_sizes("m-pencil", r.n, m=4)
     with pytest.raises(ValueError):
         sweep("m-pencil", [16])  # m is required
+
+
+def test_sweep_refuses_a_centre_level_with_an_edge_point(capsys):
+    """An affine centre (x, y) with y = b for an edge point (a, b) makes a
+    zero denominator in its ratio set (a - x)/(b - y): the sweep raises
+    ZeroDenominator(y) with the message that the ratio set itself raises,
+    and the CLI sweep exits 2.  At n = 16 the farey-shift edge points
+    include b = 1/2, and no a is -1."""
+    level = [ProjPoint.from_affine(0, 0), ProjPoint.from_affine(-1, "1/2")]
+    built, _ = build("farey-shift", 16)
+    with pytest.raises(ZeroDenominator) as direct:
+        shifted_restricted_ratio_set(built.graph, 1, Fraction(-1, 2))
+    with pytest.raises(ZeroDenominator) as raised:
+        sweep("farey-shift", [16], centres=level)
+    assert raised.value.value == Fraction(1, 2) == direct.value.value
+    assert str(raised.value) == str(direct.value) == "shift makes denominator vanish at b = 1/2"
+    # the centre one above it is on no horizontal line through an edge point
+    assert sweep("farey-shift", [16], centres=[level[0], ProjPoint.from_affine(-1, 2)])
+    capsys.readouterr()
+    assert main(["sweep", "--construction", "farey-shift", "--n", "16",
+                 "--centres", '[["0","0"],["-1","1/2"]]']) == 2
+    assert "shift makes denominator vanish at b = 1/2" in capsys.readouterr().err
+
+
+def test_sweep_sizes_ratio_sets_by_edge_ratios_only_without_a_config():
+    """A row with a pencil config reads its ratio-set sizes off the pencils;
+    only a graph row with no config computes one, at (0, 0)."""
+    with mock.patch.object(pencils.sweeps, "_ratio_arrays",
+                           wraps=pencils.sweeps._ratio_arrays) as ratio_arrays:
+        sweep("farey-shift", [16, 64], d=Fraction(43, 1000))
+        sweep("symmetric", [16], centres=standard_shift_centres())
+        sweep("m-pencil", [16], m=4)
+        sweep("grid-footnote", [3])
+        assert ratio_arrays.call_count == 0
+        rows = sweep("symmetric", [16, 64])
+    assert ratio_arrays.call_count == 2
+    assert all(call.args[1:] == () and call.kwargs == {} for call in ratio_arrays.call_args_list)
+    assert [r.ratio_set_sizes for r in rows] == [
+        (len(shifted_restricted_ratio_set(build("symmetric", n)[0].graph)),) for n in (16, 64)]
 
 
 def test_sweep_deterministic_modulo_wall_time():
