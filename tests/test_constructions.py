@@ -333,10 +333,11 @@ def test_pencils_from_graph_matches_the_join_oracle():
     """Every pencil against oracles.join of its centre with the Fraction edge
     points, one @given run for small ground values and one for values near
     and past the int64 bound, whose 4*C^2*H_A*H_B lands on either side of
-    2^62, also where the joins' bound 4*C*H_A*H_B is below it.  Centres come with |c_k| > 1, with c_k < 0 (c_k the last nonzero
-    coordinate) and at infinity, and a centre that is an edge point raises
-    CentreOnPointSet for the first such centre; a counter shows each kind
-    reached in each dtype the bound picks."""
+    2^62, also where the joins' bound 4*C*H_A*H_B is below it.  Centres
+    come with |c_k| > 1, with c_k < 0 (c_k the last nonzero coordinate) and
+    at infinity, and a centre that is an edge point raises CentreOnPointSet
+    for the first such centre; a counter shows each kind reached in each
+    dtype the bound picks."""
     reached = Counter()
 
     def check(drawn):
