@@ -34,6 +34,15 @@ def _read_text(path: str) -> str:
     return sys.stdin.read() if path == "-" else Path(path).read_text()
 
 
+def _loads(text: str):
+    """json.loads, with input nested too deep for it (a RecursionError) as
+    malformed input, a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _write_output(pieces, out: str | None) -> None:
     if out is None:
         sys.stdout.writelines(pieces)
@@ -47,7 +56,7 @@ def _load_centres(raw: str) -> list[ProjPoint]:
     """Inline JSON or @file: a list of ["x","y"] affine pairs or
     ["X","Y","Z"] homogeneous triples, rationals as "p/q" strings."""
     text = Path(raw[1:]).read_text() if raw.startswith("@") else raw
-    entries = json.loads(text)
+    entries = _loads(text)
     if not isinstance(entries, list):
         raise ValueError(f"centres {entries!r} are not a list")
     centres = []
@@ -77,7 +86,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_rich_points(args) -> int:
-    config = serialize.pencil_config_from_json(json.loads(_read_text(args.config)))
+    config = serialize.pencil_config_from_json(_loads(_read_text(args.config)))
     start = time.perf_counter()
     report = rich_points(config)
     elapsed = time.perf_counter() - start
@@ -91,8 +100,7 @@ def _cmd_rich_points(args) -> int:
 
 def _cmd_verify_lemma(args) -> int:
     if args.graph:
-        construction = serialize.graph_construction_from_json(
-            json.loads(_read_text(args.graph)))
+        construction = serialize.graph_construction_from_json(_loads(_read_text(args.graph)))
     else:
         construction = build(args.construction, int(args.n), Fraction(args.d))[0]
     centres = _load_centres(args.centres)

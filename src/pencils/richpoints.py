@@ -1,19 +1,23 @@
 """Exact computation of the points lying on at least one line of every pencil.
 
 Candidates are the meets u x v of a line u of the smallest pencil with a
-line v of the second smallest, so the cost is O(s1*s2*(m-2)) sorted
-lookups rather than quadratic in the total line count.  One array kernel
-does the work.  A point p is on a line of the pencil centred at c when the
-join c x p is one of its lines, and for p = u x v that join is
-(c.v)u - (c.u)v: each other pencil is probed on two columns of it, formed
-from the dot products of the seed lines with c (over a block of u and all
-of v at the first probe, over the surviving pairs after it) and tested by
-projective._member against the pencil's rows, keyed once, both in
-projective's normal form (see _line_test).  Meets are formed only for the
-pairs that pass every probe.  Each pencil is asked by a row lookup whether
-it holds the join of the seed centres.  The surviving meets of all blocks
-become one set of canonical rows by projective._row_set; ProjPoint objects
-are built only for excluded centres and when a caller reads ``points``.
+line v of the second smallest, so the cost is O(s1*s2*(m-2)) table and
+sorted lookups rather than quadratic in the total line count.  One array
+kernel does the work.  A point p is on a line of the pencil centred at c
+when the join c x p is one of its lines, and for p = u x v that join is
+(c.v)u - (c.u)v: each other pencil is probed on two columns of it (see
+_line_test), in two stages.  The residue stage maps each pair of a block of
+u and all of v to its point of the projective line over F_Q, Q = 65521, and
+looks it up in a table of the pencil's points; a pair that is 0 mod Q
+passes too, so no member is refused.  The exact stage forms the two columns
+from the dot products of the seed lines with c, only for the pairs that
+passed every residue stage, and tests them by projective._member against
+the pencil's rows, keyed once, both in projective's normal form; it is the
+one verdict.  Meets are formed only for the pairs that pass every probe.
+Each pencil is asked by a row lookup whether it holds the join of the seed
+centres.  The surviving meets of all blocks become one set of canonical
+rows by projective._row_set; ProjPoint objects are built only for excluded
+centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -23,6 +27,8 @@ and object arrays of Python ints otherwise; the code path is the same.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from math import isqrt
 
 import numpy as np
 
@@ -45,6 +51,60 @@ __all__ = ["RichPointReport", "rich_points"]
 # First-pencil lines per block of seed pairs: the first probe's temporaries
 # hold _MEET_BLOCK * s2 join entries at a time.
 _MEET_BLOCK = 32
+
+# The residue stage's prime and a primitive root of it.  Q + 1 < 2^16 slots
+# make a 64 KB table per probed pencil; 131071 and 262139 filtered more pairs
+# but were no faster at the benchmark's sizes.
+_Q, _ROOT = 65521, 17
+
+
+def _reduce(a):
+    """a mod Q, in place, for an int64 array a; numpy divides by a scalar
+    several times faster than it takes a remainder."""
+    q = a // _Q
+    q *= _Q
+    a -= q
+    return a
+
+
+@cache
+def _inverses():
+    """x^-1 mod Q for x = 0..Q-1 as int32, 0 for x = 0, built at first use:
+    (g^k)^-1 = g^(Q-1-k) for the powers of the primitive root g, formed as
+    an outer product g^(s*i) * g^j, s = isqrt(Q) + 1."""
+    step = [1]
+    for _ in range(isqrt(_Q)):
+        step.append(step[-1] * _ROOT % _Q)
+    big = [1]
+    for _ in range(isqrt(_Q)):
+        big.append(big[-1] * step[-1] * _ROOT % _Q)
+    powers = _reduce(np.multiply.outer(np.array(big, np.int64), step)).ravel()[:_Q - 1]
+    inv = np.zeros(_Q, np.int32)
+    inv[powers] = np.concatenate(([1], powers[:0:-1]))
+    return inv
+
+
+def _slots(a, b):
+    """The points (a : b) of pairs of int64 arrays, reduced mod Q in place,
+    on the projective line over F_Q, as slots 0..Q: a/b mod Q, or Q where
+    b = 0.  a = b = 0, which is no point, gets the slot Q too."""
+    _reduce(a)
+    _reduce(b)
+    slot = _reduce(a * _inverses().take(b))
+    slot[b == 0] = _Q
+    return slot
+
+
+def _pairs(keep, ii, jj):
+    """The (i, j) of a set of pairs where keep holds: ii and jj are a
+    column and a row (a block of pairs, keep of their broadcast shape) or
+    flat, like keep.  Flat indices and a division by a scalar are several
+    times faster than boolean indexing."""
+    keep = np.flatnonzero(keep)
+    if ii.ndim == 1:
+        return ii.take(keep), jj.take(keep)
+    rows, cols = np.divmod(keep, len(jj))
+    return ii.take(rows), jj.take(cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,20 +152,38 @@ def _kernel_dtype(pencils):
 
 def _line_test(pc):
     """The two columns kept of a join l = c x p of the pencil's centre c with
-    a point p, and a test on those two columns of joins: whether p is on one
-    of the pencil's lines.  The dropped column k is the last nonzero
-    coordinate of c: l_k c_k is -(sum of l_i c_i, i < k), so a line through
-    c is fixed by its kept pair, which is zero only for the zero join, p = c,
-    and such a p passes.  Pairs are compared by _member after _normalise, on
-    the pencil's kept pairs keyed once.  Column k is never the first nonzero
-    entry of a line through c, so on a canonical row only the gcd step acts;
-    but that gcd divides c_k, so when |c_k| > 1 the normalised pairs can
-    leave row order, and the keys are sorted."""
+    a point p, and a test on those two columns of joins in two stages:
+    whether p is on one of the pencil's lines.  The dropped column k is the
+    last nonzero coordinate of c: l_k c_k is -(sum of l_i c_i, i < k), so a
+    line through c is fixed by its kept pair, which is zero only for the
+    zero join, p = c, and such a p passes both stages.
+
+    The residue stage takes int64 arrays congruent to the two columns mod Q
+    (see sift) and passes the pairs whose slot (see _slots) holds one of the
+    pencil's kept pairs, and the pairs that are 0 mod Q.  It refuses no
+    member: the pencil's kept pairs are coprime, so none is 0 mod Q, and a
+    join lam*(p, q) of a kept pair has the slot of (p, q) when Q does not
+    divide lam and is 0 mod Q when it does.  The exact stage, on the pairs
+    that pass, compares them by _member after _normalise with the pencil's
+    kept pairs, keyed once.  Column k is never the first nonzero entry of a
+    line through c, so on a canonical row only the gcd step acts; but that
+    gcd divides c_k, so when |c_k| > 1 the normalised pairs can leave row
+    order, and the keys are sorted."""
     k = max(i for i, v in enumerate(pc.centre.coords) if v)
     kept = [i for i in range(3) if i != k]
-    keyed = _keys(_normalise(*pc.rows[:, kept].T))
+    pairs = _normalise(*pc.rows[:, kept].T)
+    keyed = _keys(pairs)
     keyed[0].sort()
-    return kept, lambda a, b: _member(_normalise(a, b), keyed) | ((a == 0) & (b == 0))
+    held = np.zeros(_Q + 1, dtype=bool)
+    held[_slots(*((col % _Q).astype(np.int64) for col in pairs))] = True
+
+    def passes(a, b):
+        return held.take(_slots(a, b)) | ((a == 0) & (b == 0))
+
+    def on_pencil(a, b):
+        return _member(_normalise(a, b), keyed) | ((a == 0) & (b == 0))
+
+    return kept, passes, on_pencil
 
 
 def rich_points(config: PencilConfig) -> RichPointReport:
@@ -129,13 +207,25 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         probed pencil, formed only for the (i, j) that pass every probe.  A
         zero meet (u = v, a line both seeds hold) passes every probe and is
         dropped; a meet equal to a probed centre passes that centre's own
-        probe, and centres are split off after all meets are sifted."""
-        dots = [(u @ centre, v @ centre) for centre, _, _ in probes]
+        probe, and centres are split off after all meets are sifted.  The
+        pairs of a block of u go through the residue stage of every probe
+        and then through the exact stage of every probe.  A residue pair is
+        rcv*ru - rcu*rv, from the residues mod Q of c.u, c.v and of the kept
+        columns of u and v, taken once per line (object arrays too), so it
+        is below Q^2 in int64; the exact join columns are formed only for
+        the pairs that pass."""
+        dots = [(u @ centre, v @ centre) for centre, _, _, _ in probes]
+        residues = [[(w % _Q).astype(np.int64) for w in (cu, cv, *u[:, kept].T, *v[:, kept].T)]
+                    for (cu, cv), (_, kept, _, _) in zip(dots, probes)]
         for lo in range(0, len(u), _MEET_BLOCK):
             ii, jj = np.arange(lo, min(lo + _MEET_BLOCK, len(u)))[:, None], np.arange(len(v))
-            for (cu, cv), (_, kept, on_pencil) in zip(dots, probes):
+            for (cu, cv, u0, u1, v0, v1), (_, _, passes, _) in zip(residues, probes):
+                cu, cv = cu[ii], cv[jj]
+                ii, jj = _pairs(passes(cv * u0[ii] - cu * v0[jj], cv * u1[ii] - cu * v1[jj]),
+                                ii, jj)
+            for (cu, cv), (_, kept, _, on_pencil) in zip(dots, probes):
                 keep = on_pencil(*(cv[jj] * u[ii, col] - cu[ii] * v[jj, col] for col in kept))
-                ii, jj = (w[keep] for w in np.broadcast_arrays(ii, jj))
+                ii, jj = _pairs(keep, ii, jj)
             meets = cross_rows(u[ii], v[jj]).reshape(-1, 3)
             found.append(meets[(meets != 0).any(axis=1)])
 

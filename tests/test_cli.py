@@ -175,6 +175,24 @@ def test_malformed_json_shapes_exit_2(capsys, tmp_path, command, obj):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("reader", ["rich-points", "verify-lemma", "sweep"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, reader):
+    """JSON nested deeper than json.loads can recurse is malformed input:
+    each reader of a JSON file exits 2 with a message, not with a
+    RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    argv = {"rich-points": ["rich-points", "--config", str(path)],
+            "verify-lemma": ["verify-lemma", "--graph", str(path),
+                             "--centres", '[["0","-1"],["1","-1"]]'],
+            "sweep": ["sweep", "--construction", "farey-shift", "--n", "16",
+                      "--centres", f"@{path}"]}[reader]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid input: JSON nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_verify_lemma_ok(capsys, tmp_path):
     out = tmp_path / "rep.json"
     code = main(["verify-lemma", "--construction", "symmetric", "--n", "16",

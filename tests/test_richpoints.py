@@ -1,8 +1,11 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -19,7 +22,7 @@ from pencils.constructions import (
 )
 from pencils.errors import PreconditionError
 from pencils.projective import ProjPoint, exact_dtype, int_rows, row_triples
-from pencils.richpoints import _kernel_dtype, _line_test, rich_points
+from pencils.richpoints import _Q, _kernel_dtype, _line_test, rich_points
 
 from oracles import (_canon, _cross, _on_line, join, pencil_lines_bruteforce,
                      rich_points_bruteforce)
@@ -334,6 +337,19 @@ def _line_sets(draw, ints):
     return centres, line_sets
 
 
+def _centre_on_join(scale, offset):
+    """Three collinear centres at the images of (0, 0), (1, 0) and (2, 0)
+    under v -> scale * v + offset.  The seeds, the two pencils with the
+    fewest lines, hold the join of their centres; the third pencil's centre
+    is on it, but it does not hold it."""
+    def at(x, y):
+        return _canon((scale * x + offset, scale * y + offset, 1))
+
+    centres = [at(0, 0), at(1, 0), at(2, 0)]
+    through = [[at(1, 0), at(1, 1)], [at(0, 0), at(0, 1)], [at(2, 1), at(3, 1), at(1, 1)]]
+    return centres, [{join(c, q) for q in points} for c, points in zip(centres, through)]
+
+
 def test_rich_points_property_matches_bruteforce():
     """rich_points against the brute-force rich set; a counter shows each
     branch on the join of the seed centres reached: the seeds do not share
@@ -373,8 +389,11 @@ def test_rich_points_property_matches_bruteforce():
         assert rep.infinite_count == sum(p[2] == 0 for p in want - set(centres))
         assert [c.coords for c in rep.excluded_centres] == sorted(want & set(centres))
 
-    for ints in (_small, _ints):
-        given(_line_sets(ints))(check)()
+    # the branch with a centre on the seeds' join is drawn as a known
+    # configuration, with coordinates past 2^62 in the second run
+    for ints, known in ((_small, _centre_on_join(1, 0)),
+                        (_ints, _centre_on_join(2**62 + 1, 2**62))):
+        given(st.one_of(st.just(known), _line_sets(ints)))(check)()
     assert branches.keys() == {"not shared", "host", "every pencil", "centre on it, not held",
                                ("rows", "int64"), ("rows", "object")}
     assert all(branches.values()), branches
@@ -429,6 +448,28 @@ def test_rich_points_forms_meets_only_for_survivors():
     assert ProjPoint.from_affine(5, 0) in got.points
 
 
+def test_probes_normalise_fewer_pairs_than_the_seed_pairs():
+    """The residue stage sends on only the pairs that can be members, so
+    the exact stages of all eight probes together normalise fewer pairs
+    than the s1 * s2 seed pairs, which the first probe alone normalised
+    before the residue stage; the rest of the _normalise calls key the
+    probed pencils' own kept pairs, once each."""
+    config = build_m_pencil_config(10, 64)
+    normalise, sizes = pencils.richpoints._normalise, Counter()
+
+    def counting(*cols):
+        sizes[sys._getframe(1).f_code.co_name] += len(cols[0])
+        return normalise(*cols)
+
+    with mock.patch.object(pencils.richpoints, "_normalise", counting):
+        rep = rich_points(config)
+    s1, s2 = sorted(config.sizes())[:2]
+    # s1 * s2 = 43 * 87 = 3741 seed pairs; 2800 pairs are normalised
+    assert rep.count > 0 and 0 < sizes["on_pencil"] < s1 * s2
+    assert sizes.keys() == {"on_pencil", "_line_test"}
+    assert sizes["_line_test"] == sum(sorted(config.sizes())[2:])
+
+
 @st.composite
 def _pencil_probes(draw, ints):
     """A centre, at infinity for some draws, the lines joining it to drawn
@@ -443,6 +484,15 @@ def _pencil_probes(draw, ints):
     scales = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(queries),
                            max_size=len(queries)))
     return centre, lines, [tuple(f * v for v in q) for f, q in zip(scales, queries)]
+
+
+def _two_stages(passes, on_pencil, a, b):
+    """The line test's verdict on kept columns a and b, run as sift runs
+    it: the residue stage on int64 residues mod Q, then the exact stage on
+    the pairs that pass."""
+    hit = passes(*((col % _Q).astype(np.int64) for col in (a, b)))
+    hit[hit] = on_pencil(a[hit], b[hit])
+    return hit
 
 
 def test_line_test_property_matches_tuple_sets():
@@ -472,9 +522,9 @@ def test_line_test_property_matches_tuple_sets():
         centre, lines, queries = drawn
         dtypes["at infinity"] += centre[2] == 0
         dtype = exact_dtype(max(abs(v) for t in [centre, *queries] for v in t))
-        kept, on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
-        assert on_pencil(*int_rows(queries).astype(dtype)[:, kept].T).tolist() == (
-            pencil_lines_bruteforce(lines, queries))
+        kept, passes, on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
+        assert _two_stages(passes, on_pencil, *int_rows(queries).astype(dtype)[:, kept].T
+                           ).tolist() == pencil_lines_bruteforce(lines, queries)
 
     with (mock.patch.object(pencils.richpoints, "_keys", keying),
           mock.patch.object(pencils.richpoints, "_member", counting)):
@@ -482,3 +532,90 @@ def test_line_test_property_matches_tuple_sets():
             given(_pencil_probes(ints))(check)()
     assert all(dtypes[kind, name] for kind in ("key", "query") for name in ("int64", "object"))
     assert dtypes["at infinity"] and dtypes["leaves row order"], dtypes
+
+
+def _through(centre, pair):
+    """The line through a centre c whose kept columns are c_k * pair, its
+    dropped column k filled in from l.c = 0."""
+    k = max(i for i, v in enumerate(centre) if v)
+    i, j = (x for x in range(3) if x != k)
+    line = [0, 0, 0]
+    line[i], line[j] = centre[k] * pair[0], centre[k] * pair[1]
+    line[k] = -(pair[0] * centre[i] + pair[1] * centre[j])
+    return tuple(line)
+
+
+@st.composite
+def _residue_probes(draw, ints):
+    """A centre, at infinity for some draws, and its lines: joins with drawn
+    points and, in some draws, a line whose second kept column is a nonzero
+    multiple of Q, so its slot is Q.  The queries are each line, the line
+    congruent to it mod Q whose kept pair is the line's plus Q times a drawn
+    pair, and joins with other drawn points, each scaled by a drawn nonzero
+    factor, for some queries a multiple of Q; and, with the slot Q line,
+    the line whose kept pair is that line's swapped, slot 0."""
+    centre = draw(st.one_of(_points(ints), st.just((0, 1, 0)),
+                            ints.map(lambda k: (1, k, 0))))
+    k = max(i for i, v in enumerate(centre) if v)
+    kept = [i for i in range(3) if i != k]
+    nonzero = _small.filter(bool)
+    lines = [join(centre, q) for q in draw(st.lists(_points(ints), max_size=4)) if q != centre]
+    swapped = []
+    if draw(st.booleans()):
+        p, y = draw(nonzero), draw(nonzero)
+        lines.append(_canon(_through(centre, (p, _Q * y))))
+        swapped.append(_through(centre, (_Q * y, p)))
+    congruent = [_through(centre, (line[kept[0]] + _Q * draw(nonzero),
+                                   line[kept[1]] + _Q * draw(_small))) for line in lines]
+    queries = lines + [q for q in congruent if any(q)] + [
+        join(centre, q) for q in draw(st.lists(_points(ints), max_size=3)) if q != centre]
+    scale = st.one_of(nonzero.filter(lambda f: abs(f) <= 3), nonzero.map(lambda f: f * _Q))
+    scales = draw(st.lists(scale, min_size=len(queries), max_size=len(queries)))
+    return centre, lines, [tuple(f * v for v in q) for f, q in zip(scales, queries)] + swapped
+
+
+def _f_q_point(a, b):
+    """The point (a : b) of the projective line over F_Q, None for a = b = 0."""
+    a, b = a % _Q, b % _Q
+    return (a * pow(b, -1, _Q) % _Q, 1) if b else (1, 0) if a else None
+
+
+def test_residue_stage_property_matches_tuple_sets():
+    """The line test's residue stage passes exactly the pairs whose point of
+    the projective line over F_Q is that of one of the pencil's kept pairs,
+    each divided by its gcd, and the pairs that are 0 mod Q; so it passes
+    every member of the pencil, and with the exact stage after it gives
+    tuple-set membership.  Each dtype runs as its own examples with its own
+    counter, which shows reached: a centre at infinity, a query scaled by a
+    multiple of Q (both residues 0), a query whose second residue is 0 and
+    first is not (the slot Q), one the other way round (the slot 0), and a
+    non-member that passes the residue stage, being congruent to a member
+    mod Q, and that the exact stage refuses."""
+    for ints, dtype in ((_small, np.int64), (_ints, object)):
+        reached = Counter()
+
+        @settings(max_examples=20)
+        @given(_residue_probes(ints))
+        def check(drawn):
+            centre, lines, queries = drawn
+            kept, passes, on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
+            a, b = int_rows(queries).astype(dtype)[:, kept].T
+            ra, rb = ((col % _Q).astype(np.int64) for col in (a, b))
+            members = np.array(pencil_lines_bruteforce(lines, queries), dtype=bool)
+            points = {None}
+            for line in lines:
+                p, q = (line[i] for i in kept)
+                points.add(_f_q_point(p // gcd(p, q), q // gcd(p, q)))
+            passed = passes(ra.copy(), rb.copy())
+            assert passed.tolist() == [_f_q_point(x, y) in points
+                                       for x, y in zip(ra.tolist(), rb.tolist())]
+            assert passed[members].all()
+            assert _two_stages(passes, on_pencil, a, b).tolist() == members.tolist()
+            reached["at infinity"] += centre[2] == 0
+            reached["both residues 0"] += bool(((ra == 0) & (rb == 0)).any())
+            reached["slot Q"] += bool(((ra != 0) & (rb == 0)).any())
+            reached["slot 0"] += bool(((ra == 0) & (rb != 0)).any())
+            reached["passes, not a member"] += bool((passed & ~members).any())
+
+        check()
+        assert len(reached) == 5 and all(reached.values()), (dtype, reached)
