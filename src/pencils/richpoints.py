@@ -48,8 +48,8 @@ from .projective import (
 
 __all__ = ["RichPointReport", "rich_points"]
 
-# First-pencil lines per block of seed pairs: the first probe's temporaries
-# hold _MEET_BLOCK * s2 join entries at a time.
+# First-pencil lines per block of seed pairs: the first residue stage's
+# temporaries hold _MEET_BLOCK * s2 residue entries at a time.
 _MEET_BLOCK = 32
 
 # The residue stage's prime and a primitive root of it.  Q + 1 < 2^16 slots
