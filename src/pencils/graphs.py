@@ -12,7 +12,6 @@ gathered along the edges and multiplied, then reduced and deduplicated as
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -177,21 +176,28 @@ def neighbourhood_square_sum(graph: BipartiteGraph) -> int:
     return sum(d * d for d in degrees.tolist())
 
 
-# Time guard for the product sieve, which marks about n^2/2 products.
+# Time guard for the product sieve, which writes about n^2/8 odd pairs.
 _TABLE_SIEVE_LIMIT = 20_000
 
-# The sieve walks [1, n^2] in windows of this many cells, so its mask
-# stays small (2 MB) whatever n is.
+# The sieve walks its one-byte cells in windows of this many, so its
+# buffer stays small (2 MB) whatever n is.
 _SIEVE_SEGMENT = 1 << 21
 
 
 def multiplication_table_size(n: int) -> int:
-    """Exact |{ a*b : 1 <= a, b <= n }| via a segmented sieve over [1, n^2].
+    """Exact |{ a*b : 1 <= a, b <= n }| via a 2-adic sieve over the odd m <= n^2.
 
-    For each a the products a*b with b >= a form the arithmetic
-    progression a^2, a^2 + a, ..., a*n.  Each window [lo, hi) of the
-    range marks the part of that progression inside it, for the a with
-    a^2 < hi and a*n >= lo, and counts its marked cells.
+    Write each factor as 2^i x with x odd, and let L(x) = floor(log2(n // x)),
+    the largest i with 2^i x <= n.  A product 2^e m, m odd, is in the table
+    exactly when e <= E(m), the largest L(x) + L(y) over odd x <= y <= n with
+    x y = m; so the size is the sum of E(m) + 1 over the m that have such a
+    factorisation.  Cell (m - 1) // 2 holds E(m) + 1, or 0 for no m.
+
+    The odd y with L(y) = k are those in (n >> k+1, n >> k].  For odd x
+    and each such run of odd y >= x, the x y are every x-th cell from
+    x y_0 // 2 to x y_1 // 2, written with L(x) + k + 1.  The runs are sorted
+    by value, so in each window of cells the largest value lands last, and
+    then the window is summed.
     """
     n = _exact(n)
     if n < 1:
@@ -199,17 +205,32 @@ def multiplication_table_size(n: int) -> int:
     if n > _TABLE_SIEVE_LIMIT:
         raise ValueError(
             f"n = {n} exceeds the sieve guard ({_TABLE_SIEVE_LIMIT}); "
-            f"the sieve would mark about {n * n // 2:,} products"
+            f"the sieve would write about {n * n // 8:,} odd pairs"
         )
-    top = n * n + 1
-    mask = np.empty(min(_SIEVE_SEGMENT, top - 1), dtype=bool)
+    x = np.arange(1, n + 1, 2, dtype=np.int64)
+    level = np.frexp(n // x)[1]  # the bit length of n // x, L(x) + 1, exact in float64
+    runs = []
+    for k in range(n.bit_length()):
+        y0 = np.maximum(x, ((n >> k + 1) + 1) | 1)
+        keep = y0 <= n >> k
+        xk = x[keep]
+        runs.append(np.stack([xk * y0[keep] // 2, xk * (((n >> k) - 1) | 1) // 2, xk,
+                              level[keep] + k]))
+    runs = np.concatenate(runs, axis=1)
+    first, last, step, value = runs[:, runs[3].argsort()]
+    cells = (n * n + 1) // 2
+    buffer = np.empty(min(_SIEVE_SEGMENT, cells), dtype=np.uint8)
     size = 0
-    for lo in range(1, top, _SIEVE_SEGMENT):
-        hi = min(lo + _SIEVE_SEGMENT, top)
-        window = mask[: hi - lo]
-        window[:] = False
-        for a in range(max(1, -(-lo // n)), math.isqrt(hi - 1) + 1):
-            first = max(a * a, -(-lo // a) * a)
-            window[first - lo : min(a * n, hi - 1) - lo + 1 : a] = True
-        size += int(np.count_nonzero(window))
+    for lo in range(0, cells, _SIEVE_SEGMENT):
+        hi = min(lo + _SIEVE_SEGMENT, cells)
+        window = buffer[: hi - lo]
+        window[:] = 0
+        live = (first < hi) & (last >= lo)
+        start, stop, by, val = first[live], last[live], step[live], value[live]
+        start -= np.minimum(start - lo, 0) // by * by  # the run's first cell >= lo
+        for a, b, c, v in zip((start - lo).tolist(), (np.minimum(stop, hi - 1) - lo + 1).tolist(),
+                              by.tolist(), val.tolist()):
+            window[a:b:c] = v
+        # a cell holds at most 2 log2(n) + 1 < 32, so a 2 MB window sums below 2^26
+        size += int(window.sum(dtype=np.uint32))
     return size

@@ -244,7 +244,9 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     # a found centre met a first- and a second-pencil line and passed every
     # other probe, so it is on a line of every other pencil
     rows = _row_set(np.concatenate(found))
-    is_centre = (rows[:, None] == centres).all(axis=2).any(axis=1)
+    keyed = _keys(centres.T)
+    keyed[0].sort()
+    is_centre = _member(rows.T, keyed)
     return RichPointReport(
         rows=rows[~is_centre],
         pencil_sizes=tuple(pc.size for pc in config.pencils),

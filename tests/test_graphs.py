@@ -431,16 +431,54 @@ def test_multiplication_table_small_values():
 
 def test_multiplication_table_matches_bruteforce():
     rng = random.Random(42)
-    # 1500^2 spans two sieve windows
-    for n in [2, 5, 8, 13, 1500] + [rng.randint(20, 120) for _ in range(8)]:
-        assert multiplication_table_size(n) == multiplication_table_bruteforce(n)
+    # the 1,125,000 odd cells of 1500^2 span five windows of 2^18
+    with mock.patch.object(pencils.graphs, "_SIEVE_SEGMENT", 1 << 18):
+        for n in [2, 5, 8, 13, 1500] + [rng.randint(20, 120) for _ in range(8)]:
+            assert multiplication_table_size(n) == multiplication_table_bruteforce(n)
 
 
-@given(st.integers(1, 60), st.integers(1, 80))
-def test_multiplication_table_property_matches_bruteforce(n, segment):
-    # windows of a few cells put window edges inside every small table
-    with mock.patch.object(pencils.graphs, "_SIEVE_SEGMENT", segment):
-        assert multiplication_table_size(n) == multiplication_table_bruteforce(n)
+def _sieve_branches(n, segment):
+    """The sieve's branches that a table of n in windows of segment cells
+    reaches, found by listing every odd pair x <= y <= n: its runs are the
+    cells x*y // 2 of one x and one L(y) = floor(log2(n // y)), written with
+    L(x) + L(y) + 1."""
+    level = [0] + [(n // v).bit_length() - 1 for v in range(1, n + 1)]
+    runs, written = {}, {}
+    for x in range(1, n + 1, 2):
+        for y in range(x, n + 1, 2):
+            runs.setdefault((x, level[y]), []).append(x * y // 2)
+            written.setdefault(x * y // 2, set()).add(level[x] + level[y] + 1)
+    return {
+        "n odd": n % 2 == 1,
+        "n a power of two": n & (n - 1) == 0,
+        "several windows": (n * n + 1) // 2 > segment,
+        "run cut by a window edge": any(c[0] // segment != c[-1] // segment
+                                        for c in runs.values()),
+        "cell written with two values": any(len(v) > 1 for v in written.values()),
+    }
+
+
+def test_multiplication_table_property_matches_bruteforce():
+    """The sieve equals the brute-force table for drawn n and window sizes;
+    powers of two are drawn as one branch of the strategy, and a counter
+    shows each branch of _sieve_branches reached."""
+    seen = Counter()
+
+    @given(st.one_of(st.integers(1, 300), st.sampled_from([2 ** k for k in range(9)])),
+           st.integers(1, 4096))
+    def check(n, segment):
+        with mock.patch.object(pencils.graphs, "_SIEVE_SEGMENT", segment):
+            assert multiplication_table_size(n) == multiplication_table_bruteforce(n)
+        seen.update(k for k, hit in _sieve_branches(n, segment).items() if hit)
+
+    check()
+    assert len(seen) == 5, seen
+
+
+def test_multiplication_table_pinned_sizes():
+    # M(2^k) for k = 6..13, the sizes perfbench checks
+    assert [multiplication_table_size(2 ** k) for k in range(6, 14)] == [
+        1263, 4695, 17668, 67765, 260095, 1004977, 3903563, 15204380]
 
 
 def test_multiplication_table_monotone_and_bounded():
@@ -452,6 +490,7 @@ def test_multiplication_table_monotone_and_bounded():
 
 
 def test_multiplication_table_guard():
+    assert multiplication_table_size(20_000) == 87_938_320
     with pytest.raises(ValueError):
         multiplication_table_size(20_001)
 
