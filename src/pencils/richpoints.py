@@ -5,19 +5,16 @@ line v of the second smallest, so the cost is O(s1*s2*(m-2)) table and
 sorted lookups rather than quadratic in the total line count.  One array
 kernel does the work.  A point p is on a line of the pencil centred at c
 when the join c x p is one of its lines, and for p = u x v that join is
-(c.v)u - (c.u)v: each other pencil is probed on two columns of it (see
-_line_test), in two stages.  The residue stage maps each pair of a block of
-u and all of v to its point of the projective line over F_Q, Q = 65521, and
-looks it up in a table of the pencil's points; a pair that is 0 mod Q
-passes too, so no member is refused.  The exact stage forms the two columns
-from the dot products of the seed lines with c, only for the pairs that
-passed every residue stage, and tests them by projective._member against
-the pencil's rows, keyed once, both in projective's normal form; it is the
-one verdict.  Meets are formed only for the pairs that pass every probe.
-Each pencil is asked by a row lookup whether it holds the join of the seed
-centres.  The surviving meets of all blocks become one set of canonical
-rows by projective._row_set; ProjPoint objects are built only for excluded
-centres and when a caller reads ``points``.
+(c.v)u - (c.u)v: each other pencil is probed on two columns of it in two
+stages, a residue stage mod Q = 65521 that refuses no member and an exact
+stage by projective._member that is the one verdict (see _line_test for
+both and why).  The residue stage of every probe runs before any exact
+stage, so the exact columns are formed only for the pairs that passed
+every residue stage.  Meets are formed only for the pairs that pass every
+probe.  Each pencil is asked by a row lookup whether it holds the join of
+the seed centres.  The surviving meets of all blocks become one set of
+canonical rows by projective._row_set; ProjPoint objects are built only for
+excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -28,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import isqrt
 
 import numpy as np
 
@@ -70,15 +66,12 @@ def _reduce(a):
 @cache
 def _inverses():
     """x^-1 mod Q for x = 0..Q-1 as int32, 0 for x = 0, built at first use:
-    (g^k)^-1 = g^(Q-1-k) for the powers of the primitive root g, formed as
-    an outer product g^(s*i) * g^j, s = isqrt(Q) + 1."""
-    step = [1]
-    for _ in range(isqrt(_Q)):
-        step.append(step[-1] * _ROOT % _Q)
-    big = [1]
-    for _ in range(isqrt(_Q)):
-        big.append(big[-1] * step[-1] * _ROOT % _Q)
-    powers = _reduce(np.multiply.outer(np.array(big, np.int64), step)).ravel()[:_Q - 1]
+    (g^k)^-1 = g^(Q-1-k) for the powers of the primitive root g, formed by
+    doubling: the powers g^0..g^(t-1) times g^t are the powers g^t..g^(2t-1)."""
+    powers = np.ones(1, np.int64)
+    while len(powers) < _Q - 1:
+        powers = np.concatenate((powers, _reduce(powers * (int(powers[-1]) * _ROOT % _Q))))
+    powers = powers[:_Q - 1]
     inv = np.zeros(_Q, np.int32)
     inv[powers] = np.concatenate(([1], powers[:0:-1]))
     return inv
@@ -159,16 +152,21 @@ def _line_test(pc):
     zero join, p = c, and such a p passes both stages.
 
     The residue stage takes int64 arrays congruent to the two columns mod Q
-    (see sift) and passes the pairs whose slot (see _slots) holds one of the
-    pencil's kept pairs, and the pairs that are 0 mod Q.  It refuses no
-    member: the pencil's kept pairs are coprime, so none is 0 mod Q, and a
-    join lam*(p, q) of a kept pair has the slot of (p, q) when Q does not
-    divide lam and is 0 mod Q when it does.  The exact stage, on the pairs
-    that pass, compares them by _member after _normalise with the pencil's
-    kept pairs, keyed once.  Column k is never the first nonzero entry of a
-    line through c, so on a canonical row only the gcd step acts; but that
-    gcd divides c_k, so when |c_k| > 1 the normalised pairs can leave row
-    order, and the keys are sorted."""
+    (sift forms them from c.u, c.v and the kept columns of u and v, each
+    reduced mod Q, so every entry is below Q^2) and passes the pairs whose
+    slot, their point (a : b) of the projective line over F_Q (see _slots),
+    is the slot of one of the pencil's kept pairs, and the pairs that are
+    0 mod Q.  It refuses no member.  The pencil's kept pairs are in normal
+    form, so coprime, so none is 0 mod Q and each has a slot.  A member's
+    kept pair is lam*(p, q) for one of them, (p, q), and an integer lam;
+    when Q does not divide lam it is the same point over F_Q as (p, q), so
+    it has the marked slot, and when Q divides lam it is 0 mod Q.  So the
+    exact stage, which runs on the pairs that pass, is the one verdict: it
+    compares them by _member after _normalise with the pencil's kept pairs,
+    keyed once.  Column k is never the first nonzero entry of a line
+    through c, so on a canonical row only the gcd step acts; but that gcd
+    divides c_k, so when |c_k| > 1 the normalised pairs can leave row order,
+    and the keys are sorted."""
     k = max(i for i, v in enumerate(pc.centre.coords) if v)
     kept = [i for i in range(3) if i != k]
     pairs = _normalise(*pc.rows[:, kept].T)
@@ -208,24 +206,23 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         zero meet (u = v, a line both seeds hold) passes every probe and is
         dropped; a meet equal to a probed centre passes that centre's own
         probe, and centres are split off after all meets are sifted.  The
-        pairs of a block of u go through the residue stage of every probe
-        and then through the exact stage of every probe.  A residue pair is
-        rcv*ru - rcu*rv, from the residues mod Q of c.u, c.v and of the kept
-        columns of u and v, taken once per line (object arrays too), so it
-        is below Q^2 in int64; the exact join columns are formed only for
-        the pairs that pass."""
-        dots = [(u @ centre, v @ centre) for centre, _, _, _ in probes]
-        residues = [[(w % _Q).astype(np.int64) for w in (cu, cv, *u[:, kept].T, *v[:, kept].T)]
-                    for (cu, cv), (_, kept, _, _) in zip(dots, probes)]
+        pairs of a block of u go through one list of stages, the residue
+        stage of every probe and then the exact stage of every probe (see
+        _line_test).  Each stage is its test and six per-line arrays, c.u,
+        c.v and the kept columns of u and v, exact or reduced mod Q once per
+        call (object arrays too), and forms the join's kept pair
+        cv*u_col - cu*v_col only for the pairs that passed every stage
+        before it."""
+        exact = [(on_pencil, (u @ c, v @ c, *u[:, kept].T, *v[:, kept].T))
+                 for c, kept, _, on_pencil in probes]
+        stages = [(passes, [(w % _Q).astype(np.int64) for w in cols])
+                  for (_, _, passes, _), (_, cols) in zip(probes, exact)] + exact
         for lo in range(0, len(u), _MEET_BLOCK):
             ii, jj = np.arange(lo, min(lo + _MEET_BLOCK, len(u)))[:, None], np.arange(len(v))
-            for (cu, cv, u0, u1, v0, v1), (_, _, passes, _) in zip(residues, probes):
+            for test, (cu, cv, u0, u1, v0, v1) in stages:
                 cu, cv = cu[ii], cv[jj]
-                ii, jj = _pairs(passes(cv * u0[ii] - cu * v0[jj], cv * u1[ii] - cu * v1[jj]),
+                ii, jj = _pairs(test(cv * u0[ii] - cu * v0[jj], cv * u1[ii] - cu * v1[jj]),
                                 ii, jj)
-            for (cu, cv), (_, kept, _, on_pencil) in zip(dots, probes):
-                keep = on_pencil(*(cv[jj] * u[ii, col] - cu[ii] * v[jj, col] for col in kept))
-                ii, jj = _pairs(keep, ii, jj)
             meets = cross_rows(u[ii], v[jj]).reshape(-1, 3)
             found.append(meets[(meets != 0).any(axis=1)])
 
@@ -249,7 +246,7 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     is_centre = _member(rows.T, keyed)
     return RichPointReport(
         rows=rows[~is_centre],
-        pencil_sizes=tuple(pc.size for pc in config.pencils),
+        pencil_sizes=config.sizes(),
         config_label=config.label,
         excluded_centres=tuple(ProjPoint(*t) for t in row_triples(rows[is_centre])),
     )

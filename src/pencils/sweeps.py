@@ -75,7 +75,7 @@ def _affine_ratio_size(pc) -> int:
     pencil centred at the affine (x, y): its size, as the line through (x, y)
     and (a, b) has direction (a - x : b - y).  An edge point with b = y puts
     the horizontal line (0 : 1 : -y) in the pencil and raises ZeroDenominator."""
-    x, y = pc.centre.to_affine()
+    _, y = pc.centre.to_affine()
     if (pc.rows == (0, y.denominator, -y.numerator)).all(axis=1).any():
         raise ZeroDenominator(y)
     return pc.size

@@ -173,8 +173,10 @@ def test_array_kernel_matches_oracle_in_both_dtypes():
         assert dtype is expected
         us = [tuple(rng.randint(-top, top) for _ in range(3)) for _ in range(200)]
         vs = [tuple(rng.randint(-top, top) for _ in range(3)) for _ in range(200)]
-        # u x u is a zero row, which stays zero
-        pairs = list(zip(us, vs)) + [(u, u) for u in us[:5]]
+        # u x u is a zero row, which stays zero; (1, 0, 0) x (1, y, z) is
+        # (0, -z, y), so these rows have one and two leading zeros, each sign
+        pairs = list(zip(us, vs)) + [(u, u) for u in us[:5]] + [
+            ((1, 0, 0), (1, y, z)) for y, z in ((2, top), (2, -top), (top, 0), (-top, 0))]
         crosses = [_cross(u, v) for u, v in pairs]
         rows = cross_rows(int_rows(u for u, _ in pairs).astype(dtype),
                           int_rows(v for _, v in pairs).astype(dtype))
@@ -191,7 +193,8 @@ def test_array_kernel_matches_oracle_in_both_dtypes():
         reached.update((name, "pair", _sign_branch(t)) for t in ab)
         reached.update((name, "pair", "gcd > 1") for a, b in ab if gcd(a, b) > 1)
     assert {(name, kind, branch) for name in ("int64", "object")
-            for kind, branches in (("row", ("zero", ("negated", 0), ("kept", 0))),
+            for kind, branches in (("row", ("zero", ("negated", 0), ("kept", 0), ("negated", 1),
+                                            ("kept", 1), ("negated", 2), ("kept", 2))),
                                    ("pair", ("zero", "gcd > 1", ("negated", 0), ("kept", 0),
                                              ("negated", 1), ("kept", 1))))
             for branch in branches} <= set(reached), reached
@@ -441,14 +444,22 @@ def test_reduce_and_affine_image_match_fractions():
 # whose 3-column keys pass 2^62) and huge entries, of either sign; reduced
 # fractions (int64 or object); and uint32 index columns, as graph edges are
 # keyed, with entries near 0 and near 2^32 - 1, sometimes in the box of
-# every uint32 pair, whose keys pass 2^62.
+# every uint32 pair, whose keys pass 2^62.  An int64 column whose range
+# passes 2^62, so that its keys are object arrays, comes from _ints draws
+# only by chance; so a known one, alone or as the numerators of fractions,
+# is one branch of the _ints strategies of widths 1 and 2.
 _mid = st.integers(-2**30, 2**30)
 _index = st.one_of(st.integers(0, 5), st.integers(2**32 - 6, 2**32 - 1))
+_wide = [2**62 - 1, -2**62 + 1, 7]
 _key_columns = [
     *(st.lists(st.tuples(*[ints] * width), max_size=12).map(
         lambda tuples, width=width: _tuple_arrays(tuples, width))
-      for width in (1, 3) for ints in (_small, _mid, _ints)),
-    *(st.lists(_rationals(ints), max_size=12).map(_pair_arrays) for ints in (_small, _ints)),
+      for width, ints in ((1, _small), (1, _mid), (3, _small), (3, _mid), (3, _ints))),
+    st.one_of(st.just(_columns(_wide)),
+              st.lists(st.tuples(_ints), max_size=12).map(lambda t: _tuple_arrays(t, 1))),
+    st.lists(_rationals(_small), max_size=12).map(_pair_arrays),
+    st.one_of(st.just(_pair_arrays([Fraction(v, 2) for v in _wide])),
+              st.lists(_rationals(_ints), max_size=12).map(_pair_arrays)),
     st.lists(st.tuples(_index, _index), max_size=12).map(
         lambda pairs: tuple(np.array([p[i] for p in pairs], dtype=np.uint32).reshape(-1)
                             for i in (0, 1))),
@@ -495,9 +506,10 @@ def test_pair_keys_decode_order_and_dedup():
     # each kind of columns gets its own examples, so the derandomized draws reach all
     for columns in _key_columns:
         given(columns, st.booleans())(check)()
-    assert {(2, "int64", "int64"), (2, "object", "object"), (2, "uint32", "int64"),
-            (2, "uint32", "object"), (1, "int64", "int64"), (1, "object", "object"),
-            (3, "int64", "int64"), (3, "int64", "object"), (3, "object", "object"),
+    assert {(2, "int64", "int64"), (2, "int64", "object"), (2, "object", "object"),
+            (2, "uint32", "int64"), (2, "uint32", "object"), (1, "int64", "int64"),
+            (1, "int64", "object"), (1, "object", "object"), (3, "int64", "int64"),
+            (3, "int64", "object"), (3, "object", "object"),
             (1, "negative"), (2, "negative"), (3, "negative")} <= set(reached), reached
 
 

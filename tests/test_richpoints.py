@@ -22,7 +22,7 @@ from pencils.constructions import (
 )
 from pencils.errors import PreconditionError
 from pencils.projective import ProjPoint, exact_dtype, int_rows, row_triples
-from pencils.richpoints import _Q, _kernel_dtype, _line_test, rich_points
+from pencils.richpoints import _Q, _inverses, _kernel_dtype, _line_test, _slots, rich_points
 
 from oracles import (_canon, _cross, _on_line, join, pencil_lines_bruteforce,
                      rich_points_bruteforce)
@@ -578,6 +578,33 @@ def _f_q_point(a, b):
     """The point (a : b) of the projective line over F_Q, None for a = b = 0."""
     a, b = a % _Q, b % _Q
     return (a * pow(b, -1, _Q) % _Q, 1) if b else (1, 0) if a else None
+
+
+def test_inverse_table_and_slots_match_python_ints():
+    """The inverse table, int32 with 0 at 0, holds x^-1 mod Q at every x in
+    1..Q-1; _slots maps drawn int64 pairs in (-Q^2, Q^2) to a * b^-1 mod Q,
+    or to Q where b is 0 mod Q.  Pairs that are 0 mod Q are drawn as their
+    own branch, and a counter shows them, b alone 0 mod Q and b a unit
+    reached."""
+    inv = _inverses()
+    assert inv.dtype == np.int32 and inv.shape == (_Q,) and inv[0] == 0
+    assert (np.arange(1, _Q) * inv[1:].astype(np.int64) % _Q == 1).all()
+    wide = st.integers(-_Q * _Q + 1, _Q * _Q - 1)
+    zero = st.integers(-_Q + 1, _Q - 1).map(lambda k: k * _Q)
+    reached = Counter()
+
+    @settings(max_examples=30)
+    @given(st.lists(st.one_of(st.tuples(wide, wide), st.tuples(zero, zero),
+                              st.tuples(wide, zero)), min_size=1, max_size=20))
+    def check(pairs):
+        a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+        assert _slots(a, b).tolist() == [x * pow(y, -1, _Q) % _Q if y % _Q else _Q
+                                         for x, y in pairs]
+        reached.update("b a unit" if y % _Q else "b alone 0" if x % _Q else "both 0"
+                       for x, y in pairs)
+
+    check()
+    assert len(reached) == 3, reached
 
 
 def test_residue_stage_property_matches_tuple_sets():
