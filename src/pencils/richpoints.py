@@ -8,13 +8,17 @@ when the join c x p is one of its lines, and for p = u x v that join is
 (c.v)u - (c.u)v: each other pencil is probed on two columns of it in two
 stages, a residue stage mod Q = 65521 that refuses no member and an exact
 stage by projective._member that is the one verdict (see _line_test for
-both and why).  The residue stage of every probe runs before any exact
-stage, so the exact columns are formed only for the pairs that passed
-every residue stage.  Meets are formed only for the pairs that pass every
-probe.  Each pencil is asked by a row lookup whether it holds the join of
-the seed centres.  The surviving meets of all blocks become one set of
-canonical rows by projective._row_set; ProjPoint objects are built only for
-excluded centres and when a caller reads ``points``.
+both and why).  The residue stage works on per-line charts, each seed
+line's two columns divided by its dot product with c, mod Q, so a pair
+costs two subtractions and one slot lookup.  The first probe's residue
+stage runs on blocks of seed pairs; the pairs that pass it are gathered
+and go through every other stage at once, the residue stage of every
+probe before any exact stage, so the exact columns are formed only for
+the pairs that passed every residue stage.  Meets are formed only for the
+pairs that pass every probe.  Each pencil is asked by a row lookup whether
+it holds the join of the seed centres.  The surviving meets become one set
+of canonical rows by projective._row_set; ProjPoint objects are built only
+for excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry below 2^62,
@@ -44,12 +48,14 @@ from .projective import (
 
 __all__ = ["RichPointReport", "rich_points"]
 
-# First-pencil lines per block of seed pairs: the first residue stage's
-# temporaries hold _MEET_BLOCK * s2 residue entries at a time.
+# First-pencil lines per block of seed pairs: the first residue stage runs
+# on _MEET_BLOCK * s2 pairs at a time, and the later stages on the pairs
+# that passed it once they number as many, so every stage's temporaries
+# hold on the order of _MEET_BLOCK * s2 entries.
 _MEET_BLOCK = 32
 
-# The residue stage's prime and a primitive root of it.  Q + 1 < 2^16 slots
-# make a 64 KB table per probed pencil; 131071 and 262139 filtered more pairs
+# The residue stage's prime and a primitive root of it.  Q + 2 slots make a
+# 64 KB table per probed pencil; 131071 and 262139 filtered more pairs
 # but were no faster at the benchmark's sizes.
 _Q, _ROOT = 65521, 17
 
@@ -65,27 +71,38 @@ def _reduce(a):
 
 @cache
 def _inverses():
-    """x^-1 mod Q for x = 0..Q-1 as int32, 0 for x = 0, built at first use:
-    (g^k)^-1 = g^(Q-1-k) for the powers of the primitive root g, formed by
-    doubling: the powers g^0..g^(t-1) times g^t are the powers g^t..g^(2t-1)."""
+    """(x mod Q)^-1 mod Q for x = 0..2Q-1 as int32, 0 where Q divides x,
+    built at first use: (g^k)^-1 = g^(Q-1-k) for the powers of the primitive
+    root g, formed by doubling: the powers g^0..g^(t-1) times g^t are the
+    powers g^t..g^(2t-1).  The table is held twice over so that a difference
+    of residues shifted by Q indexes it as it is."""
     powers = np.ones(1, np.int64)
     while len(powers) < _Q - 1:
         powers = np.concatenate((powers, _reduce(powers * (int(powers[-1]) * _ROOT % _Q))))
     powers = powers[:_Q - 1]
     inv = np.zeros(_Q, np.int32)
     inv[powers] = np.concatenate(([1], powers[:0:-1]))
-    return inv
+    return np.concatenate((inv, inv))
 
 
 def _slots(a, b):
-    """The points (a : b) of pairs of int64 arrays, reduced mod Q in place,
-    on the projective line over F_Q, as slots 0..Q: a/b mod Q, or Q where
-    b = 0.  a = b = 0, which is no point, gets the slot Q too."""
-    _reduce(a)
-    _reduce(b)
+    """The points (a : b) of int64 arrays a in (-Q, Q) and b in (0, 2Q) on
+    the projective line over F_Q, as slots 0..Q+1: a/b mod Q, or Q where b =
+    Q, and Q + 1 where a = 0 and b = Q, which is no point."""
     slot = _reduce(a * _inverses().take(b))
-    slot[b == 0] = _Q
+    level = np.flatnonzero(b == _Q)
+    slot.flat[level] = _Q + (a.flat[level] == 0)
     return slot
+
+
+def _chart(cw, *cols):
+    """The chart of seed lines w on a probed centre c: their kept columns
+    divided by c.w, mod Q, as int64 arrays, and where c.w is 0 mod Q, which
+    has no chart (its columns are 0 there).  Takes the exact c.w and kept
+    columns, int64 or object."""
+    cw, *cols = ((w % _Q).astype(np.int64) for w in (cw, *cols))
+    inv = _inverses().take(cw)
+    return [_reduce(w * inv) for w in cols], cw == 0
 
 
 def _pairs(keep, ii, jj):
@@ -144,44 +161,67 @@ def _kernel_dtype(pencils):
 
 
 def _line_test(pc):
-    """The two columns kept of a join l = c x p of the pencil's centre c with
-    a point p, and a test on those two columns of joins in two stages:
-    whether p is on one of the pencil's lines.  The dropped column k is the
-    last nonzero coordinate of c: l_k c_k is -(sum of l_i c_i, i < k), so a
-    line through c is fixed by its kept pair, which is zero only for the
-    zero join, p = c, and such a p passes both stages.
+    """A test whether a meet p = u x v of a seed line u and a seed line v is
+    on one of the pencil's lines, in two stages: a function of the two
+    seeds' line arrays that returns them, each a function of (i, j) index
+    arrays (see _pairs) giving the pairs that pass.  p is on a line of the
+    pencil when the join of its centre c with p, l = (c.v)u - (c.u)v, is one.
+    The dropped column k is the last nonzero coordinate of c: l_k c_k is
+    -(sum of l_i c_i, i < k), so a line through c is fixed by its kept pair,
+    which is zero only for the zero join, p = c or u = v, and such a pair
+    passes both stages.
 
-    The residue stage takes int64 arrays congruent to the two columns mod Q
-    (sift forms them from c.u, c.v and the kept columns of u and v, each
-    reduced mod Q, so every entry is below Q^2) and passes the pairs whose
-    slot, their point (a : b) of the projective line over F_Q (see _slots),
-    is the slot of one of the pencil's kept pairs, and the pairs that are
-    0 mod Q.  It refuses no member.  The pencil's kept pairs are in normal
-    form, so coprime, so none is 0 mod Q and each has a slot.  A member's
-    kept pair is lam*(p, q) for one of them, (p, q), and an integer lam;
-    when Q does not divide lam it is the same point over F_Q as (p, q), so
-    it has the marked slot, and when Q divides lam it is 0 mod Q.  So the
-    exact stage, which runs on the pairs that pass, is the one verdict: it
-    compares them by _member after _normalise with the pencil's kept pairs,
-    keyed once.  Column k is never the first nonzero entry of a line
-    through c, so on a canonical row only the gcd step acts; but that gcd
-    divides c_k, so when |c_k| > 1 the normalised pairs can leave row order,
-    and the keys are sorted."""
-    k = max(i for i, v in enumerate(pc.centre.coords) if v)
+    The residue stage refuses no member.  A seed line w has a chart, its
+    kept pair divided by c.w mod Q (see _chart), when Q does not divide
+    c.w.  When u and v both have one, l's kept pair is (c.u)(c.v), a unit
+    mod Q, times the difference of their charts, so the two are the same
+    point of the projective line over F_Q, or both 0 mod Q.  The stage
+    passes the pairs whose chart difference has the slot (see _slots) of
+    one of the pencil's kept pairs, or is 0 mod Q, and every pair of a
+    line without a chart.  The pencil's kept pairs are in normal form, so
+    coprime, so none is 0 mod Q and each has a slot.  A member's kept pair
+    is lam*(p, q) for one of them, (p, q), and an integer lam; when Q does
+    not divide lam it is the same point over F_Q as (p, q), so it has the
+    marked slot, and when Q divides lam it is 0 mod Q.  So the exact stage,
+    which runs on the pairs that pass, is the one verdict: it forms l's
+    kept pair and compares it by _member after _normalise with the
+    pencil's kept pairs, keyed once.  Column k is never the first nonzero
+    entry of a line through c, so on a canonical row only the gcd step
+    acts; but that gcd divides c_k, so when |c_k| > 1 the normalised pairs
+    can leave row order, and the keys are sorted."""
+    coords = pc.centre.coords
+    k = max(i for i, v in enumerate(coords) if v)
     kept = [i for i in range(3) if i != k]
     pairs = _normalise(*pc.rows[:, kept].T)
     keyed = _keys(pairs)
     keyed[0].sort()
-    held = np.zeros(_Q + 1, dtype=bool)
-    held[_slots(*((col % _Q).astype(np.int64) for col in pairs))] = True
-
-    def passes(a, b):
-        return held.take(_slots(a, b)) | ((a == 0) & (b == 0))
+    held = np.zeros(_Q + 2, dtype=bool)
+    a, b = ((col % _Q).astype(np.int64) for col in pairs)
+    held[_slots(a, b + _Q)] = held[_Q + 1] = True
 
     def on_pencil(a, b):
         return _member(_normalise(a, b), keyed) | ((a == 0) & (b == 0))
 
-    return kept, passes, on_pencil
+    def stages(u, v):
+        c = np.array(coords, u.dtype)
+        cu, cv, (u0, u1), (v0, v1) = u @ c, v @ c, u[:, kept].T, v[:, kept].T
+        ((au, bu), bare_u), ((av, bv), bare_v) = _chart(cu, u0, u1), _chart(cv, v0, v1)
+        bu += _Q
+        bare = bare_u.any() or bare_v.any()
+
+        def residue(ii, jj):
+            keep = held.take(_slots(au[ii] - av[jj], bu[ii] - bv[jj]))
+            if bare:
+                keep |= bare_u[ii] | bare_v[jj]
+            return keep
+
+        def exact(ii, jj):
+            a, b = cu[ii], cv[jj]
+            return on_pencil(b * u0[ii] - a * v0[jj], b * u1[ii] - a * v1[jj])
+
+        return residue, exact
+
+    return stages
 
 
 def rich_points(config: PencilConfig) -> RichPointReport:
@@ -197,7 +237,7 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     first, second, rest = by_size[0], by_size[1], by_size[2:]
     dtype = _kernel_dtype(config.pencils)
     centres = np.array([pc.centre.coords for pc in by_size], dtype)
-    probes = [(centre, *_line_test(pc)) for centre, pc in zip(centres[2:], rest)]
+    tests = [_line_test(pc) for pc in rest]
     found = [np.empty((0, 3), dtype=dtype)]
 
     def sift(u, v):
@@ -206,23 +246,27 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         zero meet (u = v, a line both seeds hold) passes every probe and is
         dropped; a meet equal to a probed centre passes that centre's own
         probe, and centres are split off after all meets are sifted.  The
-        pairs of a block of u go through one list of stages, the residue
-        stage of every probe and then the exact stage of every probe (see
-        _line_test).  Each stage is its test and six per-line arrays, c.u,
-        c.v and the kept columns of u and v, exact or reduced mod Q once per
-        call (object arrays too), and forms the join's kept pair
-        cv*u_col - cu*v_col only for the pairs that passed every stage
-        before it."""
-        exact = [(on_pencil, (u @ c, v @ c, *u[:, kept].T, *v[:, kept].T))
-                 for c, kept, _, on_pencil in probes]
-        stages = [(passes, [(w % _Q).astype(np.int64) for w in cols])
-                  for (_, _, passes, _), (_, cols) in zip(probes, exact)] + exact
+        stages are the residue stage of every probe and then the exact stage
+        of every probe (see _line_test), each run on the pairs that passed
+        every stage before it.  The first runs on each block of _MEET_BLOCK
+        lines of u against all of v; its survivors are held until they
+        number one block's pairs, or u ends, and then go through the other
+        stages and their meets are formed, all on flat indices.  With no
+        probe each block's meets are formed as one broadcast."""
+        stages = [stage for kind in zip(*(test(u, v) for test in tests)) for stage in kind]
+        batch, size = [], 0
         for lo in range(0, len(u), _MEET_BLOCK):
             ii, jj = np.arange(lo, min(lo + _MEET_BLOCK, len(u)))[:, None], np.arange(len(v))
-            for test, (cu, cv, u0, u1, v0, v1) in stages:
-                cu, cv = cu[ii], cv[jj]
-                ii, jj = _pairs(test(cv * u0[ii] - cu * v0[jj], cv * u1[ii] - cu * v1[jj]),
-                                ii, jj)
+            if stages:
+                ii, jj = _pairs(stages[0](ii, jj), ii, jj)
+            batch.append((ii, jj))
+            size += np.broadcast(ii, jj).size
+            if size < _MEET_BLOCK * len(v) and lo + _MEET_BLOCK < len(u):
+                continue
+            ii, jj = map(np.concatenate, zip(*batch))
+            batch, size = [], 0
+            for stage in stages[1:]:
+                ii, jj = _pairs(stage(ii, jj), ii, jj)
             meets = cross_rows(u[ii], v[jj]).reshape(-1, 3)
             found.append(meets[(meets != 0).any(axis=1)])
 

@@ -22,7 +22,8 @@ from pencils.constructions import (
 )
 from pencils.errors import PreconditionError
 from pencils.projective import ProjPoint, exact_dtype, int_rows, row_triples
-from pencils.richpoints import _Q, _inverses, _kernel_dtype, _line_test, _slots, rich_points
+from pencils.richpoints import (_Q, _chart, _inverses, _kernel_dtype, _line_test, _slots,
+                                rich_points)
 
 from oracles import (_canon, _cross, _on_line, join, pencil_lines_bruteforce,
                      rich_points_bruteforce)
@@ -470,40 +471,218 @@ def test_probes_normalise_fewer_pairs_than_the_seed_pairs():
     assert sizes["_line_test"] == sum(sorted(config.sizes())[2:])
 
 
+def _sparse_grid():
+    """The 4 x 4 grid footnote config with every other diagonal line
+    dropped: the rich points are the 8 grid nodes with x = y mod 2, so the
+    seed lines have 2 or 4 rich points each, and with _MEET_BLOCK at 1 a
+    flush holds the survivors of two blocks."""
+    config = build_grid_footnote_config(4)
+    return ([pc.centre.coords for pc in config.pencils],
+            [{line for line in row_triples(pc.rows) if 0 in pc.centre.coords[:2] or line[2] % 2 == 0}
+             for pc in config.pencils])
+
+
+def test_flushes_property_matches_bruteforce():
+    """rich_points with _MEET_BLOCK at 1, at 3 and above s1 against the
+    brute-force rich set.  The survivors of the first stage are held and
+    flushed through the other stages in batches of one block's pairs, and
+    counting wrappers show each kind of flush reached: one before u ends
+    (a block's first stage runs after a flush, in one sift), a final one of
+    fewer than one block's pairs, one that holds the survivors of two or
+    more blocks, and a sift of the seeds' shared line.  A sparse grid
+    config and the centre-on-join config, whose seeds share their join,
+    are drawn as known examples."""
+    line_test, split = pencils.richpoints._line_test, pencils.richpoints._pairs
+    reached, log = Counter(), []
+
+    def testing(pc):
+        stages = line_test(pc)
+
+        def sifting(u, v):
+            if not log or log[-1][0] != "sift":
+                log.append(("sift", len(v)))
+            return stages(u, v)
+
+        return sifting
+
+    def splitting(keep, ii, jj):
+        # a block's first stage keeps a 2-D mask; the held pairs are flat
+        log.append(("block" if keep.ndim == 2 else "held", np.count_nonzero(keep)))
+        return split(keep, ii, jj)
+
+    @settings(max_examples=15)
+    def check(drawn):
+        centres, line_sets = drawn
+        if set.intersection(*line_sets):
+            return
+        config = PencilConfig(Pencil(ProjPoint(*c), lines)
+                              for c, lines in zip(centres, line_sets))
+        want = rich_points_bruteforce([sorted(lines) for lines in line_sets])
+        s1 = min(config.sizes())
+        for block in (1, 3, s1 + 1):
+            log.clear()
+            with (mock.patch.object(pencils.richpoints, "_MEET_BLOCK", block),
+                  mock.patch.object(pencils.richpoints, "_line_test", testing),
+                  mock.patch.object(pencils.richpoints, "_pairs", splitting)):
+                rep = rich_points(config)
+            assert set(row_triples(rep.rows)) == want - set(centres)
+            assert [c.coords for c in rep.excluded_centres] == sorted(want & set(centres))
+            sifts = [i for i, (kind, _) in enumerate(log) if kind == "sift"]
+            reached["shared-line sift"] += len(sifts) == 2
+            for lo, hi in zip(sifts, sifts[1:] + [len(log)]):
+                kinds = [kind for kind, _ in log[lo + 1:hi]]
+                flushes = [i for i, kind in enumerate(kinds, lo + 1)
+                           if kind == "held" and log[i - 1][0] == "block"]
+                reached["flush before u ends"] += "block" in kinds[kinds.index("held"):]
+                # the held pairs of a flush are the survivors of the blocks
+                # since the one before
+                held = [sum(n for kind, n in log[start:end] if kind == "block")
+                        for start, end in zip([lo] + flushes, flushes)]
+                reached["final partial flush"] += held[-1] < block * log[lo][1]
+                reached["flush of two blocks"] += any(
+                    sum(n > 0 for kind, n in log[start:end] if kind == "block") > 1
+                    for start, end in zip([lo] + flushes, flushes))
+
+    for ints, known in ((_small, _sparse_grid()), (_ints, _centre_on_join(2**62 + 1, 2**62))):
+        given(st.one_of(st.just(known), st.just(_centre_on_join(1, 0)), _line_sets(ints)))(check)()
+    assert len(reached) == 4 and all(reached.values()), reached
+
+
+def test_two_pencils_form_meets_by_broadcast():
+    """With no probed pencil there is no stage, and each block's meets are
+    formed as one broadcast of a column of first-pencil lines against every
+    second-pencil line: cross_rows sees 3-D input.  The rows equal the
+    brute-force rich set."""
+    config = PencilConfig(list(pencils_from_graph(build_farey_shift_construction(64),
+                                                  standard_shift_centres()).pencils)[:2])
+    cross, shapes = pencils.richpoints.cross_rows, []
+
+    def counting(u, v):
+        shapes.append((u.ndim, v.ndim))
+        return cross(u, v)
+
+    with mock.patch.object(pencils.richpoints, "cross_rows", counting):
+        rep = rich_points(config)
+    blocks = -(-min(config.sizes()) // pencils.richpoints._MEET_BLOCK)
+    # the first call joins the seed centres
+    assert blocks > 1 and shapes[1:] == [(3, 2)] * blocks
+    want = rich_points_bruteforce([pc.rows.tolist() for pc in config.pencils])
+    assert set(row_triples(rep.rows)) | {c.coords for c in rep.excluded_centres} == want
+
+
+def _through(centre, pair):
+    """The line through a centre c whose kept columns are c_k * pair, its
+    dropped column k filled in from l.c = 0."""
+    k = max(i for i, v in enumerate(centre) if v)
+    i, j = (x for x in range(3) if x != k)
+    line = [0, 0, 0]
+    line[i], line[j] = centre[k] * pair[0], centre[k] * pair[1]
+    line[k] = -(pair[0] * centre[i] + pair[1] * centre[j])
+    return tuple(line)
+
+
+def _dot(p, q):
+    return sum(x * y for x, y in zip(p, q))
+
+
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _q_multiple(w, j):
+    """A vector s with s.w a nonzero multiple of Q: w x e_j, plus Q at the
+    first nonzero entry of w."""
+    s = list(_cross(w, _UNIT[j]))
+    s[next(i for i, x in enumerate(w) if x)] += _Q
+    return tuple(s)
+
+
 @st.composite
-def _pencil_probes(draw, ints):
-    """A centre, at infinity for some draws, the lines joining it to drawn
-    points, and queries: joins of the centre with those points and with
-    other drawn points, each scaled by a drawn nonzero factor, since the
-    kernel queries raw joins."""
+def _seed_pairs(draw, ints):
+    """A centre c, at infinity for some draws, its lines, and pairs (u, v)
+    of seed lines as sift queries them.  The lines join c to drawn points
+    and, in some draws, include a line whose second kept column is a
+    nonzero multiple of Q, so its slot is Q.  Each pair is two lines through
+    a point p other than c: a point on a line through c (one of the lines;
+    the line congruent to it mod Q whose kept pair is the line's plus Q
+    times a drawn pair; the line whose kept pair is the slot Q line's
+    swapped, slot 0) or a drawn point.  u = p x s is through c for s = c,
+    and c.u is a nonzero multiple of Q when s.(c x p) is; v = p x t is u
+    for some pairs, and for some it is u plus Q times a line through p, so
+    that the join (c.v)u - (c.u)v is 0 mod Q."""
     centre = draw(st.one_of(_points(ints), st.just((0, 1, 0)),
                             ints.map(lambda k: (1, k, 0))))
-    joins = lambda points: [join(centre, q) for q in points if q != centre]
-    lines = joins(draw(st.lists(_points(ints), max_size=5)))
-    queries = lines + joins(draw(st.lists(_points(ints), max_size=5)))
-    scales = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(queries),
-                           max_size=len(queries)))
-    return centre, lines, [tuple(f * v for v in q) for f, q in zip(scales, queries)]
+    k = max(i for i, v in enumerate(centre) if v)
+    kept = [i for i in range(3) if i != k]
+    nonzero = _small.filter(bool)
+    unit = st.integers(0, 2)
+    lines = [join(centre, q) for q in draw(st.lists(_points(ints), max_size=4)) if q != centre]
+    wide = [_through(centre, (line[kept[0]] + _Q * draw(nonzero), line[kept[1]] + _Q * draw(_small)))
+            for line in lines]
+    if draw(st.booleans()):
+        p, y = draw(nonzero), draw(nonzero)
+        wide += [_canon(_through(centre, (p, _Q * y))), _through(centre, (_Q * y, p))]
+        lines.append(wide[-2])
+    on = lambda line: _cross(line, _UNIT[draw(unit)])
+    pairs = []
+    # points on lines with a kept entry near Q get only small s and t, so
+    # that with small coordinates most pairs fit the int64 kernel, and no
+    # v = u
+    for p, narrow in ([(on(line), True) for line in lines if line not in wide]
+                      + [(p, True) for p in draw(st.lists(_points(ints), max_size=3))]
+                      + [(on(line), False) for line in wide if any(line)]):
+        if not any(_cross(centre, p)):
+            continue
+        s = draw(st.one_of(_points(_small), st.just(centre), *narrow * [
+            unit.map(lambda j: _q_multiple(_cross(centre, p), j))]))
+        u = _cross(p, s)
+        if not any(u):
+            continue
+        v = draw(st.one_of(_points(_small).map(lambda t: _cross(p, t)), *narrow * [
+            st.just(u),
+            _points(_small).map(lambda t: tuple(x + _Q * y for x, y in zip(u, _cross(p, t))))]))
+        if any(v):
+            pairs.append((u, v))
+    return centre, lines, pairs
 
 
-def _two_stages(passes, on_pencil, a, b):
-    """The line test's verdict on kept columns a and b, run as sift runs
-    it: the residue stage on int64 residues mod Q, then the exact stage on
-    the pairs that pass."""
-    hit = passes(*((col % _Q).astype(np.int64) for col in (a, b)))
-    hit[hit] = on_pencil(a[hit], b[hit])
-    return hit
+def _seed_arrays(centre, pairs):
+    """The seed pairs as the two arrays u and v of sift, in the dtype that
+    _kernel_dtype's bound picks for them."""
+    c = max(map(abs, centre))
+    m = max((abs(x) for pair in pairs for line in pair for x in line), default=0)
+    dtype = exact_dtype(2 * c * max(2 * m * m, c))
+    return [np.array([pair[i] for pair in pairs], dtype).reshape(-1, 3) for i in (0, 1)]
+
+
+def _two_stages(pencil, u, v):
+    """The line test's two stages on the seed pairs (u[k], v[k]), run as
+    sift runs them after its first stage, on flat indices: the pairs the
+    residue stage passes, and those of them the exact stage passes."""
+    residue, exact = _line_test(pencil)(u, v)
+    k = np.arange(len(u))
+    passed = residue(k, k)
+    hit = passed.copy()
+    hit[hit] = exact(k[hit], k[hit])
+    return passed, hit
+
+
+def _members(centre, lines, pairs):
+    """Whether each seed pair's join (c.v)u - (c.u)v is one of the lines, or
+    zero, which both stages pass."""
+    joins = [tuple(_dot(centre, v) * x - _dot(centre, u) * y for x, y in zip(u, v))
+             for u, v in pairs]
+    hits = iter(pencil_lines_bruteforce(lines, [j for j in joins if any(j)]))
+    return [not any(j) or next(hits) for j in joins]
 
 
 def test_line_test_property_matches_tuple_sets():
-    """rich_points' pencil line test, queried on the two kept columns of
-    scaled joins, against tuple-set membership, and the keys _member
+    """rich_points' pencil line test, on seed pairs as sift queries it,
+    against tuple-set membership of their joins, and the keys _member
     receives strictly increase, since it needs them sorted.  Counting
-    wrappers around the test's _keys and _member calls show both
-    dtypes of keys and queries drawn, centres at infinity, and a pencil
-    whose normalised pairs leave row order (this needs |c_k| > 1), so the
-    sort of the keys is needed.  Each kind of coordinates gets its own
-    examples."""
+    wrappers around the test's _keys and _member calls show both dtypes of
+    keys and queries drawn, centres at infinity, and a pencil whose
+    normalised pairs leave row order (this needs |c_k| > 1), so the sort of
+    the keys is needed.  Each kind of coordinates gets its own examples."""
     keys, member, dtypes = pencils.richpoints._keys, pencils.richpoints._member, Counter()
 
     def keying(cols):
@@ -519,59 +698,17 @@ def test_line_test_property_matches_tuple_sets():
 
     @settings(max_examples=20)
     def check(drawn):
-        centre, lines, queries = drawn
+        centre, lines, pairs = drawn
         dtypes["at infinity"] += centre[2] == 0
-        dtype = exact_dtype(max(abs(v) for t in [centre, *queries] for v in t))
-        kept, passes, on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
-        assert _two_stages(passes, on_pencil, *int_rows(queries).astype(dtype)[:, kept].T
-                           ).tolist() == pencil_lines_bruteforce(lines, queries)
+        _, hit = _two_stages(Pencil(ProjPoint(*centre), lines), *_seed_arrays(centre, pairs))
+        assert hit.tolist() == _members(centre, lines, pairs)
 
     with (mock.patch.object(pencils.richpoints, "_keys", keying),
           mock.patch.object(pencils.richpoints, "_member", counting)):
         for ints in (_small, _ints):
-            given(_pencil_probes(ints))(check)()
+            given(_seed_pairs(ints))(check)()
     assert all(dtypes[kind, name] for kind in ("key", "query") for name in ("int64", "object"))
     assert dtypes["at infinity"] and dtypes["leaves row order"], dtypes
-
-
-def _through(centre, pair):
-    """The line through a centre c whose kept columns are c_k * pair, its
-    dropped column k filled in from l.c = 0."""
-    k = max(i for i, v in enumerate(centre) if v)
-    i, j = (x for x in range(3) if x != k)
-    line = [0, 0, 0]
-    line[i], line[j] = centre[k] * pair[0], centre[k] * pair[1]
-    line[k] = -(pair[0] * centre[i] + pair[1] * centre[j])
-    return tuple(line)
-
-
-@st.composite
-def _residue_probes(draw, ints):
-    """A centre, at infinity for some draws, and its lines: joins with drawn
-    points and, in some draws, a line whose second kept column is a nonzero
-    multiple of Q, so its slot is Q.  The queries are each line, the line
-    congruent to it mod Q whose kept pair is the line's plus Q times a drawn
-    pair, and joins with other drawn points, each scaled by a drawn nonzero
-    factor, for some queries a multiple of Q; and, with the slot Q line,
-    the line whose kept pair is that line's swapped, slot 0."""
-    centre = draw(st.one_of(_points(ints), st.just((0, 1, 0)),
-                            ints.map(lambda k: (1, k, 0))))
-    k = max(i for i, v in enumerate(centre) if v)
-    kept = [i for i in range(3) if i != k]
-    nonzero = _small.filter(bool)
-    lines = [join(centre, q) for q in draw(st.lists(_points(ints), max_size=4)) if q != centre]
-    swapped = []
-    if draw(st.booleans()):
-        p, y = draw(nonzero), draw(nonzero)
-        lines.append(_canon(_through(centre, (p, _Q * y))))
-        swapped.append(_through(centre, (_Q * y, p)))
-    congruent = [_through(centre, (line[kept[0]] + _Q * draw(nonzero),
-                                   line[kept[1]] + _Q * draw(_small))) for line in lines]
-    queries = lines + [q for q in congruent if any(q)] + [
-        join(centre, q) for q in draw(st.lists(_points(ints), max_size=3)) if q != centre]
-    scale = st.one_of(nonzero.filter(lambda f: abs(f) <= 3), nonzero.map(lambda f: f * _Q))
-    scales = draw(st.lists(scale, min_size=len(queries), max_size=len(queries)))
-    return centre, lines, [tuple(f * v for v in q) for f, q in zip(scales, queries)] + swapped
 
 
 def _f_q_point(a, b):
@@ -581,68 +718,117 @@ def _f_q_point(a, b):
 
 
 def test_inverse_table_and_slots_match_python_ints():
-    """The inverse table, int32 with 0 at 0, holds x^-1 mod Q at every x in
-    1..Q-1; _slots maps drawn int64 pairs in (-Q^2, Q^2) to a * b^-1 mod Q,
-    or to Q where b is 0 mod Q.  Pairs that are 0 mod Q are drawn as their
-    own branch, and a counter shows them, b alone 0 mod Q and b a unit
-    reached."""
+    """The inverse table, int32 and held twice over, with 0 at 0 and at Q,
+    holds (x mod Q)^-1 mod Q at every other x in 0..2Q-1.  _slots maps
+    drawn int64 a in (-Q, Q) and b in (0, 2Q), flat or as a column, to
+    a * b^-1 mod Q, to Q where b = Q, and to Q + 1 where a = 0 too.  _chart
+    maps drawn c.w and columns, int64 or object, to the columns times
+    (c.w)^-1 mod Q, 0 where c.w is 0 mod Q, and marks those lines.  b = Q
+    and a = 0 with b = Q are drawn as their own branches, and c.w = 0 and
+    c.w a nonzero multiple of Q as theirs; counters show each reached, and
+    b and c.w a unit, c.w in both dtypes."""
     inv = _inverses()
-    assert inv.dtype == np.int32 and inv.shape == (_Q,) and inv[0] == 0
-    assert (np.arange(1, _Q) * inv[1:].astype(np.int64) % _Q == 1).all()
-    wide = st.integers(-_Q * _Q + 1, _Q * _Q - 1)
-    zero = st.integers(-_Q + 1, _Q - 1).map(lambda k: k * _Q)
+    assert inv.dtype == np.int32 and inv.shape == (2 * _Q,) and inv[0] == inv[_Q] == 0
+    x = np.delete(np.arange(1, 2 * _Q), _Q - 1)
+    assert (x * inv[x].astype(np.int64) % _Q == 1).all()
     reached = Counter()
+    a = st.integers(-_Q + 1, _Q - 1)
 
     @settings(max_examples=30)
-    @given(st.lists(st.one_of(st.tuples(wide, wide), st.tuples(zero, zero),
-                              st.tuples(wide, zero)), min_size=1, max_size=20))
-    def check(pairs):
+    @given(st.lists(st.one_of(st.tuples(a, st.integers(1, 2 * _Q - 1)), st.tuples(a, st.just(_Q)),
+                              st.just((0, _Q))), min_size=1, max_size=20))
+    def slots(pairs):
         a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
-        assert _slots(a, b).tolist() == [x * pow(y, -1, _Q) % _Q if y % _Q else _Q
-                                         for x, y in pairs]
-        reached.update("b a unit" if y % _Q else "b alone 0" if x % _Q else "both 0"
+        want = [x * pow(y, -1, _Q) % _Q if y != _Q else _Q + (x == 0) for x, y in pairs]
+        assert _slots(a, b).tolist() == want
+        assert _slots(a[:, None], b[:, None]).ravel().tolist() == want
+        reached.update("b a unit" if y != _Q else "b = Q" if x else "a = 0, b = Q"
                        for x, y in pairs)
 
-    check()
-    assert len(reached) == 3, reached
+    wide = {np.int64: st.integers(-2**63, 2**63 - 1), object: st.integers(-2**80, 2**80)}
+
+    @settings(max_examples=30)
+    @given(st.sampled_from(list(wide)).flatmap(lambda dtype: st.tuples(st.just(dtype), st.lists(
+        st.tuples(st.one_of(wide[dtype], st.just(0), st.integers(-999, 999).filter(bool).map(
+            lambda k: k * _Q)), wide[dtype], wide[dtype]), min_size=1, max_size=20))))
+    def charts(drawn):
+        dtype, rows = drawn
+        cw, *cols = np.array(rows, dtype).T
+        got, bare = _chart(cw, *cols)
+        assert bare.tolist() == [y % _Q == 0 for y, *_ in rows]
+        for i, col in enumerate(got):
+            assert col.dtype == np.int64
+            assert col.tolist() == [row[i + 1] * pow(row[0], -1, _Q) % _Q if row[0] % _Q else 0
+                                    for row in rows]
+        reached.update(("c.w a unit" if y % _Q else "c.w a multiple of Q" if y else "c.w = 0",
+                        np.dtype(dtype).name) for y, *_ in rows)
+
+    slots()
+    charts()
+    assert len(reached) == 3 + 3 * 2, reached
 
 
 def test_residue_stage_property_matches_tuple_sets():
-    """The line test's residue stage passes exactly the pairs whose point of
-    the projective line over F_Q is that of one of the pencil's kept pairs,
-    each divided by its gcd, and the pairs that are 0 mod Q; so it passes
-    every member of the pencil, and with the exact stage after it gives
-    tuple-set membership.  Each dtype runs as its own examples with its own
-    counter, which shows reached: a centre at infinity, a query scaled by a
-    multiple of Q (both residues 0), a query whose second residue is 0 and
-    first is not (the slot Q), one the other way round (the slot 0), and a
-    non-member that passes the residue stage, being congruent to a member
-    mod Q, and that the exact stage refuses."""
-    for ints, dtype in ((_small, np.int64), (_ints, object)):
-        reached = Counter()
+    """The line test's residue stage passes exactly the seed pairs (u, v)
+    whose join's kept pair is, over F_Q, the point of one of the pencil's
+    kept pairs, each divided by its gcd, or 0 mod Q, and the pairs in which
+    c.u or c.v is 0 mod Q (no chart); so it passes every member of the
+    pencil, and with the exact stage after it gives tuple-set membership.
+    It is run on every pair of a u and a v as a block (a column of u
+    indices and a row of v indices), as sift's first stage runs it, and on
+    the drawn pairs as flat indices, as the stages after it run.  Counters
+    show, in both dtypes: a centre at infinity; a seed line through the
+    centre (c.w = 0); c.w a nonzero multiple of Q; with both charts, a join
+    0 mod Q; a join whose second residue is 0 and first is not (the slot Q),
+    one the other way round (the slot 0), and charts whose first columns
+    agree and second do not; and a non-member that passes the residue stage,
+    being congruent to a member mod Q, and that the exact stage refuses."""
+    reached = Counter()
 
-        @settings(max_examples=20)
-        @given(_residue_probes(ints))
-        def check(drawn):
-            centre, lines, queries = drawn
-            kept, passes, on_pencil = _line_test(Pencil(ProjPoint(*centre), lines))
-            a, b = int_rows(queries).astype(dtype)[:, kept].T
-            ra, rb = ((col % _Q).astype(np.int64) for col in (a, b))
-            members = np.array(pencil_lines_bruteforce(lines, queries), dtype=bool)
-            points = {None}
-            for line in lines:
-                p, q = (line[i] for i in kept)
-                points.add(_f_q_point(p // gcd(p, q), q // gcd(p, q)))
-            passed = passes(ra.copy(), rb.copy())
-            assert passed.tolist() == [_f_q_point(x, y) in points
-                                       for x, y in zip(ra.tolist(), rb.tolist())]
-            assert passed[members].all()
-            assert _two_stages(passes, on_pencil, a, b).tolist() == members.tolist()
-            reached["at infinity"] += centre[2] == 0
-            reached["both residues 0"] += bool(((ra == 0) & (rb == 0)).any())
-            reached["slot Q"] += bool(((ra != 0) & (rb == 0)).any())
-            reached["slot 0"] += bool(((ra == 0) & (rb != 0)).any())
-            reached["passes, not a member"] += bool((passed & ~members).any())
+    @settings(max_examples=25)
+    def check(drawn):
+        centre, lines, pairs = drawn
+        k = max(i for i, v in enumerate(centre) if v)
+        i, j = (x for x in range(3) if x != k)
+        points = {None}
+        for line in lines:
+            p, q = line[i], line[j]
+            points.add(_f_q_point(p // gcd(p, q), q // gcd(p, q)))
 
-        check()
-        assert len(reached) == 5 and all(reached.values()), (dtype, reached)
+        def expected(u, v):
+            cu, cv = _dot(centre, u), _dot(centre, v)
+            return not (cu % _Q and cv % _Q) or _f_q_point(
+                cv * u[i] - cu * v[i], cv * u[j] - cu * v[j]) in points
+
+        pencil = Pencil(ProjPoint(*centre), lines)
+        u, v = _seed_arrays(centre, pairs)
+        residue, _ = _line_test(pencil)(u, v)
+        block = residue(np.arange(len(u))[:, None], np.arange(len(v)))
+        assert block.tolist() == [[expected(a, b) for _, b in pairs] for a, _ in pairs]
+        members = np.array(_members(centre, lines, pairs), dtype=bool)
+        passed, hit = _two_stages(pencil, u, v)
+        assert passed.tolist() == [expected(a, b) for a, b in pairs]
+        assert passed[members].all()
+        assert hit.tolist() == members.tolist()
+        name = u.dtype.name
+        reached[name, "at infinity"] += centre[2] == 0
+        for (a, b), member, ok in zip(pairs, members.tolist(), passed.tolist()):
+            cu, cv = _dot(centre, a), _dot(centre, b)
+            ra, rb = ((cv * a[x] - cu * b[x]) % _Q for x in (i, j))
+            reached[name, "through the centre"] += cu == 0 or cv == 0
+            reached[name, "c.w a nonzero multiple of Q"] += any(
+                w and w % _Q == 0 for w in (cu, cv))
+            reached[name, "slot Q"] += ra != 0 and rb == 0
+            reached[name, "slot 0"] += ra == 0 and rb != 0
+            reached[name, "passes, not a member"] += ok and not member
+            if cu % _Q and cv % _Q:
+                reached[name, "both residues 0"] += ra == rb == 0
+                chart = [[w[x] * pow(cw, -1, _Q) % _Q for x in (i, j)] for w, cw in ((a, cu), (b, cv))]
+                reached[name, "charts agree on alpha only"] += (
+                    chart[0][0] == chart[1][0] and chart[0][1] != chart[1][1])
+
+    for ints in (_small, _ints):
+        given(_seed_pairs(ints))(check)()
+    branches = ("at infinity", "through the centre", "c.w a nonzero multiple of Q", "slot Q",
+                "slot 0", "passes, not a member", "both residues 0", "charts agree on alpha only")
+    assert all(reached[name, b] for name in ("int64", "object") for b in branches), reached
