@@ -478,8 +478,8 @@ def _sparse_grid():
     flush holds the survivors of two blocks."""
     config = build_grid_footnote_config(4)
     return ([pc.centre.coords for pc in config.pencils],
-            [{line for line in row_triples(pc.rows) if 0 in pc.centre.coords[:2] or line[2] % 2 == 0}
-             for pc in config.pencils])
+            [{line for line in row_triples(pc.rows)
+              if 0 in pc.centre.coords[:2] or line[2] % 2 == 0} for pc in config.pencils])
 
 
 def test_flushes_property_matches_bruteforce():
@@ -616,17 +616,17 @@ def _seed_pairs(draw, ints):
     nonzero = _small.filter(bool)
     unit = st.integers(0, 2)
     lines = [join(centre, q) for q in draw(st.lists(_points(ints), max_size=4)) if q != centre]
-    wide = [_through(centre, (line[kept[0]] + _Q * draw(nonzero), line[kept[1]] + _Q * draw(_small)))
-            for line in lines]
+    wide = [_through(centre, (line[kept[0]] + _Q * draw(nonzero),
+                              line[kept[1]] + _Q * draw(_small))) for line in lines]
     if draw(st.booleans()):
         p, y = draw(nonzero), draw(nonzero)
         wide += [_canon(_through(centre, (p, _Q * y))), _through(centre, (_Q * y, p))]
         lines.append(wide[-2])
     on = lambda line: _cross(line, _UNIT[draw(unit)])
     pairs = []
-    # points on lines with a kept entry near Q get only small s and t, so
-    # that with small coordinates most pairs fit the int64 kernel, and no
-    # v = u
+    # points on the lines with a kept entry of Q or more get only small s
+    # and t, and no v = u, so that with small coordinates most pairs fit
+    # the int64 kernel
     for p, narrow in ([(on(line), True) for line in lines if line not in wide]
                       + [(p, True) for p in draw(st.lists(_points(ints), max_size=3))]
                       + [(on(line), False) for line in wide if any(line)]):
@@ -823,12 +823,21 @@ def test_residue_stage_property_matches_tuple_sets():
             reached[name, "passes, not a member"] += ok and not member
             if cu % _Q and cv % _Q:
                 reached[name, "both residues 0"] += ra == rb == 0
-                chart = [[w[x] * pow(cw, -1, _Q) % _Q for x in (i, j)] for w, cw in ((a, cu), (b, cv))]
+                chart = [[w[x] * pow(cw, -1, _Q) % _Q for x in (i, j)]
+                         for w, cw in ((a, cu), (b, cv))]
                 reached[name, "charts agree on alpha only"] += (
                     chart[0][0] == chart[1][0] and chart[0][1] != chart[1][1])
 
-    for ints in (_small, _ints):
-        given(_seed_pairs(ints))(check)()
+    # a known example: the axes through the origin, and pairs whose charts
+    # agree on alpha only (slot 0), whose join is Q times a member, whose
+    # join has the slot Q, through the centre (a non-member that passes),
+    # and with c.w = -Q
+    for ints, t in ((_small, 1), (_ints, 2**62)):
+        x_t, y_t, sum_t = (1, 0, -t), (0, 1, -t), (1, 1, -t)
+        known = (0, 0, 1), [(0, 1, 0), (1, 0, 0)], [
+            (x_t, sum_t), (x_t, (1, _Q, -t)), (y_t, sum_t), ((1, -1, 0), (1, 1, -2 * t)),
+            ((1, 0, -_Q), (0, 1, -_Q))]
+        given(st.one_of(st.just(known), _seed_pairs(ints)))(check)()
     branches = ("at infinity", "through the centre", "c.w a nonzero multiple of Q", "slot Q",
                 "slot 0", "passes, not a member", "both residues 0", "charts agree on alpha only")
     assert all(reached[name, b] for name in ("int64", "object") for b in branches), reached
