@@ -36,9 +36,7 @@ from .sweeps import (
     ExponentFit,
     SweepRow,
     fit_exponent,
-    fitted_ceiling_violations,
     sweep,
-    tracking_ratios,
 )
 
 __version__ = "0.1.0"

@@ -241,8 +241,7 @@ def build_symmetric_farey_construction(n: int) -> GraphConstruction:
 
 
 def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
+    """Whether k >= 2 is prime, by trial division."""
     for q in range(2, math.isqrt(k) + 1):
         if k % q == 0:
             return False

@@ -10,7 +10,9 @@ stages, a residue stage mod Q = 65521 that refuses no member and an exact
 stage by projective._member that is the one verdict (see _line_test for
 both and why).  The residue stage works on per-line charts, each seed
 line's two columns divided by its dot product with c, mod Q, so a pair
-costs two subtractions and one slot lookup.  The first probe's residue
+costs two subtractions and one slot lookup; the slots that hold one of
+the pencil's lines are marked, and slot 0, where every pair with an entry
+0 mod Q falls, is always open.  The first probe's residue
 stage runs on blocks of seed pairs; the pairs that pass it are gathered
 and go through every other stage at once, the residue stage of every
 probe before any exact stage, so the exact columns are formed only for
@@ -54,7 +56,7 @@ __all__ = ["RichPointReport", "rich_points"]
 # hold on the order of _MEET_BLOCK * s2 entries.
 _MEET_BLOCK = 32
 
-# The residue stage's prime and a primitive root of it.  Q + 2 slots make a
+# The residue stage's prime and a primitive root of it.  Q slots make a
 # 64 KB table per probed pencil; 131071 and 262139 filtered more pairs
 # but were no faster at the benchmark's sizes.
 _Q, _ROOT = 65521, 17
@@ -85,21 +87,11 @@ def _inverses():
     return np.concatenate((inv, inv))
 
 
-def _slots(a, b):
-    """The points (a : b) of int64 arrays a in (-Q, Q) and b in (0, 2Q) on
-    the projective line over F_Q, as slots 0..Q+1: a/b mod Q, or Q where b =
-    Q, and Q + 1 where a = 0 and b = Q, which is no point."""
-    slot = _reduce(a * _inverses().take(b))
-    level = np.flatnonzero(b == _Q)
-    slot.flat[level] = _Q + (a.flat[level] == 0)
-    return slot
-
-
 def _chart(cw, *cols):
     """The chart of seed lines w on a probed centre c: their kept columns
     divided by c.w, mod Q, as int64 arrays, and where c.w is 0 mod Q, which
     has no chart (its columns are 0 there).  Takes the exact c.w and kept
-    columns, int64 or object."""
+    columns, int64 or object.  A kept pair (p, q)'s slot is _chart(q, p)."""
     cw, *cols = ((w % _Q).astype(np.int64) for w in (cw, *cols))
     inv = _inverses().take(cw)
     return [_reduce(w * inv) for w in cols], cw == 0
@@ -174,33 +166,31 @@ def _line_test(pc):
     The residue stage refuses no member.  A seed line w has a chart, its
     kept pair divided by c.w mod Q (see _chart), when Q does not divide
     c.w.  When u and v both have one, l's kept pair is (c.u)(c.v), a unit
-    mod Q, times the difference of their charts, so the two are the same
-    point of the projective line over F_Q, or both 0 mod Q.  The stage
-    passes the pairs whose chart difference has the slot (see _slots) of
-    one of the pencil's kept pairs, or is 0 mod Q, and every pair of a
-    line without a chart.  The pencil's kept pairs are in normal form, so
-    coprime, so none is 0 mod Q and each has a slot.  A member's kept pair
-    is lam*(p, q) for one of them, (p, q), and an integer lam; when Q does
-    not divide lam it is the same point over F_Q as (p, q), so it has the
-    marked slot, and when Q divides lam it is 0 mod Q.  So the exact stage,
-    which runs on the pairs that pass, is the one verdict: it forms l's
-    kept pair and compares it by _member after _normalise with the
-    pencil's kept pairs, keyed once.  Column k is never the first nonzero
-    entry of a line through c, so on a canonical row only the gcd step
-    acts; but that gcd divides c_k, so when |c_k| > 1 the normalised pairs
-    can leave row order, and the keys are sorted."""
+    mod Q, times the difference (a, b) of their charts, so the two are the
+    same point of the projective line over F_Q, or both 0 mod Q.  The
+    difference's slot is a * b^-1 mod Q, read off the inverse table, which
+    holds 0 at 0, so it is 0 where a or b is 0 mod Q.  The stage passes the
+    pairs whose slot is held, the slot p * q^-1 of each of the pencil's kept
+    pairs (p, q) with the zero pair's, 0, among them, and every pair of a
+    line without a chart.  A member's kept pair is lam*(p, q) for a nonzero
+    one of them and an integer lam;
+    when Q divides neither lam nor q it is the same point over F_Q as (p, q),
+    so it has that slot, and otherwise its second entry is 0 mod Q, so its
+    slot is 0.  So the exact stage, which runs on the pairs that pass, is
+    the one verdict: it forms l's kept pair and looks it up by _member after
+    _normalise among the pencil's kept pairs with the zero pair first,
+    keyed once.  Column k is never the first nonzero entry of a line
+    through c, so on a canonical row only the gcd step acts; but that gcd
+    divides c_k, so when |c_k| > 1 the normalised pairs can leave row
+    order, and the keys are sorted."""
     coords = pc.centre.coords
     k = max(i for i, v in enumerate(coords) if v)
     kept = [i for i in range(3) if i != k]
-    pairs = _normalise(*pc.rows[:, kept].T)
-    keyed = _keys(pairs)
+    p, q = _normalise(*(np.concatenate(([0], col)) for col in pc.rows[:, kept].T))
+    keyed = _keys((p, q))
     keyed[0].sort()
-    held = np.zeros(_Q + 2, dtype=bool)
-    a, b = ((col % _Q).astype(np.int64) for col in pairs)
-    held[_slots(a, b + _Q)] = held[_Q + 1] = True
-
-    def on_pencil(a, b):
-        return _member(_normalise(a, b), keyed) | ((a == 0) & (b == 0))
+    held = np.zeros(_Q, dtype=bool)
+    held[_chart(q, p)[0][0]] = True
 
     def stages(u, v):
         c = np.array(coords, u.dtype)
@@ -210,14 +200,14 @@ def _line_test(pc):
         bare = bare_u.any() or bare_v.any()
 
         def residue(ii, jj):
-            keep = held.take(_slots(au[ii] - av[jj], bu[ii] - bv[jj]))
+            keep = held.take(_reduce((au[ii] - av[jj]) * _inverses().take(bu[ii] - bv[jj])))
             if bare:
                 keep |= bare_u[ii] | bare_v[jj]
             return keep
 
         def exact(ii, jj):
             a, b = cu[ii], cv[jj]
-            return on_pencil(b * u0[ii] - a * v0[jj], b * u1[ii] - a * v1[jj])
+            return _member(_normalise(b * u0[ii] - a * v0[jj], b * u1[ii] - a * v1[jj]), keyed)
 
         return residue, exact
 
@@ -243,8 +233,8 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     def sift(u, v):
         """Add the raw meets u[i] x v[j] that lie on a line of every
         probed pencil, formed only for the (i, j) that pass every probe.  A
-        zero meet (u = v, a line both seeds hold) passes every probe and is
-        dropped; a meet equal to a probed centre passes that centre's own
+        zero meet (u = v, a line both seeds hold) has a zero join, on slot 0
+        and the zero pair, so it passes every probe and is dropped; a meet equal to a probed centre passes that centre's own
         probe, and centres are split off after all meets are sifted.  The
         stages are the residue stage of every probe and then the exact stage
         of every probe (see _line_test), each run on the pairs that passed

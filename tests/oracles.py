@@ -196,3 +196,42 @@ def witness_identity_pairwise(left, right, edges, centre1, centre2, ratio1, rati
                 if u * r1 - v * r2 + (x1 - x2) != 0:
                     return False
     return True
+
+
+def _ln_bracket(n, terms=40):
+    """Rationals lo <= ln n <= hi for an int n >= 1: ln n = e ln 2 +
+    ln(n / 2^e) with 2^e <= n < 2^(e + 1), and ln x = 2(y + y^3/3 + ...)
+    for y = (x - 1)/(x + 1), which is 1/3 for ln 2 and below 1/3 for
+    n / 2^e; the terms after the first `terms` add at most
+    2 y^(2 terms + 1) / (1 - y^2)."""
+    e = n.bit_length() - 1
+    lo = hi = Fraction(0)
+    for scale, y in ((e, Fraction(1, 3)), (1, Fraction(n - 2**e, n + 2**e))):
+        s = 2 * sum(y ** (2 * k + 1) / (2 * k + 1) for k in range(terms))
+        lo += scale * s
+        hi += scale * (s + 2 * y ** (2 * terms + 1) / (1 - y * y))
+    return lo, hi
+
+
+def log_quotient_floor(n, d, sqrt_numerator=False):
+    """floor(n / (ln n)^d), or of sqrt(n) / (ln n)^d, for an int n >= 3 and
+    a Fraction d = p/q > 0, in integer and Fraction arithmetic: r is at
+    most the quotient iff r^(2q) (ln n)^(2p) <= n^(2q) (n^q for sqrt(n)),
+    decided at both ends of _ln_bracket, and r is found by bisection over
+    0..n + 1.  Raises ArithmeticError when the bracket cannot decide."""
+    p, q = d.numerator, d.denominator
+    lo, hi = _ln_bracket(n)
+    top = n ** (q if sqrt_numerator else 2 * q)
+
+    def at_most(r):
+        if r ** (2 * q) * hi ** (2 * p) <= top:
+            return True
+        if r ** (2 * q) * lo ** (2 * p) > top:
+            return False
+        raise ArithmeticError(f"ln {n} bracket too wide for r = {r}")
+
+    a, b = 0, n + 1  # ln n > 1, so the quotient is at most n
+    while b - a > 1:
+        mid = (a + b) // 2
+        a, b = (mid, b) if at_most(mid) else (a, mid)
+    return a

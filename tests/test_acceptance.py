@@ -31,12 +31,7 @@ from pencils.graphs import (
 from pencils.incidence import _witness_identity_holds, build_lemma_instance, verify_lemma_chain
 from pencils.projective import ProjPoint, row_triples
 from pencils.richpoints import rich_points
-from pencils.sweeps import (
-    fit_exponent,
-    fitted_ceiling_violations,
-    sweep,
-    tracking_ratios,
-)
+from pencils.sweeps import fit_exponent, sweep
 
 from oracles import (
     _as_set,
@@ -46,6 +41,7 @@ from oracles import (
     rich_points_bruteforce,
     witness_identity_pairwise,
 )
+from tracking import fitted_ceiling_violations, tracking_ratios
 
 D_DAMP = Fraction(43, 1000)
 

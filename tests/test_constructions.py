@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -36,6 +37,7 @@ from oracles import (
     collinear_bruteforce,
     farey_shift_enumeration,
     join,
+    log_quotient_floor,
     symmetric_enumeration,
 )
 
@@ -62,6 +64,49 @@ def test_floored_log_quotient_is_exact_floor():
         rs = floored_log_quotient(n, d, sqrt_numerator=True)
         vals = mpmath.sqrt(n) / mpmath.log(n) ** exp
         assert rs <= vals < rs + 1
+
+
+def test_floored_log_quotient_doubles_precision_until_the_floors_agree():
+    """mpmath.floor wrapped so that the upper endpoint's floor is one more
+    than the lower's forces the precision loop.  Split in the first round
+    only, floored_log_quotient doubles the precision once and returns the
+    floor that an integer oracle finds; split in every round, it reaches
+    10240 bits and raises ArithmeticError.  Both times mpmath.iv.prec is
+    restored."""
+    floor, precs = mpmath.floor, []
+
+    def split(rounds):
+        def wrapped(x):
+            precs.append(mpmath.iv.prec)
+            # calls alternate: the lower endpoint's floor, then the upper's
+            return floor(x) + (len(precs) % 2 == 0 and len(precs) <= 2 * rounds)
+        return wrapped
+
+    n, d = 1024, Fraction(43, 1000)
+    saved = mpmath.iv.prec
+    mpmath.iv.prec = 99
+    try:
+        for sqrt_numerator in (False, True):
+            precs.clear()
+            with mock.patch.object(mpmath, "floor", split(1)):
+                got = floored_log_quotient(n, d, sqrt_numerator)
+            assert got == log_quotient_floor(n, d, sqrt_numerator)
+            assert precs == [80, 80, 160, 160] and mpmath.iv.prec == 99
+        precs.clear()
+        with (mock.patch.object(mpmath, "floor", split(math.inf)),
+              pytest.raises(ArithmeticError, match="undecided at n=1024, d=43/1000")):
+            floored_log_quotient(n, d)
+        assert precs == [80 << k for k in range(8) for _ in "ab"] and mpmath.iv.prec == 99
+    finally:
+        mpmath.iv.prec = saved
+
+
+def test_pencil_and_config_reprs():
+    centre = ProjPoint.from_affine(0, 0)
+    config = PencilConfig([Pencil(centre, [(1, 0, 0), (0, 1, 0)]),
+                           Pencil(ProjPoint(0, 1, 0), [(1, 0, 0)])], label="axes")
+    assert repr(config.pencils[0]) == "Pencil(centre=ProjPoint(0 : 0 : 1), 2 lines)"
+    assert repr(config) == "PencilConfig('axes', sizes=(2, 1))"
 
 
 def test_farey_shift_small_case_matches_enumeration():

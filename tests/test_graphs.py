@@ -100,6 +100,15 @@ def _value_lists(draw, ints):
                          min_size=1, max_size=12))
 
 
+def test_ground_set_and_graph_reprs():
+    """A ground set of up to six elements shows them, a larger one its size."""
+    left, right = GroundSet([Fraction(1, 2), 3, Fraction(-2, 3)]), GroundSet(range(7))
+    assert repr(left) == "GroundSet(['1/2', '3', '-2/3'])"
+    assert repr(right) == "GroundSet(<7 elements>)"
+    graph = BipartiteGraph(left, right, [(0, 1), (2, 6), (0, 1)])
+    assert repr(graph) == "BipartiteGraph(|left|=3, |right|=7, |E|=2)"
+
+
 def test_sorted_ground_matches_sorted_set():
     """Each size of coordinates gets its own examples; a counter shows the
     three regimes reached: int64 sort keys, object keys over an int64

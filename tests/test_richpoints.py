@@ -22,8 +22,7 @@ from pencils.constructions import (
 )
 from pencils.errors import PreconditionError
 from pencils.projective import ProjPoint, exact_dtype, int_rows, row_triples
-from pencils.richpoints import (_Q, _chart, _inverses, _kernel_dtype, _line_test, _slots,
-                                rich_points)
+from pencils.richpoints import _Q, _chart, _inverses, _kernel_dtype, _line_test, rich_points
 
 from oracles import (_canon, _cross, _on_line, join, pencil_lines_bruteforce,
                      rich_points_bruteforce)
@@ -400,6 +399,20 @@ def test_rich_points_property_matches_bruteforce():
     assert all(branches.values()), branches
 
 
+def test_report_repr():
+    """The axes and x = y through the origin, the horizontal line and x = 1
+    through (1, 0), and x = 0, x = 1 and the line at infinity through the
+    vertical direction: (1 : 0 : 0) and (1, 1) are rich, and all three
+    centres are excluded."""
+    config = PencilConfig([
+        Pencil(ProjPoint(0, 0, 1), [(1, 0, 0), (0, 1, 0), (1, -1, 0)]),
+        Pencil(ProjPoint(1, 0, 1), [(1, 0, -1), (0, 1, 0)]),
+        Pencil(ProjPoint(0, 1, 0), [(1, 0, 0), (1, 0, -1), (0, 0, 1)])], label="three")
+    rep = rich_points(config)
+    assert rep.rows.tolist() == [[1, 0, 0], [1, 1, 1]]
+    assert repr(rep) == "RichPointReport('three', count=2, infinite=1, excluded=3)"
+
+
 def test_rich_points_keys_only_probed_pencils():
     """Only the m - 2 probed pencils get a line test; the seeds answer their
     one question by a row lookup."""
@@ -454,7 +467,7 @@ def test_probes_normalise_fewer_pairs_than_the_seed_pairs():
     the exact stages of all eight probes together normalise fewer pairs
     than the s1 * s2 seed pairs, which the first probe alone normalised
     before the residue stage; the rest of the _normalise calls key the
-    probed pencils' own kept pairs, once each."""
+    probed pencils' own kept pairs with the zero pair, once each."""
     config = build_m_pencil_config(10, 64)
     normalise, sizes = pencils.richpoints._normalise, Counter()
 
@@ -466,9 +479,9 @@ def test_probes_normalise_fewer_pairs_than_the_seed_pairs():
         rep = rich_points(config)
     s1, s2 = sorted(config.sizes())[:2]
     # s1 * s2 = 43 * 87 = 3741 seed pairs; 2800 pairs are normalised
-    assert rep.count > 0 and 0 < sizes["on_pencil"] < s1 * s2
-    assert sizes.keys() == {"on_pencil", "_line_test"}
-    assert sizes["_line_test"] == sum(sorted(config.sizes())[2:])
+    assert rep.count > 0 and 0 < sizes["exact"] < s1 * s2
+    assert sizes.keys() == {"exact", "_line_test"}
+    assert sizes["_line_test"] == sum(sorted(config.sizes())[2:]) + config.m - 2
 
 
 def _sparse_grid():
@@ -717,33 +730,49 @@ def _f_q_point(a, b):
     return (a * pow(b, -1, _Q) % _Q, 1) if b else (1, 0) if a else None
 
 
+def _held(stages):
+    """The held-slot table of a _line_test(pc) result, read off its closure."""
+    return dict(zip(stages.__code__.co_freevars, (c.cell_contents for c in stages.__closure__)))["held"]
+
+
 def test_inverse_table_and_slots_match_python_ints():
     """The inverse table, int32 and held twice over, with 0 at 0 and at Q,
-    holds (x mod Q)^-1 mod Q at every other x in 0..2Q-1.  _slots maps
-    drawn int64 a in (-Q, Q) and b in (0, 2Q), flat or as a column, to
-    a * b^-1 mod Q, to Q where b = Q, and to Q + 1 where a = 0 too.  _chart
-    maps drawn c.w and columns, int64 or object, to the columns times
-    (c.w)^-1 mod Q, 0 where c.w is 0 mod Q, and marks those lines.  b = Q
-    and a = 0 with b = Q are drawn as their own branches, and c.w = 0 and
-    c.w a nonzero multiple of Q as theirs; counters show each reached, and
-    b and c.w a unit, c.w in both dtypes."""
+    holds (x mod Q)^-1 mod Q at every other x in 0..2Q-1.  A probed pencil's
+    held table has Q bools and holds exactly slot 0 and the slot p * q^-1
+    mod Q of each of its kept pairs (p, q), divided by their gcd, with q a
+    unit mod Q (q 0 mod Q marks slot 0).  _chart maps drawn c.w and columns,
+    int64 or object, to the columns times (c.w)^-1 mod Q, 0 where c.w is 0
+    mod Q, and marks those lines.  Pencils through the origin with kept
+    pairs (1, 0) and (t + 1, Q * t), int64 and object, are drawn as known
+    examples, c.w = 0 and c.w a nonzero multiple
+    of Q as their own branches; counters show q a unit and q 0 mod Q in
+    pencils with int64 and object rows, and c.w a unit, c.w in both dtypes."""
     inv = _inverses()
     assert inv.dtype == np.int32 and inv.shape == (2 * _Q,) and inv[0] == inv[_Q] == 0
     x = np.delete(np.arange(1, 2 * _Q), _Q - 1)
     assert (x * inv[x].astype(np.int64) % _Q == 1).all()
     reached = Counter()
-    a = st.integers(-_Q + 1, _Q - 1)
 
     @settings(max_examples=30)
-    @given(st.lists(st.one_of(st.tuples(a, st.integers(1, 2 * _Q - 1)), st.tuples(a, st.just(_Q)),
-                              st.just((0, _Q))), min_size=1, max_size=20))
-    def slots(pairs):
-        a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
-        want = [x * pow(y, -1, _Q) % _Q if y != _Q else _Q + (x == 0) for x, y in pairs]
-        assert _slots(a, b).tolist() == want
-        assert _slots(a[:, None], b[:, None]).ravel().tolist() == want
-        reached.update("b a unit" if y != _Q else "b = Q" if x else "a = 0, b = Q"
-                       for x, y in pairs)
+    def marks(drawn):
+        centre, lines, _ = drawn
+        k = max(i for i, v in enumerate(centre) if v)
+        i, j = (x for x in range(3) if x != k)
+        pencil = Pencil(ProjPoint(*centre), lines)
+        want = {0}
+        for line in row_triples(pencil.rows):
+            p, q = line[i] // gcd(line[i], line[j]), line[j] // gcd(line[i], line[j])
+            want.add(p * pow(q, -1, _Q) % _Q if q % _Q else 0)
+            reached["q a unit" if q % _Q else "q 0 mod Q", pencil.rows.dtype.name] += 1
+        held = _held(_line_test(pencil))
+        assert held.dtype == bool and held.shape == (_Q,)
+        assert set(np.flatnonzero(held).tolist()) == want
+
+    # through the origin: kept pairs (0, 1), (1, 0), (t + 1, Q * t) and
+    # (t, 3t + 1), with object rows for t = 2^64
+    for ints, t in ((_small, 1), (_ints, 2**64)):
+        known = (0, 0, 1), [(0, 1, 0), (1, 0, 0), (t + 1, _Q * t, 0), (t, 3 * t + 1, 0)], []
+        given(st.one_of(st.just(known), _seed_pairs(ints)))(marks)()
 
     wide = {np.int64: st.integers(-2**63, 2**63 - 1), object: st.integers(-2**80, 2**80)}
 
@@ -763,81 +792,78 @@ def test_inverse_table_and_slots_match_python_ints():
         reached.update(("c.w a unit" if y % _Q else "c.w a multiple of Q" if y else "c.w = 0",
                         np.dtype(dtype).name) for y, *_ in rows)
 
-    slots()
     charts()
-    assert len(reached) == 3 + 3 * 2, reached
+    assert len(reached) == 2 * 2 + 3 * 2, reached
 
 
 def test_residue_stage_property_matches_tuple_sets():
-    """The line test's residue stage passes exactly the seed pairs (u, v)
-    whose join's kept pair is, over F_Q, the point of one of the pencil's
-    kept pairs, each divided by its gcd, or 0 mod Q, and the pairs in which
-    c.u or c.v is 0 mod Q (no chart); so it passes every member of the
+    """The line test's residue stage passes exactly these seed pairs (u, v):
+    those in which c.u or c.v is 0 mod Q (a line with no chart), and, where
+    both have charts, those whose chart difference (da, db) has da or db 0
+    mod Q (slot 0) or the slot da * db^-1 mod Q of one of the pencil's kept
+    pairs, each divided by its gcd.  So it passes every member of the
     pencil, and with the exact stage after it gives tuple-set membership.
     It is run on every pair of a u and a v as a block (a column of u
     indices and a row of v indices), as sift's first stage runs it, and on
-    the drawn pairs as flat indices, as the stages after it run.  Counters
-    show, in both dtypes: a centre at infinity; a seed line through the
-    centre (c.w = 0); c.w a nonzero multiple of Q; with both charts, a join
-    0 mod Q; a join whose second residue is 0 and first is not (the slot Q),
-    one the other way round (the slot 0), and charts whose first columns
-    agree and second do not; and a non-member that passes the residue stage,
-    being congruent to a member mod Q, and that the exact stage refuses."""
-    reached = Counter()
-
+    the drawn pairs as flat indices, as the stages after it run.  The seeds
+    are int64 in one @given run and object in another, each with its own
+    counters, which show: a centre at infinity; a seed line through the
+    centre (c.w = 0); c.w a nonzero multiple of Q; with both charts, da and
+    db both 0, da 0 only, db 0 only, a marked nonzero slot and a refused
+    pair; and a non-member that passes the residue stage and that the exact
+    stage refuses."""
     @settings(max_examples=25)
     def check(drawn):
         centre, lines, pairs = drawn
         k = max(i for i, v in enumerate(centre) if v)
         i, j = (x for x in range(3) if x != k)
-        points = {None}
+        marked = set()
         for line in lines:
-            p, q = line[i], line[j]
-            points.add(_f_q_point(p // gcd(p, q), q // gcd(p, q)))
+            p, q = line[i] // gcd(line[i], line[j]), line[j] // gcd(line[i], line[j])
+            if q % _Q:
+                marked.add(p * pow(q, -1, _Q) % _Q)
 
-        def expected(u, v):
+        def branch(u, v):
             cu, cv = _dot(centre, u), _dot(centre, v)
-            return not (cu % _Q and cv % _Q) or _f_q_point(
-                cv * u[i] - cu * v[i], cv * u[j] - cu * v[j]) in points
+            if not (cu % _Q and cv % _Q):
+                return "no chart"
+            da, db = ((u[x] * pow(cu, -1, _Q) - v[x] * pow(cv, -1, _Q)) % _Q for x in (i, j))
+            if not (da and db):
+                return "da 0 only" if db else "db 0 only" if da else "da and db 0"
+            return "marked slot" if da * pow(db, -1, _Q) % _Q in marked else "refused"
 
         pencil = Pencil(ProjPoint(*centre), lines)
-        u, v = _seed_arrays(centre, pairs)
+        u, v = (w.astype(dtype) for w in _seed_arrays(centre, pairs))
+        assert dtype is object or u.dtype == dtype
         residue, _ = _line_test(pencil)(u, v)
         block = residue(np.arange(len(u))[:, None], np.arange(len(v)))
-        assert block.tolist() == [[expected(a, b) for _, b in pairs] for a, _ in pairs]
+        assert block.tolist() == [[branch(a, b) != "refused" for _, b in pairs] for a, _ in pairs]
         members = np.array(_members(centre, lines, pairs), dtype=bool)
         passed, hit = _two_stages(pencil, u, v)
-        assert passed.tolist() == [expected(a, b) for a, b in pairs]
+        assert passed.tolist() == [branch(a, b) != "refused" for a, b in pairs]
         assert passed[members].all()
         assert hit.tolist() == members.tolist()
-        name = u.dtype.name
-        reached[name, "at infinity"] += centre[2] == 0
+        reached["at infinity"] += centre[2] == 0
         for (a, b), member, ok in zip(pairs, members.tolist(), passed.tolist()):
             cu, cv = _dot(centre, a), _dot(centre, b)
-            ra, rb = ((cv * a[x] - cu * b[x]) % _Q for x in (i, j))
-            reached[name, "through the centre"] += cu == 0 or cv == 0
-            reached[name, "c.w a nonzero multiple of Q"] += any(
-                w and w % _Q == 0 for w in (cu, cv))
-            reached[name, "slot Q"] += ra != 0 and rb == 0
-            reached[name, "slot 0"] += ra == 0 and rb != 0
-            reached[name, "passes, not a member"] += ok and not member
-            if cu % _Q and cv % _Q:
-                reached[name, "both residues 0"] += ra == rb == 0
-                chart = [[w[x] * pow(cw, -1, _Q) % _Q for x in (i, j)]
-                         for w, cw in ((a, cu), (b, cv))]
-                reached[name, "charts agree on alpha only"] += (
-                    chart[0][0] == chart[1][0] and chart[0][1] != chart[1][1])
+            reached[branch(a, b)] += 1
+            reached["through the centre"] += cu == 0 or cv == 0
+            reached["c.w a nonzero multiple of Q"] += any(w and w % _Q == 0 for w in (cu, cv))
+            reached["passes, not a member"] += ok and not member
 
-    # a known example: the axes through the origin, and pairs whose charts
-    # agree on alpha only (slot 0), whose join is Q times a member, whose
-    # join has the slot Q, through the centre (a non-member that passes),
+    # a known example: the axes and the line 2x = y through the origin, and
+    # pairs whose join is on the axes (da 0 only, db 0 only), whose join is
+    # Q times a member (da and db 0), whose join is 2x = y (a marked slot)
+    # and 3x = y (refused), through the centre (a non-member that passes),
     # and with c.w = -Q
-    for ints, t in ((_small, 1), (_ints, 2**62)):
+    for dtype, ints, t in ((np.int64, _small, 1), (object, _ints, 2**62)):
+        reached = Counter()
         x_t, y_t, sum_t = (1, 0, -t), (0, 1, -t), (1, 1, -t)
-        known = (0, 0, 1), [(0, 1, 0), (1, 0, 0)], [
+        known = (0, 0, 1), [(0, 1, 0), (1, 0, 0), (2, -1, 0)], [
             (x_t, sum_t), (x_t, (1, _Q, -t)), (y_t, sum_t), ((1, -1, 0), (1, 1, -2 * t)),
-            ((1, 0, -_Q), (0, 1, -_Q))]
+            (x_t, (0, 1, -2 * t)), (x_t, (0, 1, -3 * t)), ((1, 0, -_Q), (0, 1, -_Q))]
         given(st.one_of(st.just(known), _seed_pairs(ints)))(check)()
-    branches = ("at infinity", "through the centre", "c.w a nonzero multiple of Q", "slot Q",
-                "slot 0", "passes, not a member", "both residues 0", "charts agree on alpha only")
-    assert all(reached[name, b] for name in ("int64", "object") for b in branches), reached
+        branches = ("at infinity", "through the centre", "c.w a nonzero multiple of Q",
+                    "no chart", "da and db 0", "da 0 only", "db 0 only", "marked slot",
+                    "refused", "passes, not a member")
+        assert all(reached[b] for b in branches), (np.dtype(dtype).name, reached)

@@ -11,13 +11,9 @@ from pencils.constructions import CONSTRUCTION_TAGS, build, standard_shift_centr
 from pencils.errors import PreconditionError, ZeroDenominator
 from pencils.graphs import shifted_restricted_ratio_set
 from pencils.projective import ProjPoint
-from pencils.sweeps import (
-    SweepRow,
-    fit_exponent,
-    fitted_ceiling_violations,
-    sweep,
-    tracking_ratios,
-)
+from pencils.sweeps import SweepRow, fit_exponent, sweep
+
+from tracking import fitted_ceiling_violations, tracking_ratios
 
 
 def _rows(values, ns=None):
