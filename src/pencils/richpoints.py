@@ -10,16 +10,16 @@ stages, a residue stage mod Q = 65521 that refuses no member and an exact
 stage by projective._member that is the one verdict (see _line_test for
 both and why).  The residue stage works on per-line charts, each seed
 line's two columns divided by its dot product with c, mod Q, so a pair
-costs two subtractions and one slot lookup; the slots that hold one of
-the pencil's lines are marked, and slot 0, where every pair with an entry
-0 mod Q falls, is always open.  The first probe's residue
-stage runs on blocks of seed pairs; the pairs that pass it are gathered
-and go through every other stage at once, the residue stage of every
-probe before any exact stage, so the exact columns are formed only for
-the pairs that passed every residue stage.  Meets are formed only for the
-pairs that pass every probe.  Each pencil is asked by a row lookup whether
-it holds the join of the seed centres.  The surviving meets become one set
-of canonical rows by projective._row_set; ProjPoint objects are built only
+costs two subtractions and one slot lookup; the slots of the pencil's
+lines are marked, and slot 0, where every pair with an entry 0 mod Q
+falls, is always open.  The first probe's residue stage runs on blocks of
+seed pairs; the pairs that pass it are gathered and go through every
+other stage at once, the residue stage of every probe before any exact
+stage, so the exact columns are formed only for the pairs that passed
+every residue stage.  Meets are formed only for the pairs that pass
+every probe.  Each pencil is asked by a row lookup whether it holds the
+join of the seed centres.  The surviving meets become one set of
+canonical rows by projective._row_set; ProjPoint objects are built only
 for excluded centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
@@ -173,16 +173,15 @@ def _line_test(pc):
     pairs whose slot is held, the slot p * q^-1 of each of the pencil's kept
     pairs (p, q) with the zero pair's, 0, among them, and every pair of a
     line without a chart.  A member's kept pair is lam*(p, q) for a nonzero
-    one of them and an integer lam;
-    when Q divides neither lam nor q it is the same point over F_Q as (p, q),
-    so it has that slot, and otherwise its second entry is 0 mod Q, so its
-    slot is 0.  So the exact stage, which runs on the pairs that pass, is
-    the one verdict: it forms l's kept pair and looks it up by _member after
-    _normalise among the pencil's kept pairs with the zero pair first,
-    keyed once.  Column k is never the first nonzero entry of a line
-    through c, so on a canonical row only the gcd step acts; but that gcd
-    divides c_k, so when |c_k| > 1 the normalised pairs can leave row
-    order, and the keys are sorted."""
+    one of them and an integer lam; when Q divides neither lam nor q it is
+    the same point over F_Q as (p, q), so it has that slot, and otherwise
+    its second entry is 0 mod Q, so its slot is 0.  So the exact stage,
+    which runs on the pairs that pass, is the one verdict: it forms l's
+    kept pair and looks it up by _member after _normalise among the
+    pencil's kept pairs with the zero pair first, keyed once.  Column k is
+    never the first nonzero entry of a line through c, so on a canonical
+    row only the gcd step acts; but that gcd divides c_k, so when |c_k| > 1
+    the normalised pairs can leave row order, and the keys are sorted."""
     coords = pc.centre.coords
     k = max(i for i, v in enumerate(coords) if v)
     kept = [i for i in range(3) if i != k]
@@ -234,15 +233,16 @@ def rich_points(config: PencilConfig) -> RichPointReport:
         """Add the raw meets u[i] x v[j] that lie on a line of every
         probed pencil, formed only for the (i, j) that pass every probe.  A
         zero meet (u = v, a line both seeds hold) has a zero join, on slot 0
-        and the zero pair, so it passes every probe and is dropped; a meet equal to a probed centre passes that centre's own
-        probe, and centres are split off after all meets are sifted.  The
-        stages are the residue stage of every probe and then the exact stage
-        of every probe (see _line_test), each run on the pairs that passed
-        every stage before it.  The first runs on each block of _MEET_BLOCK
-        lines of u against all of v; its survivors are held until they
-        number one block's pairs, or u ends, and then go through the other
-        stages and their meets are formed, all on flat indices.  With no
-        probe each block's meets are formed as one broadcast."""
+        and the zero pair, so it passes every probe and is dropped; a meet
+        equal to a probed centre passes that centre's own probe, and centres
+        are split off after all meets are sifted.  The stages are the
+        residue stage of every probe and then the exact stage of every probe
+        (see _line_test), each run on the pairs that passed every stage
+        before it.  The first runs on each block of _MEET_BLOCK lines of u
+        against all of v; its survivors are held until they number one
+        block's pairs, or u ends, and then go through the other stages and
+        their meets are formed, all on flat indices.  With no probe each
+        block's meets are formed as one broadcast."""
         stages = [stage for kind in zip(*(test(u, v) for test in tests)) for stage in kind]
         batch, size = [], 0
         for lo in range(0, len(u), _MEET_BLOCK):

@@ -118,4 +118,3 @@ def fit_exponent(rows, field: str = "edge_count") -> ExponentFit:
         r_squared=r_squared,
         n_range=(min(row.n for row in rows), max(row.n for row in rows)),
     )
-

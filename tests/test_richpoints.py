@@ -614,11 +614,11 @@ def _seed_pairs(draw, ints):
     """A centre c, at infinity for some draws, its lines, and pairs (u, v)
     of seed lines as sift queries them.  The lines join c to drawn points
     and, in some draws, include a line whose second kept column is a
-    nonzero multiple of Q, so its slot is Q.  Each pair is two lines through
+    nonzero multiple of Q, so its slot is 0.  Each pair is two lines through
     a point p other than c: a point on a line through c (one of the lines;
     the line congruent to it mod Q whose kept pair is the line's plus Q
-    times a drawn pair; the line whose kept pair is the slot Q line's
-    swapped, slot 0) or a drawn point.  u = p x s is through c for s = c,
+    times a drawn pair; the line whose kept pair is that slot 0 line's
+    swapped, slot 0 too) or a drawn point.  u = p x s is through c for s = c,
     and c.u is a nonzero multiple of Q when s.(c x p) is; v = p x t is u
     for some pairs, and for some it is u plus Q times a line through p, so
     that the join (c.v)u - (c.u)v is 0 mod Q."""
@@ -724,15 +724,10 @@ def test_line_test_property_matches_tuple_sets():
     assert dtypes["at infinity"] and dtypes["leaves row order"], dtypes
 
 
-def _f_q_point(a, b):
-    """The point (a : b) of the projective line over F_Q, None for a = b = 0."""
-    a, b = a % _Q, b % _Q
-    return (a * pow(b, -1, _Q) % _Q, 1) if b else (1, 0) if a else None
-
-
 def _held(stages):
     """The held-slot table of a _line_test(pc) result, read off its closure."""
-    return dict(zip(stages.__code__.co_freevars, (c.cell_contents for c in stages.__closure__)))["held"]
+    cells = (cell.cell_contents for cell in stages.__closure__)
+    return dict(zip(stages.__code__.co_freevars, cells))["held"]
 
 
 def test_inverse_table_and_slots_match_python_ints():
@@ -744,9 +739,9 @@ def test_inverse_table_and_slots_match_python_ints():
     int64 or object, to the columns times (c.w)^-1 mod Q, 0 where c.w is 0
     mod Q, and marks those lines.  Pencils through the origin with kept
     pairs (1, 0) and (t + 1, Q * t), int64 and object, are drawn as known
-    examples, c.w = 0 and c.w a nonzero multiple
-    of Q as their own branches; counters show q a unit and q 0 mod Q in
-    pencils with int64 and object rows, and c.w a unit, c.w in both dtypes."""
+    examples, c.w = 0 and c.w a nonzero multiple of Q as their own
+    branches; counters show q a unit and q 0 mod Q in pencils with int64
+    and object rows, and c.w a unit, c.w in both dtypes."""
     inv = _inverses()
     assert inv.dtype == np.int32 and inv.shape == (2 * _Q,) and inv[0] == inv[_Q] == 0
     x = np.delete(np.arange(1, 2 * _Q), _Q - 1)
@@ -833,8 +828,9 @@ def test_residue_stage_property_matches_tuple_sets():
             return "marked slot" if da * pow(db, -1, _Q) % _Q in marked else "refused"
 
         pencil = Pencil(ProjPoint(*centre), lines)
-        u, v = (w.astype(dtype) for w in _seed_arrays(centre, pairs))
-        assert dtype is object or u.dtype == dtype
+        u, v = _seed_arrays(centre, pairs)
+        assert dtype is object or u.dtype == dtype  # the small draws fit int64
+        u, v = u.astype(dtype), v.astype(dtype)
         residue, _ = _line_test(pencil)(u, v)
         block = residue(np.arange(len(u))[:, None], np.arange(len(v)))
         assert block.tolist() == [[branch(a, b) != "refused" for _, b in pairs] for a, _ in pairs]

@@ -2,8 +2,7 @@
 
 An asymptotic claim value <= C * n^exponent cannot be asserted at finite
 n; these track the constant value / n^exponent over the rows of a sweep
-instead.  They summarise, so they are the one place in the tests where a
-float is compared with a tolerance.
+instead (criterion 9 and test_sweeps).
 """
 
 from fractions import Fraction
