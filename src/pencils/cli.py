@@ -9,7 +9,7 @@ verification verdict is false.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -34,13 +34,18 @@ def _read_text(path: str) -> str:
     return sys.stdin.read() if path == "-" else Path(path).read_text()
 
 
-def _loads(text: str):
-    """json.loads, with input nested too deep for it (a RecursionError) as
-    malformed input, a ValueError."""
+def _loads(data):
+    """serialize.loads of a str or a file's bytes, with input nested too deep
+    for json.loads (a RecursionError) as malformed input, a ValueError."""
     try:
-        return json.loads(text)
+        return serialize.loads(data)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def _read_json(path: str):
+    """The JSON document at path, from the file's bytes, or "-": stdin's text."""
+    return _loads(sys.stdin.read() if path == "-" else Path(path).read_bytes())
 
 
 def _write_output(pieces, out: str | None) -> None:
@@ -86,7 +91,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_rich_points(args) -> int:
-    config = serialize.pencil_config_from_json(_loads(_read_text(args.config)))
+    config = serialize.pencil_config_from_json(_read_json(args.config))
     start = time.perf_counter()
     report = rich_points(config)
     elapsed = time.perf_counter() - start
@@ -100,7 +105,7 @@ def _cmd_rich_points(args) -> int:
 
 def _cmd_verify_lemma(args) -> int:
     if args.graph:
-        construction = serialize.graph_construction_from_json(_loads(_read_text(args.graph)))
+        construction = serialize.graph_construction_from_json(_read_json(args.graph))
     else:
         construction = build(args.construction, int(args.n), Fraction(args.d))[0]
     centres = _load_centres(args.centres)
@@ -138,6 +143,7 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+@functools.cache  # built once: each handler reads its module's names when it runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pencils",

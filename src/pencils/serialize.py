@@ -4,11 +4,13 @@ Rationals travel as decimal or "p/q" strings, so nothing is rounded;
 only the approximate exponent fit carries floats.  Sweep-row and fit
 columns are the SweepRow and ExponentFit fields, written by value type
 and read by the types SweepRow declares.  Layouts are deterministic, so
-identical inputs give byte-identical reports, wall_time_ms aside.
+identical inputs give byte-identical reports, wall_time_ms aside, and
+loads reads the array leaves of that layout back in bulk.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from collections import namedtuple
 from dataclasses import fields
@@ -35,7 +37,7 @@ __all__ = [
     "lemma_report_to_json",
     "sweep_rows_to_json", "sweep_rows_to_csv", "sweep_rows_from_csv",
     "fit_to_json",
-    "dumps", "iterdumps",
+    "dumps", "iterdumps", "loads",
 ]
 
 _ROW_TYPES = get_type_hints(SweepRow)
@@ -44,7 +46,12 @@ SWEEP_CSV_HEADER = ",".join(_ROW_TYPES)
 
 # an integer array leaf of dumps, its cells '"%d"' (coordinates) or '%d' (indices)
 _Rows = namedtuple("_Rows", "array cell")
-_CHUNK = 4096  # rows per %-format, which bounds the text held at once
+_CHUNK = 4096  # rows per %-format or per slice read, which bounds the text held at once
+
+
+def _row(nl: str, cell: str, width: int) -> str:
+    """One row of an array leaf as dumps writes it at nl, its cells the format cell."""
+    return f"{nl}[{nl}  " + f",{nl}  ".join([cell] * width) + f"{nl}]"
 
 
 def _pieces(obj, nl: str):
@@ -52,7 +59,7 @@ def _pieces(obj, nl: str):
     inner = nl + "  "
     if isinstance(obj, _Rows):  # a tuple, so tested before the tuple branch
         rows, cell = obj
-        row = f"{inner}[{inner}  " + f",{inner}  ".join([cell] * rows.shape[1]) + f"{inner}]"
+        row = _row(inner, cell, rows.shape[1])
         for start in range(0, len(rows), _CHUNK):
             chunk = rows[start:start + _CHUNK]
             yield ("," if start else "[") + ",".join([row] * len(chunk)) % tuple(
@@ -76,6 +83,95 @@ def iterdumps(obj):
 
 def dumps(obj) -> str:
     return "".join(iterdumps(obj))
+
+
+# the array leaves loads reads in bulk, by key: the nl, cell and width dumps writes them at
+_LEAVES = {"lines": ("\n      ", '"%d"', 3), "edges": ("\n  ", "%d", 2)}
+
+
+def _cells(text: bytes, row: str):
+    """The (k, width) int64 rows of text, k _row rows joined by "," with
+    their cells filled in, or None unless each cell is -?[0-9]{1,18} and,
+    unquoted, a JSON int: cells that json.loads then int() read alike."""
+    parts = row.split("%d")
+    template, stripped = "".join(parts).encode(), text.translate(None, b"-0123456789")
+    k, extra = divmod(len(stripped) + 1, len(template) + 1)
+    if extra or stripped != ((b"," + template) * k)[1:]:
+        return None
+    a = np.frombuffer(text, np.uint8)
+    edge = np.flatnonzero(np.diff(a - 45 < 13, prepend=False, append=False))  # '-' and digit runs
+    starts, lens = edge[::2], edge[1::2] - edge[::2]
+    cells = np.cumsum([len(p) for p in parts[:-1]]) + np.arange(k)[:, None] * (len(template) + 1)
+    neg = a[starts] == 45
+    digits = lens - neg
+    # one run to each cell of the template and none elsewhere; no leading 0 in a JSON int
+    if not (np.array_equal(starts - np.cumsum(lens) + lens, cells.ravel()) and digits.min() > 0
+            and digits.max() <= 18 and np.count_nonzero(a == 45) == neg.sum()) or (
+            '"' not in row and ((a[starts + neg] == 48) & (digits > 1)).any()):
+        return None
+    values = sum(np.where(digits > p, a.take(starts + lens - 1 - p) - 48, 0) * np.int64(10) ** p
+                 for p in range(digits.max()))
+    return np.where(neg, -values, values).reshape(k, -1)
+
+
+def _leaf(data: bytes, at: int, nl: str, cell: str, width: int):
+    """(end, rows) of the array leaf at data[at:] if dumps wrote it at nl, as
+    its object's last value, read by _cells in slices of about _CHUNK rows
+    cut at row ends; else None.  Each search is short or for one byte."""
+    if data.startswith(b"[]", at):
+        return at + 2, np.empty((0, width), np.int64)
+    row, cuts = _row(nl + "  ", cell, width), [at]
+    end = data.rfind(f"{nl}]".encode(), at, data.find(b"}", at))
+    while end > cuts[-1]:
+        stop = data.find(f"{nl}  ],".encode(), cuts[-1] + _CHUNK * len(row), end)
+        cuts.append(end if stop < 0 else stop + len(nl) + 3)  # the comma after a row
+    slices = [_cells(data[i + 1:j], row) for i, j in zip(cuts, cuts[1:])]
+    if slices and all(rows is not None for rows in slices):
+        return end + len(nl) + 1, np.concatenate(slices)
+    return None
+
+
+def _bulk(data: bytes):
+    """json.loads(data) with each _LEAVES leaf read by _leaf, when there is
+    one, each is one and lands in a config's pencils or on a graph, and the
+    rest is ASCII JSON; else None.  The rest holds "\\u0000i" for leaf i,
+    which text with no \\u0000 of its own cannot hold."""
+    pieces, leaves, pos, at = [], [], 0, data.find(b":")
+    while at >= 0:  # a leaf's key ends at a colon, and a leaf holds none
+        for key, (nl, cell, width) in _LEAVES.items():
+            if data.startswith(f'{nl}"{key}": ['.encode(), at - len(nl) - len(key) - 2):
+                leaf = _leaf(data, at + 2, nl, cell, width)
+                if leaf is None:
+                    return None
+                pieces += [data[pos:at + 2], b'"\\u0000%d"' % len(leaves)]
+                pos, rows = leaf
+                leaves.append(rows)
+        at = data.find(b":", max(at + 1, pos))
+    rest = b"".join(pieces) + data[pos:]
+    if not leaves or rest.count(b"\\u0000") != len(leaves):
+        return None
+    try:
+        tree = json.loads(rest.decode("ascii"))
+    except (ValueError, RecursionError):
+        return None
+    top = tree if type(tree) is dict else {}
+    entries = top["pencils"] if type(top.get("pencils")) is list else []
+    filled = 0
+    for obj, key in [(top, "edges")] + [(e, "lines") for e in entries if type(e) is dict]:
+        if type(obj.get(key)) is str and obj[key].startswith("\0"):
+            obj[key], filled = leaves[int(obj[key][1:])], filled + 1
+    return tree if filled == len(leaves) else None
+
+
+def loads(data):
+    """json.loads of a str, or of the bytes of a text file decoded as open()
+    decodes one, with a config's "lines" and a graph's "edges" as int64
+    arrays when _bulk reads them, building no Python object per cell."""
+    text = data if isinstance(data, str) else None
+    tree = _bulk(data if text is None else text.encode("utf-8", "surrogatepass"))
+    if tree is None:
+        tree = json.loads(io.TextIOWrapper(io.BytesIO(data)).read() if text is None else text)
+    return tree
 
 
 def exact_from_json(value, kind=int):
@@ -124,7 +220,7 @@ def _required(obj, key) -> list:
         value = obj[key]
     except (KeyError, TypeError):
         raise ValueError(f"JSON object has no {key!r}") from None
-    if not isinstance(value, list):
+    if not isinstance(value, (list, np.ndarray)):  # an array: a leaf that loads read
         raise ValueError(f"{key!r} must be a list, not {type(value).__name__}")
     return value
 
@@ -138,6 +234,8 @@ def _label(obj) -> str:
 
 def _rows_from_json(rows: list) -> np.ndarray:
     """JSON triples as a (k, 3) int64 (past it, object) array; a bad row raises ValueError."""
+    if isinstance(rows, np.ndarray):
+        return rows
     shaped = {list}.issuperset(map(type, rows)) and {3}.issuperset(map(len, rows))
     if not (shaped and {int, str}.issuperset(map(type, chain.from_iterable(rows)))):
         for row in rows:  # only a malformed list gets here: name its first bad row

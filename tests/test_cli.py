@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pencils.cli as cli
+from pencils import serialize
 from pencils.cli import main
 
 
@@ -413,11 +414,24 @@ _INPUT = object()  # stands for the path of the file that holds the drawn input
 
 
 @st.composite
+def _edited(draw, text):
+    """text with one digit, space, quote, minus or newline deleted or inserted."""
+    char = draw(st.sampled_from([*"0123456789", " ", '"', "-", "\n"]))
+    places = [i for i, c in enumerate(text) if c == char]
+    if places and draw(st.booleans()):
+        i = draw(st.sampled_from(places))
+        return text[:i] + text[i + 1:]
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + char + text[i:]
+
+
+@st.composite
 def _cli_runs(draw):
     """(reader, argv, text) for one reader, its input text drawn from a
     recursive JSON (or CSV-like) strategy, mutated from a golden input or the
     golden input itself; centres are also drawn as lists of coordinate pairs
-    and triples."""
+    and triples.  A config or graph is written compact, in the writer's
+    layout (serialize.dumps), or in that layout with one byte edited."""
     reader = draw(st.sampled_from(["config", "graph", "centres", "rows"]))
     golden = _goldens()[reader]
     if reader == "rows":
@@ -434,16 +448,21 @@ def _cli_runs(draw):
                          min_size=1, max_size=3)
         centres = json.dumps(draw(st.one_of(st.just(golden), pairs, _mutated(golden), _json)))
         return reader, ["verify-lemma", "--n", "16", "--centres", centres], None
-    text = json.dumps(draw(st.one_of(st.just(golden), _mutated(golden), _json)))
+    obj = draw(st.one_of(st.just(golden), _mutated(golden), _json))
+    layout = draw(st.sampled_from(["compact", "writer", "edited"]))
+    text = json.dumps(obj) if layout == "compact" else serialize.dumps(obj)
+    if layout == "edited":
+        text = draw(_edited(text))
     if reader == "config":
         return reader, ["rich-points", "--config", _INPUT], text
     return reader, ["verify-lemma", "--graph", _INPUT, "--centres",
                     json.dumps(_goldens()["centres"])], text
 
 
-def test_cli_readers_fuzz():
+def test_cli_readers_fuzz(bulk_reads):
     """Every drawn input to the four readers exits 0, 2 or 3, never with a
-    traceback; counters show each reader drawn and both exit kinds seen."""
+    traceback; counters show each reader drawn and both exit kinds seen,
+    and the config and graph readers both reading in bulk and falling back."""
     seen = Counter()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -457,7 +476,7 @@ def test_cli_readers_fuzz():
             reader, argv, text = run
             if text is not None:
                 path.write_text(text)
-            err = io.StringIO()
+            err, reads = io.StringIO(), bulk_reads.copy()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 try:
                     code = main([str(path) if a is _INPUT else a for a in argv])
@@ -466,27 +485,31 @@ def test_cli_readers_fuzz():
             assert code in (0, 2, 3), err.getvalue()
             assert "Traceback" not in err.getvalue()
             seen[reader, code] += 1
+            seen.update({(reader, way): n for way, n in (bulk_reads - reads).items()})
 
         check()
     assert all(seen[reader, code] for reader in ("config", "graph", "centres", "rows")
                for code in (0, 2)), seen
+    assert all(seen[reader, way] for reader in ("config", "graph")
+               for way in ("bulk", "fallback")), seen
 
 
 def _sha(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def test_golden_outputs(capsys, monkeypatch, tmp_path):
-    _check_golden_outputs(capsys, monkeypatch, tmp_path)
+def test_golden_outputs(capsys, monkeypatch, tmp_path, bulk_reads):
+    _check_golden_outputs(capsys, monkeypatch, tmp_path, bulk_reads)
 
 
-def test_golden_outputs_object_dtype(capsys, monkeypatch, tmp_path, object_dtype):
-    _check_golden_outputs(capsys, monkeypatch, tmp_path)
+def test_golden_outputs_object_dtype(capsys, monkeypatch, tmp_path, object_dtype, bulk_reads):
+    _check_golden_outputs(capsys, monkeypatch, tmp_path, bulk_reads)
 
 
-def _check_golden_outputs(capsys, monkeypatch, tmp_path):
+def _check_golden_outputs(capsys, monkeypatch, tmp_path, bulk_reads):
     """SHA-256 pins of fixed CLI outputs: exact fields stay byte-identical,
-    in int64 and in Python-int object arrays alike."""
+    in int64 and in Python-int object arrays alike, with the config that
+    construct wrote read back in bulk."""
     monkeypatch.chdir(tmp_path)
 
     def stdout_of(argv):
@@ -501,6 +524,7 @@ def _check_golden_outputs(capsys, monkeypatch, tmp_path):
     assert _sha((tmp_path / "cfg.json").read_bytes()) == (
         "f3282b37b8f3071d953a4cb5ef2867a262eca4367212e64a838c7ff24689041f")
     summary = stdout_of(["rich-points", "--config", "cfg.json", "--out", "rep.json"])
+    assert bulk_reads["bulk"] == 1  # the --centres text above has no leaf: a fallback
     assert _sha((tmp_path / "rep.json").read_bytes()) == (
         "2f30b43e8f83f4af6603a5e7b1913eba42c2c9df732a66c6efcc2b167ed67861")
     assert summary == "pencils[farey-shift(n=256,d=43/1000)],4,209;278;380;72,2125,0,0\n"

@@ -1,3 +1,4 @@
+import io
 import json
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pencils.serialize
+from pencils.serialize import _Rows
 
 from pencils.constructions import (
     Pencil,
@@ -17,6 +19,7 @@ from pencils.constructions import (
     build_symmetric_farey_construction,
     standard_shift_centres,
 )
+from pencils.cli import main
 from pencils.incidence import verify_lemma_chain
 from pencils.projective import ProjPoint
 from pencils.richpoints import rich_points
@@ -270,3 +273,158 @@ def test_pencil_config_reader_names_the_first_bad_row(bad, offender):
         with pytest.raises(ValueError) as err:
             pencil_config_from_json(obj)
         assert offender in str(err.value) and "['9']" not in str(err.value)
+
+
+def _outcome(read, tree_of, data):
+    """read(tree_of(data)) with its rows as (dtype, lists), or the message of
+    the ValueError it raises."""
+    try:
+        obj = read(tree_of(data))
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(obj, PencilConfig):
+        return obj.label, [(pc.centre, pc.rows.dtype, pc.rows.tolist()) for pc in obj.pencils]
+    return obj.label, obj.n, obj.d, obj.graph.edge_array.dtype, obj.graph.edge_array.tolist()
+
+
+def _today(data: bytes):
+    """The tree the readers took before loads: json.loads of the file's text."""
+    return json.loads(data.decode())
+
+
+def _as_today(read, data: bytes, reads) -> bool:
+    """Whether loads read data in bulk, as the bulk_reads Counter reads
+    shows; read(loads(data)) must give the rows, or the message, that read
+    gives on the tree of today's path."""
+    bulk = reads["bulk"]
+    assert _outcome(read, pencils.serialize.loads, data) == _outcome(read, _today, data)
+    return reads["bulk"] > bulk
+
+
+def _config_text(rows, label="x") -> str:
+    """dumps of a config of two pencils, centred at (0 : 0 : 1), whose first
+    holds rows, and at (1 : 0 : 0)."""
+    return dumps({"label": label, "pencils": [
+        {"centre": ["0", "0", "1"], "lines": _Rows(np.array(rows, dtype=object), '"%d"')},
+        {"centre": ["1", "0", "0"], "lines": _Rows(np.array([[0, 1, 2]]), '"%d"')}]})
+
+
+def _graph_text(edges) -> str:
+    return dumps({"label": "g", "n": 4, "d": "0", "A": ["1", "2"], "B": ["1", "2"],
+                  "edges": _Rows(np.array(edges, dtype=np.int64).reshape(-1, 2), "%d")})
+
+
+def test_loads_reads_quoted_cells_as_int_does(bulk_reads):
+    """A quoted cell with leading zeros or a minus zero is read in bulk as
+    int() reads it: "007" as 7 and "-0" as 0."""
+    data = _config_text([[1, 7, 0], [1, 5, 0]]).replace('"7"', '"007"').replace('"5"', '"-0"')
+    assert _as_today(pencil_config_from_json, data.encode(), bulk_reads)
+    lines = pencils.serialize.loads(data.encode())["pencils"][0]["lines"]
+    assert lines.dtype == np.int64 and lines.tolist() == [[1, 7, 0], [1, 0, 0]]
+
+
+def test_loads_reads_bare_cells_as_json_does(capsys, tmp_path, bulk_reads):
+    """A bare edge cell is a JSON int: 007 is malformed, and the CLI exits 2
+    with json.loads' message; -0 reads as 0."""
+    text = _graph_text([[1, 1], [0, 0]])
+    zeros = text.replace("      1,", "      007,", 1)
+    assert not _as_today(graph_construction_from_json, zeros.encode(), bulk_reads)
+    path = tmp_path / "g.json"
+    path.write_text(zeros)
+    assert main(["verify-lemma", "--graph", str(path), "--centres", '[["0","-1"],["1","-1"]]']) == 2
+    assert "invalid input: Expecting ',' delimiter" in capsys.readouterr().err
+    minus = text.replace("      1,", "      -0,", 1)
+    assert _as_today(graph_construction_from_json, minus.encode(), bulk_reads)
+    edges = pencils.serialize.loads(minus.encode())["edges"]
+    assert edges.dtype == np.int64 and edges.tolist() == [[0, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("cell", [10**18, -10**18, 2**63, -2**63, 2**63 - 1])
+def test_loads_sends_cells_past_18_digits_to_json_loads(cell, bulk_reads):
+    """A cell of 19 digits falls back to today's path and its rows: int64 for
+    +-10^18, object for +-2^63 and 2^63 - 1, whose incidence test is past 2^62."""
+    data = _config_text([[1, cell, 0]]).encode()
+    assert not _as_today(pencil_config_from_json, data, bulk_reads)
+    rows = pencil_config_from_json(pencils.serialize.loads(data)).pencils[0].rows
+    assert rows.dtype == (np.int64 if abs(cell) == 10**18 else object)
+
+
+def test_loads_reads_empty_leaves_and_leaves_escaped_keys_alone(bulk_reads):
+    """An empty leaf reads as an empty array; a label whose text holds the
+    escaped key \\"lines\\": [ is no leaf; a re-indented file falls back."""
+    empty = _config_text(np.empty((0, 3), int)).encode()
+    assert _as_today(pencil_config_from_json, empty, bulk_reads)
+    assert _as_today(graph_construction_from_json, _graph_text([]).encode(), bulk_reads)
+    assert pencils.serialize.loads(_graph_text([]).encode())["edges"].shape == (0, 2)
+    label = '\n      "lines": ['  # written as the escaped text \\n      \\"lines\\": [
+    data = _config_text([[1, 7, 0]], label=label).encode()
+    assert b'\\"lines\\": [' in data and _as_today(pencil_config_from_json, data, bulk_reads)
+    assert pencil_config_from_json(pencils.serialize.loads(data)).label == label
+    indented = json.dumps(json.loads(_config_text([[1, 7, 0]])), indent=4).encode()
+    assert not _as_today(pencil_config_from_json, indented, bulk_reads)
+
+
+def test_rich_points_reads_a_config_from_stdin_text(capsys, monkeypatch, tmp_path, bulk_reads):
+    """--config - reads stdin's text (a StringIO here, with no byte buffer) in
+    bulk, with the output of the same config read from a file."""
+    text = dumps(pencil_config_to_json(build_grid_footnote_config(3)))
+    (tmp_path / "cfg.json").write_text(text)
+    assert main(["rich-points", "--config", str(tmp_path / "cfg.json")]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["rich-points", "--config", "-"]) == 0
+    assert capsys.readouterr().out == from_file and bulk_reads == {"bulk": 2}
+
+
+@st.composite
+def _leaf_trees(draw, key):
+    """A config (key "lines") or graph (key "edges") tree as dumps writes it,
+    whose one leaf holds up to 12 rows of int64 or Python ints, and the chunk
+    size to read it with: 1, a non-divisor of the row count, or the module's."""
+    k = draw(st.sampled_from([0, 1]) | st.integers(2, 12))
+    width = 3 if key == "lines" else 2
+    cells = st.integers(-3, 3) | st.integers(-10**18 + 1, 10**18 - 1) | st.integers(-2**70, 2**70)
+    rows = np.array(draw(st.lists(cells, min_size=k * width, max_size=k * width)),
+                    dtype=object).reshape(k, width)
+    try:
+        rows = rows.astype(np.int64)
+    except OverflowError:
+        pass
+    chunk = draw(st.sampled_from([1, pencils.serialize._CHUNK] + [c for c in range(2, k) if k % c]))
+    if key == "lines":
+        return chunk, {"label": "l", "pencils": [{"centre": ["0", "0", "1"], "lines": _Rows(
+            rows, '"%d"')}, {"centre": ["1", "0", "0"], "lines": _Rows(rows[:1], '"%d"')}]}
+    return chunk, {"label": "g", "n": 4, "d": "0", "A": ["1"], "B": ["1"],
+                   "edges": _Rows(rows, "%d")}
+
+
+def test_loads_reads_array_leaves_as_json_loads_does(bulk_reads):
+    """loads of dumps' text gives json.loads' tree, with each config's lines
+    and graph's edges leaf whose cells fit 18 digits read in bulk as the
+    int64 array that int() of its cells gives.  Each key gets its own
+    examples; a counter shows the bulk path and the fallback (a cell past
+    18 digits) taken, and slices of one row, of a non-divisor of the rows
+    and of the module's size."""
+    reached = Counter()
+
+    @settings(max_examples=30)
+    def check(drawn):
+        chunk, doc = drawn
+        data = dumps(doc).encode()
+        plain = json.loads(data)
+        with mock.patch.object(pencils.serialize, "_CHUNK", chunk):
+            tree = pencils.serialize.loads(data)
+        leaves = [(tree, "edges")] if "edges" in tree else [(e, "lines") for e in tree["pencils"]]
+        for obj, key in leaves:  # an array leaf is written back as json.loads reads it
+            if isinstance(obj[key], np.ndarray):
+                rows = obj[key]
+                assert rows.dtype == np.int64 and rows.shape[1] == (3 if key == "lines" else 2)
+                obj[key] = [[str(v) if key == "lines" else v for v in row] for row in rows.tolist()]
+        assert tree == plain
+        k = len(plain["pencils"][0]["lines"] if "pencils" in plain else plain["edges"])
+        reached["chunk", "one" if chunk == 1 else "module" if chunk >= k else "non-divisor"] += 1
+
+    for key in ("lines", "edges"):
+        given(_leaf_trees(key))(check)()
+        assert bulk_reads.pop("bulk", 0) and bulk_reads.pop("fallback", 0), (key, bulk_reads)
+    assert all(reached["chunk", c] for c in ("one", "module", "non-divisor")), reached
