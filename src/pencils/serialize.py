@@ -96,11 +96,13 @@ def _cells(text: bytes, row: str):
     parts = row.split("%d")
     template, stripped = "".join(parts).encode(), text.translate(None, b"-0123456789")
     k, extra = divmod(len(stripped) + 1, len(template) + 1)
-    if extra or stripped != ((b"," + template) * k)[1:]:
+    if extra or stripped != ((b"," + template) * k)[1:] or text[:1] + text[-1:] != b"\n]":
         return None
     a = np.frombuffer(text, np.uint8)
-    edge = np.flatnonzero(np.diff(a - 45 < 13, prepend=False, append=False))  # '-' and digit runs
-    starts, lens = edge[::2], edge[1::2] - edge[::2]
+    digit = a - 45 < 13  # the bytes of text in 45..57: '-' and digits, neither at either end
+    edge = np.flatnonzero(digit[1:] != digit[:-1]) + 1  # where each run of them starts and ends
+    starts, ends = edge[::2], edge[1::2]
+    lens = ends - starts
     cells = np.cumsum([len(p) for p in parts[:-1]]) + np.arange(k)[:, None] * (len(template) + 1)
     neg = a[starts] == 45
     digits = lens - neg
@@ -109,7 +111,7 @@ def _cells(text: bytes, row: str):
             and digits.max() <= 18 and np.count_nonzero(a == 45) == neg.sum()) or (
             '"' not in row and ((a[starts + neg] == 48) & (digits > 1)).any()):
         return None
-    values = sum(np.where(digits > p, a.take(starts + lens - 1 - p) - 48, 0) * np.int64(10) ** p
+    values = sum(np.where(digits > p, a.take(ends - 1 - p) - 48, 0) * np.int64(10) ** p
                  for p in range(digits.max()))
     return np.where(neg, -values, values).reshape(k, -1)
 
