@@ -30,22 +30,8 @@ __all__ = ["main"]
 _FIT_FIELDS = tuple(k for k, t in get_type_hints(SweepRow).items() if t is int)
 
 
-def _read_text(path: str) -> str:
-    return sys.stdin.read() if path == "-" else Path(path).read_text()
-
-
-def _loads(data):
-    """serialize.loads of a str or a file's bytes, with input nested too deep
-    for json.loads (a RecursionError) as malformed input, a ValueError."""
-    try:
-        return serialize.loads(data)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-
-
-def _read_json(path: str):
-    """The JSON document at path, from the file's bytes, or "-": stdin's text."""
-    return _loads(sys.stdin.read() if path == "-" else Path(path).read_bytes())
+def _read(path: str, read=Path.read_bytes):
+    return sys.stdin.read() if path == "-" else read(Path(path))
 
 
 def _write_output(pieces, out: str | None) -> None:
@@ -61,7 +47,7 @@ def _load_centres(raw: str) -> list[ProjPoint]:
     """Inline JSON or @file: a list of ["x","y"] affine pairs or
     ["X","Y","Z"] homogeneous triples, rationals as "p/q" strings."""
     text = Path(raw[1:]).read_text() if raw.startswith("@") else raw
-    entries = _loads(text)
+    entries = serialize.loads(text)
     if not isinstance(entries, list):
         raise ValueError(f"centres {entries!r} are not a list")
     centres = []
@@ -91,7 +77,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_rich_points(args) -> int:
-    config = serialize.pencil_config_from_json(_read_json(args.config))
+    config = serialize.pencil_config_from_json(serialize.loads(_read(args.config)))
     start = time.perf_counter()
     report = rich_points(config)
     elapsed = time.perf_counter() - start
@@ -105,7 +91,7 @@ def _cmd_rich_points(args) -> int:
 
 def _cmd_verify_lemma(args) -> int:
     if args.graph:
-        construction = serialize.graph_construction_from_json(_read_json(args.graph))
+        construction = serialize.graph_construction_from_json(serialize.loads(_read(args.graph)))
     else:
         construction = build(args.construction, int(args.n), Fraction(args.d))[0]
     centres = _load_centres(args.centres)
@@ -137,7 +123,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    rows = serialize.sweep_rows_from_csv(_read_text(args.rows))
+    rows = serialize.sweep_rows_from_csv(_read(args.rows, Path.read_text))
     fit = fit_exponent(rows, args.field)
     _write_output(serialize.iterdumps(serialize.fit_to_json(fit, args.field)), args.out)
     return 0

@@ -4,8 +4,7 @@ Rationals travel as decimal or "p/q" strings, so nothing is rounded;
 only the approximate exponent fit carries floats.  Sweep-row and fit
 columns are the SweepRow and ExponentFit fields, written by value type
 and read by the types SweepRow declares.  Layouts are deterministic, so
-identical inputs give byte-identical reports, wall_time_ms aside, and
-loads reads the array leaves of that layout back in bulk.
+identical inputs give byte-identical reports, wall_time_ms aside.
 """
 
 from __future__ import annotations
@@ -47,10 +46,10 @@ SWEEP_CSV_HEADER = ",".join(_ROW_TYPES)
 # an integer array leaf of dumps, its cells '"%d"' (coordinates) or '%d' (indices)
 _Rows = namedtuple("_Rows", "array cell")
 _CHUNK = 4096  # rows per %-format or per slice read, which bounds the text held at once
+_LEAVES = {"lines": ("\n      ", '"%d"', 3), "edges": ("\n  ", "%d", 2)}  # loads' nl, cell, width
 
 
-def _row(nl: str, cell: str, width: int) -> str:
-    """One row of an array leaf as dumps writes it at nl, its cells the format cell."""
+def _row(nl: str, cell: str, width: int) -> str:  # a leaf's row as dumps writes it at nl
     return f"{nl}[{nl}  " + f",{nl}  ".join([cell] * width) + f"{nl}]"
 
 
@@ -85,27 +84,20 @@ def dumps(obj) -> str:
     return "".join(iterdumps(obj))
 
 
-# the array leaves loads reads in bulk, by key: the nl, cell and width dumps writes them at
-_LEAVES = {"lines": ("\n      ", '"%d"', 3), "edges": ("\n  ", "%d", 2)}
-
-
 def _cells(text: bytes, row: str):
-    """The (k, width) int64 rows of text, k _row rows joined by "," with
-    their cells filled in, or None unless each cell is -?[0-9]{1,18} and,
-    unquoted, a JSON int: cells that json.loads then int() read alike."""
+    """text's int64 rows if it is _row rows joined by ",", each cell -?[0-9]{1,18}
+    and, bare, a JSON int: cells that json.loads then int() read alike; else None."""
     parts = row.split("%d")
     template, stripped = "".join(parts).encode(), text.translate(None, b"-0123456789")
     k, extra = divmod(len(stripped) + 1, len(template) + 1)
     if extra or stripped != ((b"," + template) * k)[1:] or text[:1] + text[-1:] != b"\n]":
         return None
     a = np.frombuffer(text, np.uint8)
-    digit = a - 45 < 13  # the bytes of text in 45..57: '-' and digits, neither at either end
-    edge = np.flatnonzero(digit[1:] != digit[:-1]) + 1  # where each run of them starts and ends
-    starts, ends = edge[::2], edge[1::2]
-    lens = ends - starts
-    cells = np.cumsum([len(p) for p in parts[:-1]]) + np.arange(k)[:, None] * (len(template) + 1)
+    digit = a - 45 < 13  # the bytes in 45..57: '-' and digits, neither at either end
+    starts, ends = (np.flatnonzero(digit[1:] != digit[:-1]) + 1).reshape(-1, 2).T  # their runs
     neg = a[starts] == 45
-    digits = lens - neg
+    lens, digits = ends - starts, ends - starts - neg
+    cells = np.cumsum([len(p) for p in parts[:-1]]) + np.arange(k)[:, None] * (len(template) + 1)
     # one run to each cell of the template and none elsewhere; no leading 0 in a JSON int
     if not (np.array_equal(starts - np.cumsum(lens) + lens, cells.ravel()) and digits.min() > 0
             and digits.max() <= 18 and np.count_nonzero(a == 45) == neg.sum()) or (
@@ -116,64 +108,50 @@ def _cells(text: bytes, row: str):
     return np.where(neg, -values, values).reshape(k, -1)
 
 
-def _leaf(data: bytes, at: int, nl: str, cell: str, width: int):
-    """(end, rows) of the array leaf at data[at:] if dumps wrote it at nl, as
-    its object's last value, read by _cells in slices of about _CHUNK rows
-    cut at row ends; else None.  Each search is short or for one byte."""
-    if data.startswith(b"[]", at):
-        return at + 2, np.empty((0, width), np.int64)
-    row, cuts = _row(nl + "  ", cell, width), [at]
-    end = data.rfind(f"{nl}]".encode(), at, data.find(b"}", at))
-    while end > cuts[-1]:
-        stop = data.find(f"{nl}  ],".encode(), cuts[-1] + _CHUNK * len(row), end)
-        cuts.append(end if stop < 0 else stop + len(nl) + 3)  # the comma after a row
-    slices = [_cells(data[i + 1:j], row) for i, j in zip(cuts, cuts[1:])]
-    if slices and all(rows is not None for rows in slices):
-        return end + len(nl) + 1, np.concatenate(slices)
-    return None
-
-
 def _bulk(data: bytes):
-    """json.loads(data) with each _LEAVES leaf read by _leaf, when there is
-    one, each is one and lands in a config's pencils or on a graph, and the
-    rest is ASCII JSON; else None.  The rest holds "\\u0000i" for leaf i,
-    which text with no \\u0000 of its own cannot hold."""
+    """json.loads(data), each nonempty _LEAVES leaf read by _cells in slices cut at row
+    ends and put in as "\\u0000i" for leaf i, if all read so and land in place; else None."""
     pieces, leaves, pos, at = [], [], 0, data.find(b":")
     while at >= 0:  # a leaf's key ends at a colon, and a leaf holds none
         for key, (nl, cell, width) in _LEAVES.items():
-            if data.startswith(f'{nl}"{key}": ['.encode(), at - len(nl) - len(key) - 2):
-                leaf = _leaf(data, at + 2, nl, cell, width)
-                if leaf is None:
+            if data.startswith(f'{nl}"{key}": [\n'.encode(), at - len(nl) - len(key) - 2):
+                row, cuts = _row(nl + "  ", cell, width), [at + 2]
+                end = data.rfind(f"{nl}]".encode(), at, data.find(b"}", at))
+                while end > cuts[-1]:
+                    stop = data.find(f"{nl}  ],".encode(), cuts[-1] + _CHUNK * len(row), end)
+                    cuts.append(end if stop < 0 else stop + len(nl) + 3)  # the comma after a row
+                rows = [_cells(data[i + 1:j], row) for i, j in zip(cuts, cuts[1:])]
+                if not rows or any(r is None for r in rows):
                     return None
                 pieces += [data[pos:at + 2], b'"\\u0000%d"' % len(leaves)]
-                pos, rows = leaf
-                leaves.append(rows)
+                pos = end + len(nl) + 1
+                leaves.append(np.concatenate(rows))
         at = data.find(b":", max(at + 1, pos))
     rest = b"".join(pieces) + data[pos:]
     if not leaves or rest.count(b"\\u0000") != len(leaves):
         return None
     try:
         tree = json.loads(rest.decode("ascii"))
-    except (ValueError, RecursionError):
+    except ValueError:
         return None
     top = tree if type(tree) is dict else {}
     entries = top["pencils"] if type(top.get("pencils")) is list else []
-    filled = 0
-    for obj, key in [(top, "edges")] + [(e, "lines") for e in entries if type(e) is dict]:
-        if type(obj.get(key)) is str and obj[key].startswith("\0"):
-            obj[key], filled = leaves[int(obj[key][1:])], filled + 1
-    return tree if filled == len(leaves) else None
+    spots = [(obj, key) for obj, key in [(top, "edges")] + [(e, "lines") for e in entries
+             if type(e) is dict] if type(obj.get(key)) is str and obj[key][:1] == "\0"]
+    for obj, key in spots:
+        obj[key] = leaves[int(obj[key][1:])]
+    return tree if len(spots) == len(leaves) else None
 
 
 def loads(data):
-    """json.loads of a str, or of the bytes of a text file decoded as open()
-    decodes one, with a config's "lines" and a graph's "edges" as int64
-    arrays when _bulk reads them, building no Python object per cell."""
-    text = data if isinstance(data, str) else None
-    tree = _bulk(data if text is None else text.encode("utf-8", "surrogatepass"))
-    if tree is None:
-        tree = json.loads(io.TextIOWrapper(io.BytesIO(data)).read() if text is None else text)
-    return tree
+    """json.loads of a str or of a text file's bytes, decoded as open() would, with
+    the leaves _bulk reads as int64 arrays; input nested too deep is a ValueError."""
+    try:
+        if isinstance(data, str):
+            return _bulk(data.encode("utf-8", "surrogatepass")) or json.loads(data)
+        return _bulk(data) or json.loads(io.TextIOWrapper(io.BytesIO(data)).read())
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def exact_from_json(value, kind=int):

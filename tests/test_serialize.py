@@ -350,12 +350,13 @@ def test_loads_sends_cells_past_18_digits_to_json_loads(cell, bulk_reads):
 
 
 def test_loads_reads_empty_leaves_and_leaves_escaped_keys_alone(bulk_reads):
-    """An empty leaf reads as an empty array; a label whose text holds the
-    escaped key \\"lines\\": [ is no leaf; a re-indented file falls back."""
+    """An empty leaf [] is left to json.loads, next to a leaf read in bulk or
+    alone; a label whose text holds the escaped key \\"lines\\": [ is no
+    leaf; a re-indented file falls back."""
     empty = _config_text(np.empty((0, 3), int)).encode()
-    assert _as_today(pencil_config_from_json, empty, bulk_reads)
-    assert _as_today(graph_construction_from_json, _graph_text([]).encode(), bulk_reads)
-    assert pencils.serialize.loads(_graph_text([]).encode())["edges"].shape == (0, 2)
+    assert b'"lines": []' in empty and _as_today(pencil_config_from_json, empty, bulk_reads)
+    assert pencils.serialize.loads(empty)["pencils"][0]["lines"] == []
+    assert not _as_today(graph_construction_from_json, _graph_text([]).encode(), bulk_reads)
     label = '\n      "lines": ['  # written as the escaped text \\n      \\"lines\\": [
     data = _config_text([[1, 7, 0]], label=label).encode()
     assert b'\\"lines\\": [' in data and _as_today(pencil_config_from_json, data, bulk_reads)
