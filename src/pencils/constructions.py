@@ -2,8 +2,10 @@
 and their realizations as pencil configurations.
 
 A pencil's lines are one sorted (k, 3) array of distinct canonical integer
-rows; pencils_from_graph rebuilds each centre's lines from the distinct kept
-pairs of its joins for the Pencil constructor, which builds no object per line.
+rows; pencils_from_graph rebuilds each centre's canonical lines from the
+distinct kept pairs of its joins and builds its Pencil from them without
+the constructor, which would canonicalise them again; neither builds an
+object per line.
 
 Real-valued range bounds of the form n^e / (ln n)^d are evaluated as exact
 integer floors (interval arithmetic decides the floor when d > 0); every
@@ -296,11 +298,19 @@ def pencils_from_graph(construction: GraphConstruction, centres,
     is fixed by its kept pair (l_i, l_j), i < j the columns other than the
     last nonzero coordinate k of c, which is zero only for p = c (see
     richpoints._line_test).  The pairs are normalised and deduplicated, and
-    each (a, b) gives the line (a*c_k, b*c_k, -(a*c_i + b*c_j)) at (i, j, k)
-    by l.c = 0.  With C the largest |centre coordinate| and H_A, H_B the
-    largest |numerator| or denominator of each ground set, a join entry is
-    at most 2*C*H_A*H_B and a rebuilt one 4*C^2*H_A*H_B, so the arrays are
-    int64 when 4*C^2*H_A*H_B < 2^62 and Python ints otherwise.
+    each (a, b) gives the line (a*c_k, b*c_k, l_k), l_k = -(a*c_i + b*c_j),
+    at (i, j, k) by l.c = 0.  a and b are coprime, so its gcd is
+    gcd(c_k, l_k), and column k is never its first nonzero entry (c_t = 0
+    for t > k, so l_k = 0 when the kept entries before it are), so its sign
+    is c_k's: its canonical row is (a, b) times t = |c_k| / gcd(c_k, l_k) at
+    (i, j), with l_k = -(a*t*c_i + b*t*c_j) / c_k.  Canonical rows sort as
+    their kept pairs, so with |c_k| = 1 (t = 1) they are in order, and
+    otherwise the scaled pairs are sorted again.  The Pencil is built from
+    these rows as they are, in the dtype its constructor would pick.  With
+    C the largest |centre coordinate| and H_A, H_B the largest |numerator|
+    or denominator of each ground set, a join entry is at most 2*C*H_A*H_B
+    and a rebuilt one 4*C^2*H_A*H_B, so the arrays are int64 when
+    4*C^2*H_A*H_B < 2^62 and Python ints otherwise.
     """
     graph = construction.graph
     centres = list(centres)
@@ -320,9 +330,15 @@ def pencils_from_graph(construction: GraphConstruction, centres,
         a, b = _distinct(_keys(_normalise(*pair)), dtype)
         if ((a == 0) & (b == 0)).any():  # a zero join: the edge point is the centre
             raise CentreOnPointSet(centre)
+        if abs(c[k]) > 1:
+            scale = abs(c[k]) // np.gcd(a * c[i] + b * c[j], c[k])
+            a, b = _distinct(_keys((a * scale, b * scale)), dtype)
         rows = np.empty((len(a), 3), dtype)
-        rows[:, i], rows[:, j], rows[:, k] = a * c[k], b * c[k], -(a * c[i] + b * c[j])
-        pencils.append(Pencil(centre, rows))
+        rows[:, i], rows[:, j], rows[:, k] = a, b, -(a * c[i] + b * c[j]) // c[k]
+        pencil = Pencil.__new__(Pencil)
+        pencil.centre = centre
+        pencil.rows = rows.astype(exact_dtype(3 * max(map(abs, c)) * _height(rows)), copy=False)
+        pencils.append(pencil)
     if label is None:
         label = f"pencils[{construction.label}]"
     return PencilConfig(pencils, label=label)

@@ -378,11 +378,13 @@ def test_pencils_from_graph_matches_the_join_oracle():
     """Every pencil against oracles.join of its centre with the Fraction edge
     points, one @given run for small ground values and one for values near
     and past the int64 bound, whose 4*C^2*H_A*H_B lands on either side of
-    2^62, also where the joins' bound 4*C*H_A*H_B is below it.  Centres
-    come with |c_k| > 1, with c_k < 0 (c_k the last nonzero coordinate) and
-    at infinity, and a centre that is an edge point raises CentreOnPointSet
-    for the first such centre; a counter shows each kind reached in each
-    dtype the bound picks."""
+    2^62, also where the joins' bound 4*C*H_A*H_B is below it.  Each pencil
+    is built without the constructor, so its rows are checked to be the
+    canonical joins, sorted, in the dtype Pencil(centre, joins) picks.
+    Centres come with |c_k| > 1, with c_k < 0 (c_k the last nonzero
+    coordinate) and at infinity, and a centre that is an edge point raises
+    CentreOnPointSet for the first such centre; a counter shows each kind
+    reached in each dtype the bound picks."""
     reached = Counter()
 
     def check(drawn):
@@ -404,8 +406,10 @@ def test_pencils_from_graph_matches_the_join_oracle():
             return
         for centre, pencil in zip(centres, pencils_from_graph(built, centres).pencils):
             assert pencil.centre == centre
-            assert (list(row_triples(pencil.rows))
-                    == sorted({join(centre.coords, p) for p in points}))
+            joins = sorted({join(centre.coords, p) for p in points})
+            assert list(row_triples(pencil.rows)) == joins
+            # the rows and dtype that the constructor makes of the joins
+            assert pencil.rows.dtype == Pencil(centre, joins).rows.dtype
             c = centre.coords
             k = max(t for t in range(3) if c[t])
             reached.update((regime, kind) for kind, hit in (

@@ -278,8 +278,8 @@ def test_no_lexsort_in_the_pipelines():
 def test_pencils_from_graph_takes_one_gcd_per_edge_point():
     """A pencil is its kept pairs: pencils_from_graph forms no cross_rows,
     and it normalises each centre's joins once, on their two kept columns
-    over the |E| edge points; the one other _normalise per pencil is the
-    Pencil constructor's _row_set on the distinct lines alone."""
+    over the |E| edge points, and no other time: it builds each Pencil from
+    canonical rows, without the constructor's _row_set."""
     normalise, calls = pencils.projective._normalise, []
 
     def recording(*cols):
@@ -298,8 +298,7 @@ def test_pencils_from_graph_takes_one_gcd_per_edge_point():
                 mock.patch.object(pencils.constructions, "_normalise", recording):
             config = pencils_from_graph(built, centres)
         edges = built.edge_count
-        assert calls == [call for size in config.sizes()
-                         for call in (("pencils_from_graph", [edges] * 2), ("_row_set", [size] * 3))]
+        assert calls == [("pencils_from_graph", [edges] * 2)] * config.m
         assert max(config.sizes()) < edges
 
 

@@ -22,7 +22,7 @@ from pencils.constructions import (
 )
 from pencils.errors import PreconditionError
 from pencils.projective import ProjPoint, exact_dtype, int_rows, row_triples
-from pencils.richpoints import _Q, _chart, _inverses, _kernel_dtype, _line_test, rich_points
+from pencils.richpoints import _Q, _inverses, _kernel_dtype, _line_test, _slots, rich_points
 
 from oracles import (_canon, _cross, _on_line, join, pencil_lines_bruteforce,
                      rich_points_bruteforce)
@@ -174,6 +174,30 @@ def test_rich_points_big_coefficients_match_bruteforce():
         reports.append(_oracle_check(cfg))
     assert ProjPoint.from_affine(*at(5, 0)) in reports[0].points
     assert reports[1].excluded_centres == (ProjPoint.from_affine(*at(2, 2)),)
+
+
+def test_kernel_dtype_covers_the_exact_stage_products():
+    """Four centres with coordinates 0 and 1 joined to six points with
+    coordinates near 2^25: the lines' entries M are below 2^27, so the
+    bound 2C*max(2M^2, C) on the joins is below 2^62, but a join's kept
+    entry times a line's passes 2^63.  _kernel_dtype's bound 2C*max(2M^3, C)
+    covers those products, so the kernel runs on object arrays, and
+    rich_points matches the brute-force rich set, the six points among
+    them."""
+    rng = random.Random(33)
+    points = [_canon(tuple(rng.randint(2**24, 2**25) for _ in range(3))) for _ in range(6)]
+    centres = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    config = PencilConfig(Pencil(ProjPoint(*c), [join(c, p) for p in points]) for c in centres)
+    m = max(abs(x) for pc in config.pencils for x in pc.rows.ravel().tolist())
+    assert m < 2**27 and 2 * max(2 * m * m, 1) < 2**62 <= 2 * max(2 * m**3, 1)
+    # the kept columns 0 and 1 of the joins of seed meets with the third
+    # centre, times the third pencil's lines
+    (first, second, probe, _), c = (pc.rows.tolist() for pc in config.pencils), centres[2]
+    joins = [_dot(c, v) * u[i] - _dot(c, u) * v[i] for u in first for v in second for i in (0, 1)]
+    assert max(map(abs, joins)) * max(abs(x) for line in probe for x in line) >= 2**63
+    assert _kernel_dtype(config.pencils) is object
+    rep = _oracle_check(config)
+    assert set(points) <= set(row_triples(rep.rows))
 
 
 def _transformed(t, cfg):
@@ -462,26 +486,41 @@ def test_rich_points_forms_meets_only_for_survivors():
     assert ProjPoint.from_affine(5, 0) in got.points
 
 
-def test_probes_normalise_fewer_pairs_than_the_seed_pairs():
-    """The residue stage sends on only the pairs that can be members, so
-    the exact stages of all eight probes together normalise fewer pairs
-    than the s1 * s2 seed pairs, which the first probe alone normalised
-    before the residue stage; the rest of the _normalise calls key the
-    probed pencils' own kept pairs with the zero pair, once each."""
-    config = build_m_pencil_config(10, 64)
-    normalise, sizes = pencils.richpoints._normalise, Counter()
+def test_probes_call_no_gcd_and_only_the_final_row_set_normalises():
+    """A probe decides by slots and cross-multiplication alone: no np.gcd,
+    projective._normalise, _keys or _member call runs inside _line_test,
+    its set-up or its stages.  A rich_points call runs _normalise once, in
+    the _row_set of the meets it found, which are fewer than the s1 * s2
+    seed pairs.  Checked on m-pencil configs with eight probes and with
+    two."""
+    probe = {"_line_test", "stages", "residue", "exact"}
+    calls = []
 
-    def counting(*cols):
-        sizes[sys._getframe(1).f_code.co_name] += len(cols[0])
-        return normalise(*cols)
+    def recording(name, original):
+        def call(*args, **kwargs):
+            frame, stack = sys._getframe(1), []
+            while frame is not None:
+                if frame.f_globals.get("__name__") == "pencils.richpoints":
+                    stack.append(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append((name, stack, np.size(args[0])))
+            return original(*args, **kwargs)
+        return call
 
-    with mock.patch.object(pencils.richpoints, "_normalise", counting):
-        rep = rich_points(config)
-    s1, s2 = sorted(config.sizes())[:2]
-    # s1 * s2 = 43 * 87 = 3741 seed pairs; 2800 pairs are normalised
-    assert rep.count > 0 and 0 < sizes["exact"] < s1 * s2
-    assert sizes.keys() == {"exact", "_line_test"}
-    assert sizes["_line_test"] == sum(sorted(config.sizes())[2:]) + config.m - 2
+    names = ("_normalise", "_keys", "_member")
+    for config in (build_m_pencil_config(10, 64), build_m_pencil_config(4, 16)):
+        calls.clear()
+        with (mock.patch.object(np, "gcd", recording("gcd", np.gcd)),
+              mock.patch.multiple(pencils.projective, **{
+                  name: recording(name, getattr(pencils.projective, name)) for name in names}),
+              mock.patch.object(pencils.richpoints, "_line_test",
+                                recording("_line_test", pencils.richpoints._line_test))):
+            rep = rich_points(config)
+        assert [call for call in calls if probe & set(call[1])] == []
+        assert [name for name, *_ in calls].count("_line_test") == config.m - 2
+        s1, s2 = sorted(config.sizes())[:2]
+        (normalised,) = [(stack, size) for name, stack, size in calls if name == "_normalise"]
+        assert normalised[0] == ["rich_points"] and rep.count <= normalised[1] < s1 * s2
 
 
 def _sparse_grid():
@@ -610,61 +649,78 @@ def _q_multiple(w, j):
 
 
 @st.composite
-def _seed_pairs(draw, ints):
-    """A centre c, at infinity for some draws, its lines, and pairs (u, v)
-    of seed lines as sift queries them.  The lines join c to drawn points
-    and, in some draws, include a line whose second kept column is a
-    nonzero multiple of Q, so its slot is 0.  Each pair is two lines through
-    a point p other than c: a point on a line through c (one of the lines;
-    the line congruent to it mod Q whose kept pair is the line's plus Q
-    times a drawn pair; the line whose kept pair is that slot 0 line's
-    swapped, slot 0 too) or a drawn point.  u = p x s is through c for s = c,
-    and c.u is a nonzero multiple of Q when s.(c x p) is; v = p x t is u
-    for some pairs, and for some it is u plus Q times a line through p, so
-    that the join (c.v)u - (c.u)v is 0 mod Q."""
+def _seed_pairs(draw, ints, multiples=True):
+    """A centre c, at infinity for some draws, its lines, at least one, and
+    pairs (u, v) of seed lines as sift queries them.  The lines join c to
+    drawn points.  With ``multiples`` they include, in some draws, a line
+    whose second kept column is a nonzero multiple of Q, so its slot is 0,
+    and in some draws the lines congruent to them mod Q (below), so that a
+    slot holds two or more lines.  Each pair is two lines through a point p
+    other than c: a point on a line through c (one of the lines; with
+    ``multiples``, the line congruent to it mod Q whose kept pair is the
+    line's plus Q times a drawn pair, and the line whose kept pair is that
+    slot 0 line's swapped, slot 0 too) or a drawn point.  u = p x s is
+    through c for s = c, and with ``multiples`` c.u is a nonzero multiple
+    of Q when s.(c x p) is; v = p x t is u for some pairs, and with
+    ``multiples`` it is u plus Q times a line through p for some, so that
+    the join (c.v)u - (c.u)v is 0 mod Q.  Without ``multiples`` small
+    coordinates keep every product of the exact stage within int64."""
     centre = draw(st.one_of(_points(ints), st.just((0, 1, 0)),
                             ints.map(lambda k: (1, k, 0))))
     k = max(i for i, v in enumerate(centre) if v)
     kept = [i for i in range(3) if i != k]
     nonzero = _small.filter(bool)
     unit = st.integers(0, 2)
-    lines = [join(centre, q) for q in draw(st.lists(_points(ints), max_size=4)) if q != centre]
+    lines = [join(centre, q) for q in draw(st.lists(_points(ints), min_size=1, max_size=4))
+             if q != centre]
+    assume(lines)
     wide = [_through(centre, (line[kept[0]] + _Q * draw(nonzero),
-                              line[kept[1]] + _Q * draw(_small))) for line in lines]
-    if draw(st.booleans()):
+                              line[kept[1]] + _Q * draw(_small))) for line in lines
+            ] if multiples else []
+    if multiples and draw(st.booleans()):
         p, y = draw(nonzero), draw(nonzero)
         wide += [_canon(_through(centre, (p, _Q * y))), _through(centre, (_Q * y, p))]
         lines.append(wide[-2])
     on = lambda line: _cross(line, _UNIT[draw(unit)])
     pairs = []
     # points on the lines with a kept entry of Q or more get only small s
-    # and t, and no v = u, so that with small coordinates most pairs fit
-    # the int64 kernel
+    # and t, and no v = u
     for p, narrow in ([(on(line), True) for line in lines if line not in wide]
                       + [(p, True) for p in draw(st.lists(_points(ints), max_size=3))]
                       + [(on(line), False) for line in wide if any(line)]):
         if not any(_cross(centre, p)):
             continue
-        s = draw(st.one_of(_points(_small), st.just(centre), *narrow * [
+        s = draw(st.one_of(_points(_small), st.just(centre), *(narrow and multiples) * [
             unit.map(lambda j: _q_multiple(_cross(centre, p), j))]))
         u = _cross(p, s)
         if not any(u):
             continue
         v = draw(st.one_of(_points(_small).map(lambda t: _cross(p, t)), *narrow * [
-            st.just(u),
+            st.just(u)], *(narrow and multiples) * [
             _points(_small).map(lambda t: tuple(x + _Q * y for x, y in zip(u, _cross(p, t))))]))
         if any(v):
             pairs.append((u, v))
+    if draw(st.booleans()):
+        lines += [line for line in wide if any(line)]
     return centre, lines, pairs
 
 
-def _seed_arrays(centre, pairs):
+def _seed_arrays(centre, lines, pairs):
     """The seed pairs as the two arrays u and v of sift, in the dtype that
-    _kernel_dtype's bound picks for them."""
+    _kernel_dtype's bound picks for them and the pencil's lines."""
     c = max(map(abs, centre))
-    m = max((abs(x) for pair in pairs for line in pair for x in line), default=0)
-    dtype = exact_dtype(2 * c * max(2 * m * m, c))
+    m = max((abs(x) for line in [*lines, *(w for pair in pairs for w in pair)] for x in line),
+            default=0)
+    dtype = exact_dtype(2 * c * max(2 * m**3, c))
     return [np.array([pair[i] for pair in pairs], dtype).reshape(-1, 3) for i in (0, 1)]
+
+
+def _slot(a, b):
+    """A pair's slot in Python ints: a * b^-1 mod Q, 0 where b is 0 mod Q,
+    after dividing a nonzero pair by Q while Q divides both entries."""
+    while (a or b) and a % _Q == b % _Q == 0:
+        a, b = a // _Q, b // _Q
+    return a * pow(b, -1, _Q) % _Q if b % _Q else 0
 
 
 def _two_stages(pencil, u, v):
@@ -681,114 +737,159 @@ def _two_stages(pencil, u, v):
 
 def _members(centre, lines, pairs):
     """Whether each seed pair's join (c.v)u - (c.u)v is one of the lines, or
-    zero, which both stages pass."""
+    zero, which is on every line."""
     joins = [tuple(_dot(centre, v) * x - _dot(centre, u) * y for x, y in zip(u, v))
              for u, v in pairs]
     hits = iter(pencil_lines_bruteforce(lines, [j for j in joins if any(j)]))
     return [not any(j) or next(hits) for j in joins]
 
 
+def _later_in_slot(centre, pencil, join):
+    """Whether the line a join is on comes after another line of its slot
+    in the order the line test holds them, so that the exact stage reaches
+    it past the line its slot names."""
+    k = max(i for i, v in enumerate(centre) if v)
+    i, j = (x for x in range(3) if x != k)
+    line, table = _canon(join), _closure(_line_test(pencil))
+    at = next(e for e in range(1, len(table["p"]))
+              if (table["p"][e], table["q"][e]) == (line[i], line[j]))
+    return at > table["first"][_slot(line[i], line[j])]
+
+
+def _known_pairs(t):
+    """The axes, y = 2x and y = (Q + 2)x through the origin, so slot 0 and
+    slot -2 mod Q hold two lines each, and seed pairs through (t, 2t),
+    (t, (Q + 2)t), (Qt, 2Qt) and (Qt, 3Qt), whose joins are on y = 2x, on
+    y = (Q + 2)x, Q times on y = 2x and Q times on y = 3x, a zero pair,
+    and a pair whose join is Q times on y = 0."""
+    x_t = (1, 0, -t)
+    return (0, 0, 1), [(1, 0, 0), (0, 1, 0), (2, -1, 0), (_Q + 2, -1, 0)], [
+        (x_t, (0, 1, -2 * t)), (x_t, (0, 1, -(_Q + 2) * t)), ((1, 0, -_Q * t), (0, 1, -2 * _Q * t)),
+        ((1, 0, -_Q * t), (0, 1, -3 * _Q * t)), (x_t, x_t), (x_t, (1, _Q, -t))]
+
+
 def test_line_test_property_matches_tuple_sets():
     """rich_points' pencil line test, on seed pairs as sift queries it,
-    against tuple-set membership of their joins, and the keys _member
-    receives strictly increase, since it needs them sorted.  Counting
-    wrappers around the test's _keys and _member calls show both dtypes of
-    keys and queries drawn, centres at infinity, and a pencil whose
-    normalised pairs leave row order (this needs |c_k| > 1), so the sort of
-    the keys is needed.  Each kind of coordinates gets its own examples."""
-    keys, member, dtypes = pencils.richpoints._keys, pencils.richpoints._member, Counter()
+    against pencil_lines_bruteforce on their joins.  The seeds are in the
+    dtype _kernel_dtype's bound picks in one @given run and object arrays
+    in another, each with its own counter, which shows in its dtype: a
+    member found past the first line of its slot, a member whose join's
+    kept pair Q divides (drawn as a known example), the zero pair, a centre
+    at infinity and a centre whose last nonzero coordinate c_k has
+    |c_k| > 1.  The first run draws no multiples of Q, so that its seeds
+    fit int64, and the second draws them."""
+    for regime, ints, t in ((np.int64, _small, 1), (object, _ints, 2**62 + 1)):
+        reached = Counter()
 
-    def keying(cols):
-        key, box = keys(cols)
-        dtypes["key", key.dtype.name] += 1
-        dtypes["leaves row order"] += not (key[1:] > key[:-1]).all()
-        return key, box
+        @settings(max_examples=25)
+        def check(drawn):
+            centre, lines, pairs = drawn
+            pencil = Pencil(ProjPoint(*centre), lines)
+            u, v = _seed_arrays(centre, lines, pairs)
+            if regime is object:
+                u, v = u.astype(object), v.astype(object)
+            _, hit = _two_stages(pencil, u, v)
+            members = _members(centre, lines, pairs)
+            assert hit.tolist() == members
+            k = max(i for i, x in enumerate(centre) if x)
+            kept = [i for i in range(3) if i != k]
+            name = u.dtype.name
+            reached[name, "at infinity"] += centre[2] == 0
+            reached[name, "|c_k| > 1"] += abs(centre[k]) > 1
+            for (a, b), member in zip(pairs, members):
+                join = tuple(_dot(centre, b) * x - _dot(centre, a) * y for x, y in zip(a, b))
+                reached[name, "zero pair"] += not any(join)
+                if any(join) and member:
+                    reached[name, "Q divides the kept pair"] += all(join[i] % _Q == 0 for i in kept)
+                    reached[name, "past the first line of its slot"] += _later_in_slot(
+                        centre, pencil, join)
 
-    def counting(query, keyed):
-        dtypes["query", query[0].dtype.name] += 1
-        assert (keyed[0][1:] > keyed[0][:-1]).all()
-        return member(query, keyed)
-
-    @settings(max_examples=20)
-    def check(drawn):
-        centre, lines, pairs = drawn
-        dtypes["at infinity"] += centre[2] == 0
-        _, hit = _two_stages(Pencil(ProjPoint(*centre), lines), *_seed_arrays(centre, pairs))
-        assert hit.tolist() == _members(centre, lines, pairs)
-
-    with (mock.patch.object(pencils.richpoints, "_keys", keying),
-          mock.patch.object(pencils.richpoints, "_member", counting)):
-        for ints in (_small, _ints):
-            given(_seed_pairs(ints))(check)()
-    assert all(dtypes[kind, name] for kind in ("key", "query") for name in ("int64", "object"))
-    assert dtypes["at infinity"] and dtypes["leaves row order"], dtypes
+        given(st.one_of(st.just(_known_pairs(t)), _seed_pairs(ints, regime is object)))(check)()
+        name = np.dtype(regime).name
+        branches = ("at infinity", "|c_k| > 1", "zero pair", "Q divides the kept pair",
+                    "past the first line of its slot")
+        assert all(reached[name, b] for b in branches), (name, reached)
 
 
-def _held(stages):
-    """The held-slot table of a _line_test(pc) result, read off its closure."""
-    cells = (cell.cell_contents for cell in stages.__closure__)
-    return dict(zip(stages.__code__.co_freevars, cells))["held"]
+def _closure(stages):
+    """The tables a _line_test(pc) result holds, read off its closure."""
+    return {name: cell.cell_contents
+            for name, cell in zip(stages.__code__.co_freevars, stages.__closure__)}
 
 
 def test_inverse_table_and_slots_match_python_ints():
-    """The inverse table, int32 and held twice over, with 0 at 0 and at Q,
-    holds (x mod Q)^-1 mod Q at every other x in 0..2Q-1.  A probed pencil's
-    held table has Q bools and holds exactly slot 0 and the slot p * q^-1
-    mod Q of each of its kept pairs (p, q), divided by their gcd, with q a
-    unit mod Q (q 0 mod Q marks slot 0).  _chart maps drawn c.w and columns,
-    int64 or object, to the columns times (c.w)^-1 mod Q, 0 where c.w is 0
-    mod Q, and marks those lines.  Pencils through the origin with kept
-    pairs (1, 0) and (t + 1, Q * t), int64 and object, are drawn as known
-    examples, c.w = 0 and c.w a nonzero multiple of Q as their own
-    branches; counters show q a unit and q 0 mod Q in pencils with int64
-    and object rows, and c.w a unit, c.w in both dtypes."""
+    """The inverse table, int32, holds (x mod Q)^-1 mod Q at every x in
+    0..2Q-1 that Q does not divide, and 0 at 0, at Q and at 2Q..5Q-1.  A
+    probed pencil's first-line table has Q entries of the least unsigned
+    dtype that holds its size; it names slot 0 and the slot of each of its
+    kept pairs (Python ints, _slot), and from each of them the lines it
+    names while ``more`` holds are the pencil's lines of that slot (any one
+    line for slot 0 with none), after a copy of one of its lines.  _slots matches _slot on
+    drawn pairs, int64 and object, with Q dividing both entries once or
+    twice and zero pairs as their own branches.  Pencils through the origin
+    with kept pairs (1, 0), (t + 1, Q * t) and (t, 3t + 1), int64 and object,
+    are drawn as known examples; counters show q a unit and q 0 mod Q in
+    pencils with int64 and object rows, a slot with two lines, and each
+    branch of _slots in both dtypes."""
     inv = _inverses()
-    assert inv.dtype == np.int32 and inv.shape == (2 * _Q,) and inv[0] == inv[_Q] == 0
+    assert inv.dtype == np.int32 and inv.shape == (5 * _Q,)
+    assert inv[0] == inv[_Q] == 0 and not inv[2 * _Q:].any()
     x = np.delete(np.arange(1, 2 * _Q), _Q - 1)
     assert (x * inv[x].astype(np.int64) % _Q == 1).all()
     reached = Counter()
 
     @settings(max_examples=30)
-    def marks(drawn):
+    def tables(drawn):
         centre, lines, _ = drawn
         k = max(i for i, v in enumerate(centre) if v)
         i, j = (x for x in range(3) if x != k)
         pencil = Pencil(ProjPoint(*centre), lines)
-        want = {0}
+        runs = {0: []}
         for line in row_triples(pencil.rows):
-            p, q = line[i] // gcd(line[i], line[j]), line[j] // gcd(line[i], line[j])
-            want.add(p * pow(q, -1, _Q) % _Q if q % _Q else 0)
-            reached["q a unit" if q % _Q else "q 0 mod Q", pencil.rows.dtype.name] += 1
-        held = _held(_line_test(pencil))
-        assert held.dtype == bool and held.shape == (_Q,)
-        assert set(np.flatnonzero(held).tolist()) == want
+            runs.setdefault(_slot(line[i], line[j]), []).append((line[i], line[j]))
+            reached["q a unit" if line[j] % _Q else "q 0 mod Q", pencil.rows.dtype.name] += 1
+        reached["two lines in a slot"] += max(map(len, runs.values())) > 1
+        table = _closure(_line_test(pencil))
+        first, more, p, q = (table[name] for name in ("first", "more", "p", "q"))
+        assert first.dtype == np.min_scalar_type(pencil.size) and first.shape == (_Q,)
+        assert set(np.flatnonzero(first).tolist()) == set(runs)
+        for slot, run in runs.items():
+            at = int(first[slot])
+            got = [(p[at], q[at])]
+            while more[at]:
+                at += 1
+                got.append((p[at], q[at]))
+            assert sorted(got) == run or not run, (slot, got, run)
+        assert (p[0], q[0]) == (p[1], q[1])
 
     # through the origin: kept pairs (0, 1), (1, 0), (t + 1, Q * t) and
     # (t, 3t + 1), with object rows for t = 2^64
     for ints, t in ((_small, 1), (_ints, 2**64)):
         known = (0, 0, 1), [(0, 1, 0), (1, 0, 0), (t + 1, _Q * t, 0), (t, 3 * t + 1, 0)], []
-        given(st.one_of(st.just(known), _seed_pairs(ints)))(marks)()
+        given(st.one_of(st.just(known), _seed_pairs(ints)))(tables)()
 
-    wide = {np.int64: st.integers(-2**63, 2**63 - 1), object: st.integers(-2**80, 2**80)}
+    small = st.tuples(st.integers(-999, 999), st.integers(-999, 999)).filter(any)
 
     @settings(max_examples=30)
-    @given(st.sampled_from(list(wide)).flatmap(lambda dtype: st.tuples(st.just(dtype), st.lists(
-        st.tuples(st.one_of(wide[dtype], st.just(0), st.integers(-999, 999).filter(bool).map(
-            lambda k: k * _Q)), wide[dtype], wide[dtype]), min_size=1, max_size=20))))
-    def charts(drawn):
-        dtype, rows = drawn
-        cw, *cols = np.array(rows, dtype).T
-        got, bare = _chart(cw, *cols)
-        assert bare.tolist() == [y % _Q == 0 for y, *_ in rows]
-        for i, col in enumerate(got):
-            assert col.dtype == np.int64
-            assert col.tolist() == [row[i + 1] * pow(row[0], -1, _Q) % _Q if row[0] % _Q else 0
-                                    for row in rows]
-        reached.update(("c.w a unit" if y % _Q else "c.w a multiple of Q" if y else "c.w = 0",
-                        np.dtype(dtype).name) for y, *_ in rows)
+    def slots(drawn):
+        dtype, pairs = drawn
+        a, b = np.array(pairs, dtype).reshape(-1, 2).T
+        got = _slots(a, b)
+        assert got.dtype == np.int64 and got.tolist() == [_slot(x, y) for x, y in pairs]
+        for x, y in pairs:
+            times = 0
+            while (x or y) and x % _Q == y % _Q == 0:
+                x, y, times = x // _Q, y // _Q, times + 1
+            reached[np.dtype(dtype).name, "zero pair" if not (x or y) else
+                    f"Q divides it {times} times"] += 1
 
-    charts()
-    assert len(reached) == 2 * 2 + 3 * 2, reached
+    for dtype, top in ((np.int64, 2**62), (object, 2**80)):
+        pair = st.one_of(st.tuples(st.integers(-top, top), st.integers(-top, top)),
+                         small.map(lambda ab: (ab[0] * _Q, ab[1] * _Q)),
+                         small.map(lambda ab: (ab[0] * _Q**2, ab[1] * _Q**2)),
+                         st.just((0, 0)))
+        given(st.tuples(st.just(dtype), st.lists(pair, min_size=1, max_size=20)))(slots)()
+    assert len(reached) == 2 * 2 + 1 + 2 * 4, reached
 
 
 def test_residue_stage_property_matches_tuple_sets():
@@ -800,9 +901,10 @@ def test_residue_stage_property_matches_tuple_sets():
     pencil, and with the exact stage after it gives tuple-set membership.
     It is run on every pair of a u and a v as a block (a column of u
     indices and a row of v indices), as sift's first stage runs it, and on
-    the drawn pairs as flat indices, as the stages after it run.  The seeds
-    are int64 in one @given run and object in another, each with its own
-    counters, which show: a centre at infinity; a seed line through the
+    the drawn pairs as flat indices, as the stages after it run.  It runs on
+    int64 seeds in one @given run and on object seeds in another, each with
+    its own counters, and both stages together on the dtype _kernel_dtype's
+    bound picks.  The counters show: a centre at infinity; a seed line through the
     centre (c.w = 0); c.w a nonzero multiple of Q; with both charts, da and
     db both 0, da 0 only, db 0 only, a marked nonzero slot and a refused
     pair; and a non-member that passes the residue stage and that the exact
@@ -828,10 +930,10 @@ def test_residue_stage_property_matches_tuple_sets():
             return "marked slot" if da * pow(db, -1, _Q) % _Q in marked else "refused"
 
         pencil = Pencil(ProjPoint(*centre), lines)
-        u, v = _seed_arrays(centre, pairs)
-        assert dtype is object or u.dtype == dtype  # the small draws fit int64
-        u, v = u.astype(dtype), v.astype(dtype)
-        residue, _ = _line_test(pencil)(u, v)
+        u, v = _seed_arrays(centre, lines, pairs)
+        # the residue stage's entries are at most 3CM, so the small draws fit
+        # it in int64 also where the exact stage's products need objects
+        residue, _ = _line_test(pencil)(u.astype(dtype), v.astype(dtype))
         block = residue(np.arange(len(u))[:, None], np.arange(len(v)))
         assert block.tolist() == [[branch(a, b) != "refused" for _, b in pairs] for a, _ in pairs]
         members = np.array(_members(centre, lines, pairs), dtype=bool)
