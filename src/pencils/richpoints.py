@@ -178,15 +178,16 @@ def _line_test(pc):
     The dropped column k is the last nonzero coordinate of c: l_k c_k is
     -(sum of l_i c_i, i < k), so a line through c is fixed by its kept pair
     up to scale, and that pair is zero only for the zero join, p = c or
-    u = v, which is on every line.  The pencil must hold a line; rich_points
-    probes only pencils at least as large as both seeds.
+    u = v, which is on every line.  The pencil must hold a line when a pair
+    reaches the exact stage; rich_points probes only pencils at least as
+    large as both seeds, so an empty one only when no pair is sifted.
 
     The pencil's lines are ordered by the slot of their kept pairs (p, q)
-    (see _slots) and held with a copy of the first one in front.  A table of Q entries names, for slot 0 and each
-    slot of a line, the place where the lines of that slot start in that
-    order (line 0 for slot 0 with no line), and holds 0 for every other
-    slot; ``more`` marks the lines that have another of their slot after
-    them.
+    (see _slots) and held with a copy of the first one in front.  A table
+    of Q entries names, for slot 0 and each slot of a line, the place where
+    the lines of that slot start in that order (line 0 for slot 0 with no
+    line), and holds 0 for every other slot; ``more`` marks the lines that
+    have another of their slot after them.
 
     The residue stage refuses no member.  A seed line w has a chart, its
     kept pair divided by c.w mod Q, when Q does not divide c.w.  When u and
