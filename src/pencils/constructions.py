@@ -2,9 +2,8 @@
 and their realizations as pencil configurations.
 
 A pencil's lines are one sorted (k, 3) array of distinct canonical integer
-rows; pencils_from_graph rebuilds each centre's canonical lines from the
-distinct kept pairs of its joins and builds its Pencil from them without
-the constructor, which would canonicalise them again; neither builds an
+rows, which _through builds from the lines' distinct kept pairs, for the
+Pencil constructor and for pencils_from_graph alike; neither builds an
 object per line.
 
 Real-valued range bounds of the form n^e / (ln n)^d are evaluated as exact
@@ -28,7 +27,6 @@ from .projective import (
     _height,
     _keys,
     _normalise,
-    _row_set,
     exact_dtype,
     int_rows,
 )
@@ -50,9 +48,36 @@ __all__ = [
 ]
 
 
+def _through(centre: ProjPoint, join, dtype) -> np.ndarray:
+    """The sorted distinct canonical rows of the lines through ``centre`` whose
+    column t is join(t), a fresh array in ``dtype``; a zero line gives a zero
+    row, which sorts first.  With k the last nonzero coordinate of c and i < j
+    the others, a line is fixed by its kept pair (l_i, l_j), as
+    l_k = -(l_i*c_i + l_j*c_j)/c_k.  A normalised pair (a, b) has gcd 1, so its
+    line's gcd is gcd(c_k, s), s = a*c_i + b*c_j, and column k is never its
+    first nonzero entry (c_t = 0 for t > k, so l_k = 0 when those before it
+    are): the canonical row's pair is (a, b) times t = |c_k| / gcd(c_k, s), the
+    first column of _normalise(|c_k|, s).  Canonical rows sort as their pairs,
+    so one keyed sort dedupes them in row order.  dtype holds 2*C*H (C, H the
+    largest |centre coordinate| and |join entry|); the rows come back in
+    exact_dtype(3*C*H) of their own H."""
+    c = centre.coords
+    k = max(t for t, v in enumerate(c) if v)
+    i, j = (t for t in range(3) if t != k)
+    a, b = _normalise(join(i), join(j))
+    if abs(c[k]) > 1:
+        scale = _normalise(np.full(len(a), abs(c[k]), dtype), a * c[i] + b * c[j])[0]
+        a *= scale
+        b *= scale
+    a, b = _distinct(_keys((a, b)), dtype)
+    rows = np.empty((len(a), 3), dtype)
+    rows[:, i], rows[:, j], rows[:, k] = a, b, -(a * c[i] + b * c[j]) // c[k]
+    return rows.astype(exact_dtype(3 * max(map(abs, c)) * _height(rows)), copy=False)
+
+
 class Pencil:
     """A centre plus the distinct lines through it, held as ``rows``: one
-    sorted (k, 3) integer array of canonical line triples, a _row_set."""
+    sorted (k, 3) integer array of canonical line triples, built by _through."""
 
     __slots__ = ("centre", "rows")
 
@@ -61,18 +86,20 @@ class Pencil:
         by int_rows (a bool or float raises TypeError, another width ValueError).
         Scaled and repeated triples give one row; a zero triple or a line missing
         the centre raises ValueError.  The incidence test's entries are at most
-        3*C*H (C, H the largest |centre coordinate| and |entry|)."""
+        3*C*H (C, H the largest |centre coordinate| and |entry|); the rows are
+        int64 when 3*C*H of the canonical rows is below 2^62, else object."""
         lines = int_rows(lines)
         c = max(abs(v) for v in centre.coords)
         rows = lines.astype(exact_dtype(3 * c * _height(lines)), copy=False)
-        if not (rows != 0).any(axis=1).all():
+        # one test per column: any(axis=1) over three entries is several times slower
+        if not ((rows[:, 0] != 0) | (rows[:, 1] != 0) | (rows[:, 2] != 0)).all():
             raise ValueError("(0, 0, 0) does not represent a line")
         missed = rows[rows @ np.array(centre.coords, dtype=rows.dtype) != 0]
         if len(missed):
             raise ValueError(f"line {tuple(missed[0].tolist())} does not pass "
                              f"through the centre {centre}")
         self.centre = centre
-        self.rows = _row_set(rows)
+        self.rows = _through(centre, lambda t: rows[:, t].copy(), rows.dtype)
 
     @property
     def size(self) -> int:
@@ -294,23 +321,13 @@ def pencils_from_graph(construction: GraphConstruction, centres,
     point (a, b) of the construction, deduplicated.
 
     Every pencil covers the whole edge-point set by definition, so each
-    edge point is rich for the resulting configuration.  A join l = c x p
-    is fixed by its kept pair (l_i, l_j), i < j the columns other than the
-    last nonzero coordinate k of c, which is zero only for p = c (see
-    richpoints._line_test).  The pairs are normalised and deduplicated, and
-    each (a, b) gives the line (a*c_k, b*c_k, l_k), l_k = -(a*c_i + b*c_j),
-    at (i, j, k) by l.c = 0.  a and b are coprime, so its gcd is
-    gcd(c_k, l_k), and column k is never its first nonzero entry (c_t = 0
-    for t > k, so l_k = 0 when the kept entries before it are), so its sign
-    is c_k's: its canonical row is (a, b) times t = |c_k| / gcd(c_k, l_k) at
-    (i, j), with l_k = -(a*t*c_i + b*t*c_j) / c_k.  Canonical rows sort as
-    their kept pairs, so with |c_k| = 1 (t = 1) they are in order, and
-    otherwise the scaled pairs are sorted again.  The Pencil is built from
-    these rows as they are, in the dtype its constructor would pick.  With
-    C the largest |centre coordinate| and H_A, H_B the largest |numerator|
-    or denominator of each ground set, a join entry is at most 2*C*H_A*H_B
-    and a rebuilt one 4*C^2*H_A*H_B, so the arrays are int64 when
-    4*C^2*H_A*H_B < 2^62 and Python ints otherwise.
+    edge point is rich for the resulting configuration.  _through makes each
+    centre's rows from its |E| joins l = c x p, and the Pencil is built from
+    them without the constructor; a join is zero only for p = c, which raises
+    CentreOnPointSet.  With C the largest |centre coordinate| and H_A, H_B the
+    largest |numerator| or denominator of each ground set, a join entry is at
+    most 2*C*H_A*H_B, so the joins are int64 when 4*C^2*H_A*H_B (_through's
+    2*C*H) is below 2^62, Python ints otherwise.
     """
     graph = construction.graph
     centres = list(centres)
@@ -323,21 +340,13 @@ def pencils_from_graph(construction: GraphConstruction, centres,
     pencils = []
     for centre in centres:
         c = centre.coords
-        k = max(t for t, v in enumerate(c) if v)
-        i, j = (t for t in range(3) if t != k)
         # column t of c x p is c_(t+1) p_(t+2) - c_(t+2) p_(t+1), indices mod 3
-        pair = (c[(t + 1) % 3] * p[(t + 2) % 3] - c[(t + 2) % 3] * p[(t + 1) % 3] for t in (i, j))
-        a, b = _distinct(_keys(_normalise(*pair)), dtype)
-        if ((a == 0) & (b == 0)).any():  # a zero join: the edge point is the centre
+        rows = _through(centre, lambda t: c[(t + 1) % 3] * p[(t + 2) % 3]
+                        - c[(t + 2) % 3] * p[(t + 1) % 3], dtype)
+        if len(rows) and not rows[0].any():  # a zero join sorts first
             raise CentreOnPointSet(centre)
-        if abs(c[k]) > 1:
-            scale = abs(c[k]) // np.gcd(a * c[i] + b * c[j], c[k])
-            a, b = _distinct(_keys((a * scale, b * scale)), dtype)
-        rows = np.empty((len(a), 3), dtype)
-        rows[:, i], rows[:, j], rows[:, k] = a, b, -(a * c[i] + b * c[j]) // c[k]
         pencil = Pencil.__new__(Pencil)
-        pencil.centre = centre
-        pencil.rows = rows.astype(exact_dtype(3 * max(map(abs, c)) * _height(rows)), copy=False)
+        pencil.centre, pencil.rows = centre, rows
         pencils.append(pencil)
     if label is None:
         label = f"pencils[{construction.label}]"

@@ -70,9 +70,10 @@ def _affine_ratio_size(pc) -> int:
     """|{(a - x)/(b - y)}| over the edge points (a, b) of a pencils_from_graph
     pencil centred at the affine (x, y): its size, as the line through (x, y)
     and (a, b) has direction (a - x : b - y).  An edge point with b = y puts
-    the horizontal line (0 : 1 : -y) in the pencil and raises ZeroDenominator."""
+    the horizontal line (0 : 1 : -y), the one line through (x, y) with l_0 = 0,
+    in the pencil and raises ZeroDenominator."""
     _, y = pc.centre.to_affine()
-    if (pc.rows == (0, y.denominator, -y.numerator)).all(axis=1).any():
+    if (pc.rows[:, 0] == 0).any():
         raise ZeroDenominator(y)
     return pc.size
 

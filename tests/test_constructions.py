@@ -10,7 +10,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pencils.constructions import (
     GraphConstruction,
@@ -33,6 +33,8 @@ from pencils.incidence import szemeredi_trotter_ok
 from pencils.projective import ProjPoint, exact_dtype, row_triples
 
 from oracles import (
+    _canon,
+    _cross,
     _on_line,
     collinear_bruteforce,
     farey_shift_enumeration,
@@ -272,6 +274,87 @@ def test_pencil_rows_are_sorted_distinct_canonical():
     pencil = Pencil(centre, lowest)
     assert pencil.rows.dtype == object and pencil.rows.tolist() == [[2**63, -1, 0]]
     assert pencil == Pencil(centre, [(-2**63, 1, 0)])
+
+
+# centre kinds by k, the last nonzero coordinate of the canonical centre:
+# k = 0 is (1, 0, 0) alone; "|c_k| > 1" and "c_k < 0" have k = 1 or 2
+_digits, _nonzero = st.integers(-9, 9), st.integers(-9, 9).filter(bool)
+_CENTRES = {
+    "k = 0": st.tuples(_nonzero, st.just(0), st.just(0)),
+    "k = 1": st.tuples(_digits, _nonzero, st.just(0)),
+    "k = 2": st.tuples(_digits, _digits, _nonzero),
+    "|c_k| > 1": st.one_of(st.tuples(_digits, _nonzero, st.integers(2, 9)),
+                           st.tuples(_digits, st.integers(2, 9), st.just(0))),
+    "c_k < 0": st.one_of(st.tuples(st.integers(1, 9), _digits, st.integers(-9, -1)),
+                         st.tuples(st.just(0), st.integers(1, 9), st.integers(-9, -1)),
+                         st.tuples(st.integers(1, 9), st.integers(-9, -1), st.just(0))),
+}
+# the other points and the factors of each magnitude: small lines and
+# factors give int64 rows, points past 2^62 give object rows, and factors
+# past int64 give inputs past it whose canonical rows fit int64
+_big = st.one_of(st.integers(2**62, 2**70), st.integers(-2**70, -2**62))
+_MAGNITUDES = {
+    "int64 rows": (_digits, st.sampled_from([1, -1, 2, -3, 4, -6, 9, -12])),
+    "object rows": (st.one_of(_digits, _big), st.sampled_from([1, -1, 4, -6])),
+    "scaled past int64": (_digits, st.one_of(_big, st.sampled_from([1, -4]))),
+}
+
+
+@st.composite
+def _pencil_inputs(draw, centres, ints, factors):
+    """A centre, and lines through it: canonical joins with 1-4 other drawn
+    points, each given 1-8 times in a drawn order, each time times a drawn
+    factor; as a list of tuples, an int64 array (where the entries fit) or an
+    object array."""
+    c = ProjPoint(*draw(centres)).coords
+    other = st.tuples(ints, ints, ints).filter(lambda q: any(_cross(c, q)))
+    joins = draw(st.lists(other.map(lambda q: join(c, q)), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(joins) - 1), factors),
+                          min_size=1, max_size=8))
+    lines = [tuple(f * v for v in joins[i]) for i, f in picks]
+    form = draw(st.sampled_from(["list", "int64", "object"]))
+    if form == "int64" and max(abs(v) for line in lines for v in line) >= 2**63:
+        form = "object"
+    return c, lines, form, [f for _, f in picks]
+
+
+def test_pencil_matches_the_sorted_canonical_set():
+    """Pencil(centre, lines) against the sorted distinct oracles._canon rows
+    of its lines, with the dtype rule: int64 when 3*C*H of the canonical rows
+    is below 2^62 (C the largest |centre coordinate|, H the rows' largest
+    |entry|), object otherwise; the caller's lines are left as they are.
+    Each centre kind and magnitude is its own @given run with its own
+    counter, which shows repeated, shuffled, negatively and compositely
+    scaled lines, the input forms, and the magnitude's rows reached."""
+    def check(drawn, reached):
+        c, lines, form, factors = drawn
+        arg = lines if form == "list" else np.array(lines, {"int64": np.int64}.get(form, object))
+        kept = arg.copy()
+        pencil = Pencil(ProjPoint(*c), arg)
+        canon = sorted({_canon(line) for line in lines})
+        assert list(row_triples(pencil.rows)) == canon
+        height = max(abs(v) for row in canon for v in row)
+        assert pencil.rows.dtype == exact_dtype(3 * max(map(abs, c)) * height)
+        assert np.array_equal(np.array(arg, dtype=object), np.array(kept, dtype=object))
+        composite = [f for f in factors if any(abs(f) > q and f % q == 0 for q in (2, 3, 5, 7))]
+        reached.update(kind for kind, hit in (
+            ("repeated", len(canon) < len(lines)),
+            ("shuffled", [_canon(line) for line in lines] != sorted(map(_canon, lines))),
+            ("negative factor", min(factors) < 0), ("composite factor", composite != []),
+            ("input past int64", max(abs(v) for line in lines for v in line) >= 2**63),
+            (f"{form} input", True), (f"{pencil.rows.dtype.name} rows", True)) if hit)
+
+    for centre, centres in _CENTRES.items():
+        for magnitude, (ints, factors) in _MAGNITUDES.items():
+            reached = Counter()
+            settings(max_examples=15)(given(_pencil_inputs(centres, ints, factors))(
+                lambda drawn: check(drawn, reached)))()
+            wanted = {"repeated", "shuffled", "negative factor", "composite factor",
+                      "list input", "object input"}
+            wanted |= {"int64 rows": {"int64 input", "int64 rows"},
+                       "object rows": {"object rows"},
+                       "scaled past int64": {"input past int64", "int64 rows"}}[magnitude]
+            assert wanted <= set(reached), (centre, magnitude, reached)
 
 
 def test_pencil_config_rejects_coincident_centres():

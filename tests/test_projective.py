@@ -201,9 +201,11 @@ def test_array_kernel_matches_oracle_in_both_dtypes():
 
 
 def test_only_projective_calls_gcd():
-    """One normal form: every np.gcd call that rich_points, the lemma chain
-    and a farey-shift sweep row make comes from pencils.projective, apart
-    from the coprimality mask of constructions._coprime_blocks."""
+    """One normal form: every np.gcd call that rich_points, the lemma chain,
+    a farey-shift sweep row and the pencils of a centre with |c_k| > 1 make
+    (through pencils_from_graph and through Pencil) comes from
+    pencils.projective, apart from the coprimality mask of
+    constructions._coprime_blocks."""
     np_gcd, callers = np.gcd, Counter()
 
     def recording(*args, **kwargs):
@@ -211,15 +213,38 @@ def test_only_projective_calls_gcd():
         callers[frame.f_globals["__name__"], frame.f_code.co_name] += 1
         return np_gcd(*args, **kwargs)
 
+    centre = (2, 1, -3)
     with mock.patch.object(np, "gcd", recording):
         rich_points(build_m_pencil_config(4, 16))
         verify_lemma_chain(build_symmetric_farey_construction(64).graph, (0, -1), (1, -1))
         sweep("farey-shift", [256])
+        pencils_from_graph(build_symmetric_farey_construction(64), [ProjPoint(*centre)])
+        Pencil(ProjPoint(*centre), [join(centre, q) for q in ((0, 0, 1), (1, 0, 0), (5, 7, 2))])
     assert {module for module, _ in callers} == {"pencils.projective",
                                                  "pencils.constructions"}, callers
     assert {(module, name) for module, name in callers
             if module != "pencils.projective"} == {("pencils.constructions",
                                                     "_coprime_blocks")}, callers
+
+
+def test_no_np_gcd_outside_projective():
+    """One normal form, read off the source: no module under src/pencils
+    but projective names np.gcd (or numpy.gcd), apart from the coprimality
+    mask in constructions._coprime_blocks."""
+    def gcds(node, where):  # where: the innermost function or class around node
+        if (isinstance(node, ast.Attribute) and node.attr == "gcd"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield where
+        for child in ast.iter_child_nodes(node):
+            inner = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            yield from gcds(child, child.name if inner else where)
+
+    package = Path(pencils.__file__).parent
+    uses = {(path.stem, where) for path in sorted(package.glob("*.py"))
+            for where in gcds(ast.parse(path.read_text()), None)}
+    assert {use for use in uses if use[0] != "projective"} == {("constructions",
+                                                               "_coprime_blocks")}
+    assert ("projective", "_normalise") in uses  # the scan finds the one normal form
 
 
 def test_no_np_abs_in_the_package():
@@ -278,12 +303,13 @@ def test_no_lexsort_in_the_pipelines():
 def test_pencils_from_graph_takes_one_gcd_per_edge_point():
     """A pencil is its kept pairs: pencils_from_graph forms no cross_rows,
     and it normalises each centre's joins once, on their two kept columns
-    over the |E| edge points, and no other time: it builds each Pencil from
-    canonical rows, without the constructor's _row_set."""
+    over the |E| edge points.  Only a centre with |c_k| > 1 normalises once
+    more, (|c_k|, a*c_i + b*c_j) over the same pairs, to read each line's
+    scale; there is no other call, so no _row_set."""
     normalise, calls = pencils.projective._normalise, []
 
     def recording(*cols):
-        calls.append((sys._getframe(1).f_code.co_name, [len(col) for col in cols]))
+        calls.append([len(col) for col in cols])
         return normalise(*cols)
 
     source = ast.parse(inspect.getsource(pencils_from_graph))
@@ -292,14 +318,20 @@ def test_pencils_from_graph_takes_one_gcd_per_edge_point():
     cases = [(build_farey_shift_construction(256), standard_shift_centres()),
              (build_symmetric_farey_construction(64),
               [ProjPoint(2, 1, -3), ProjPoint(1, 7, 0), ProjPoint(0, 1, 0)])]
+    scaled = Counter()
     for built, centres in cases:
         calls.clear()
         with mock.patch.object(pencils.projective, "_normalise", recording), \
                 mock.patch.object(pencils.constructions, "_normalise", recording):
             config = pencils_from_graph(built, centres)
-        edges = built.edge_count
-        assert calls == [("pencils_from_graph", [edges] * 2)] * config.m
+        edges, expected = built.edge_count, []
+        for pc in config.pencils:
+            c_k = [v for v in pc.centre.coords if v][-1]
+            scaled[abs(c_k) > 1] += 1
+            expected += [[edges] * 2] * (1 + (abs(c_k) > 1))
+        assert calls == expected
         assert max(config.sizes()) < edges
+    assert scaled == {False: 5, True: 2}
 
 
 def test_exact_dtype_bound():

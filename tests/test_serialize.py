@@ -224,28 +224,31 @@ def _configs(draw, ints):
 
 
 def test_pencil_config_reader_roundtrips_both_dtypes():
-    """A config read back from its written text has the same pencils, rows
-    and row dtypes.  Each size of coordinates gets its own examples; a
-    counter shows int64 and object rows, and the reader's int64 array and
-    its object array for entries past int64, reached."""
-    reached, read = Counter(), pencils.serialize._rows_from_json
+    """A config read back from its written text, through json.loads and
+    through loads, has the same pencils, rows and row dtypes.  Each size of
+    coordinates gets its own examples; a counter shows int64 and object rows,
+    and the lines that the reader hands to Pencil's int_rows come out as
+    int64 and, for entries past int64, as object."""
+    reached, intake = Counter(), pencils.constructions.int_rows
 
     def counting(rows):
-        array = read(rows)
+        array = intake(rows)
         reached["read", array.dtype.name] += 1
         return array
 
     @settings(max_examples=20)
     def check(cfg):
-        back = pencil_config_from_json(json.loads(dumps(pencil_config_to_json(cfg))))
-        assert back.label == cfg.label and back.pencils == cfg.pencils
-        for pc, pb in zip(cfg.pencils, back.pencils):
-            assert pb.rows.dtype == pc.rows.dtype
-            reached["rows", pc.rows.dtype.name] += 1
+        text = dumps(pencil_config_to_json(cfg))
+        with mock.patch.object(pencils.constructions, "int_rows", counting):
+            backs = [pencil_config_from_json(read(text))
+                     for read in (json.loads, pencils.serialize.loads)]
+        for back in backs:
+            assert back.label == cfg.label and back.pencils == cfg.pencils
+            assert [pb.rows.dtype for pb in back.pencils] == [pc.rows.dtype for pc in cfg.pencils]
+        reached.update(("rows", pc.rows.dtype.name) for pc in cfg.pencils)
 
-    with mock.patch.object(pencils.serialize, "_rows_from_json", counting):
-        for ints in (_small, _big):
-            given(_configs(ints))(check)()
+    for ints in (_small, _big):
+        given(_configs(ints))(check)()
     assert all(reached[kind, name] for kind in ("read", "rows")
                for name in ("int64", "object")), reached
 
