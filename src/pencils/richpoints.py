@@ -6,26 +6,28 @@ lookups rather than quadratic in the total line count.  One array kernel
 does the work.  A point p is on a line of the pencil centred at c when
 the join c x p is one of its lines, and for p = u x v that join is
 (c.v)u - (c.u)v: each other pencil is probed on two columns of it, its
-kept pair, in two stages (see _line_test for both and why).  Each of the
-pencil's lines has a slot, its kept pair's point of the projective line
-over F_Q, Q = 65521, with 0 and infinity both slot 0 (see _slots), and a
-table of Q entries per probe names the first line of each slot.  The
-residue stage refuses no member: it works on per-line charts, each seed
-line's two columns divided by its dot product with c, mod Q, so a pair
-costs two subtractions and one lookup, and it passes the pairs whose
-slot names a line, and slot 0, which is always open.  The exact stage is
-the one verdict: it reads the slot of the join's exact kept pair and
-passes the pair when one cross-multiplication puts it on a line of that
-slot; no pair is divided by a gcd.  The first probe's residue stage
-runs on blocks of seed pairs; the pairs that pass it are gathered and go
-through every other stage at once, the residue stage of every probe
-before any exact stage, so the exact columns are formed only for the
-pairs that passed every residue stage.  Meets are formed only for the
-pairs that pass every probe.  Each pencil is asked by a row lookup
-whether it holds the join of the seed centres.  The surviving meets
-become one set of canonical rows by projective._row_set; ProjPoint
-objects are built only for excluded centres and when a caller reads
-``points``.
+kept pair, in two stages (see _line_test for both and why).  Each call
+takes one prime Q off a fixed ladder, the least at least _SLACK times
+its largest probed pencil (see _LADDER), so the residue stage keeps
+filtering as the pencils grow.  Each of the pencil's lines has a slot,
+its kept pair's point of the projective line over F_Q, with 0 and
+infinity both slot 0 (see _slots), and a table of Q entries per probe
+names the first line of each slot.  The residue stage refuses no member:
+it works on per-line charts, each seed line's two columns divided by its
+dot product with c, mod Q, so a pair costs two subtractions and one
+lookup, and it passes the pairs whose slot names a line, and slot 0,
+which is always open.  The exact stage is the one verdict: it reads the
+slot of the join's exact kept pair and passes the pair when one
+cross-multiplication puts it on a line of that slot; no pair is divided
+by a gcd.  The first probe's residue stage runs on blocks of seed pairs;
+the pairs that pass it are gathered and go through every other stage at
+once, the residue stage of every probe before any exact stage, so the
+exact columns are formed only for the pairs that passed every residue
+stage.  Meets are formed only for the pairs that pass every probe.  Each
+pencil is asked by a row lookup whether it holds the join of the seed
+centres.  The surviving meets become one set of canonical rows by
+projective._row_set; ProjPoint objects are built only for excluded
+centres and when a caller reads ``points``.
 
 Everything is exact integer arithmetic.  The arrays are int64 when a bound
 computed in Python ints (see _kernel_dtype) keeps every entry and product
@@ -36,7 +38,7 @@ the same.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,52 +62,66 @@ __all__ = ["RichPointReport", "rich_points"]
 # hold on the order of _MEET_BLOCK * s2 entries.
 _MEET_BLOCK = 32
 
-# The residue stage's prime and a primitive root of it.  Q slots make a
-# 64 KB or 128 KB table per probed pencil; 131071 and 262139 filtered more
-# pairs but were no faster at the benchmark's sizes.
-_Q, _ROOT = 65521, 17
+# The residue stage's primes Q, each with a primitive root.  A probed
+# pencil of s lines names at most s + 1 of the Q slots, so a pair off it
+# passes the residue stage with a chance of about s/Q, and each probe holds
+# a table of Q entries.  A rich_points call takes the least prime at least
+# _SLACK times its largest probed pencil, or the last.  Every residue
+# product is below 2Q^2 < 2^41, so int64 holds it on the whole ladder.  At
+# the benchmark's sizes 16381 held less memory than 65521 and was faster
+# than 4093; a slack of 4 takes farey-shift n = 4^7 to 262139 and 4^8 to
+# 1048573, where 4^8 ran four times faster than at 65521.  4194301 was
+# slower than 1048573 at 4^7 and at m-pencil m=10 n=4096 and n=16384, so
+# 1048573 also serves every probe of more than 262143 lines.
+_LADDER = ((16381, 2), (65521, 17), (262139, 2), (1048573, 2))
+_SLACK = 4
 
 
-def _reduce(a):
-    """a mod Q, in place, for an int64 array a; numpy divides by a scalar
-    several times faster than it takes a remainder."""
-    q = a // _Q
-    q *= _Q
+def _reduce(a, prime):
+    """a mod prime, in place, for an int64 array a; numpy divides by a
+    scalar several times faster than it takes a remainder."""
+    q = a // prime
+    q *= prime
     a -= q
     return a
 
 
-@cache
-def _inverses():
+@lru_cache(maxsize=1)
+def _inverses(prime):
     """(x mod Q)^-1 mod Q for x = 0..2Q-1 as int32, 0 where Q divides x, and
-    then 0 for x = 2Q..5Q-1, built at first use: (g^k)^-1 = g^(Q-1-k) for
-    the powers of the primitive root g, formed by doubling: the powers
-    g^0..g^(t-1) times g^t are the powers g^t..g^(2t-1).  The inverses are
-    held twice over so that a difference of residues shifted by Q indexes
-    the table as it is, and a difference with the sentinel 3Q or -Q of a
-    line without a chart (see _line_test) lands on the zeros, which are
-    never written, so they take no memory until read."""
-    powers = np.ones(1, np.int64)
-    while len(powers) < _Q - 1:
-        powers = np.concatenate((powers, _reduce(powers * (int(powers[-1]) * _ROOT % _Q))))
-    powers = powers[:_Q - 1]
-    inv = np.zeros((5, _Q), np.int32)
+    then 0 for x = 2Q..5Q-1, for a ladder prime Q: (g^k)^-1 = g^(Q-1-k) for
+    the powers of Q's primitive root g on the ladder, formed by doubling:
+    the powers g^0..g^(t-1) times g^t are the powers g^t..g^(2t-1).  The
+    inverses are held twice over so that a difference of residues shifted
+    by Q indexes the table as it is, and a difference with the sentinel 3Q
+    or -Q of a line without a chart (see _line_test) lands on the zeros,
+    which are never written, so they take no memory until read.  The table
+    of the last prime used is kept: its written part, 8Q bytes, is 0.13 MB
+    at 16381 and 8.4 MB at 1048573, which a process that ran one large
+    config would otherwise hold while it runs small ones.  Building it
+    again costs 0.3 ms at 16381 and 15-30 ms at 1048573."""
+    powers, root = np.ones(1, np.int64), dict(_LADDER)[prime]
+    while len(powers) < prime - 1:
+        step = int(powers[-1]) * root % prime
+        powers = np.concatenate((powers, _reduce(powers * step, prime)))
+    powers = powers[:prime - 1]
+    inv = np.zeros((5, prime), np.int32)
     inv[:2, powers] = np.concatenate(([1], powers[:0:-1])).astype(np.int32)
     return inv.ravel()
 
 
-def _slots(a, b):
+def _slots(a, b, prime):
     """The slot a * b^-1 mod Q of each pair of integer arrays (a, b), int64
-    or object, as int64; 0 where a or b is 0 mod Q.  A nonzero pair that Q
-    divides is slotted as the pair divided by Q, as often as Q divides it,
-    which is exact and leaves it the same projective point.  So every
-    nonzero multiple of a pair has its slot.  A seed line w's chart on a
-    probed centre c is _slots(w_i, c.w), _slots(w_j, c.w)."""
-    ra, rb = ((w - w // _Q * _Q).astype(np.int64, copy=False) for w in (a, b))
-    slot = _reduce(ra * _inverses().take(rb))
+    or object, as int64, for a ladder prime Q; 0 where a or b is 0 mod Q.  A
+    nonzero pair that Q divides is slotted as the pair divided by Q, as
+    often as Q divides it, which is exact and leaves it the same projective
+    point.  So every nonzero multiple of a pair has its slot.  A seed line
+    w's chart on a probed centre c is _slots(w_i, c.w), _slots(w_j, c.w)."""
+    ra, rb = ((w - w // prime * prime).astype(np.int64, copy=False) for w in (a, b))
+    slot = _reduce(ra * _inverses(prime).take(rb), prime)
     deep = np.flatnonzero(((ra | rb) == 0) & ((a != 0) | (b != 0)))
     if len(deep):
-        slot[deep] = _slots(a[deep] // _Q, b[deep] // _Q)
+        slot[deep] = _slots(a[deep] // prime, b[deep] // prime, prime)
     return slot
 
 
@@ -169,12 +185,13 @@ def _kernel_dtype(pencils):
     return exact_dtype(2 * c * max(2 * m**3, c))
 
 
-def _line_test(pc):
+def _line_test(pc, prime):
     """A test whether a meet p = u x v of a seed line u and a seed line v is
-    on one of the pencil's lines, in two stages: a function of the two
-    seeds' line arrays that returns them, each a function of (i, j) index
-    arrays (see _pairs) giving the pairs that pass.  p is on a line of the
-    pencil when the join of its centre c with p, l = (c.v)u - (c.u)v, is one.
+    on one of the pencil's lines, in two stages, with its slots taken over
+    F_Q for the ladder prime Q = prime: a function of the two seeds' line
+    arrays that returns them, each a function of (i, j) index arrays (see
+    _pairs) giving the pairs that pass.  p is on a line of the pencil when
+    the join of its centre c with p, l = (c.v)u - (c.u)v, is one.
     The dropped column k is the last nonzero coordinate of c: l_k c_k is
     -(sum of l_i c_i, i < k), so a line through c is fixed by its kept pair
     up to scale, and that pair is zero only for the zero join, p = c or
@@ -214,25 +231,28 @@ def _line_test(pc):
     times a divisor of c_k, so both have the coprime pair's slot."""
     c = np.array(pc.centre.coords, object)
     kept = [i for i in range(3) if i != np.flatnonzero(c)[-1]]
-    slots = _slots(*pc.rows[:, kept].T)
+    slots = _slots(*pc.rows[:, kept].T, prime)
     order = np.argsort(slots)
     slots, (p, q) = slots[order], pc.rows[:, kept].T.take(np.r_[order[:1], order], axis=1)
     more = np.concatenate(([False], slots[1:] == slots[:-1], [False]))
-    first = np.zeros(_Q, np.min_scalar_type(len(slots)))
+    first = np.zeros(prime, np.min_scalar_type(len(slots)))
     first[np.r_[0, slots]] = np.searchsorted(slots, np.r_[0, slots]) + 1
 
     def stages(u, v):
         (cu, u0, u1), (cv, v0, v1) = ((w @ c.astype(w.dtype), *w[:, kept].T) for w in (u, v))
-        au, bu, av, bv = _slots(u0, cu), _slots(u1, cu) + _Q, _slots(v0, cv), _slots(v1, cv)
-        bu[cu % _Q == 0], bv[cv % _Q == 0] = 3 * _Q, -_Q
+        au, bu = _slots(u0, cu, prime), _slots(u1, cu, prime) + prime
+        av, bv = _slots(v0, cv, prime), _slots(v1, cv, prime)
+        bu[cu % prime == 0], bv[cv % prime == 0] = 3 * prime, -prime
+        inv = _inverses(prime)
 
         def residue(ii, jj):
-            return first.take(_reduce((au[ii] - av[jj]) * _inverses().take(bu[ii] - bv[jj]))) != 0
+            return first.take(_reduce((au[ii] - av[jj]) * inv.take(bu[ii] - bv[jj]), prime)) != 0
 
         def exact(ii, jj):
             a, b = cu[ii], cv[jj]
             x, y = b * u0[ii] - a * v0[jj], b * u1[ii] - a * v1[jj]
-            line, todo, hit = first.take(_slots(x, y)), np.arange(len(x)), np.zeros(len(x), bool)
+            line, todo = first.take(_slots(x, y, prime)), np.arange(len(x))
+            hit = np.zeros(len(x), bool)
             while len(todo):
                 hit[todo] = x[todo] * q.take(line[todo]) == y[todo] * p.take(line[todo])
                 todo = todo[~hit[todo] & more.take(line[todo])]
@@ -257,7 +277,9 @@ def rich_points(config: PencilConfig) -> RichPointReport:
     first, second, rest = by_size[0], by_size[1], by_size[2:]
     dtype = _kernel_dtype(config.pencils)
     centres = np.array([pc.centre.coords for pc in by_size], dtype)
-    tests = [_line_test(pc) for pc in rest]
+    top = _SLACK * max((pc.size for pc in rest), default=0)
+    prime = next((q for q, _ in _LADDER if q >= top), _LADDER[-1][0])
+    tests = [_line_test(pc, prime) for pc in rest]
     found = [np.empty((0, 3), dtype=dtype)]
 
     def sift(u, v):

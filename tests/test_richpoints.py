@@ -1,8 +1,11 @@
+import ast
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +25,8 @@ from pencils.constructions import (
 )
 from pencils.errors import PreconditionError
 from pencils.projective import ProjPoint, exact_dtype, int_rows, row_triples
-from pencils.richpoints import _Q, _inverses, _kernel_dtype, _line_test, _slots, rich_points
+from pencils.richpoints import (_LADDER, _SLACK, _inverses, _kernel_dtype, _line_test, _slots,
+                                rich_points)
 
 from oracles import (_canon, _cross, _on_line, join, pencil_lines_bruteforce,
                      rich_points_bruteforce)
@@ -437,21 +441,130 @@ def test_report_repr():
     assert repr(rep) == "RichPointReport('three', count=2, infinite=1, excluded=3)"
 
 
+def _star(size, b):
+    """A pencil of size lines through (0, b), y = kx + b for k < size."""
+    return Pencil(ProjPoint(0, b, 1), [(k, -1, b) for k in range(size)])
+
+
+def _primes_used(config):
+    """The rich rows of a config and the primes its line tests were built
+    with."""
+    line_test, primes = pencils.richpoints._line_test, []
+
+    def recording(pc, prime):
+        primes.append(prime)
+        return line_test(pc, prime)
+
+    with mock.patch.object(pencils.richpoints, "_line_test", recording):
+        return rich_points(config), primes
+
+
 def test_rich_points_keys_only_probed_pencils():
     """Only the m - 2 probed pencils get a line test; the seeds answer their
     one question by a row lookup."""
     config = build_m_pencil_config(4, 16)
-    calls = []
+    _, primes = _primes_used(config)
+    assert len(primes) == config.m - 2 == 2
 
-    def counting(pc):
-        calls.append(pc)
-        return line_test(pc)
 
-    line_test = pencils.richpoints._line_test
-    with mock.patch.object(pencils.richpoints, "_line_test", counting):
-        rich_points(config)
-    assert len(calls) == config.m - 2 == 2
+def test_prime_is_the_least_ladder_prime_past_the_slack():
+    """Every probe of a rich_points call gets one prime: the least ladder
+    prime at least _SLACK times the largest probed pencil, or the last one
+    past that, which a patched ladder of small primes reaches; the rows
+    match the brute-force rich set at those small primes too.  Probes of
+    4095, 4096 and 16381 lines sit on either side of 16381 / 4 and
+    65521 / 4, and one of 262144 lines is past 1048573 / 4, the last
+    rung."""
+    assert _SLACK == 4 and _LADDER[-1][0] == 1048573
+    seeds = [_pencil(1, 0, [(0, 0), (0, 1)]), _pencil(0, 1, [(0, 0), (1, 1)])]
+    for sizes, prime in (((4095,), 16381), ((4096,), 65521), ((100, 4096), 65521),
+                         ((16381,), 262139), ((2, 3), 16381), ((262144,), 1048573)):
+        _, primes = _primes_used(PencilConfig(seeds + [_star(s, -b) for b, s in enumerate(sizes)]))
+        assert primes == [prime] * len(sizes), (sizes, primes)
+    small = ((5, 2), (7, 3), (11, 2))
+    for size, prime in ((1, 5), (2, 11), (3, 11), (5, 11)):
+        config = PencilConfig([_pencil(1, 0, [(0, 0)]), _pencil(0, 1, [(0, 0)]),
+                               _pencil(2, 0, [(0, 0)] + [(k, -1) for k in range(1, size)])])
+        with mock.patch.object(pencils.richpoints, "_LADDER", small):
+            rep, primes = _primes_used(config)
+        assert primes == [prime], (size, primes)
+        want = rich_points_bruteforce([pc.rows.tolist() for pc in config.pencils])
+        assert set(row_triples(rep.rows)) | {c.coords for c in rep.excluded_centres} == want
 
+
+def _prime_factors(n):
+    """The prime factors of n > 1, by trial division."""
+    factors, f = set(), 2
+    while f * f <= n:
+        while n % f == 0:
+            factors.add(f)
+            n //= f
+        f += 1
+    return factors | {n} - {1}
+
+
+def test_ladder_roots_are_primitive_roots():
+    """Every ladder entry is a prime Q, in increasing order, with a
+    primitive root g of it: g^((Q-1)/f) != 1 mod Q for each prime f that
+    divides Q - 1, in Python ints."""
+    assert [q for q, _ in _LADDER] == sorted({q for q, _ in _LADDER})
+    for q, g in _LADDER:
+        assert _prime_factors(q) == {q}
+        assert all(pow(g, (q - 1) // f, q) != 1 for f in _prime_factors(q - 1)), (q, g)
+
+
+def _rows_at_each_prime():
+    """The rich rows of farey-shift n=256 and m-pencil m=4 n=64, with the
+    ladder left as it is and cut to each of two of its primes: the same
+    rows, excluded centres and dtype every time."""
+    farey = pencils_from_graph(build_farey_shift_construction(256, Fraction(43, 1000)),
+                               standard_shift_centres())
+    dtypes = set()
+    for config in (farey, build_m_pencil_config(4, 64)):
+        want = rich_points(config)
+        for rung in _LADDER[:2]:
+            with mock.patch.object(pencils.richpoints, "_LADDER", (rung,)):
+                got, primes = _primes_used(config)
+            assert set(primes) == {rung[0]}
+            assert got.rows.dtype == want.rows.dtype and got.rows.tolist() == want.rows.tolist()
+            assert got.excluded_centres == want.excluded_centres
+        assert want.count > 0
+        dtypes.add(want.rows.dtype.name)
+    return dtypes
+
+
+def test_rows_do_not_depend_on_the_prime():
+    assert _rows_at_each_prime() == {"int64"}
+
+
+def test_rows_do_not_depend_on_the_prime_object_dtype(object_dtype):
+    assert _rows_at_each_prime() == {"object"}
+
+
+def test_one_ladder_of_residue_primes():
+    """The residue primes are read off the source: no module under
+    src/pencils assigns a Q- or root-style constant, and the only prime
+    literals from 1000 to 2^32 are the entries of richpoints._LADDER."""
+    package = Path(pencils.__file__).parent
+    primes, names = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        ladder = set()
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                continue
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in (n for n in ast.walk(target) if isinstance(n, ast.Name)):
+                    names.append((path.stem, name.id))
+                    if name.id == "_LADDER":
+                        ladder |= set(map(id, ast.walk(node.value)))
+        primes += [(path.stem, node.value, id(node) in ladder) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and type(node.value) is int
+                   and 1000 <= node.value < 2**32 and _prime_factors(node.value) == {node.value}]
+    assert sorted(value for _, value, _ in primes) == [q for q, _ in _LADDER]
+    assert all(module == "richpoints" and in_ladder for module, _, in_ladder in primes), primes
+    assert not [(module, name) for module, name in names
+                if re.fullmatch(r"_*(Q|ROOT|PRIMES?)(_\w*)?", name)], names
 
 
 def test_rich_points_forms_meets_only_for_survivors():
@@ -547,8 +660,8 @@ def test_flushes_property_matches_bruteforce():
     line_test, split = pencils.richpoints._line_test, pencils.richpoints._pairs
     reached, log = Counter(), []
 
-    def testing(pc):
-        stages = line_test(pc)
+    def testing(pc, prime):
+        stages = line_test(pc, prime)
 
         def sifting(u, v):
             if not log or log[-1][0] != "sift":
@@ -601,10 +714,10 @@ def test_flushes_property_matches_bruteforce():
 
 
 def test_two_pencils_form_meets_by_broadcast():
-    """With no probed pencil there is no stage, and each block's meets are
-    formed as one broadcast of a column of first-pencil lines against every
-    second-pencil line: cross_rows sees 3-D input.  The rows equal the
-    brute-force rich set."""
+    """With no probed pencil there is no stage, and no line test or inverse
+    table is built; each block's meets are formed as one broadcast of a
+    column of first-pencil lines against every second-pencil line:
+    cross_rows sees 3-D input.  The rows equal the brute-force rich set."""
     config = PencilConfig(list(pencils_from_graph(build_farey_shift_construction(64),
                                                   standard_shift_centres()).pencils)[:2])
     cross, shapes = pencils.richpoints.cross_rows, []
@@ -613,8 +726,10 @@ def test_two_pencils_form_meets_by_broadcast():
         shapes.append((u.ndim, v.ndim))
         return cross(u, v)
 
-    with mock.patch.object(pencils.richpoints, "cross_rows", counting):
-        rep = rich_points(config)
+    with (mock.patch.object(pencils.richpoints, "cross_rows", counting),
+          mock.patch.object(pencils.richpoints, "_inverses") as inverses):
+        rep, primes = _primes_used(config)
+    assert primes == [] and not inverses.called
     blocks = -(-min(config.sizes()) // pencils.richpoints._MEET_BLOCK)
     # the first call joins the seed centres
     assert blocks > 1 and shapes[1:] == [(3, 2)] * blocks
@@ -640,16 +755,16 @@ def _dot(p, q):
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _q_multiple(w, j):
-    """A vector s with s.w a nonzero multiple of Q: w x e_j, plus Q at the
-    first nonzero entry of w."""
+def _q_multiple(w, j, prime):
+    """A vector s with s.w a nonzero multiple of the prime Q: w x e_j, plus Q
+    at the first nonzero entry of w."""
     s = list(_cross(w, _UNIT[j]))
-    s[next(i for i, x in enumerate(w) if x)] += _Q
+    s[next(i for i, x in enumerate(w) if x)] += prime
     return tuple(s)
 
 
 @st.composite
-def _seed_pairs(draw, ints, multiples=True):
+def _seed_pairs(draw, ints, prime, multiples=True):
     """A centre c, at infinity for some draws, its lines, at least one, and
     pairs (u, v) of seed lines as sift queries them.  The lines join c to
     drawn points.  With ``multiples`` they include, in some draws, a line
@@ -674,12 +789,12 @@ def _seed_pairs(draw, ints, multiples=True):
     lines = [join(centre, q) for q in draw(st.lists(_points(ints), min_size=1, max_size=4))
              if q != centre]
     assume(lines)
-    wide = [_through(centre, (line[kept[0]] + _Q * draw(nonzero),
-                              line[kept[1]] + _Q * draw(_small))) for line in lines
+    wide = [_through(centre, (line[kept[0]] + prime * draw(nonzero),
+                              line[kept[1]] + prime * draw(_small))) for line in lines
             ] if multiples else []
     if multiples and draw(st.booleans()):
         p, y = draw(nonzero), draw(nonzero)
-        wide += [_canon(_through(centre, (p, _Q * y))), _through(centre, (_Q * y, p))]
+        wide += [_canon(_through(centre, (p, prime * y))), _through(centre, (prime * y, p))]
         lines.append(wide[-2])
     on = lambda line: _cross(line, _UNIT[draw(unit)])
     pairs = []
@@ -691,13 +806,13 @@ def _seed_pairs(draw, ints, multiples=True):
         if not any(_cross(centre, p)):
             continue
         s = draw(st.one_of(_points(_small), st.just(centre), *(narrow and multiples) * [
-            unit.map(lambda j: _q_multiple(_cross(centre, p), j))]))
+            unit.map(lambda j: _q_multiple(_cross(centre, p), j, prime))]))
         u = _cross(p, s)
         if not any(u):
             continue
         v = draw(st.one_of(_points(_small).map(lambda t: _cross(p, t)), *narrow * [
             st.just(u)], *(narrow and multiples) * [
-            _points(_small).map(lambda t: tuple(x + _Q * y for x, y in zip(u, _cross(p, t))))]))
+            _points(_small).map(lambda t: tuple(x + prime * y for x, y in zip(u, _cross(p, t))))]))
         if any(v):
             pairs.append((u, v))
     if draw(st.booleans()):
@@ -715,19 +830,19 @@ def _seed_arrays(centre, lines, pairs):
     return [np.array([pair[i] for pair in pairs], dtype).reshape(-1, 3) for i in (0, 1)]
 
 
-def _slot(a, b):
+def _slot(a, b, prime):
     """A pair's slot in Python ints: a * b^-1 mod Q, 0 where b is 0 mod Q,
     after dividing a nonzero pair by Q while Q divides both entries."""
-    while (a or b) and a % _Q == b % _Q == 0:
-        a, b = a // _Q, b // _Q
-    return a * pow(b, -1, _Q) % _Q if b % _Q else 0
+    while (a or b) and a % prime == b % prime == 0:
+        a, b = a // prime, b // prime
+    return a * pow(b, -1, prime) % prime if b % prime else 0
 
 
-def _two_stages(pencil, u, v):
+def _two_stages(pencil, u, v, prime):
     """The line test's two stages on the seed pairs (u[k], v[k]), run as
     sift runs them after its first stage, on flat indices: the pairs the
     residue stage passes, and those of them the exact stage passes."""
-    residue, exact = _line_test(pencil)(u, v)
+    residue, exact = _line_test(pencil, prime)(u, v)
     k = np.arange(len(u))
     passed = residue(k, k)
     hit = passed.copy()
@@ -744,153 +859,169 @@ def _members(centre, lines, pairs):
     return [not any(j) or next(hits) for j in joins]
 
 
-def _later_in_slot(centre, pencil, join):
+def _later_in_slot(centre, pencil, join, prime):
     """Whether the line a join is on comes after another line of its slot
     in the order the line test holds them, so that the exact stage reaches
     it past the line its slot names."""
     k = max(i for i, v in enumerate(centre) if v)
     i, j = (x for x in range(3) if x != k)
-    line, table = _canon(join), _closure(_line_test(pencil))
+    line, table = _canon(join), _closure(_line_test(pencil, prime))
     at = next(e for e in range(1, len(table["p"]))
               if (table["p"][e], table["q"][e]) == (line[i], line[j]))
-    return at > table["first"][_slot(line[i], line[j])]
+    return at > table["first"][_slot(line[i], line[j], prime)]
 
 
-def _known_pairs(t):
+def _known_pairs(t, prime):
     """The axes, y = 2x and y = (Q + 2)x through the origin, so slot 0 and
     slot -2 mod Q hold two lines each, and seed pairs through (t, 2t),
     (t, (Q + 2)t), (Qt, 2Qt) and (Qt, 3Qt), whose joins are on y = 2x, on
     y = (Q + 2)x, Q times on y = 2x and Q times on y = 3x, a zero pair,
     and a pair whose join is Q times on y = 0."""
-    x_t = (1, 0, -t)
-    return (0, 0, 1), [(1, 0, 0), (0, 1, 0), (2, -1, 0), (_Q + 2, -1, 0)], [
-        (x_t, (0, 1, -2 * t)), (x_t, (0, 1, -(_Q + 2) * t)), ((1, 0, -_Q * t), (0, 1, -2 * _Q * t)),
-        ((1, 0, -_Q * t), (0, 1, -3 * _Q * t)), (x_t, x_t), (x_t, (1, _Q, -t))]
+    x_t, qt = (1, 0, -t), prime * t
+    return (0, 0, 1), [(1, 0, 0), (0, 1, 0), (2, -1, 0), (prime + 2, -1, 0)], [
+        (x_t, (0, 1, -2 * t)), (x_t, (0, 1, -(prime + 2) * t)), ((1, 0, -qt), (0, 1, -2 * qt)),
+        ((1, 0, -qt), (0, 1, -3 * qt)), (x_t, x_t), (x_t, (1, prime, -t))]
+
+
+# The ladder primes the probe properties run at, each in its own @given
+# runs: 16381, where the benchmark's and the tests' configs land, and
+# 65521 above it.
+_PRIMES = (16381, 65521)
 
 
 def test_line_test_property_matches_tuple_sets():
     """rich_points' pencil line test, on seed pairs as sift queries it,
     against pencil_lines_bruteforce on their joins.  The seeds are in the
     dtype _kernel_dtype's bound picks in one @given run and object arrays
-    in another, each with its own counter, which shows in its dtype: a
-    member found past the first line of its slot, a member whose join's
-    kept pair Q divides (drawn as a known example), the zero pair, a centre
-    at infinity and a centre whose last nonzero coordinate c_k has
-    |c_k| > 1.  The first run draws no multiples of Q, so that its seeds
-    fit int64, and the second draws them."""
-    for regime, ints, t in ((np.int64, _small, 1), (object, _ints, 2**62 + 1)):
-        reached = Counter()
+    in another, at each of two ladder primes, each run with its own
+    counter, which shows in its dtype and prime: a member found past the
+    first line of its slot, a member whose join's kept pair Q divides
+    (drawn as a known example), the zero pair, a centre at infinity and a
+    centre whose last nonzero coordinate c_k has |c_k| > 1.  The int64 runs
+    draw no multiples of Q, so that their seeds fit int64, and the object
+    runs draw them."""
+    for prime in _PRIMES:
+        for regime, ints, t in ((np.int64, _small, 1), (object, _ints, 2**62 + 1)):
+            reached = Counter()
 
-        @settings(max_examples=25)
-        def check(drawn):
-            centre, lines, pairs = drawn
-            pencil = Pencil(ProjPoint(*centre), lines)
-            u, v = _seed_arrays(centre, lines, pairs)
-            if regime is object:
-                u, v = u.astype(object), v.astype(object)
-            _, hit = _two_stages(pencil, u, v)
-            members = _members(centre, lines, pairs)
-            assert hit.tolist() == members
-            k = max(i for i, x in enumerate(centre) if x)
-            kept = [i for i in range(3) if i != k]
-            name = u.dtype.name
-            reached[name, "at infinity"] += centre[2] == 0
-            reached[name, "|c_k| > 1"] += abs(centre[k]) > 1
-            for (a, b), member in zip(pairs, members):
-                join = tuple(_dot(centre, b) * x - _dot(centre, a) * y for x, y in zip(a, b))
-                reached[name, "zero pair"] += not any(join)
-                if any(join) and member:
-                    reached[name, "Q divides the kept pair"] += all(join[i] % _Q == 0 for i in kept)
-                    reached[name, "past the first line of its slot"] += _later_in_slot(
-                        centre, pencil, join)
+            @settings(max_examples=25)
+            def check(drawn):
+                centre, lines, pairs = drawn
+                pencil = Pencil(ProjPoint(*centre), lines)
+                u, v = _seed_arrays(centre, lines, pairs)
+                if regime is object:
+                    u, v = u.astype(object), v.astype(object)
+                _, hit = _two_stages(pencil, u, v, prime)
+                members = _members(centre, lines, pairs)
+                assert hit.tolist() == members
+                k = max(i for i, x in enumerate(centre) if x)
+                kept = [i for i in range(3) if i != k]
+                name = u.dtype.name, prime
+                reached[name, "at infinity"] += centre[2] == 0
+                reached[name, "|c_k| > 1"] += abs(centre[k]) > 1
+                for (a, b), member in zip(pairs, members):
+                    join = tuple(_dot(centre, b) * x - _dot(centre, a) * y for x, y in zip(a, b))
+                    reached[name, "zero pair"] += not any(join)
+                    if any(join) and member:
+                        reached[name, "Q divides the kept pair"] += all(
+                            join[i] % prime == 0 for i in kept)
+                        reached[name, "past the first line of its slot"] += _later_in_slot(
+                            centre, pencil, join, prime)
 
-        given(st.one_of(st.just(_known_pairs(t)), _seed_pairs(ints, regime is object)))(check)()
-        name = np.dtype(regime).name
-        branches = ("at infinity", "|c_k| > 1", "zero pair", "Q divides the kept pair",
-                    "past the first line of its slot")
-        assert all(reached[name, b] for b in branches), (name, reached)
+            given(st.one_of(st.just(_known_pairs(t, prime)),
+                            _seed_pairs(ints, prime, regime is object)))(check)()
+            name = np.dtype(regime).name, prime
+            branches = ("at infinity", "|c_k| > 1", "zero pair", "Q divides the kept pair",
+                        "past the first line of its slot")
+            assert all(reached[name, b] for b in branches), (name, reached)
 
 
 def _closure(stages):
-    """The tables a _line_test(pc) result holds, read off its closure."""
+    """The tables a _line_test(pc, prime) result holds, read off its closure."""
     return {name: cell.cell_contents
             for name, cell in zip(stages.__code__.co_freevars, stages.__closure__)}
 
 
 def test_inverse_table_and_slots_match_python_ints():
-    """The inverse table, int32, holds (x mod Q)^-1 mod Q at every x in
-    0..2Q-1 that Q does not divide, and 0 at 0, at Q and at 2Q..5Q-1.  A
-    probed pencil's first-line table has Q entries of the least unsigned
-    dtype that holds its size; it names slot 0 and the slot of each of its
-    kept pairs (Python ints, _slot), and from each of them the lines it
-    names while ``more`` holds are the pencil's lines of that slot (any one
-    line for slot 0 with none), after a copy of one of its lines.  _slots
+    """At each of two ladder primes Q: the inverse table, int32, holds
+    (x mod Q)^-1 mod Q at every x in 0..2Q-1 that Q does not divide, and 0
+    at 0, at Q and at 2Q..5Q-1, and it is built once per prime.  A probed
+    pencil's first-line table has Q entries of the least unsigned dtype
+    that holds its size; it names slot 0 and the slot of each of its kept
+    pairs (Python ints, _slot), and from each of them the lines it names
+    while ``more`` holds are the pencil's lines of that slot (any one line
+    for slot 0 with none), after a copy of one of its lines.  _slots
     matches _slot on drawn pairs, int64 and object each in its own @given
     run, with pairs Q divides once and twice and zero pairs as their own
     branches.  Pencils through the origin with kept pairs (1, 0),
     (t + 1, Q * t) and (t, 3t + 1), int64 and object, are drawn as known
-    examples; counters show q a unit and q 0 mod Q in pencils with int64
-    and object rows, a slot with two lines, and each branch of _slots in
-    both dtypes."""
-    inv = _inverses()
-    assert inv.dtype == np.int32 and inv.shape == (5 * _Q,)
-    assert inv[0] == inv[_Q] == 0 and not inv[2 * _Q:].any()
-    x = np.delete(np.arange(1, 2 * _Q), _Q - 1)
-    assert (x * inv[x].astype(np.int64) % _Q == 1).all()
-    reached = Counter()
+    examples; counters, one per prime, show q a unit and q 0 mod Q in
+    pencils with int64 and object rows, a slot with two lines, and each
+    branch of _slots in both dtypes.  Only the last prime's table is
+    kept."""
+    for prime in _PRIMES:
+        inv = _inverses(prime)
+        assert _inverses(prime) is inv
+        assert inv.dtype == np.int32 and inv.shape == (5 * prime,)
+        assert inv[0] == inv[prime] == 0 and not inv[2 * prime:].any()
+        x = np.delete(np.arange(1, 2 * prime), prime - 1)
+        assert (x * inv[x].astype(np.int64) % prime == 1).all()
+        reached = Counter()
 
-    @settings(max_examples=30)
-    def tables(drawn):
-        centre, lines, _ = drawn
-        k = max(i for i, v in enumerate(centre) if v)
-        i, j = (x for x in range(3) if x != k)
-        pencil = Pencil(ProjPoint(*centre), lines)
-        runs = {0: []}
-        for line in row_triples(pencil.rows):
-            runs.setdefault(_slot(line[i], line[j]), []).append((line[i], line[j]))
-            reached["q a unit" if line[j] % _Q else "q 0 mod Q", pencil.rows.dtype.name] += 1
-        reached["two lines in a slot"] += max(map(len, runs.values())) > 1
-        table = _closure(_line_test(pencil))
-        first, more, p, q = (table[name] for name in ("first", "more", "p", "q"))
-        assert first.dtype == np.min_scalar_type(pencil.size) and first.shape == (_Q,)
-        assert set(np.flatnonzero(first).tolist()) == set(runs)
-        for slot, run in runs.items():
-            at = int(first[slot])
-            got = [(p[at], q[at])]
-            while more[at]:
-                at += 1
-                got.append((p[at], q[at]))
-            assert sorted(got) == run or not run, (slot, got, run)
-        assert (p[0], q[0]) == (p[1], q[1])
+        @settings(max_examples=30)
+        def tables(drawn):
+            centre, lines, _ = drawn
+            k = max(i for i, v in enumerate(centre) if v)
+            i, j = (x for x in range(3) if x != k)
+            pencil = Pencil(ProjPoint(*centre), lines)
+            runs = {0: []}
+            for line in row_triples(pencil.rows):
+                runs.setdefault(_slot(line[i], line[j], prime), []).append((line[i], line[j]))
+                reached["q a unit" if line[j] % prime else "q 0 mod Q",
+                        pencil.rows.dtype.name] += 1
+            reached["two lines in a slot"] += max(map(len, runs.values())) > 1
+            table = _closure(_line_test(pencil, prime))
+            first, more, p, q = (table[name] for name in ("first", "more", "p", "q"))
+            assert first.dtype == np.min_scalar_type(pencil.size) and first.shape == (prime,)
+            assert set(np.flatnonzero(first).tolist()) == set(runs)
+            for slot, run in runs.items():
+                at = int(first[slot])
+                got = [(p[at], q[at])]
+                while more[at]:
+                    at += 1
+                    got.append((p[at], q[at]))
+                assert sorted(got) == run or not run, (slot, got, run)
+            assert (p[0], q[0]) == (p[1], q[1])
 
-    # through the origin: kept pairs (0, 1), (1, 0), (t + 1, Q * t) and
-    # (t, 3t + 1), with object rows for t = 2^64
-    for ints, t in ((_small, 1), (_ints, 2**64)):
-        known = (0, 0, 1), [(0, 1, 0), (1, 0, 0), (t + 1, _Q * t, 0), (t, 3 * t + 1, 0)], []
-        given(st.one_of(st.just(known), _seed_pairs(ints)))(tables)()
+        # through the origin: kept pairs (0, 1), (1, 0), (t + 1, Q * t) and
+        # (t, 3t + 1), with object rows for t = 2^64
+        for ints, t in ((_small, 1), (_ints, 2**64)):
+            known = (0, 0, 1), [(0, 1, 0), (1, 0, 0), (t + 1, prime * t, 0), (t, 3 * t + 1, 0)], []
+            given(st.one_of(st.just(known), _seed_pairs(ints, prime)))(tables)()
 
-    small = st.tuples(st.integers(-999, 999), st.integers(-999, 999)).filter(any)
+        small = st.tuples(st.integers(-999, 999), st.integers(-999, 999)).filter(any)
 
-    @settings(max_examples=30)
-    def slots(drawn):
-        dtype, pairs = drawn
-        a, b = np.array(pairs, dtype).reshape(-1, 2).T
-        got = _slots(a, b)
-        assert got.dtype == np.int64 and got.tolist() == [_slot(x, y) for x, y in pairs]
-        for x, y in pairs:
-            times = 0
-            while (x or y) and x % _Q == y % _Q == 0:
-                x, y, times = x // _Q, y // _Q, times + 1
-            reached[np.dtype(dtype).name, "zero pair" if not (x or y) else
-                    f"Q divides it {min(times, 2)} times"] += 1
+        @settings(max_examples=30)
+        def slots(drawn):
+            dtype, pairs = drawn
+            a, b = np.array(pairs, dtype).reshape(-1, 2).T
+            got = _slots(a, b, prime)
+            assert got.dtype == np.int64 and got.tolist() == [_slot(x, y, prime) for x, y in pairs]
+            for x, y in pairs:
+                times = 0
+                while (x or y) and x % prime == y % prime == 0:
+                    x, y, times = x // prime, y // prime, times + 1
+                reached[np.dtype(dtype).name, "zero pair" if not (x or y) else
+                        f"Q divides it {min(times, 2)} times"] += 1
 
-    for dtype, top in ((np.int64, 2**62), (object, 2**80)):
-        pair = st.one_of(st.tuples(st.integers(-top, top), st.integers(-top, top)),
-                         small.map(lambda ab: (ab[0] * _Q, ab[1] * _Q)),
-                         small.map(lambda ab: (ab[0] * _Q**2, ab[1] * _Q**2)),
-                         st.just((0, 0)))
-        given(st.tuples(st.just(dtype), st.lists(pair, min_size=1, max_size=20)))(slots)()
-    assert len(reached) == 2 * 2 + 1 + 2 * 4, reached
+        for dtype, top in ((np.int64, 2**62), (object, 2**80)):
+            pair = st.one_of(st.tuples(st.integers(-top, top), st.integers(-top, top)),
+                             small.map(lambda ab: (ab[0] * prime, ab[1] * prime)),
+                             small.map(lambda ab: (ab[0] * prime**2, ab[1] * prime**2)),
+                             st.just((0, 0)))
+            given(st.tuples(st.just(dtype), st.lists(pair, min_size=1, max_size=20)))(slots)()
+        assert len(reached) == 2 * 2 + 1 + 2 * 4, (prime, reached)
+    assert _inverses.cache_info().currsize == 1 and _inverses(_PRIMES[-1]) is inv
 
 
 def test_residue_stage_property_matches_tuple_sets():
@@ -902,14 +1033,14 @@ def test_residue_stage_property_matches_tuple_sets():
     pencil, and with the exact stage after it gives tuple-set membership.
     It is run on every pair of a u and a v as a block (a column of u
     indices and a row of v indices), as sift's first stage runs it, and on
-    the drawn pairs as flat indices, as the stages after it run.  It runs on
-    int64 seeds in one @given run and on object seeds in another, each with
-    its own counters, and both stages together on the dtype _kernel_dtype's
-    bound picks.  The counters show: a centre at infinity; a seed line
-    through the centre (c.w = 0); c.w a nonzero multiple of Q; with both
-    charts, da and db both 0, da 0 only, db 0 only, a marked nonzero slot
-    and a refused pair; and a non-member that passes the residue stage and
-    that the exact stage refuses."""
+    the drawn pairs as flat indices, as the stages after it run.  At each
+    of two ladder primes Q it runs on int64 seeds in one @given run and on
+    object seeds in another, each with its own counters, and both stages
+    together on the dtype _kernel_dtype's bound picks.  The counters show: a
+    centre at infinity; a seed line through the centre (c.w = 0); c.w a
+    nonzero multiple of Q; with both charts, da and db both 0, da 0 only,
+    db 0 only, a marked nonzero slot and a refused pair; and a non-member
+    that passes the residue stage and that the exact stage refuses."""
     @settings(max_examples=25)
     def check(drawn):
         centre, lines, pairs = drawn
@@ -918,27 +1049,28 @@ def test_residue_stage_property_matches_tuple_sets():
         marked = set()
         for line in lines:
             p, q = line[i] // gcd(line[i], line[j]), line[j] // gcd(line[i], line[j])
-            if q % _Q:
-                marked.add(p * pow(q, -1, _Q) % _Q)
+            if q % prime:
+                marked.add(p * pow(q, -1, prime) % prime)
 
         def branch(u, v):
             cu, cv = _dot(centre, u), _dot(centre, v)
-            if not (cu % _Q and cv % _Q):
+            if not (cu % prime and cv % prime):
                 return "no chart"
-            da, db = ((u[x] * pow(cu, -1, _Q) - v[x] * pow(cv, -1, _Q)) % _Q for x in (i, j))
+            da, db = ((u[x] * pow(cu, -1, prime) - v[x] * pow(cv, -1, prime)) % prime
+                      for x in (i, j))
             if not (da and db):
                 return "da 0 only" if db else "db 0 only" if da else "da and db 0"
-            return "marked slot" if da * pow(db, -1, _Q) % _Q in marked else "refused"
+            return "marked slot" if da * pow(db, -1, prime) % prime in marked else "refused"
 
         pencil = Pencil(ProjPoint(*centre), lines)
         u, v = _seed_arrays(centre, lines, pairs)
         # the residue stage's entries are at most 3CM, so the small draws fit
         # it in int64 also where the exact stage's products need objects
-        residue, _ = _line_test(pencil)(u.astype(dtype), v.astype(dtype))
+        residue, _ = _line_test(pencil, prime)(u.astype(dtype), v.astype(dtype))
         block = residue(np.arange(len(u))[:, None], np.arange(len(v)))
         assert block.tolist() == [[branch(a, b) != "refused" for _, b in pairs] for a, _ in pairs]
         members = np.array(_members(centre, lines, pairs), dtype=bool)
-        passed, hit = _two_stages(pencil, u, v)
+        passed, hit = _two_stages(pencil, u, v, prime)
         assert passed.tolist() == [branch(a, b) != "refused" for a, b in pairs]
         assert passed[members].all()
         assert hit.tolist() == members.tolist()
@@ -947,7 +1079,7 @@ def test_residue_stage_property_matches_tuple_sets():
             cu, cv = _dot(centre, a), _dot(centre, b)
             reached[branch(a, b)] += 1
             reached["through the centre"] += cu == 0 or cv == 0
-            reached["c.w a nonzero multiple of Q"] += any(w and w % _Q == 0 for w in (cu, cv))
+            reached["c.w a nonzero multiple of Q"] += any(w and w % prime == 0 for w in (cu, cv))
             reached["passes, not a member"] += ok and not member
 
     # a known example: the axes and the line 2x = y through the origin, and
@@ -955,14 +1087,15 @@ def test_residue_stage_property_matches_tuple_sets():
     # Q times a member (da and db 0), whose join is 2x = y (a marked slot)
     # and 3x = y (refused), through the centre (a non-member that passes),
     # and with c.w = -Q
-    for dtype, ints, t in ((np.int64, _small, 1), (object, _ints, 2**62)):
-        reached = Counter()
-        x_t, y_t, sum_t = (1, 0, -t), (0, 1, -t), (1, 1, -t)
-        known = (0, 0, 1), [(0, 1, 0), (1, 0, 0), (2, -1, 0)], [
-            (x_t, sum_t), (x_t, (1, _Q, -t)), (y_t, sum_t), ((1, -1, 0), (1, 1, -2 * t)),
-            (x_t, (0, 1, -2 * t)), (x_t, (0, 1, -3 * t)), ((1, 0, -_Q), (0, 1, -_Q))]
-        given(st.one_of(st.just(known), _seed_pairs(ints)))(check)()
-        branches = ("at infinity", "through the centre", "c.w a nonzero multiple of Q",
-                    "no chart", "da and db 0", "da 0 only", "db 0 only", "marked slot",
-                    "refused", "passes, not a member")
-        assert all(reached[b] for b in branches), (np.dtype(dtype).name, reached)
+    for prime in _PRIMES:
+        for dtype, ints, t in ((np.int64, _small, 1), (object, _ints, 2**62)):
+            reached = Counter()
+            x_t, y_t, sum_t = (1, 0, -t), (0, 1, -t), (1, 1, -t)
+            known = (0, 0, 1), [(0, 1, 0), (1, 0, 0), (2, -1, 0)], [
+                (x_t, sum_t), (x_t, (1, prime, -t)), (y_t, sum_t), ((1, -1, 0), (1, 1, -2 * t)),
+                (x_t, (0, 1, -2 * t)), (x_t, (0, 1, -3 * t)), ((1, 0, -prime), (0, 1, -prime))]
+            given(st.one_of(st.just(known), _seed_pairs(ints, prime)))(check)()
+            branches = ("at infinity", "through the centre", "c.w a nonzero multiple of Q",
+                        "no chart", "da and db 0", "da 0 only", "db 0 only", "marked slot",
+                        "refused", "passes, not a member")
+            assert all(reached[b] for b in branches), (np.dtype(dtype).name, prime, reached)
